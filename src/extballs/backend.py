@@ -13,6 +13,7 @@ active implementation is chosen by the EXTBALLS_BACKEND environment variable:
 
 from __future__ import annotations
 
+import functools
 import os
 
 from .errors import ConfigError
@@ -22,7 +23,13 @@ _VALID = ("auto", "numba", "numpy")
 _override: str | None = None
 
 
+@functools.cache
 def _numba_available() -> bool:
+    """Whether numba imports; probed once per process.
+
+    A failed import is not cached by Python, so without the memo every
+    kernel lookup would retry it.
+    """
     try:
         import numba  # noqa: F401
     except ImportError:  # pragma: no cover - numba is a declared dependency

@@ -45,12 +45,67 @@ def neck_radius(c: float) -> float:
 
 @dataclass(frozen=True)
 class RotationProfile:
-    """Dense profile solution for one first-integral constant."""
+    """Dense profile solution for one first-integral constant.
+
+    The RK45 dense output is held as stacked segment data: breakpoints
+    ``knots`` (ascending, one more than the segments), and per segment
+    its start ``t_old``, step ``h``, start state ``y_old`` and
+    polynomial coefficients ``Q``.  Only the rho and t rows of the state
+    are kept: ``y_old`` has shape (2, segments) and ``Q`` (2, degree,
+    segments).  `profile_values` evaluates the same polynomials as
+    SciPy's `OdeSolution`, one gather and one polynomial pass for every
+    point instead of one interpolant call per segment.
+    """
 
     c: float
     rho0: float
     sigma_max: float
-    _sol: object
+    knots: np.ndarray
+    t_old: np.ndarray
+    h: np.ndarray
+    y_old: np.ndarray
+    Q: np.ndarray
+
+    @staticmethod
+    def from_solution(c: float, rho0: float, sigma_max: float,
+                      sol) -> "RotationProfile":
+        """Gather an ascending `OdeSolution`'s RK segments once."""
+        segs = sol.interpolants
+        rows = [0, 2]  # state (rho, rho', t): keep rho and t
+        return RotationProfile(
+            c=c, rho0=rho0, sigma_max=sigma_max,
+            knots=np.asarray(sol.ts, dtype=np.float64),
+            t_old=np.array([s.t_old for s in segs]),
+            h=np.array([s.h for s in segs]),
+            y_old=np.array([s.y_old[rows] for s in segs]).T.copy(),
+            Q=np.array([s.Q[rows] for s in segs]).transpose(1, 2, 0).copy())
+
+    def profile_values(self, abs_sigma: np.ndarray):
+        """(rho, t) at nonnegative arclengths, shaped like the input.
+
+        Segment choice follows `OdeSolution`: a knot belongs to the
+        segment that ends there, and points past either end extrapolate
+        the end segments.  Each value is y_old + h * sum_k Q_k x^k, with
+        x the fraction of the segment run through and k = 1..4; SciPy
+        sums the terms in a BLAS product, so the two can differ in the
+        last bit.
+        """
+        s = np.asarray(abs_sigma, dtype=np.float64)
+        flat = s.ravel()
+        seg = np.searchsorted(self.knots, flat, side="left") - 1
+        np.clip(seg, 0, len(self.h) - 1, out=seg)
+        h = self.h[seg]
+        x = (flat - self.t_old[seg]) / h
+        powers = [x]
+        for _ in range(1, self.Q.shape[1]):
+            powers.append(powers[-1] * x)
+        out = []
+        for Qrow, yrow in zip(self.Q, self.y_old):
+            acc = Qrow[0][seg] * powers[0]
+            for Qk, xk in zip(Qrow[1:], powers[1:]):
+                acc += Qk[seg] * xk
+            out.append((h * acc + yrow[seg]).reshape(s.shape))
+        return tuple(out)
 
     def jets(self, sigma: np.ndarray):
         """(rho, rho', rho'', t, t', t'') at sigma, derivatives in sigma.
@@ -61,11 +116,8 @@ class RotationProfile:
         """
         sigma = np.asarray(sigma, dtype=np.float64)
         sgn = np.sign(sigma)
-        flat = np.abs(sigma).ravel()
-        uniq, inv = np.unique(flat, return_inverse=True)
-        vals = self._sol(uniq)
-        rho = vals[0][inv].reshape(sigma.shape)
-        t = sgn * vals[2][inv].reshape(sigma.shape)
+        rho, t_abs = self.profile_values(np.abs(sigma))
+        t = sgn * t_abs
 
         c = self.c
         ch, sh = np.cosh(rho), np.sinh(rho)
@@ -79,8 +131,31 @@ class RotationProfile:
         return rho, rho_d, rho_dd, t, t_d, t_dd
 
 
-def solve_profile(c: float, sigma_max: float) -> RotationProfile:
-    """Integrate the profile from the neck out to arclength sigma_max."""
+def _check_against_solution(profile: RotationProfile, sol) -> None:
+    """Fail loudly if the gathered segments stop matching `OdeSolution`.
+
+    Evaluated at every knot and segment midpoint, the two must agree to
+    a few ulps; a change in SciPy's dense-output internals breaks that.
+    """
+    knots = profile.knots
+    probe = np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:])])
+    ref = sol(probe)[[0, 2]]
+    got = np.stack(profile.profile_values(probe))
+    err = float(np.max(np.abs(got - ref)
+                       / np.maximum(np.abs(ref), 1e-300)))
+    if err > 1e-14:
+        raise ConstructionError(
+            f"gathered profile segments disagree with SciPy's dense "
+            f"output by {err:.2e} (relative) for c={profile.c}"
+        )
+
+
+def integrate_profile(c: float, sigma_max: float):
+    """RK45 dense solution of the profile, from the neck past sigma_max.
+
+    The state is (rho, rho', t) in arclength; the returned SciPy
+    `OdeSolution` is the reference that `RotationProfile` reproduces.
+    """
     rho0 = neck_radius(c)
 
     def rhs(_s, y):
@@ -97,7 +172,16 @@ def solve_profile(c: float, sigma_max: float) -> RotationProfile:
         raise ConstructionError(
             f"profile integration failed for c={c}: {sol.message}"
         )
-    return RotationProfile(c=c, rho0=rho0, sigma_max=sigma_max, _sol=sol.sol)
+    return sol.sol
+
+
+def solve_profile(c: float, sigma_max: float) -> RotationProfile:
+    """Integrate the profile from the neck out to arclength sigma_max."""
+    sol = integrate_profile(c, sigma_max)
+    profile = RotationProfile.from_solution(c, neck_radius(c), sigma_max,
+                                            sol)
+    _check_against_solution(profile, sol)
+    return profile
 
 
 def solve_hyperbolic_catenoid(c: float = 1.0,

@@ -49,7 +49,7 @@ class RunConfig:
     alphas: tuple = (0.25, 0.5, 1.0, 1.5)
     tolerances: dict = field(default_factory=dict)
     min_samples: int = 200
-    workers: int | None = None
+    workers: int | None = None     # validated but ignored: runs are serial
     output: str | None = None
 
     @staticmethod
@@ -115,7 +115,6 @@ class RunConfig:
             "pole_uv": self.pole_uv,
             "alphas": self.alphas,
             "min_samples": self.min_samples,
-            "workers": self.workers,
             "tolerances": self.tolerances or None,
             "periodic_u": self.periodic_u,
             "periodic_v": self.periodic_v,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, CriticalRadius
-from ..immersion import FrameBatch, frames
+from ..immersion import FrameBatch, frames, radial_frames
 from .contours import Loop, augment_loop, extract_loops
 from .field import DistanceField
 from .quadrature import region_integral
@@ -60,6 +60,20 @@ class BoundarySamples:
         self.nu = nu
         self.loop_id = loop_id
         self.frame = frame
+
+    @staticmethod
+    def concat(parts: list["BoundarySamples"]) -> "BoundarySamples":
+        """Samples of several boundaries as one batch, in the given order.
+
+        Loop ids keep their per-part values, so they stop identifying a
+        loop; the result is for point-wise consumers.
+        """
+        def join(name):
+            return np.concatenate([getattr(p, name) for p in parts])
+        return BoundarySamples(
+            uv=join("uv"), weight=join("weight"), e=join("e"), nu=join("nu"),
+            loop_id=join("loop_id"),
+            frame=FrameBatch.concat([p.frame for p in parts]))
 
     def __len__(self) -> int:
         return len(self.weight)
@@ -120,7 +134,7 @@ def _hermite_lengths(field: DistanceField, verts: np.ndarray,
     x = (p0 + s * dd
          + s * (1.0 - s) * ((1.0 - s) * (a0 - dd) - s * (a1 - dd)))
 
-    fb = frames(field.surface, x[..., 0], x[..., 1])
+    fb = radial_frames(field.surface, x[..., 0], x[..., 1])
     speed = np.sqrt(np.maximum(fb.metric_dot(xp, xp), 0.0))
     return speed @ _GL2_W
 

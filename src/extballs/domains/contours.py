@@ -22,7 +22,7 @@ import numpy as np
 
 from .. import backend
 from ..errors import GeometryError
-from ..immersion import frames
+from ..immersion import radial_frames
 from .field import DistanceField
 
 _NEWTON_TOL = 1e-10
@@ -198,7 +198,8 @@ def project_to_level(field: DistanceField, tt: float, pts: np.ndarray,
     """
     pts = np.asarray(pts, dtype=np.float64).copy()
     for _ in range(iterations):
-        fb = frames(field.surface, pts[:, 0], pts[:, 1], pole=field.pole)
+        fb = radial_frames(field.surface, pts[:, 0], pts[:, 1],
+                           pole=field.pole)
         scale = np.maximum(fb.normGradPr ** 2, 1e-30)
         pts -= ((fb.r - tt) / scale)[:, None] * fb.gradPr
     return pts

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, DomainTooSmall, ModelError, PoleOffModel
-from ..immersion import ParametricSurface, frames
+from ..immersion import ParametricSurface, radial_frames
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def build_field(surface: ParametricSurface, t_max: float,
     v_nodes = v0 + h_v * (np.arange(spec.n_v) + 0.5)
 
     U, V = np.meshgrid(u_nodes, v_nodes, indexing="ij")
-    fb = frames(surface, U, V, pole=pole)
+    fb = radial_frames(surface, U, V, pole=pole)
     r = fb.r
     grad_norm = fb.normGradPr
     if not np.all(np.isfinite(r)):

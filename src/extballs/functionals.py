@@ -29,7 +29,7 @@ import numpy as np
 from .domains.balls import BoundarySamples, ExtrinsicBall, extract_ball
 from .domains.field import DistanceField
 from .errors import ConfigError
-from .immersion import frames
+from .immersion import radial_frames
 
 __all__ = [
     "RadiusRecord",
@@ -41,6 +41,7 @@ __all__ = [
     "geodesic_curvature_direct",
     "geodesic_curvature_formula",
     "kg_gap",
+    "kg_gaps",
     "total_extrinsic_curvature",
 ]
 
@@ -87,19 +88,33 @@ def _trace_step(field: DistanceField, pts: np.ndarray, step: float,
     near float precision while keeping the step map smooth.
     """
     surf, pole = field.surface, field.pole
-    fb = frames(surf, pts[:, 0], pts[:, 1], pole=pole)
+    fb = radial_frames(surf, pts[:, 0], pts[:, 1], pole=pole)
     mid = pts + (0.5 * step) * _tangent_unit(fb)
-    fbm = frames(surf, mid[:, 0], mid[:, 1], pole=pole)
+    fbm = radial_frames(surf, mid[:, 0], mid[:, 1], pole=pole)
     out = pts + step * _tangent_unit(fbm)
     for _ in range(2):
-        fbq = frames(surf, out[:, 0], out[:, 1], pole=pole)
+        fbq = radial_frames(surf, out[:, 0], out[:, 1], pole=pole)
         shift = (fbq.r - r_target) / np.maximum(fbq.normGradPr ** 2, 1e-30)
         out = out - shift[:, None] * fbq.gradPr
     return out
 
 
+def _stencil(coef: np.ndarray, traj: np.ndarray,
+             bounds: np.ndarray) -> np.ndarray:
+    """Apply a stencil along the trajectory axis, one product per run.
+
+    The BLAS product can round an array's last rows through a different
+    kernel path than the rest, so where a sample sits in its array can
+    move its result by an ulp.  Differencing each run (one ball's
+    samples) as its own array makes a batch reproduce per-run calls
+    bitwise.
+    """
+    parts = np.split(traj, bounds, axis=1)
+    return np.concatenate([np.tensordot(coef, p, axes=1) for p in parts])
+
+
 def _trace_kg(field: DistanceField, fb0, uv0: np.ndarray,
-              delta: float) -> np.ndarray:
+              delta: float, bounds: np.ndarray) -> np.ndarray:
     """One trace pass: march in the chart, differentiate in the ambient.
 
     The stencils act on ambient positions of the traced points.  Pairing
@@ -124,8 +139,8 @@ def _trace_kg(field: DistanceField, fb0, uv0: np.ndarray,
         traj[_TRACE_SIDE + k] = surf.eval(fwd[:, 0], fwd[:, 1])
         traj[_TRACE_SIDE - k] = surf.eval(back[:, 0], back[:, 1])
 
-    vel = np.tensordot(_C1, traj, axes=1) / delta
-    acc = np.tensordot(_C2, traj, axes=1) / (delta * delta)
+    vel = _stencil(_C1, traj, bounds) / delta
+    acc = _stencil(_C2, traj, bounds) / (delta * delta)
 
     ip = surf.form.inner
     nu = fb0.ambient_gradPr() / fb0.normGradPr[:, None]
@@ -136,7 +151,8 @@ def _trace_kg(field: DistanceField, fb0, uv0: np.ndarray,
 def geodesic_curvature_direct(field: DistanceField,
                               samples: BoundarySamples,
                               tol: float = 1e-6,
-                              max_halvings: int = 4) -> np.ndarray:
+                              max_halvings: int = 4,
+                              runs: list[int] | None = None) -> np.ndarray:
     """Boundary geodesic curvature by differentiating the curve itself.
 
     Marches 4 steps each way from every sample, then applies 8th-order
@@ -155,13 +171,18 @@ def geodesic_curvature_direct(field: DistanceField,
     cannot see) and sends the sample into a halving chain that keeps
     refining while the refinements contract and freezes at the noise
     floor when they stop contracting at small scale.
+
+    `runs` gives the lengths of consecutive sample runs (one per ball)
+    in a batch of several balls; each run's result then equals a call
+    on that run alone, bit for bit.  By default all samples are one run.
     """
     fb0 = samples.frame
     uv0 = samples.uv
     delta = 1.5 * max(field.h_u, field.h_v)
+    starts = np.cumsum(runs)[:-1] if runs is not None else np.zeros(0, int)
 
-    coarse = _trace_kg(field, fb0, uv0, 2.0 * delta)
-    kg = _trace_kg(field, fb0, uv0, delta)
+    coarse = _trace_kg(field, fb0, uv0, 2.0 * delta, starts)
+    kg = _trace_kg(field, fb0, uv0, delta, starts)
     m0 = np.abs(kg - coarse)
     quiet = m0 <= tol
     kg[quiet] = coarse[quiet]
@@ -172,7 +193,8 @@ def geodesic_curvature_direct(field: DistanceField,
         if len(active) == 0:
             break
         delta *= 0.5
-        refined = _trace_kg(field, fb0[active], uv0[active], delta)
+        refined = _trace_kg(field, fb0[active], uv0[active], delta,
+                            np.searchsorted(active, starts))
         moved = np.abs(refined - kg[active])
         settled = moved <= tol
         contracting = moved < move_prev[active]
@@ -203,18 +225,35 @@ def geodesic_curvature_formula(field: DistanceField,
     return (h + normal_term) / fb.normGradPr
 
 
+def kg_gaps(field: DistanceField, balls: list[ExtrinsicBall]) -> list[dict]:
+    """`kg_gap` for several nonempty balls of one field, one trace pass.
+
+    The trace route runs once over the concatenated boundary samples:
+    its step is set by the grid alone, each traced point keeps its own
+    level value, the halving chain decides per sample and the stencils
+    act per ball, so the result for each ball equals a call on that
+    ball alone, bit for bit, while the per-call overhead is paid once.
+    """
+    samples = [b.samples for b in balls]
+    runs = [len(s) for s in samples]
+    direct = geodesic_curvature_direct(field, BoundarySamples.concat(samples),
+                                       runs=runs)
+    out = []
+    for s, d in zip(samples, np.split(direct, np.cumsum(runs)[:-1])):
+        formula = geodesic_curvature_formula(field, s)
+        out.append({
+            "direct": d,
+            "formula": formula,
+            "max_gap": float(np.max(np.abs(d - formula))),
+            "intKg": float(np.sum(s.weight * formula)),
+        })
+    return out
+
+
 def kg_gap(field: DistanceField, t: float,
            ball: ExtrinsicBall | None = None) -> dict:
     """Both geodesic-curvature routes and their worst disagreement."""
-    b = _ball(field, t, ball)
-    direct = geodesic_curvature_direct(field, b.samples)
-    formula = geodesic_curvature_formula(field, b.samples)
-    return {
-        "direct": direct,
-        "formula": formula,
-        "max_gap": float(np.max(np.abs(direct - formula))),
-        "intKg": float(np.sum(b.samples.weight * formula)),
-    }
+    return kg_gaps(field, [_ball(field, t, ball)])[0]
 
 
 def gauss_bonnet_chi(field: DistanceField, t: float,
@@ -361,13 +400,19 @@ class RadiusSeries:
                 "constant": constant, "count": len(recs)}
 
     def R_growth_over_doubling(self) -> float:
-        """R at the last radius minus R at the largest t <= half of it."""
+        """R at the last radius minus R at its partner a doubling below.
+
+        The partner is the largest t <= t_last / 2.  It must also reach
+        t_last / 2.5: on a sparse schedule the nearest radius below half
+        can sit several doublings down, and the difference then reads a
+        slowly settling finite total as divergence.  NaN without one.
+        """
         recs = self.valid
         if len(recs) < 2:
             return _NAN
         t_last = recs[-1].t
         half = [rec for rec in recs if rec.t <= 0.5 * t_last + 1e-12]
-        if not half:
+        if not half or half[-1].t < t_last / 2.5 - 1e-12:
             return _NAN
         return recs[-1].R - half[-1].R
 

@@ -5,6 +5,8 @@ F : (u, v) -> ambient.  From those this module computes the induced metric,
 the normal-valued second fundamental form, mean curvature vector, Gauss
 curvature, Christoffel symbols, and the tangential/normal split of the
 radial direction from a pole.  Everything is vectorized over point batches.
+`radial_frames` stops at first order (metric and radial split) for callers
+that need only r and its gradient; `frames` adds the second-order state.
 
 For an ambient hyperboloid the coordinate second partials are corrected to
 model-covariant derivatives before the normal projection: the position
@@ -59,8 +61,10 @@ class ParametricSurface:
 class FrameBatch:
     """Per-point geometric state over a batch of chart points.
 
-    Metric entries and curvatures always present; the radial fields are
-    populated only when a pole was supplied.
+    Position, partials and metric are always present.  The second-order
+    fields (second form, mean curvature, |B|^2, K) are None on a batch
+    from `radial_frames`; the radial fields are populated only when a
+    pole was supplied.
     """
 
     F: np.ndarray
@@ -70,13 +74,13 @@ class FrameBatch:
     g12: np.ndarray
     g22: np.ndarray
     detg: np.ndarray
-    B11: np.ndarray
-    B12: np.ndarray
-    B22: np.ndarray
-    H: np.ndarray
-    normH: np.ndarray
-    normBsq: np.ndarray
-    K: np.ndarray
+    B11: np.ndarray | None = None
+    B12: np.ndarray | None = None
+    B22: np.ndarray | None = None
+    H: np.ndarray | None = None
+    normH: np.ndarray | None = None
+    normBsq: np.ndarray | None = None
+    K: np.ndarray | None = None
     r: np.ndarray | None = None
     radial: np.ndarray | None = None          # ambient unit radial direction
     gradPr: np.ndarray | None = None          # contravariant chart components
@@ -87,6 +91,16 @@ class FrameBatch:
         def take(a):
             return None if a is None else a[idx]
         return FrameBatch(**{k: take(v) for k, v in self.__dict__.items()})
+
+    @staticmethod
+    def concat(batches: list["FrameBatch"]) -> "FrameBatch":
+        """Join 1-D batches point-wise; a field absent in one is absent."""
+        def join(name):
+            parts = [getattr(b, name) for b in batches]
+            if any(a is None for a in parts):
+                return None
+            return np.concatenate(parts)
+        return FrameBatch(**{k: join(k) for k in batches[0].__dict__})
 
     @property
     def normB(self) -> np.ndarray:
@@ -126,15 +140,10 @@ class FrameBatch:
         return np.stack([e1, e2], axis=-1)
 
 
-def frames(surface: ParametricSurface, U, V,
-           pole: np.ndarray | None = None,
-           det_floor: float = 1e-14) -> FrameBatch:
-    """Evaluate the full geometric frame at a batch of chart points."""
+def _first_order(surface: ParametricSurface, F, Fu, Fv, pole,
+                 det_floor: float) -> FrameBatch:
+    """Metric and radial split from the first partials of the chart."""
     form = surface.form
-    U = np.asarray(U, dtype=np.float64)
-    V = np.asarray(V, dtype=np.float64)
-    F, Fu, Fv, Fuu, Fuv, Fvv = surface.jet(U, V)
-
     g11 = form.inner(Fu, Fu)
     g12 = form.inner(Fu, Fv)
     g22 = form.inner(Fv, Fv)
@@ -144,6 +153,49 @@ def frames(surface: ParametricSurface, U, V,
             f"degenerate metric on chart {surface.label!r}: "
             f"min det g = {float(np.min(detg)):.3e}"
         )
+    batch = FrameBatch(F=F, Fu=Fu, Fv=Fv, g11=g11, g12=g12, g22=g22,
+                       detg=detg)
+
+    if pole is not None:
+        pole = np.asarray(pole, dtype=np.float64)
+        batch.r = form.distance(pole, F, check=False)
+        batch.radial = form.radial_unit(pole, F)
+        w1 = form.inner(batch.radial, Fu)
+        w2 = form.inner(batch.radial, Fv)
+        a1 = (g22 * w1 - g12 * w2) / detg
+        a2 = (g11 * w2 - g12 * w1) / detg
+        batch.gradPr = np.stack([a1, a2], axis=-1)
+        normsq = a1 * w1 + a2 * w2
+        batch.normGradPr = np.sqrt(np.maximum(normsq, 0.0))
+        batch.normGradPerp = np.sqrt(np.maximum(1.0 - normsq, 0.0))
+    return batch
+
+
+def radial_frames(surface: ParametricSurface, U, V,
+                  pole: np.ndarray | None = None,
+                  det_floor: float = 1e-14) -> FrameBatch:
+    """First-order frame: position, partials, metric and radial split.
+
+    For callers that need only r and its tangential gradient (level-set
+    projection, curve marching, field sampling).  The fields it fills
+    are computed by the same code as in `frames`, so they agree bitwise.
+    """
+    U = np.asarray(U, dtype=np.float64)
+    V = np.asarray(V, dtype=np.float64)
+    F, Fu, Fv, *_ = surface.jet(U, V)
+    return _first_order(surface, F, Fu, Fv, pole, det_floor)
+
+
+def frames(surface: ParametricSurface, U, V,
+           pole: np.ndarray | None = None,
+           det_floor: float = 1e-14) -> FrameBatch:
+    """Evaluate the full geometric frame at a batch of chart points."""
+    form = surface.form
+    U = np.asarray(U, dtype=np.float64)
+    V = np.asarray(V, dtype=np.float64)
+    F, Fu, Fv, Fuu, Fuv, Fvv = surface.jet(U, V)
+    batch = _first_order(surface, F, Fu, Fv, pole, det_floor)
+    g11, g12, g22, detg = batch.g11, batch.g12, batch.g22, batch.detg
 
     # Model-covariant second derivatives (identity map for b = 0).
     if form.curved:
@@ -169,7 +221,6 @@ def frames(surface: ParametricSurface, U, V,
     inv22 = g11 / detg
     H = 0.5 * (inv11[..., None] * B11 + 2.0 * inv12[..., None] * B12
                + inv22[..., None] * B22)
-    normH = form.norm(H)
 
     ip = form.inner
     # Full contraction g^{ik} g^{jl} <B_ij, B_kl> written out by symmetry.
@@ -187,24 +238,11 @@ def frames(surface: ParametricSurface, U, V,
         + 4.0 * inv12 * inv22 * bb1222
         + inv22 * inv22 * bb2222
     )
-    K = form.b + (bb1122 - bb1212) / detg
-
-    batch = FrameBatch(F=F, Fu=Fu, Fv=Fv, g11=g11, g12=g12, g22=g22,
-                       detg=detg, B11=B11, B12=B12, B22=B22, H=H,
-                       normH=normH, normBsq=np.maximum(normBsq, 0.0), K=K)
-
-    if pole is not None:
-        pole = np.asarray(pole, dtype=np.float64)
-        batch.r = form.distance(pole, F, check=False)
-        batch.radial = form.radial_unit(pole, F)
-        w1 = form.inner(batch.radial, Fu)
-        w2 = form.inner(batch.radial, Fv)
-        a1 = (g22 * w1 - g12 * w2) / detg
-        a2 = (g11 * w2 - g12 * w1) / detg
-        batch.gradPr = np.stack([a1, a2], axis=-1)
-        normsq = a1 * w1 + a2 * w2
-        batch.normGradPr = np.sqrt(np.maximum(normsq, 0.0))
-        batch.normGradPerp = np.sqrt(np.maximum(1.0 - normsq, 0.0))
+    batch.B11, batch.B12, batch.B22 = B11, B12, B22
+    batch.H = H
+    batch.normH = form.norm(H)
+    batch.normBsq = np.maximum(normBsq, 0.0)
+    batch.K = form.b + (bb1122 - bb1212) / detg
     return batch
 
 

@@ -1,8 +1,10 @@
 """Orchestration: surface -> field -> radius series -> verdict report.
 
 One run builds the distance field once, scans it for critical radii,
-warms the full-cell quadrature cache, then evaluates every scheduled
-radius concurrently against the read-only field.  Scheduled radii that
+warms the full-cell quadrature cache, then extracts the ball of every
+scheduled radius in turn.  The trace route of the geodesic-curvature
+check then runs once over the boundary samples of all those balls, and
+each radius's record is completed from its share.  Scheduled radii that
 collide with a critical value of the boundary-distance function are
 recorded as skipped rather than evaluated.
 """
@@ -10,8 +12,6 @@ recorded as skipped rather than evaluated.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +22,7 @@ from .domains.field import GridSpec, build_field, critical_scan
 from .domains.quadrature import ensure_cell_cache
 from .errors import ConfigError, CriticalRadius
 from .functionals import (RadiusRecord, RadiusSeries, euler_bound_sides,
-                          divergence_bound_sides, kg_gap)
+                          divergence_bound_sides, kg_gaps)
 from .verdicts import (VerdictReport, build_verdicts, gb_integrand,
                        growth_ratio, isoperimetric_check)
 
@@ -53,12 +53,12 @@ class PipelineResult:
     report: VerdictReport
 
 
-def _eval_radius(field, t: float, alphas, minimal: bool,
-                 on_surface: bool, min_samples: int) -> RadiusRecord:
+def _measure_ball(field, t: float, min_samples: int):
+    """Record of the ball's own measures, and the ball if k_g is due."""
     try:
         ball = extract_ball(field, t, min_samples=min_samples)
     except CriticalRadius as exc:
-        return RadiusRecord(t=t, skipped=True, note=str(exc))
+        return RadiusRecord(t=t, skipped=True, note=str(exc)), None
 
     rec = RadiusRecord(t=t)
     rec.area = ball.area
@@ -69,10 +69,15 @@ def _eval_radius(field, t: float, alphas, minimal: bool,
     rec.intK = ball.integrals["K"]
     if len(ball.samples) == 0:
         rec.note = "empty ball"
-        return rec
+        return rec, None
+    return rec, ball
 
+
+def _complete_record(field, rec: RadiusRecord, ball, g: dict,
+                     minimal: bool, on_surface: bool) -> None:
+    """Fill the boundary measures of a record from its ball and k_g."""
+    t = rec.t
     rec.coarea = coarea_integral(ball)
-    g = kg_gap(field, t, ball=ball)
     rec.intKg = g["intKg"]
     rec.kg_gap_max = g["max_gap"]
     rec.chi_hat = (rec.intK + rec.intKg) / (2.0 * math.pi)
@@ -90,7 +95,6 @@ def _eval_radius(field, t: float, alphas, minimal: bool,
                 rec.gb_chain_residual = rec.gb - (
                     2.0 * math.pi * rec.chi_hat + 0.5 * rec.R
                     - 2.0 * math.pi * rec.ratio)
-    return rec
 
 
 def run_surface(name: str, *, params: dict | None = None,
@@ -98,7 +102,6 @@ def run_surface(name: str, *, params: dict | None = None,
                 count: int | None = None, spacing: str = "geometric",
                 grid: tuple = (512, 512), pole_uv: tuple | None = None,
                 alphas=DEFAULT_ALPHAS, min_samples: int = 200,
-                workers: int | None = None,
                 tolerances: dict | None = None,
                 periodic_u: bool | None = None,
                 periodic_v: bool | None = None) -> PipelineResult:
@@ -139,37 +142,30 @@ def run_surface(name: str, *, params: dict | None = None,
 
     minimal = entry.minimal
     on_surface = True  # default and chart-coordinate poles sit on the chart
-    jobs = []
-    skipped = {}
+    records = []
+    measured = []
     for t in schedule:
         t = float(t)
         hit = [v for v in critical if abs(t - v) < _CRITICAL_EXCLUSION]
         if hit:
-            skipped[t] = RadiusRecord(
+            records.append(RadiusRecord(
                 t=t, skipped=True,
                 note=f"within {_CRITICAL_EXCLUSION:g} of critical value "
-                     f"{hit[0]:.6f}")
-        else:
-            jobs.append(t)
+                     f"{hit[0]:.6f}"))
+            continue
+        rec, ball = _measure_ball(field, t, min_samples)
+        records.append(rec)
+        if ball is not None:
+            measured.append((rec, ball))
 
-    if workers is None:
-        workers = min(8, os.cpu_count() or 1)
-    records = dict(skipped)
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {t: pool.submit(_eval_radius, field, t, alphas,
-                                   minimal, on_surface, min_samples)
-                    for t in jobs}
-            for t, fut in futs.items():
-                records[t] = fut.result()
-    else:
-        for t in jobs:
-            records[t] = _eval_radius(field, t, alphas, minimal,
-                                      on_surface, min_samples)
+    if measured:
+        gaps = kg_gaps(field, [ball for _, ball in measured])
+        for (rec, ball), g in zip(measured, gaps):
+            _complete_record(field, rec, ball, g, minimal, on_surface)
 
     series = RadiusSeries(
         schedule=schedule,
-        records=[records[float(t)] for t in schedule],
+        records=records,
         R0=scan["R0"],
         critical_values=critical,
     )

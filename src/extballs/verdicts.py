@@ -396,8 +396,11 @@ def build_verdicts(field: DistanceField, series: RadiusSeries, *,
             f"R grew by {growth_doubling:.2f} over the top doubling "
             f"of t (total {R_end:.2f}): infinite total curvature")
     else:
-        add("total_curvature_finite", minimal and len(valid) > 1, True,
-            growth_doubling, "diverge_delta")
+        measured = not math.isnan(growth_doubling)
+        add("total_curvature_finite", minimal and measured, True,
+            growth_doubling, "diverge_delta",
+            "" if measured or not minimal else
+            "no radius in [t_last/2.5, t_last/2] to measure a doubling")
 
     return VerdictReport(
         surface=surface_name,

@@ -151,3 +151,33 @@ def test_custom_c_surface_passes_oracle():
                            params={"c": 0.3})
     chk = check_surface(surface, n=300, seed=5, max_r=4.2)
     assert chk["max_normH"] <= 1e-6
+
+
+def test_profile_values_match_ode_solution():
+    from extballs.catalog.profiles import integrate_profile
+
+    sol = integrate_profile(1.0, 12.0)
+    profile = solve_profile(1.0, 12.0)
+    rng = np.random.default_rng(4)
+    past = profile.knots[-1] + np.array([1e-9, 0.3, 2.0])
+    sigma = np.concatenate([[0.0], profile.knots,
+                            rng.uniform(0.0, profile.knots[-1], 500), past])
+    ref = sol(sigma)[[0, 2]]
+    got = np.stack(profile.profile_values(sigma))
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+    # jets mirror |sigma|: rho even, t odd
+    rho, _, _, t, _, _ = profile.jets(-sigma)
+    assert np.array_equal(rho, got[0]) and np.array_equal(t, -got[1])
+
+
+def test_profile_self_check_rejects_foreign_segments():
+    import dataclasses
+
+    from extballs.catalog.profiles import (_check_against_solution,
+                                           integrate_profile)
+    from extballs.errors import ConstructionError
+
+    profile = solve_profile(1.0, 6.0)
+    bent = dataclasses.replace(profile, Q=profile.Q * (1.0 + 1e-9))
+    with pytest.raises(ConstructionError):
+        _check_against_solution(bent, integrate_profile(1.0, 6.0))

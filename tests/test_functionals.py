@@ -236,3 +236,29 @@ def test_record_flattens_euler_margins():
     assert row["euler_margin_a025"] == 1.5
     assert row["euler_margin_a100"] == 2.5
     assert "euler_margins" not in row
+
+
+def test_R_growth_needs_a_doubling_partner():
+    # the nearest radius below t_last/2 sits under t_last/2.5
+    series = _series([1.0, 3.0, 8.0], R=[1.0, 2.0, 5.0])
+    assert math.isnan(series.R_growth_over_doubling())
+    series = _series([1.0, 3.2, 8.0], R=[1.0, 2.0, 5.0])
+    assert series.R_growth_over_doubling() == pytest.approx(3.0)
+
+
+def test_kg_gaps_batch_equals_per_ball():
+    from extballs.domains import GridSpec
+    from extballs.functionals import kg_gaps
+
+    field = build_field(make("catenoid", t_max=6.0), 6.0,
+                        spec=GridSpec(192, 192))
+    balls = [extract_ball(field, float(t))
+             for t in np.geomspace(0.5, 6.0, 6)]
+    batch = kg_gaps(field, balls)
+    for ball, got in zip(balls, batch):
+        direct = geodesic_curvature_direct(field, ball.samples)
+        assert np.array_equal(got["direct"], direct)
+        one = kg_gap(field, ball.t, ball=ball)
+        assert np.array_equal(got["formula"], one["formula"])
+        assert got["max_gap"] == one["max_gap"]
+        assert got["intKg"] == one["intKg"]

@@ -266,3 +266,21 @@ def test_jet_from_positions_matches_analytic():
     for k, (e, a) in enumerate(zip(exact, approx)):
         tol = 1e-8 if k < 3 else 5e-4
         assert np.allclose(e, a, atol=tol), f"jet component {k}"
+
+
+@pytest.mark.parametrize("name", ["catenoid", "hyperbolic_catenoid"])
+def test_radial_frames_bitwise_equal_frames(name):
+    from extballs.immersion import radial_frames
+
+    surface = catalog.make(name, t_max=4.0)
+    (u0, u1), (v0, v1) = surface.domain
+    rng = np.random.default_rng(11)
+    U = rng.uniform(u0, u1, 400)
+    V = rng.uniform(0.8 * v0, 0.8 * v1, 400)
+    pole = surface.default_pole()
+    full = frames(surface, U, V, pole=pole)
+    first = radial_frames(surface, U, V, pole=pole)
+    for key in ("F", "Fu", "Fv", "g11", "g12", "g22", "detg", "r",
+                "radial", "gradPr", "normGradPr", "normGradPerp"):
+        assert np.array_equal(getattr(first, key), getattr(full, key)), key
+    assert first.B11 is None and first.K is None

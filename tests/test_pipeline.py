@@ -224,3 +224,25 @@ def test_default_tolerances_are_complete():
                 "diverge_frac", "bound_margin", "gb_chain", "iso_margin",
                 "minimal_H", "decay_cap"):
         assert key in DEFAULT_TOLERANCES, key
+
+
+def test_run_surface_starts_no_threads(monkeypatch):
+    import threading
+
+    started = []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self))
+    run_surface("plane", t_min=0.5, t_max=2.0, count=4, grid=(64, 64))
+    assert started == []
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_sparse_schedule_is_not_divergence(count):
+    # The nearest radius below 3 sits at 0.5 (count 2) or 1.73 (count 3),
+    # far more than a doubling down: no doubling is measured.
+    rep = run_surface("catenoid", t_min=0.5, t_max=6.0, count=count,
+                      grid=(192, 192)).report
+    assert rep.exit_status == 0
+    assert not rep.hypothesis_violated
+    assert math.isnan(rep.R_growth_doubling)
+    assert not _verdict(rep, "total_curvature_finite").applicable
