@@ -21,8 +21,7 @@ from .errors import (
     PoleOffModel,
     PoleSingularity,
 )
-from .immersion import (FrameBatch, ParametricSurface, frame_at, frames,
-                        radial_frames)
+from .immersion import FrameBatch, ParametricSurface, frame_at, frames
 from .space_forms import SpaceForm
 
 __version__ = "0.1.0"
@@ -43,7 +42,6 @@ __all__ = [
     "active_backend",
     "frame_at",
     "frames",
-    "radial_frames",
     "requested_backend",
     "use_backend",
     "__version__",

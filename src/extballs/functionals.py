@@ -318,6 +318,11 @@ def euler_bound_sides(form, t: float, alpha: float, *, R: float,
 
 _NAN = float("nan")
 
+# A doubling partner must lie in [t_last / PARTNER_SPAN, t_last / 2].  The
+# span admits a geometric schedule of ratio 1.74 (partner 3.03x down) and
+# rejects sparser ones (3.46x down and beyond).
+PARTNER_SPAN = 3.25
+
 
 @dataclass
 class RadiusRecord:
@@ -403,7 +408,7 @@ class RadiusSeries:
         """R at the last radius minus R at its partner a doubling below.
 
         The partner is the largest t <= t_last / 2.  It must also reach
-        t_last / 2.5: on a sparse schedule the nearest radius below half
+        t_last / PARTNER_SPAN: on a sparse schedule the radius below half
         can sit several doublings down, and the difference then reads a
         slowly settling finite total as divergence.  NaN without one.
         """
@@ -412,7 +417,7 @@ class RadiusSeries:
             return _NAN
         t_last = recs[-1].t
         half = [rec for rec in recs if rec.t <= 0.5 * t_last + 1e-12]
-        if not half or half[-1].t < t_last / 2.5 - 1e-12:
+        if not half or half[-1].t < t_last / PARTNER_SPAN - 1e-12:
             return _NAN
         return recs[-1].R - half[-1].R
 

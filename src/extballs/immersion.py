@@ -140,6 +140,9 @@ class FrameBatch:
         return np.stack([e1, e2], axis=-1)
 
 
+_DET_FLOOR = 1e-14
+
+
 def _first_order(surface: ParametricSurface, F, Fu, Fv, pole,
                  det_floor: float) -> FrameBatch:
     """Metric and radial split from the first partials of the chart."""
@@ -172,8 +175,7 @@ def _first_order(surface: ParametricSurface, F, Fu, Fv, pole,
 
 
 def radial_frames(surface: ParametricSurface, U, V,
-                  pole: np.ndarray | None = None,
-                  det_floor: float = 1e-14) -> FrameBatch:
+                  pole: np.ndarray | None = None) -> FrameBatch:
     """First-order frame: position, partials, metric and radial split.
 
     For callers that need only r and its tangential gradient (level-set
@@ -183,12 +185,12 @@ def radial_frames(surface: ParametricSurface, U, V,
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
     F, Fu, Fv, *_ = surface.jet(U, V)
-    return _first_order(surface, F, Fu, Fv, pole, det_floor)
+    return _first_order(surface, F, Fu, Fv, pole, _DET_FLOOR)
 
 
 def frames(surface: ParametricSurface, U, V,
            pole: np.ndarray | None = None,
-           det_floor: float = 1e-14) -> FrameBatch:
+           det_floor: float = _DET_FLOOR) -> FrameBatch:
     """Evaluate the full geometric frame at a batch of chart points."""
     form = surface.form
     U = np.asarray(U, dtype=np.float64)

@@ -19,7 +19,7 @@ import numpy as np
 from .domains.balls import ExtrinsicBall, extract_ball
 from .domains.field import DistanceField
 from .errors import ConfigError
-from .functionals import RadiusSeries
+from .functionals import PARTNER_SPAN, RadiusSeries
 from .immersion import check_surface
 
 __all__ = [
@@ -400,7 +400,8 @@ def build_verdicts(field: DistanceField, series: RadiusSeries, *,
         add("total_curvature_finite", minimal and measured, True,
             growth_doubling, "diverge_delta",
             "" if measured or not minimal else
-            "no radius in [t_last/2.5, t_last/2] to measure a doubling")
+            f"no radius in [t_last/{PARTNER_SPAN:g}, t_last/2] to measure "
+            "a doubling")
 
     return VerdictReport(
         surface=surface_name,

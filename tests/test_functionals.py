@@ -239,11 +239,19 @@ def test_record_flattens_euler_margins():
 
 
 def test_R_growth_needs_a_doubling_partner():
-    # the nearest radius below t_last/2 sits under t_last/2.5
-    series = _series([1.0, 3.0, 8.0], R=[1.0, 2.0, 5.0])
+    # the nearest radius below t_last/2 sits 3.46x down (geomspace count 3)
+    series = _series(list(np.geomspace(0.5, 6.0, 3)), R=[1.0, 2.0, 5.0])
     assert math.isnan(series.R_growth_over_doubling())
     series = _series([1.0, 3.2, 8.0], R=[1.0, 2.0, 5.0])
     assert series.R_growth_over_doubling() == pytest.approx(3.0)
+
+
+def test_R_growth_partner_on_a_ratio_174_schedule():
+    # geomspace(0.5, 8, 6): the partner of t = 8 is 2.64, 3.03x down.
+    ts = list(np.geomspace(0.5, 8.0, 6))
+    series = _series(ts, R=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    assert ts[-2] > 4.0 and ts[-1] / ts[3] == pytest.approx(3.03, abs=0.01)
+    assert series.R_growth_over_doubling() == pytest.approx(6.0 - 4.0)
 
 
 def test_kg_gaps_batch_equals_per_ball():
