@@ -9,7 +9,6 @@ govern their growth.
 
 from __future__ import annotations
 
-from .backend import active_backend, requested_backend, use_backend
 from .errors import (
     ConfigError,
     ConstructionError,
@@ -21,7 +20,7 @@ from .errors import (
     PoleOffModel,
     PoleSingularity,
 )
-from .immersion import FrameBatch, ParametricSurface, frame_at, frames
+from .immersion import FrameBatch, ParametricSurface, frames
 from .space_forms import SpaceForm
 
 __version__ = "0.1.0"
@@ -39,10 +38,6 @@ __all__ = [
     "PoleOffModel",
     "PoleSingularity",
     "SpaceForm",
-    "active_backend",
-    "frame_at",
     "frames",
-    "requested_backend",
-    "use_backend",
     "__version__",
 ]

@@ -19,7 +19,7 @@ from .verdicts import DEFAULT_TOLERANCES
 _SPACINGS = ("geometric", "linear")
 
 _TOP_KEYS = {"surface", "params", "pole", "schedule", "grid", "alphas",
-             "tolerances", "min_samples", "workers", "output"}
+             "tolerances", "min_samples", "output"}
 _SCHEDULE_KEYS = {"t_min", "t_max", "count", "spacing"}
 _GRID_KEYS = {"n_u", "n_v", "periodic_u", "periodic_v"}
 
@@ -49,7 +49,6 @@ class RunConfig:
     alphas: tuple = (0.25, 0.5, 1.0, 1.5)
     tolerances: dict = field(default_factory=dict)
     min_samples: int = 200
-    workers: int | None = None     # validated but ignored: runs are serial
     output: str | None = None
 
     @staticmethod
@@ -74,10 +73,6 @@ class RunConfig:
         min_samples = doc.get("min_samples", 200)
         if not isinstance(min_samples, int) or min_samples < 1:
             raise ConfigError("'min_samples' must be a positive integer")
-        workers = doc.get("workers")
-        if workers is not None and (not isinstance(workers, int)
-                                    or workers < 1):
-            raise ConfigError("'workers' must be a positive integer or null")
         output = doc.get("output")
         if output is not None and not isinstance(output, str):
             raise ConfigError("'output' must be a string path")
@@ -87,8 +82,7 @@ class RunConfig:
                          count=count, spacing=spacing, grid=grid,
                          periodic_u=per_u, periodic_v=per_v,
                          alphas=alphas, tolerances=tolerances,
-                         min_samples=min_samples, workers=workers,
-                         output=output)
+                         min_samples=min_samples, output=output)
 
     @staticmethod
     def from_json(path: str | Path) -> "RunConfig":

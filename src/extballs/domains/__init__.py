@@ -1,14 +1,14 @@
 """Extrinsic-ball extraction: distance fields, contours, quadrature."""
 
-from .balls import (BoundarySample, BoundarySamples, ExtrinsicBall,
-                    coarea_integral, ends_count, extract_ball)
+from .balls import (BoundarySamples, ExtrinsicBall, coarea_integral,
+                    ends_count, extract_ball)
 from .contours import Loop, extract_loops, project_to_level
 from .field import DistanceField, GridSpec, build_field, critical_scan
 from .quadrature import region_integral
 
 __all__ = [
-    "BoundarySample", "BoundarySamples", "ExtrinsicBall", "coarea_integral",
-    "ends_count", "extract_ball", "Loop", "extract_loops",
-    "project_to_level", "DistanceField", "GridSpec", "build_field",
-    "critical_scan", "region_integral",
+    "BoundarySamples", "ExtrinsicBall", "coarea_integral", "ends_count",
+    "extract_ball", "Loop", "extract_loops", "project_to_level",
+    "DistanceField", "GridSpec", "build_field", "critical_scan",
+    "region_integral",
 ]

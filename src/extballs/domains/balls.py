@@ -34,22 +34,13 @@ _GL2_W = 0.5 * _GL2_W
 _LEVEL_NUDGE = 3e-13
 
 
-@dataclass
-class BoundarySample:
-    """One boundary sample: position, arc weight, and unit frame vectors."""
-
-    uv: np.ndarray                # chart coordinates
-    weight: float                 # arc-length weight for boundary quadrature
-    e: np.ndarray                 # unit tangent, chart components
-    nu: np.ndarray                # outward unit normal, chart components
-    frame: FrameBatch             # full geometric state at the point
-
-
 class BoundarySamples:
     """Struct-of-arrays container of boundary samples.
 
-    Vectorized consumers read the arrays directly; indexing or iterating
-    yields per-sample ``BoundarySample`` views.
+    Per sample: chart coordinates ``uv``, arc-length quadrature ``weight``,
+    unit tangent ``e`` and outward unit normal ``nu`` (chart components),
+    the index ``loop_id`` of its boundary loop, and its full geometric
+    state in the ``frame`` batch.
     """
 
     def __init__(self, uv: np.ndarray, weight: np.ndarray, e: np.ndarray,
@@ -77,15 +68,6 @@ class BoundarySamples:
 
     def __len__(self) -> int:
         return len(self.weight)
-
-    def __getitem__(self, k: int) -> BoundarySample:
-        return BoundarySample(uv=self.uv[k], weight=float(self.weight[k]),
-                              e=self.e[k], nu=self.nu[k],
-                              frame=self.frame[k])
-
-    def __iter__(self):
-        for k in range(len(self)):
-            yield self[k]
 
 
 @dataclass

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import backend
+from .. import kernels_numpy
 from ..errors import GeometryError
 from ..immersion import radial_frames
 from .field import DistanceField
@@ -171,8 +171,7 @@ def _unwrap_loop(field: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, int
 
 def extract_loops(field: DistanceField, tt: float) -> list[Loop]:
     """All closed components of the level {r = tt} on the field's grid."""
-    kern = backend.get_kernels()
-    seg_a, seg_b = kern.segment_edges(field.r, tt, field.periodic_u)
+    seg_a, seg_b = kernels_numpy.segment_edges(field.r, tt, field.periodic_u)
     if len(seg_a) == 0:
         return []
     all_edges = np.unique(np.concatenate([seg_a, seg_b]))

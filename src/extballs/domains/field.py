@@ -71,16 +71,6 @@ class DistanceField:
         X = self.surface.eval(U, V)
         return self.surface.form.distance(self.pole, X, check=False)
 
-    def cell_origin(self, i, j):
-        """Chart coordinates of corner node (i, j) of cell (i, j).
-
-        For the periodic seam cell the returned u is the unwrapped
-        coordinate ``u_nodes[i]``; points inside the cell may exceed the
-        nominal domain end by less than one spacing, which periodic charts
-        accept.
-        """
-        return self.u_nodes[np.asarray(i)], self.v_nodes[np.asarray(j)]
-
 
 def build_field(surface: ParametricSurface, t_max: float,
                 pole: np.ndarray | None = None,

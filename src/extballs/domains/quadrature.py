@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import backend
+from .. import kernels_numpy
 from ..errors import GeometryError
 from ..immersion import FrameBatch, frames
 from .field import DistanceField
@@ -422,8 +422,7 @@ def region_integral(field: DistanceField, tt: float,
     for name in names:
         if name not in CHANNELS:
             raise GeometryError(f"unknown quadrature channel {name!r}")
-    kern = backend.get_kernels()
-    codes = kern.classify_cells(field.r, tt, field.periodic_u)
+    codes = kernels_numpy.classify_cells(field.r, tt, field.periodic_u)
     cache = ensure_cell_cache(field)
     totals = {}
     inside = codes == 1

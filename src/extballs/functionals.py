@@ -420,8 +420,3 @@ class RadiusSeries:
         if not half or half[-1].t < t_last / PARTNER_SPAN - 1e-12:
             return _NAN
         return recs[-1].R - half[-1].R
-
-    def monotone(self, key, slack: float = 1e-9) -> bool:
-        vals = [getattr(rec, key) for rec in self.valid]
-        vals = [v for v in vals if not math.isnan(v)]
-        return all(b >= a - slack for a, b in zip(vals, vals[1:]))

@@ -3,8 +3,8 @@
 A chart supplies exact first and second partials of the embedding
 F : (u, v) -> ambient.  From those this module computes the induced metric,
 the normal-valued second fundamental form, mean curvature vector, Gauss
-curvature, Christoffel symbols, and the tangential/normal split of the
-radial direction from a pole.  Everything is vectorized over point batches.
+curvature, and the tangential/normal split of the radial direction from a
+pole.  Everything is vectorized over point batches.
 `radial_frames` stops at first order (metric and radial split) for callers
 that need only r and its gradient; `frames` adds the second-order state.
 
@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ImmersionError, PoleSingularity
+from .errors import ImmersionError
 from .space_forms import SpaceForm
 
 Jet = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
@@ -248,144 +248,6 @@ def frames(surface: ParametricSurface, U, V,
     return batch
 
 
-def frame_at(surface: ParametricSurface, u: float, v: float,
-             pole: np.ndarray | None = None) -> FrameBatch:
-    """Single-point convenience wrapper around `frames`."""
-    return frames(surface, np.float64(u), np.float64(v), pole=pole)
-
-
-def gauss_equation_residual(surface: ParametricSurface, u, v) -> np.ndarray:
-    """|K - (b - |B|^2 / 2)|, which vanishes identically on minimal surfaces."""
-    fb = frames(surface, u, v)
-    return np.abs(fb.K - (surface.form.b - 0.5 * fb.normBsq))
-
-
-def _metric_entries(surface: ParametricSurface, U, V):
-    F, Fu, Fv, *_ = surface.jet(np.asarray(U, dtype=np.float64),
-                                np.asarray(V, dtype=np.float64))
-    ip = surface.form.inner
-    return np.stack([ip(Fu, Fu), ip(Fu, Fv), ip(Fv, Fv)], axis=-1)
-
-
-def _fd_step(surface: ParametricSurface, U, V, h: float) -> float:
-    """Shrink the metric-differencing step near non-periodic chart edges."""
-    (u0, u1), (v0, v1) = surface.domain
-    margin = np.inf
-    if not surface.periodic_u:
-        margin = min(margin, float(np.min(U - u0)), float(np.min(u1 - U)))
-    if not surface.periodic_v:
-        margin = min(margin, float(np.min(V - v0)), float(np.min(v1 - V)))
-    if margin >= 2.0 * h:
-        return h
-    if margin < 4e-8:
-        raise ImmersionError(
-            f"chart point too close to the domain edge (margin {margin:.2e})"
-        )
-    return margin / 2.0
-
-
-def christoffel(surface: ParametricSurface, U, V,
-                h_fd: float = 1e-5) -> np.ndarray:
-    """Christoffel symbols of the induced metric, shape (..., 2, 2, 2).
-
-    Indexed as gamma[..., k, i, j] with symmetry in (i, j).  The metric
-    derivatives come from Richardson-extrapolated central differences of
-    the analytic metric, which keeps one code path for both ambient models.
-    """
-    U = np.asarray(U, dtype=np.float64)
-    V = np.asarray(V, dtype=np.float64)
-    h = _fd_step(surface, U, V, h_fd)
-
-    def d_metric(axis: int) -> np.ndarray:
-        def diff(step):
-            if axis == 0:
-                hi = _metric_entries(surface, U + step, V)
-                lo = _metric_entries(surface, U - step, V)
-            else:
-                hi = _metric_entries(surface, U, V + step)
-                lo = _metric_entries(surface, U, V - step)
-            return (hi - lo) / (2.0 * step)
-        return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
-
-    dg_u = d_metric(0)   # (..., 3) entries (g11, g12, g22) differentiated
-    dg_v = d_metric(1)
-    g = _metric_entries(surface, U, V)
-    g11, g12, g22 = g[..., 0], g[..., 1], g[..., 2]
-    detg = g11 * g22 - g12 * g12
-
-    # dg[l, i, j] = partial_l g_ij assembled from the entry stacks.
-    dg = np.empty(g.shape[:-1] + (2, 2, 2))
-    for axis, stack in ((0, dg_u), (1, dg_v)):
-        dg[..., axis, 0, 0] = stack[..., 0]
-        dg[..., axis, 0, 1] = stack[..., 1]
-        dg[..., axis, 1, 0] = stack[..., 1]
-        dg[..., axis, 1, 1] = stack[..., 2]
-
-    inv = np.empty(g.shape[:-1] + (2, 2))
-    inv[..., 0, 0] = g22 / detg
-    inv[..., 0, 1] = -g12 / detg
-    inv[..., 1, 0] = -g12 / detg
-    inv[..., 1, 1] = g11 / detg
-
-    # gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), with
-    # dg[..., i, j, l] = d_i g_jl already in the needed axis order.
-    bracket = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", inv, bracket)
-    return gamma
-
-
-def laplacian_r(surface: ParametricSurface, U, V, pole: np.ndarray,
-                h_fd: float = 5e-4) -> np.ndarray:
-    """Intrinsic Laplacian of the extrinsic distance, by finite differences.
-
-    Uses the divergence form (1/W) d_i (W g^{ij} d_j r) with W = sqrt(det g);
-    metric factors are analytic, only r is differenced.  Points with
-    r < 1e-3 are rejected as too close to the pole.
-    """
-    form = surface.form
-    U = np.asarray(U, dtype=np.float64)
-    V = np.asarray(V, dtype=np.float64)
-    pole = np.asarray(pole, dtype=np.float64)
-    h = _fd_step(surface, U, V, 2.0 * h_fd) / 2.0
-
-    def rr(du, dv):
-        F = surface.eval(U + du * h, V + dv * h)
-        return form.distance(pole, F, check=False)
-
-    r00 = rr(0, 0)
-    if np.any(r00 < 1e-3):
-        raise PoleSingularity("laplacian_r requested too close to the pole")
-
-    def flux(du, dv, axis):
-        """W (g^{a1} r_u + g^{a2} r_v) at the offset point, a = axis."""
-        g = _metric_entries(surface, U + du * h, V + dv * h)
-        g11, g12, g22 = g[..., 0], g[..., 1], g[..., 2]
-        detg = g11 * g22 - g12 * g12
-        W = np.sqrt(detg)
-        r_u = (rr(du + 1, dv) - rr(du - 1, dv)) / (2.0 * h)
-        r_v = (rr(du, dv + 1) - rr(du, dv - 1)) / (2.0 * h)
-        if axis == 0:
-            return W * (g22 * r_u - g12 * r_v) / detg
-        return W * (-g12 * r_u + g11 * r_v) / detg
-
-    g0 = _metric_entries(surface, U, V)
-    W0 = np.sqrt(g0[..., 0] * g0[..., 2] - g0[..., 1] ** 2)
-    div = (flux(1, 0, 0) - flux(-1, 0, 0) + flux(0, 1, 1) - flux(0, -1, 1))
-    return div / (2.0 * h * W0)
-
-
-def radial_laplacian_identity(surface: ParametricSurface, U, V,
-                              pole: np.ndarray) -> np.ndarray:
-    """Closed form for the radial Laplacian on a surface in a space form:
-
-        (2 - |grad^P r|^2) h_b(r) + 2 <radial, H>.
-    """
-    fb = frames(surface, U, V, pole=pole)
-    hb = surface.form.h(fb.r)
-    return ((2.0 - fb.normGradPr ** 2) * hb
-            + 2.0 * surface.form.inner(fb.radial, fb.H))
-
-
 def check_surface(surface: ParametricSurface, n: int = 200,
                   seed: int = 0, max_r: float | None = None) -> dict:
     """Sample invariants of a chart: model membership, tangency, minimality.
@@ -459,51 +321,3 @@ def check_surface(surface: ParametricSurface, n: int = 200,
         scale = 1.0 + np.abs(form.b) * np.einsum("...k,...k->...", F, F)
         out["max_tangency"] = float(np.max(np.abs(tang) / scale))
     return out
-
-
-def jet_from_positions(eval_fn, domain, scale: float | None = None):
-    """Build a jet callable from a position-only chart by finite differences.
-
-    Fallback for user-supplied charts without analytic partials; catalog
-    surfaces never use it.  Richardson-extrapolated central differences
-    with step 1e-6 * domain scale.
-    """
-    (u0, u1), (v0, v1) = domain
-    if scale is None:
-        scale = max(u1 - u0, v1 - v0)
-    h = 1e-6 * scale
-
-    def second(fun, x, step):
-        def d(hh):
-            return (fun(x + hh) - 2.0 * fun(x) + fun(x - hh)) / (hh * hh)
-        return (4.0 * d(step / 2.0) - d(step)) / 3.0
-
-    def jet(U, V):
-        U = np.asarray(U, dtype=np.float64)
-        V = np.asarray(V, dtype=np.float64)
-        F = eval_fn(U, V)
-
-        def du(f=eval_fn):
-            a = (f(U + h / 2.0, V) - f(U - h / 2.0, V)) / h
-            b = (f(U + h, V) - f(U - h, V)) / (2.0 * h)
-            return (4.0 * a - b) / 3.0
-
-        def dv(f=eval_fn):
-            a = (f(U, V + h / 2.0) - f(U, V - h / 2.0)) / h
-            b = (f(U, V + h) - f(U, V - h)) / (2.0 * h)
-            return (4.0 * a - b) / 3.0
-
-        Fu = du()
-        Fv = dv()
-        Fuu = second(lambda x: eval_fn(x, V), U, h)
-        Fvv = second(lambda x: eval_fn(U, x), V, h)
-
-        def cross(hh):
-            return (eval_fn(U + hh, V + hh) - eval_fn(U + hh, V - hh)
-                    - eval_fn(U - hh, V + hh)
-                    + eval_fn(U - hh, V - hh)) / (4.0 * hh * hh)
-
-        Fuv = (4.0 * cross(h / 2.0) - cross(h)) / 3.0
-        return F, Fu, Fv, Fuu, Fuv, Fvv
-
-    return jet

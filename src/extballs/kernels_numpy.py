@@ -1,6 +1,6 @@
 """Pure-numpy implementations of the grid kernels.
 
-Shared conventions (both backends):
+Shared conventions:
 
 * The node grid has shape (n_u, n_v).  Cell (i, j) has corner nodes
   c0=(i,j), c1=(i+1,j), c2=(i+1,j+1), c3=(i,j+1); in the u-periodic case

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backend
+from . import kernels_numpy
 from .errors import ConfigError, ModelError, PoleSingularity
 
 
@@ -86,16 +86,6 @@ class SpaceForm:
             if np.any(np.asarray(x)[..., 0] <= 0):
                 raise ModelError(f"{what} on the wrong hyperboloid sheet")
 
-    def project_to_model(self, x: np.ndarray) -> np.ndarray:
-        """Rescale x onto the hyperboloid sheet (identity for b = 0)."""
-        x = np.asarray(x, dtype=np.float64)
-        if not self.curved:
-            return x
-        q = self.b * self.inner(x, x)
-        if np.any(q <= 0):
-            raise ModelError("cannot project a non-timelike point")
-        return x / np.sqrt(q)[..., None]
-
     # -- comparison functions --------------------------------------------
 
     def h(self, t):
@@ -143,8 +133,7 @@ class SpaceForm:
             self.check_point(p, what="p")
             self.check_point(q, what="q")
         delta = self.b * self.inner(p, q) - 1.0
-        kern = backend.get_kernels()
-        return np.asarray(kern.stable_acosh(delta)) / self.kappa
+        return kernels_numpy.stable_acosh(delta) / self.kappa
 
     def radial_unit(self, o: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Unit tangent at x of the geodesic from the pole o through x.

@@ -26,8 +26,8 @@ from scipy.optimize import brentq
 
 from extballs.domains import extract_ball
 from extballs.functionals import total_extrinsic_curvature
-from extballs.immersion import (gauss_equation_residual, laplacian_r,
-                                radial_laplacian_identity)
+from extballs.oracles import (gauss_equation_residual, laplacian_r,
+                              radial_laplacian_identity)
 from extballs.pipeline import run_surface
 from extballs.space_forms import SpaceForm
 

@@ -5,6 +5,7 @@ stays fast; the full-resolution runs live in the acceptance suite.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +49,15 @@ def test_report_writes_artifacts(plane_config, tmp_path, capsys):
     # csv has a header plus one row per scheduled radius
     lines = (out_dir / "series.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 3
+
+
+def test_quick_config_reproduces_committed_artifacts(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    assert main(["report", str(root / "configs" / "quick.json"),
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    for name in ("report.json", "series.csv"):
+        assert ((tmp_path / name).read_bytes()
+                == (root / "out" / "quick" / name).read_bytes()), name
 
 
 def test_report_quiet(plane_config, tmp_path, capsys):

@@ -43,7 +43,6 @@ def test_full_config_round_trip(tmp_path):
         "alphas": [0.5, 1.0],
         "tolerances": {"kg_gap": 2e-5},
         "min_samples": 300,
-        "workers": 2,
         "output": "out/hc",
     }
     path = tmp_path / "run.json"
@@ -91,6 +90,7 @@ def test_grid_forms():
     {"surface": "plane", "min_samples": 0},
     {"surface": 7},
     {},
+    {"surface": "plane", "workers": 2},
 ])
 def test_rejected_configs(doc):
     with pytest.raises(ConfigError):

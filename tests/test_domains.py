@@ -168,9 +168,8 @@ def test_boundary_sample_invariants(catenoid_field):
     assert np.all(np.abs(fb.metric_dot(s.e, s.e) - 1.0) < 1e-9)
     assert np.all(np.abs(fb.metric_dot(s.nu, s.nu) - 1.0) < 1e-9)
     assert np.all(np.abs(fb.r - 4.0) < 1e-8)
-    one = s[0]
-    assert one.weight > 0.0
-    assert one.uv.shape == (2,)
+    assert np.all(s.weight > 0.0)
+    assert s.uv.shape == (len(s), 2)
 
 
 def test_boundary_orientation_positive(plane_field):

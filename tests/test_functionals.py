@@ -223,13 +223,6 @@ def test_R_growth_over_doubling():
     assert series.R_growth_over_doubling() == pytest.approx(3.0)
 
 
-def test_monotone_with_slack():
-    series = _series([1.0, 2.0, 3.0], ratio=[1.0, 1.0 - 1e-12, 1.2])
-    assert series.monotone("ratio")
-    series = _series([1.0, 2.0, 3.0], ratio=[1.0, 0.8, 1.2])
-    assert not series.monotone("ratio")
-
-
 def test_record_flattens_euler_margins():
     rec = RadiusRecord(t=1.0, euler_margins={0.25: 1.5, 1.0: 2.5})
     row = rec.as_dict()

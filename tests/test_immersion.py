@@ -1,22 +1,14 @@
-"""Immersion calculus: metric, second fundamental form, Christoffels,
-radial Laplacian, on charts with closed-form geometry."""
+"""Immersion calculus: metric, second fundamental form, radial Laplacian,
+on charts with closed-form geometry."""
 
 import numpy as np
 import pytest
 
 from extballs import catalog
 from extballs.errors import ImmersionError
-from extballs.immersion import (
-    ParametricSurface,
-    check_surface,
-    christoffel,
-    frame_at,
-    frames,
-    gauss_equation_residual,
-    jet_from_positions,
-    laplacian_r,
-    radial_laplacian_identity,
-)
+from extballs.immersion import ParametricSurface, check_surface, frames
+from extballs.oracles import (gauss_equation_residual, laplacian_r,
+                              radial_laplacian_identity)
 from extballs.space_forms import SpaceForm
 
 CATENOID = catalog.make("catenoid")
@@ -26,7 +18,7 @@ SPHERE = catalog.make("sphere_control")
 
 
 def test_catenoid_origin_curvatures():
-    fb = frame_at(CATENOID, 0.0, 0.0)
+    fb = frames(CATENOID, np.float64(0.0), np.float64(0.0))
     # neck point: K = -1, |B|^2 = 2, H = 0
     assert float(fb.K) == pytest.approx(-1.0, abs=1e-12)
     assert float(fb.normBsq) == pytest.approx(2.0, abs=1e-12)
@@ -34,7 +26,7 @@ def test_catenoid_origin_curvatures():
 
 
 def test_enneper_origin_second_form():
-    fb = frame_at(ENNEPER, 0.0, 0.0)
+    fb = frames(ENNEPER, np.float64(0.0), np.float64(0.0))
     assert float(fb.K) == pytest.approx(-4.0, abs=1e-12)
     assert float(fb.normBsq) == pytest.approx(8.0, abs=1e-12)
     assert np.allclose(fb.B11, [0.0, 0.0, 2.0], atol=1e-13)
@@ -121,61 +113,6 @@ def test_degenerate_metric_raises():
         frames(bad, np.array([0.1]), np.array([0.2]))
 
 
-def polar_plane():
-    """Flat plane in polar coordinates: chart with known Christoffels."""
-    def jet(U, V):
-        U, V = np.broadcast_arrays(U, V)
-        c, s = np.cos(U), np.sin(U)
-        z = np.zeros_like(U)
-        st = lambda *a: np.stack(np.broadcast_arrays(*a), axis=-1)
-        F = st(V * c, V * s, z)
-        Fu = st(-V * s, V * c, z)
-        Fv = st(c, s, z)
-        Fuu = st(-V * c, -V * s, z)
-        Fuv = st(-s, c, z)
-        Fvv = st(z, z, z)
-        return F, Fu, Fv, Fuu, Fuv, Fvv
-
-    return ParametricSurface(form=SpaceForm(0.0),
-                             domain=((0.0, 2 * np.pi), (0.2, 5.0)), jet=jet,
-                             label="polar_plane", minimal=True,
-                             periodic_u=True)
-
-
-def test_christoffel_polar_plane():
-    surface = polar_plane()
-    U = np.array([0.3, 1.1, 4.0])
-    V = np.array([0.7, 1.9, 3.2])
-    gamma = christoffel(surface, U, V)
-    # nonzero symbols of ds^2 = v^2 du^2 + dv^2:
-    #   gamma^v_uu = -v, gamma^u_uv = gamma^u_vu = 1/v
-    assert np.allclose(gamma[:, 1, 0, 0], -V, atol=5e-9)
-    assert np.allclose(gamma[:, 0, 0, 1], 1.0 / V, atol=5e-9)
-    assert np.allclose(gamma[:, 0, 1, 0], 1.0 / V, atol=5e-9)
-    mask = np.ones((2, 2, 2), dtype=bool)
-    mask[1, 0, 0] = mask[0, 0, 1] = mask[0, 1, 0] = False
-    assert float(np.max(np.abs(gamma[:, mask]))) < 5e-9
-
-
-def test_christoffel_h2_fermi():
-    # ds^2 = cosh^2(v) du^2 + dv^2:
-    #   gamma^v_uu = -cosh v sinh v, gamma^u_uv = tanh v
-    U = np.array([0.5, -1.0])
-    V = np.array([0.8, 1.7])
-    gamma = christoffel(H2, U, V)
-    assert np.allclose(gamma[:, 1, 0, 0], -np.cosh(V) * np.sinh(V),
-                       rtol=1e-7)
-    assert np.allclose(gamma[:, 0, 0, 1], np.tanh(V), atol=1e-8)
-
-
-def test_christoffel_symmetry_random_chart():
-    rng = np.random.default_rng(12)
-    U = rng.uniform(-1.5, 1.5, 20)
-    V = rng.uniform(-1.5, 1.5, 20)
-    gamma = christoffel(ENNEPER, U, V)
-    assert np.allclose(gamma[..., 0, 1], gamma[..., 1, 0], atol=1e-12)
-
-
 def test_laplacian_r_plane_closed_form():
     surface = catalog.make("plane")
     pole = surface.default_pole()
@@ -251,21 +188,6 @@ def test_radial_split_is_orthonormal():
     ip = CATENOID.form.inner
     assert np.allclose(ip(amb, perp), 0.0, atol=1e-10)
     assert np.allclose(ip(amb, amb), fb.normGradPr**2, atol=1e-10)
-
-
-def test_jet_from_positions_matches_analytic():
-    def pos(U, V):
-        return CATENOID.jet(U, V)[0]
-
-    jet = jet_from_positions(pos, CATENOID.domain)
-    U = np.array([0.8, 2.0])
-    V = np.array([0.5, -1.2])
-    exact = CATENOID.jet(U, V)
-    approx = jet(U, V)
-    # second differences with step ~6e-6 carry roundoff ~eps/h^2 ~ 1e-4
-    for k, (e, a) in enumerate(zip(exact, approx)):
-        tol = 1e-8 if k < 3 else 5e-4
-        assert np.allclose(e, a, atol=tol), f"jet component {k}"
 
 
 @pytest.mark.parametrize("name", ["catenoid", "hyperbolic_catenoid"])

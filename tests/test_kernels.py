@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from extballs import backend
-from extballs.errors import ConfigError
 from extballs import kernels_numpy as knp
 
 
@@ -44,19 +42,6 @@ def test_stable_acosh_monotone():
     assert np.all(np.diff(out) > 0)
 
 
-def _field(n_u, n_v, seed, periodic_u=False):
-    rng = np.random.default_rng(seed)
-    if periodic_u:
-        uu = np.linspace(0, 2 * np.pi, n_u, endpoint=False)[:, None]
-        vv = np.linspace(-1, 1, n_v)[None, :]
-        r = 1.5 + np.cos(uu) * 0.7 + vv**2 + 0.05 * np.cos(3 * uu) * vv
-    else:
-        uu = np.linspace(-1, 1, n_u)[:, None]
-        vv = np.linspace(-1, 1, n_v)[None, :]
-        r = uu**2 + vv**2 + 0.1 * rng.standard_normal((n_u, n_v)) * 0.1
-    return r
-
-
 def test_classify_cells_counts():
     r = np.array([[0.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0],
@@ -72,7 +57,9 @@ def test_classify_cells_counts():
 
 
 def test_classify_cells_periodic_shape():
-    r = _field(8, 5, 0, periodic_u=True)
+    uu = np.linspace(0, 2 * np.pi, 8, endpoint=False)[:, None]
+    vv = np.linspace(-1, 1, 5)[None, :]
+    r = 1.5 + np.cos(uu) * 0.7 + vv**2 + 0.05 * np.cos(3 * uu) * vv
     out = knp.classify_cells(r, 1.5, periodic_u=True)
     assert out.shape == (8, 4)
 
@@ -133,45 +120,3 @@ def test_periodic_contour_wraps_seam():
     assert a.size == 2 * n_u
     ids, counts = np.unique(np.concatenate([a, b]), return_counts=True)
     assert np.all(counts == 2)
-
-
-def _numba_kernels():
-    try:
-        backend.use_backend("numba")
-        k = backend.get_kernels()
-    except ConfigError:
-        backend.use_backend(None)
-        pytest.skip("numba unavailable")
-    finally:
-        backend.use_backend(None)
-    return k
-
-
-@pytest.mark.parametrize("periodic", [False, True])
-def test_backend_parity_segments(periodic):
-    knb = _numba_kernels()
-    for seed in range(5):
-        r = _field(23, 17, seed, periodic_u=periodic)
-        t = float(np.median(r))
-        np.testing.assert_array_equal(
-            knp.classify_cells(r, t, periodic),
-            knb.classify_cells(r, t, periodic))
-        a1, b1 = knp.segment_edges(r, t, periodic)
-        a2, b2 = knb.segment_edges(r, t, periodic)
-        assert (sorted(zip(a1.tolist(), b1.tolist()))
-                == sorted(zip(a2.tolist(), b2.tolist())))
-
-
-def test_backend_parity_acosh():
-    knb = _numba_kernels()
-    d = np.logspace(-13, 1, 200)
-    np.testing.assert_allclose(knp.stable_acosh(d), knb.stable_acosh(d),
-                               rtol=5e-16, atol=0)
-
-
-def test_env_var_validation(monkeypatch):
-    monkeypatch.setenv("EXTBALLS_BACKEND", "weird")
-    with pytest.raises(ConfigError):
-        backend.requested_backend()
-    monkeypatch.setenv("EXTBALLS_BACKEND", "numpy")
-    assert backend.active_backend() == "numpy"

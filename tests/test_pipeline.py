@@ -5,6 +5,7 @@ coarse grids and short schedules to pin down structure: exit-status
 logic, verdict applicability, schedule handling, and report assembly.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -246,3 +247,9 @@ def test_sparse_schedule_is_not_divergence(count):
     assert not rep.hypothesis_violated
     assert math.isnan(rep.R_growth_doubling)
     assert not _verdict(rep, "total_curvature_finite").applicable
+
+
+@pytest.mark.parametrize("module", ["extballs", "extballs.domains"])
+def test_exported_names_resolve(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -126,13 +126,6 @@ def test_check_point_validates_sheet_and_dim():
         H3.check_point(off)
 
 
-def test_project_to_model_restores_membership():
-    p = hyp_point(0.7, -1.2, 0.4)
-    noisy = p * (1.0 + 3e-4)
-    fixed = H3.project_to_model(noisy)
-    assert H3.point_residual(fixed) < 1e-14
-
-
 def test_radial_unit_is_unit_tangent():
     rng = np.random.default_rng(3)
     for _ in range(50):
