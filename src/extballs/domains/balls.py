@@ -224,11 +224,3 @@ def coarea_integral(ball: ExtrinsicBall) -> float:
     if float(np.min(g)) < 1e-6:
         raise CriticalRadius(ball.t, "gradient vanishes on the boundary")
     return float(np.sum(ball.samples.weight / g))
-
-
-def ends_count(field: DistanceField, t: float) -> int:
-    """Number of boundary components of the ball of radius t."""
-    if not (0.0 < t <= field.t_max):
-        raise ConfigError(f"radius {t} outside (0, t_max={field.t_max}]")
-    tt = t + _LEVEL_NUDGE * (1.0 + t)
-    return len(extract_loops(field, tt))

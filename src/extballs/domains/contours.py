@@ -23,7 +23,7 @@ import numpy as np
 from .. import kernels_numpy
 from ..errors import GeometryError
 from ..immersion import radial_frames
-from .field import DistanceField
+from .field import DistanceField, bracketed_newton
 
 _NEWTON_TOL = 1e-10
 _NEWTON_ITERS = 5
@@ -46,17 +46,6 @@ class Loop:
 
     def closing_offset(self, period: float) -> np.ndarray:
         return np.array([self.winding * period, 0.0])
-
-
-def _r_and_dirderiv(field: DistanceField, U, V, du, dv):
-    """Exact r - and its derivative along the chart direction (du, dv)."""
-    surf = field.surface
-    form = surf.form
-    F, Fu, Fv, _, _, _ = surf.jet(U, V)
-    r = form.distance(field.pole, F, check=False)
-    rad = form.radial_unit(field.pole, F)
-    dX = Fu * np.asarray(du)[..., None] + Fv * np.asarray(dv)[..., None]
-    return r, form.inner(rad, dX)
 
 
 def _decode_edges(edges: np.ndarray, n_u: int, n_v: int, periodic_u: bool):
@@ -91,27 +80,8 @@ def refine_crossings(field: DistanceField, tt: float,
     if np.any(f0 * f1 > 0.0):
         raise GeometryError("edge reported as cut has same-sign endpoints")
 
-    lo = np.zeros(edges.shape)
-    hi = np.ones(edges.shape)
-    flo = f0.copy()
-    s = f0 / (f0 - f1)
-    done = np.zeros(edges.shape, dtype=bool)
-
-    for _ in range(_NEWTON_ITERS):
-        r, fp = _r_and_dirderiv(field, ua + s * du, va + s * dv, du, dv)
-        f = r - tt
-        done |= np.abs(f) <= _NEWTON_TOL
-        if bool(np.all(done)):
-            break
-        on_lo = (f < 0.0) == (flo < 0.0)
-        lo = np.where(on_lo, s, lo)
-        flo = np.where(on_lo, f, flo)
-        hi = np.where(on_lo, hi, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_new = s - f / fp
-        bad = ~np.isfinite(s_new) | (s_new <= lo) | (s_new >= hi)
-        s = np.where(done, s, np.where(bad, 0.5 * (lo + hi), s_new))
-
+    s = bracketed_newton(field, tt, ua, va, du, dv, 0.0, 1.0, f0, f1,
+                         iters=_NEWTON_ITERS, tol=_NEWTON_TOL)
     return np.stack([ua + s * du, va + s * dv], axis=-1)
 
 
@@ -186,9 +156,11 @@ def extract_loops(field: DistanceField, tt: float) -> list[Loop]:
     return loops
 
 
-def project_to_level(field: DistanceField, tt: float, pts: np.ndarray,
+def project_to_level(field: DistanceField, tt, pts: np.ndarray,
                      iterations: int = 2) -> np.ndarray:
     """Newton-project chart points onto the level {r = tt}.
+
+    ``tt`` is one level for all points or an array of one level per point.
 
     Each iteration moves along the chart representation of the tangential
     distance gradient by -(r - tt) grad r / |grad r|^2, the first-order

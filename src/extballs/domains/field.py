@@ -72,6 +72,41 @@ class DistanceField:
         return self.surface.form.distance(self.pole, X, check=False)
 
 
+def bracketed_newton(field: DistanceField, tt: float, base_u, base_v, du, dv,
+                     lo, hi, flo, fhi, *, iters: int,
+                     tol: float) -> np.ndarray:
+    """Solve r(base + s * (du, dv)) = tt for s, safeguarded by a bracket.
+
+    The arrays flo = f(lo) and fhi = f(hi) have opposite signs; lo and hi
+    may be scalars.  The solve starts at the secant root, takes Newton
+    steps on the exact distance, bisects wherever a step leaves the
+    bracket, and freezes a point once |r - tt| <= tol.
+    """
+    surf = field.surface
+    form = surf.form
+    du = np.asarray(du)
+    dv = np.asarray(dv)
+    s = lo + (hi - lo) * flo / (flo - fhi)
+    done = np.zeros(np.shape(s), dtype=bool)
+    for _ in range(iters):
+        F, Fu, Fv, _, _, _ = surf.jet(base_u + s * du, base_v + s * dv)
+        f = form.distance(field.pole, F, check=False) - tt
+        rad = form.radial_unit(field.pole, F)
+        fp = form.inner(rad, Fu * du[..., None] + Fv * dv[..., None])
+        done |= np.abs(f) <= tol
+        if bool(np.all(done)):
+            break
+        on_lo = (f < 0.0) == (flo < 0.0)
+        lo = np.where(on_lo, s, lo)
+        flo = np.where(on_lo, f, flo)
+        hi = np.where(on_lo, hi, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_new = s - f / fp
+        bad = ~np.isfinite(s_new) | (s_new <= lo) | (s_new >= hi)
+        s = np.where(done, s, np.where(bad, 0.5 * (lo + hi), s_new))
+    return s
+
+
 def build_field(surface: ParametricSurface, t_max: float,
                 pole: np.ndarray | None = None,
                 spec: GridSpec | None = None) -> DistanceField:

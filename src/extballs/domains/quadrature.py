@@ -28,7 +28,7 @@ import numpy as np
 from .. import kernels_numpy
 from ..errors import GeometryError
 from ..immersion import FrameBatch, frames
-from .field import DistanceField
+from .field import DistanceField, bracketed_newton
 
 _X4, _W4 = np.polynomial.legendre.leggauss(4)
 _X4 = 0.5 * (_X4 + 1.0)
@@ -109,34 +109,10 @@ def _newton_strips(field: DistanceField, tt: float,
     (du, dv) spans the whole strip; lo/hi bracket the crossing in the
     strip parameter s with f(lo) and f(hi) of opposite signs.
     """
-    surf = field.surface
-    form = surf.form
-    s = lo + (hi - lo) * flo / (flo - fhi)
-    lo = lo.copy()
-    hi = hi.copy()
-    flo = flo.copy()
-    for _ in range(iters):
-        U = base_u + s * du
-        V = base_v + s * dv
-        F, Fu, Fv, _, _, _ = surf.jet(U, V)
-        f = form.distance(field.pole, F, check=False) - tt
-        rad = form.radial_unit(field.pole, F)
-        fp = form.inner(rad, Fu * np.asarray(du)[..., None]
-                        + Fv * np.asarray(dv)[..., None])
-        on_lo = (f < 0.0) == (flo < 0.0)
-        lo = np.where(on_lo, s, lo)
-        flo = np.where(on_lo, f, flo)
-        hi = np.where(on_lo, hi, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_new = s - f / fp
-        bad = ~np.isfinite(s_new) | (s_new <= lo) | (s_new >= hi)
-        s = np.where(np.abs(f) <= _STRIP_TOL, s,
-                     np.where(bad, 0.5 * (lo + hi), s_new))
-    U = base_u + s * du
-    V = base_v + s * dv
-    f = field.eval_r(U, V) - tt
-    ok = np.abs(f) <= 1e-8
-    return s, ok
+    s = bracketed_newton(field, tt, base_u, base_v, du, dv, lo, hi, flo, fhi,
+                         iters=iters, tol=_STRIP_TOL)
+    f = field.eval_r(base_u + s * du, base_v + s * dv) - tt
+    return s, np.abs(f) <= 1e-8
 
 
 def _cell_crossings(field: DistanceField, tt: float, u0, v0,
@@ -165,10 +141,8 @@ def _cell_crossings(field: DistanceField, tt: float, u0, v0,
         sel = np.nonzero(cut & ok)[0]
         if len(sel) == 0:
             continue
-        zeros = np.zeros(len(sel))
         s, nok = _newton_strips(field, tt, bu[sel], bv[sel], du, dv,
-                                zeros, zeros + 1.0, fa[sel], fb_[sel],
-                                iters=4)
+                                0.0, 1.0, fa[sel], fb_[sel], iters=4)
         ok[sel] &= nok
         cross_u[sel, slot[sel]] = bu[sel] + s * du
         cross_v[sel, slot[sel]] = bv[sel] + s * dv

@@ -1,10 +1,12 @@
 """Per-radius functionals over extrinsic balls.
 
-Everything here consumes an extracted ball (or extracts one on demand)
-and produces scalars: total squared second-form curvature, boundary
-geodesic curvature by two independent routes, the Gauss-Bonnet estimate
-of the Euler characteristic, two comparison bounds, and the boundary
-maximum of the second-form norm.
+Everything here consumes an extracted ball and produces scalars: total
+squared second-form curvature, boundary geodesic curvature by two
+independent routes, the Gauss-Bonnet estimate of the Euler
+characteristic, the area ratio against the model disk, the comparison
+bounds, the per-radius defect integrand, and the boundary maximum of the
+second-form norm.  ``radius_record`` gathers them into the record of one
+radius.
 
 The two geodesic-curvature routes are the module's central cross-check.
 The trace route differentiates the boundary curve itself: it marches a
@@ -26,7 +28,8 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .domains.balls import BoundarySamples, ExtrinsicBall, extract_ball
+from .domains.balls import BoundarySamples, ExtrinsicBall, coarea_integral
+from .domains.contours import project_to_level
 from .domains.field import DistanceField
 from .errors import ConfigError
 from .immersion import radial_frames
@@ -34,15 +37,13 @@ from .immersion import radial_frames
 __all__ = [
     "RadiusRecord",
     "RadiusSeries",
-    "decay_scan",
     "divergence_bound_sides",
     "euler_bound_sides",
-    "gauss_bonnet_chi",
+    "gb_integrand",
     "geodesic_curvature_direct",
     "geodesic_curvature_formula",
-    "kg_gap",
     "kg_gaps",
-    "total_extrinsic_curvature",
+    "radius_record",
 ]
 
 # 9-point central first- and second-derivative stencils, 8th order.
@@ -51,28 +52,6 @@ _C1 = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0,
 _C2 = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72,
                 8 / 5, -1 / 5, 8 / 315, -1 / 560])
 _TRACE_SIDE = 4
-
-
-def _ball(field: DistanceField, t: float,
-          ball: ExtrinsicBall | None) -> ExtrinsicBall:
-    if ball is None:
-        return extract_ball(field, t)
-    return ball
-
-
-def total_extrinsic_curvature(field: DistanceField, t: float,
-                              ball: ExtrinsicBall | None = None) -> float:
-    """Integral of the squared second-form norm over the ball."""
-    return _ball(field, t, ball).integrals["normBsq"]
-
-
-def decay_scan(field: DistanceField, t: float,
-               ball: ExtrinsicBall | None = None) -> float:
-    """Maximum second-form norm over the boundary samples."""
-    b = _ball(field, t, ball)
-    if len(b.samples) == 0:
-        return 0.0
-    return float(np.max(b.samples.frame.normB))
 
 
 def _tangent_unit(fb) -> np.ndarray:
@@ -91,12 +70,7 @@ def _trace_step(field: DistanceField, pts: np.ndarray, step: float,
     fb = radial_frames(surf, pts[:, 0], pts[:, 1], pole=pole)
     mid = pts + (0.5 * step) * _tangent_unit(fb)
     fbm = radial_frames(surf, mid[:, 0], mid[:, 1], pole=pole)
-    out = pts + step * _tangent_unit(fbm)
-    for _ in range(2):
-        fbq = radial_frames(surf, out[:, 0], out[:, 1], pole=pole)
-        shift = (fbq.r - r_target) / np.maximum(fbq.normGradPr ** 2, 1e-30)
-        out = out - shift[:, None] * fbq.gradPr
-    return out
+    return project_to_level(field, r_target, pts + step * _tangent_unit(fbm))
 
 
 def _stencil(coef: np.ndarray, traj: np.ndarray,
@@ -234,6 +208,8 @@ def kg_gaps(field: DistanceField, balls: list[ExtrinsicBall]) -> list[dict]:
     act per ball, so the result for each ball equals a call on that
     ball alone, bit for bit, while the per-call overhead is paid once.
     """
+    if not balls:
+        return []
     samples = [b.samples for b in balls]
     runs = [len(s) for s in samples]
     direct = geodesic_curvature_direct(field, BoundarySamples.concat(samples),
@@ -250,29 +226,8 @@ def kg_gaps(field: DistanceField, balls: list[ExtrinsicBall]) -> list[dict]:
     return out
 
 
-def kg_gap(field: DistanceField, t: float,
-           ball: ExtrinsicBall | None = None) -> dict:
-    """Both geodesic-curvature routes and their worst disagreement."""
-    return kg_gaps(field, [_ball(field, t, ball)])[0]
-
-
-def gauss_bonnet_chi(field: DistanceField, t: float,
-                     ball: ExtrinsicBall | None = None,
-                     intKg: float | None = None) -> float:
-    """Euler-characteristic estimate (area curvature + boundary turning).
-
-    Returns (integral of K + integral of k_g) / 2 pi, which sits within
-    quadrature error of an integer once the boundary has settled.
-    """
-    b = _ball(field, t, ball)
-    if intKg is None:
-        formula = geodesic_curvature_formula(field, b.samples)
-        intKg = float(np.sum(b.samples.weight * formula))
-    return (b.integrals["K"] + intKg) / (2.0 * math.pi)
-
-
-def divergence_bound_sides(field: DistanceField, t: float,
-                           ball: ExtrinsicBall | None = None) -> dict:
+def divergence_bound_sides(field: DistanceField, ball: ExtrinsicBall,
+                           coarea: float) -> dict:
     """Two sides of the minimal-surface radial divergence bound.
 
     lhs integrates the squared normal share of the radial gradient over
@@ -280,13 +235,36 @@ def divergence_bound_sides(field: DistanceField, t: float,
     integral minus the comparison-sphere mean curvature times the area.
     For minimal surfaces lhs <= rhs.
     """
-    b = _ball(field, t, ball)
-    fb = b.samples.frame
-    lhs = float(np.sum(b.samples.weight
+    fb = ball.samples.frame
+    lhs = float(np.sum(ball.samples.weight
                        * fb.normGradPerp ** 2 / fb.normGradPr))
-    rhs = float(np.sum(b.samples.weight / fb.normGradPr)
-                - field.surface.form.h(t) * b.area)
+    rhs = float(coarea - field.surface.form.h(ball.t) * ball.area)
     return {"lhs": lhs, "rhs": rhs, "margin": rhs - lhs}
+
+
+def gb_integrand(field: DistanceField, ball: ExtrinsicBall,
+                 coarea: float) -> float:
+    """Per-radius integrand whose large-t limit is the defect G_b.
+
+    h(t) * V_b(t) * d/dt[area / V_b(t)] plus the boundary integral of
+    <B(e,e), perp gradient of r> / |tangential gradient|.  The ratio
+    derivative expands by the quotient rule into the coarea integral
+    and closed-form comparison data, so no finite differencing in t is
+    involved and the totally geodesic case lands on zero exactly.
+    """
+    form = field.surface.form
+    if not form.curved:
+        raise ConfigError("the limit defect is defined for curved "
+                          "ambients only (b < 0)")
+    h = float(form.h(ball.t))
+    V = float(form.ball_area(ball.t))
+    Vp = float(form.circle_length(ball.t))
+    fb = ball.samples.frame
+    normal_term = float(np.sum(
+        ball.samples.weight
+        * form.inner(fb.bilinear_B(ball.samples.e, ball.samples.e),
+                     fb.ambient_gradPerp()) / fb.normGradPr))
+    return h * (coarea - ball.area * Vp / V) + normal_term
 
 
 def euler_bound_sides(form, t: float, alpha: float, *, R: float,
@@ -356,6 +334,49 @@ class RadiusRecord:
         for alpha, margin in margins.items():
             out[f"euler_margin_a{int(round(100 * alpha)):03d}"] = margin
         return out
+
+
+def radius_record(field: DistanceField, ball: ExtrinsicBall, kg: dict | None,
+                  minimal: bool) -> RadiusRecord:
+    """Every per-radius measure of one extracted ball.
+
+    ``kg`` is the ball's `kg_gaps` entry, or None for an empty ball, whose
+    boundary measures stay NaN.  The comparison margins and the defect
+    integrand are filled for minimal surfaces only, the defect in a
+    curved ambient only.
+    """
+    t = ball.t
+    R = ball.integrals["normBsq"]
+    intK = ball.integrals["K"]
+    rec = RadiusRecord(t=t, area=ball.area, length=ball.boundary_length,
+                       ends=ball.n_components, min_grad=ball.min_grad,
+                       R=R, intK=intK)
+    if kg is None:
+        rec.note = "empty ball"
+        return rec
+
+    form = field.surface.form
+    rec.coarea = coarea_integral(ball)
+    rec.intKg = kg["intKg"]
+    rec.kg_gap_max = kg["max_gap"]
+    rec.chi_hat = (intK + rec.intKg) / (2.0 * math.pi)
+    rec.max_B = float(np.max(ball.samples.frame.normB))
+    # Area over the area of the model geodesic disk of radius t.
+    model_area = float(form.ball_area(t))
+    rec.ratio = ball.area / model_area
+    if minimal:
+        rec.div_margin = divergence_bound_sides(
+            field, ball, rec.coarea)["margin"]
+        # Isoperimetric margin: length/area minus the model disk's
+        # quotient, nonnegative on minimal surfaces, zero on model disks.
+        rec.iso_margin = (ball.boundary_length / ball.area
+                          - float(form.circle_length(t)) / model_area)
+        if form.curved:
+            rec.gb = gb_integrand(field, ball, rec.coarea)
+            rec.gb_chain_residual = rec.gb - (
+                2.0 * math.pi * rec.chi_hat + 0.5 * R
+                - 2.0 * math.pi * rec.ratio)
+    return rec
 
 
 @dataclass

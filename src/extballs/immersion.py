@@ -143,15 +143,14 @@ class FrameBatch:
 _DET_FLOOR = 1e-14
 
 
-def _first_order(surface: ParametricSurface, F, Fu, Fv, pole,
-                 det_floor: float) -> FrameBatch:
+def _first_order(surface: ParametricSurface, F, Fu, Fv, pole) -> FrameBatch:
     """Metric and radial split from the first partials of the chart."""
     form = surface.form
     g11 = form.inner(Fu, Fu)
     g12 = form.inner(Fu, Fv)
     g22 = form.inner(Fv, Fv)
     detg = g11 * g22 - g12 * g12
-    if np.any(detg <= det_floor):
+    if np.any(detg <= _DET_FLOOR):
         raise ImmersionError(
             f"degenerate metric on chart {surface.label!r}: "
             f"min det g = {float(np.min(detg)):.3e}"
@@ -185,18 +184,17 @@ def radial_frames(surface: ParametricSurface, U, V,
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
     F, Fu, Fv, *_ = surface.jet(U, V)
-    return _first_order(surface, F, Fu, Fv, pole, _DET_FLOOR)
+    return _first_order(surface, F, Fu, Fv, pole)
 
 
 def frames(surface: ParametricSurface, U, V,
-           pole: np.ndarray | None = None,
-           det_floor: float = _DET_FLOOR) -> FrameBatch:
+           pole: np.ndarray | None = None) -> FrameBatch:
     """Evaluate the full geometric frame at a batch of chart points."""
     form = surface.form
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
     F, Fu, Fv, Fuu, Fuv, Fvv = surface.jet(U, V)
-    batch = _first_order(surface, F, Fu, Fv, pole, det_floor)
+    batch = _first_order(surface, F, Fu, Fv, pole)
     g11, g12, g22, detg = batch.g11, batch.g12, batch.g22, batch.detg
 
     # Model-covariant second derivatives (identity map for b = 0).

@@ -1,12 +1,13 @@
 """Orchestration: surface -> field -> radius series -> verdict report.
 
 One run builds the distance field once, scans it for critical radii,
-warms the full-cell quadrature cache, then extracts the ball of every
-scheduled radius in turn.  The trace route of the geodesic-curvature
-check then runs once over the boundary samples of all those balls, and
-each radius's record is completed from its share.  Scheduled radii that
-collide with a critical value of the boundary-distance function are
-recorded as skipped rather than evaluated.
+warms the full-cell quadrature cache, then takes four steps: extract the
+ball of every scheduled radius, run the trace route of the
+geodesic-curvature check once over the boundary samples of all those
+balls, build each radius's record from its ball and its share of that
+trace, and assemble the verdicts.  Scheduled radii that collide with a
+critical value of the boundary-distance function are recorded as
+skipped rather than evaluated.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import entries
-from .domains.balls import coarea_integral, extract_ball
+from .domains.balls import ExtrinsicBall, extract_ball
 from .domains.field import GridSpec, build_field, critical_scan
 from .domains.quadrature import ensure_cell_cache
 from .errors import ConfigError, CriticalRadius
 from .functionals import (RadiusRecord, RadiusSeries, euler_bound_sides,
-                          divergence_bound_sides, kg_gaps)
-from .verdicts import (VerdictReport, build_verdicts, gb_integrand,
-                       growth_ratio, isoperimetric_check)
+                          kg_gaps, radius_record)
+from .verdicts import VerdictReport, build_verdicts
 
 __all__ = ["PipelineResult", "make_schedule", "run_surface"]
 
@@ -51,50 +51,6 @@ class PipelineResult:
     field: object
     series: RadiusSeries
     report: VerdictReport
-
-
-def _measure_ball(field, t: float, min_samples: int):
-    """Record of the ball's own measures, and the ball if k_g is due."""
-    try:
-        ball = extract_ball(field, t, min_samples=min_samples)
-    except CriticalRadius as exc:
-        return RadiusRecord(t=t, skipped=True, note=str(exc)), None
-
-    rec = RadiusRecord(t=t)
-    rec.area = ball.area
-    rec.length = ball.boundary_length
-    rec.ends = ball.n_components
-    rec.min_grad = ball.min_grad
-    rec.R = ball.integrals["normBsq"]
-    rec.intK = ball.integrals["K"]
-    if len(ball.samples) == 0:
-        rec.note = "empty ball"
-        return rec, None
-    return rec, ball
-
-
-def _complete_record(field, rec: RadiusRecord, ball, g: dict,
-                     minimal: bool, on_surface: bool) -> None:
-    """Fill the boundary measures of a record from its ball and k_g."""
-    t = rec.t
-    rec.coarea = coarea_integral(ball)
-    rec.intKg = g["intKg"]
-    rec.kg_gap_max = g["max_gap"]
-    rec.chi_hat = (rec.intK + rec.intKg) / (2.0 * math.pi)
-    rec.max_B = float(np.max(ball.samples.frame.normB))
-
-    form = field.surface.form
-    if on_surface:
-        rec.ratio = growth_ratio(field, t, ball=ball)
-    if minimal:
-        rec.div_margin = divergence_bound_sides(field, t, ball=ball)["margin"]
-        if on_surface:
-            rec.iso_margin = isoperimetric_check(field, t, ball=ball)
-            if form.curved:
-                rec.gb = gb_integrand(field, t, ball=ball)
-                rec.gb_chain_residual = rec.gb - (
-                    2.0 * math.pi * rec.chi_hat + 0.5 * rec.R
-                    - 2.0 * math.pi * rec.ratio)
 
 
 def run_surface(name: str, *, params: dict | None = None,
@@ -140,28 +96,29 @@ def run_surface(name: str, *, params: dict | None = None,
     scan = critical_scan(field, t_min, t_max)
     critical = scan["critical_values"]
 
-    minimal = entry.minimal
-    on_surface = True  # default and chart-coordinate poles sit on the chart
-    records = []
-    measured = []
+    # One extracted ball per radius, or the record of a skipped radius.
+    extracted = []
     for t in schedule:
         t = float(t)
         hit = [v for v in critical if abs(t - v) < _CRITICAL_EXCLUSION]
         if hit:
-            records.append(RadiusRecord(
+            extracted.append(RadiusRecord(
                 t=t, skipped=True,
                 note=f"within {_CRITICAL_EXCLUSION:g} of critical value "
                      f"{hit[0]:.6f}"))
             continue
-        rec, ball = _measure_ball(field, t, min_samples)
-        records.append(rec)
-        if ball is not None:
-            measured.append((rec, ball))
+        try:
+            extracted.append(extract_ball(field, t, min_samples=min_samples))
+        except CriticalRadius as exc:
+            extracted.append(RadiusRecord(t=t, skipped=True, note=str(exc)))
 
-    if measured:
-        gaps = kg_gaps(field, [ball for _, ball in measured])
-        for (rec, ball), g in zip(measured, gaps):
-            _complete_record(field, rec, ball, g, minimal, on_surface)
+    bounded = [b for b in extracted
+               if isinstance(b, ExtrinsicBall) and len(b.samples)]
+    gaps = iter(kg_gaps(field, bounded))
+    minimal = entry.minimal
+    records = [radius_record(field, b, next(gaps) if len(b.samples) else None,
+                             minimal)
+               if isinstance(b, ExtrinsicBall) else b for b in extracted]
 
     series = RadiusSeries(
         schedule=schedule,
@@ -186,7 +143,6 @@ def run_surface(name: str, *, params: dict | None = None,
         surface_name=name,
         ambient=entry.ambient,
         declared_minimal=entry.minimal,
-        pole_on_surface=on_surface,
         grid=(spec.n_u, spec.n_v),
         tolerances=tolerances,
     )

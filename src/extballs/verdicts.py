@@ -16,8 +16,6 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .domains.balls import ExtrinsicBall, extract_ball
-from .domains.field import DistanceField
 from .errors import ConfigError
 from .functionals import PARTNER_SPAN, RadiusSeries
 from .immersion import check_surface
@@ -27,10 +25,6 @@ __all__ = [
     "Verdict",
     "VerdictReport",
     "build_verdicts",
-    "gb_integrand",
-    "growth_ratio",
-    "isoperimetric_check",
-    "minimality_check",
 ]
 
 _NAN = float("nan")
@@ -56,66 +50,6 @@ DEFAULT_TOLERANCES = {
     "R_slack": 1e-5,
     "minimal_H": 1e-6,         # mean-curvature ceiling for "minimal"
 }
-
-
-def growth_ratio(field: DistanceField, t: float,
-                 ball: ExtrinsicBall | None = None) -> float:
-    """Ball area over the area of the comparison geodesic disk."""
-    if ball is None:
-        ball = extract_ball(field, t)
-    return ball.area / float(field.surface.form.ball_area(t))
-
-
-def isoperimetric_check(field: DistanceField, t: float,
-                        ball: ExtrinsicBall | None = None) -> float:
-    """Margin of the comparison isoperimetric inequality.
-
-    length/area minus the same quotient for the geodesic disk of the
-    ambient space form; nonnegative for minimal surfaces with the pole
-    on the surface, zero exactly on the model disks.
-    """
-    if ball is None:
-        ball = extract_ball(field, t)
-    form = field.surface.form
-    model = float(form.circle_length(t)) / float(form.ball_area(t))
-    return ball.boundary_length / ball.area - model
-
-
-def gb_integrand(field: DistanceField, t: float,
-                 ball: ExtrinsicBall | None = None) -> float:
-    """Per-radius integrand whose large-t limit is the defect G_b.
-
-    h(t) * V_b(t) * d/dt[area / V_b(t)] plus the boundary integral of
-    <B(e,e), perp gradient of r> / |tangential gradient|.  The ratio
-    derivative expands by the quotient rule into the coarea integral
-    and closed-form comparison data, so no finite differencing in t is
-    involved and the totally geodesic case lands on zero exactly.
-    """
-    form = field.surface.form
-    if not form.curved:
-        raise ConfigError("the limit defect is defined for curved "
-                          "ambients only (b < 0)")
-    if ball is None:
-        ball = extract_ball(field, t)
-    h = float(form.h(t))
-    V = float(form.ball_area(t))
-    Vp = float(form.circle_length(t))
-    fb = ball.samples.frame
-    coarea = float(np.sum(ball.samples.weight / fb.normGradPr))
-    ip = form.inner
-    normal_term = float(np.sum(
-        ball.samples.weight
-        * ip(fb.bilinear_B(ball.samples.e, ball.samples.e),
-             fb.ambient_gradPerp()) / fb.normGradPr))
-    return h * (coarea - ball.area * Vp / V) + normal_term
-
-
-def minimality_check(surface, t_max: float,
-                     tol: float = DEFAULT_TOLERANCES["minimal_H"]) -> dict:
-    """Sampled mean-curvature oracle over the ball-serving region."""
-    probe = check_surface(surface, n=200, max_r=t_max)
-    return {"minimal": probe["max_normH"] <= tol,
-            "max_normH": probe["max_normH"], "tol": tol}
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +81,6 @@ class VerdictReport:
     measured_minimal: bool
     max_normH: float
     pole: list
-    pole_on_surface: bool
     grid: tuple
     t_max: float
     schedule: list
@@ -185,7 +118,8 @@ class VerdictReport:
             "measured_minimal": self.measured_minimal,
             "max_normH": self.max_normH,
             "pole": list(self.pole),
-            "pole_on_surface": self.pole_on_surface,
+            # Default and chart-coordinate poles both sit on the surface.
+            "pole_on_surface": True,
             "grid": list(self.grid),
             "t_max": self.t_max,
             "schedule": list(self.schedule),
@@ -224,11 +158,10 @@ def _series_max(series: RadiusSeries, key: str) -> float:
     return max(vals) if vals else _NAN
 
 
-def build_verdicts(field: DistanceField, series: RadiusSeries, *,
-                   surface_name: str, ambient: str, declared_minimal: bool,
-                   pole_on_surface: bool, grid: tuple,
+def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
+                   ambient: str, declared_minimal: bool, grid: tuple,
                    tolerances: dict | None = None) -> VerdictReport:
-    """Reduce a finished radius series to the theorem-level report."""
+    """Reduce a finished radius series of a distance field to the report."""
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tol)
@@ -237,8 +170,9 @@ def build_verdicts(field: DistanceField, series: RadiusSeries, *,
         tol.update(tolerances)
 
     form = field.surface.form
-    probe = minimality_check(field.surface, field.t_max, tol["minimal_H"])
-    measured_minimal = probe["minimal"]
+    # Sampled mean-curvature oracle over the ball-serving region.
+    probe = check_surface(field.surface, n=200, max_r=field.t_max)
+    measured_minimal = probe["max_normH"] <= tol["minimal_H"]
     minimal = declared_minimal and measured_minimal
     valid = series.valid
     verdicts: list[Verdict] = []
@@ -291,10 +225,8 @@ def build_verdicts(field: DistanceField, series: RadiusSeries, *,
                 and not math.isnan(growth_doubling)
                 and growth_doubling > max(tol["diverge_delta"],
                                           tol["diverge_frac"] * R_end))
-    sup_growth = _NAN
-    if pole_on_surface and valid:
-        ratios = [rec.ratio for rec in valid if not math.isnan(rec.ratio)]
-        sup_growth = ratios[-1] if ratios else _NAN
+    ratios = [rec.ratio for rec in valid if not math.isnan(rec.ratio)]
+    sup_growth = ratios[-1] if ratios else _NAN
 
     # Minimal-surface bounds; the non-minimal control is excluded.
     div_min = _series_min(series, "div_margin")
@@ -311,12 +243,12 @@ def build_verdicts(field: DistanceField, series: RadiusSeries, *,
         else "non-minimal")
 
     iso_min = _series_min(series, "iso_margin")
-    add("isoperimetric", minimal and pole_on_surface and len(valid) > 0,
+    add("isoperimetric", minimal and len(valid) > 0,
         bool(iso_min >= tol["iso_margin"]), iso_min, "iso_margin",
         f"min margin {iso_min:.3e}")
 
     ratio_inc = _min_increment(series, "ratio")
-    add("ratio_monotone", minimal and pole_on_surface and len(valid) > 1,
+    add("ratio_monotone", minimal and len(valid) > 1,
         bool(ratio_inc >= -tol["ratio_slack"]), ratio_inc, "ratio_slack",
         f"smallest consecutive increment {ratio_inc:.3e}")
 
@@ -333,8 +265,8 @@ def build_verdicts(field: DistanceField, series: RadiusSeries, *,
         gating=False)
 
     # The comparison inequality and, for curved ambients, the equality.
-    co_applicable = (minimal and pole_on_surface and not diverged
-                     and chi is not None and not math.isnan(sup_growth))
+    co_applicable = (minimal and not diverged and chi is not None
+                     and not math.isnan(sup_growth))
     co_margin = _NAN
     if co_applicable:
         co_margin = R_end / (4.0 * math.pi) - sup_growth + chi
@@ -351,11 +283,11 @@ def build_verdicts(field: DistanceField, series: RadiusSeries, *,
         gating=False)
 
     # The defect verdicts are reported for every surface so the verdict
-    # list has one shape everywhere; they only apply in a curved ambient
-    # with an on-surface pole and a minimal surface.
+    # list has one shape everywhere; they only apply to a minimal surface
+    # in a curved ambient.
     G_b = _NAN
     G_b_spread = _NAN
-    gb_applicable = bool(form.curved) and minimal and pole_on_surface
+    gb_applicable = bool(form.curved) and minimal
     gbs = []
     settled = []
     if gb_applicable:
@@ -410,7 +342,6 @@ def build_verdicts(field: DistanceField, series: RadiusSeries, *,
         measured_minimal=measured_minimal,
         max_normH=probe["max_normH"],
         pole=[float(x) for x in np.asarray(field.pole).ravel()],
-        pole_on_surface=pole_on_surface,
         grid=grid,
         t_max=field.t_max,
         schedule=[rec.t for rec in series.records],

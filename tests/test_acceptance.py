@@ -25,7 +25,6 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from extballs.domains import extract_ball
-from extballs.functionals import total_extrinsic_curvature
 from extballs.oracles import (gauss_equation_residual, laplacian_r,
                               radial_laplacian_identity)
 from extballs.pipeline import run_surface
@@ -434,8 +433,8 @@ def test_c10_helicoid_flagged_divergent(runs):
     assert rep.exit_status == 2
     assert rep.hypothesis_violated
     field = runs["helicoid"].field
-    R8 = total_extrinsic_curvature(field, 8.0)
-    R4 = total_extrinsic_curvature(field, 4.0)
+    R8 = extract_ball(field, 8.0).integrals["normBsq"]
+    R4 = extract_ball(field, 4.0).integrals["normBsq"]
     assert R8 > R4 + 1.0, f"R(8)={R8:.2f}, R(4)={R4:.2f}"
     # The boundary curvature maximum never decays.
     last_maxB = runs["helicoid"].series.valid[-1].max_B

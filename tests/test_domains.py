@@ -13,8 +13,9 @@ import pytest
 from extballs.catalog import make
 from extballs.catalog.charts import plane_chart, sphere_cap_chart
 from extballs.domains import (GridSpec, build_field, coarea_integral,
-                              critical_scan, ends_count, extract_ball,
+                              critical_scan, extract_ball,
                               project_to_level, region_integral)
+from extballs.domains.field import bracketed_newton
 from extballs.errors import (ConfigError, CriticalRadius, DomainTooSmall,
                              PoleOffModel)
 
@@ -111,12 +112,11 @@ def test_catenoid_two_ends(catenoid_field):
     ball = extract_ball(catenoid_field, 5.0)
     assert ball.n_components == 2
     assert sorted(abs(w) for w in ball.windings) == [1, 1]
-    assert ends_count(catenoid_field, 5.0) == 2
 
 
 def test_enneper_single_end():
     field = build_field(make("enneper", t_max=6.0), 6.0)
-    assert ends_count(field, 5.0) == 1
+    assert extract_ball(field, 5.0).n_components == 1
 
 
 def test_catenoid_coarea_consistency(catenoid_field):
@@ -136,7 +136,7 @@ def test_catenoid_area_monotone(catenoid_field):
 
 def test_catenoid_ends_stable_beyond_r0(catenoid_field):
     scan = critical_scan(catenoid_field, 0.1, 8.0)
-    counts = {ends_count(catenoid_field, t)
+    counts = {extract_ball(catenoid_field, t).n_components
               for t in np.linspace(scan["R0"] + 0.3, 8.0, 6)}
     assert counts == {2}
 
@@ -189,6 +189,16 @@ def test_project_to_level(plane_field):
     assert np.max(np.abs(r - 2.0)) < 1e-12
 
 
+def test_bracketed_newton_on_a_chord(plane_field):
+    # r(1 + s, 1 - s) = sqrt(2 + 2 s^2) meets 1.5 at s = sqrt(1/8); the
+    # secant start at s = 0.146 lies well short of it.
+    one = np.array([1.0])
+    s = bracketed_newton(plane_field, 1.5, one, one, 1.0, -1.0, 0.0, 1.0,
+                         np.sqrt(2.0) * one - 1.5, 0.5 * one,
+                         iters=8, tol=1e-13)
+    assert abs(s[0] - np.sqrt(0.125)) < 1e-12
+
+
 def test_empty_ball_off_surface_pole():
     field = build_field(sphere_cap_chart(), 0.5,
                         pole=np.array([0.0, 0.0, 2.0]))
@@ -204,7 +214,7 @@ def test_radius_bounds(plane_field):
     with pytest.raises(ConfigError):
         extract_ball(plane_field, 0.0)
     with pytest.raises(ConfigError):
-        ends_count(plane_field, -1.0)
+        extract_ball(plane_field, -1.0)
 
 
 def test_coarea_critical_rail(plane_field):

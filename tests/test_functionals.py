@@ -1,5 +1,7 @@
 """Tests for per-radius functionals: geodesic curvature by two routes,
 Gauss-Bonnet, the comparison bounds, and the radius-series helpers.
+Per-radius scalars are read from the record the pipeline builds:
+extract_ball, then kg_gaps, then radius_record.
 
 Closed-form targets used here:
   - round disk in the plane: k_g = 1/t, chi = 1;
@@ -18,13 +20,14 @@ import numpy as np
 import pytest
 
 from extballs.catalog import make
+from extballs.catalog.charts import sphere_cap_chart
 from extballs.domains import build_field, extract_ball
 from extballs.errors import ConfigError
-from extballs.functionals import (RadiusRecord, RadiusSeries, decay_scan,
+from extballs.functionals import (RadiusRecord, RadiusSeries,
                                   divergence_bound_sides, euler_bound_sides,
-                                  gauss_bonnet_chi, geodesic_curvature_direct,
-                                  geodesic_curvature_formula, kg_gap,
-                                  total_extrinsic_curvature)
+                                  geodesic_curvature_direct,
+                                  geodesic_curvature_formula, kg_gaps,
+                                  radius_record)
 
 COTH1 = 1.3130352854993315
 
@@ -47,6 +50,12 @@ def catenoid_field():
 @pytest.fixture(scope="module")
 def sphere_field():
     return build_field(make("sphere_control", t_max=1.5), 1.5)
+
+
+def _record(field, t):
+    """The record of radius t as the pipeline builds it (minimal surface)."""
+    ball = extract_ball(field, t)
+    return radius_record(field, ball, kg_gaps(field, [ball])[0], True)
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +89,14 @@ def test_sphere_cap_kg_both_routes(sphere_field):
 
 
 def test_kg_gap_catenoid_two_components(catenoid_field):
-    gap = kg_gap(catenoid_field, 5.0)
+    gap = kg_gaps(catenoid_field, [extract_ball(catenoid_field, 5.0)])[0]
     assert gap["max_gap"] < 1e-5
     assert len(gap["direct"]) == len(gap["formula"])
 
 
 def test_kg_gap_reports_boundary_turning(plane_field):
-    gap = kg_gap(plane_field, 2.0)
-    assert gap["intKg"] == pytest.approx(2.0 * math.pi, rel=1e-6)
+    rec = _record(plane_field, 2.0)
+    assert rec.intKg == pytest.approx(2.0 * math.pi, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +104,15 @@ def test_kg_gap_reports_boundary_turning(plane_field):
 
 
 def test_chi_plane_disk(plane_field):
-    assert gauss_bonnet_chi(plane_field, 2.0) == pytest.approx(1.0, abs=1e-6)
+    assert _record(plane_field, 2.0).chi_hat == pytest.approx(1.0, abs=1e-6)
 
 
 def test_chi_h2_disk(h2_field):
-    assert gauss_bonnet_chi(h2_field, 2.0) == pytest.approx(1.0, abs=1e-6)
+    assert _record(h2_field, 2.0).chi_hat == pytest.approx(1.0, abs=1e-6)
 
 
 def test_chi_catenoid_annulus(catenoid_field):
-    assert gauss_bonnet_chi(catenoid_field, 5.0) == pytest.approx(
+    assert _record(catenoid_field, 5.0).chi_hat == pytest.approx(
         0.0, abs=0.05)
 
 
@@ -112,25 +121,45 @@ def test_chi_catenoid_annulus(catenoid_field):
 
 
 def test_totally_geodesic_curvature_vanishes(plane_field, h2_field):
-    assert total_extrinsic_curvature(plane_field, 2.0) < 1e-12
-    assert total_extrinsic_curvature(h2_field, 2.0) < 1e-10
-    assert decay_scan(plane_field, 2.0) < 1e-8
-    assert decay_scan(h2_field, 2.0) < 1e-7
+    plane = _record(plane_field, 2.0)
+    h2 = _record(h2_field, 2.0)
+    assert plane.R < 1e-12
+    assert h2.R < 1e-10
+    assert plane.max_B < 1e-8
+    assert h2.max_B < 1e-7
 
 
 def test_catenoid_curvature_decays(catenoid_field):
-    near = decay_scan(catenoid_field, 2.5)
-    far = decay_scan(catenoid_field, 5.5)
-    assert far < near
-    assert total_extrinsic_curvature(catenoid_field, 5.5) < 8.0 * math.pi
+    near = _record(catenoid_field, 2.5)
+    far = _record(catenoid_field, 5.5)
+    assert far.max_B < near.max_B
+    assert far.R < 8.0 * math.pi
+
+
+def test_empty_ball_record():
+    # Pole off the sphere cap, farther than t from every surface point.
+    field = build_field(sphere_cap_chart(), 0.5,
+                        pole=np.array([0.0, 0.0, 2.0]))
+    rec = radius_record(field, extract_ball(field, 0.5), None, True)
+    assert rec.note == "empty ball"
+    assert (rec.area, rec.length, rec.ends) == (0.0, 0.0, 0)
+    assert math.isnan(rec.coarea) and math.isnan(rec.chi_hat)
 
 
 # ---------------------------------------------------------------------------
 # Comparison bounds
 
 
+def _divergence_sides(field, t):
+    ball = extract_ball(field, t)
+    rec = radius_record(field, ball, kg_gaps(field, [ball])[0], True)
+    sides = divergence_bound_sides(field, ball, rec.coarea)
+    assert rec.div_margin == sides["margin"]
+    return sides
+
+
 def test_divergence_bound_plane_closed_form(plane_field):
-    sides = divergence_bound_sides(plane_field, 1.0)
+    sides = _divergence_sides(plane_field, 1.0)
     # lhs = 0 (no normal share); rhs = 2 pi t - (1/t) pi t^2 = pi t.
     assert sides["lhs"] == pytest.approx(0.0, abs=1e-10)
     assert sides["rhs"] == pytest.approx(math.pi, rel=1e-6)
@@ -138,7 +167,7 @@ def test_divergence_bound_plane_closed_form(plane_field):
 
 
 def test_divergence_bound_h2_closed_form(h2_field):
-    sides = divergence_bound_sides(h2_field, 1.0)
+    sides = _divergence_sides(h2_field, 1.0)
     rhs_exact = 2.0 * math.pi * (math.sinh(1.0)
                                  - COTH1 * (math.cosh(1.0) - 1.0))
     assert sides["lhs"] == pytest.approx(0.0, abs=1e-10)
@@ -249,17 +278,17 @@ def test_R_growth_partner_on_a_ratio_174_schedule():
 
 def test_kg_gaps_batch_equals_per_ball():
     from extballs.domains import GridSpec
-    from extballs.functionals import kg_gaps
 
     field = build_field(make("catenoid", t_max=6.0), 6.0,
                         spec=GridSpec(192, 192))
     balls = [extract_ball(field, float(t))
              for t in np.geomspace(0.5, 6.0, 6)]
     batch = kg_gaps(field, balls)
+    assert kg_gaps(field, []) == []
     for ball, got in zip(balls, batch):
         direct = geodesic_curvature_direct(field, ball.samples)
         assert np.array_equal(got["direct"], direct)
-        one = kg_gap(field, ball.t, ball=ball)
+        one = kg_gaps(field, [ball])[0]
         assert np.array_equal(got["formula"], one["formula"])
         assert got["max_gap"] == one["max_gap"]
         assert got["intKg"] == one["intKg"]

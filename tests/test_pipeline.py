@@ -249,7 +249,9 @@ def test_sparse_schedule_is_not_divergence(count):
     assert not _verdict(rep, "total_curvature_finite").applicable
 
 
-@pytest.mark.parametrize("module", ["extballs", "extballs.domains"])
+@pytest.mark.parametrize("module", ["extballs", "extballs.domains",
+                                    "extballs.functionals",
+                                    "extballs.verdicts", "extballs.pipeline"])
 def test_exported_names_resolve(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
