@@ -31,6 +31,7 @@ from .profiles import neck_radius, solve_hyperbolic_catenoid, solve_profile
 __all__ = [
     "CatalogEntry",
     "entries",
+    "lookup",
     "make",
     "list_entries",
     "neck_radius",
@@ -43,10 +44,8 @@ def _min_boundary_r(surface: ParametricSurface, samples: int = 400) -> float:
     """Smallest extrinsic distance from the default pole to the chart edge."""
     (u0, u1), (v0, v1) = surface.domain
     pole = surface.default_pole()
-    edges = []
-    if not surface.periodic_v:
-        uu = np.linspace(u0, u1, samples)
-        edges += [(uu, np.full_like(uu, v0)), (uu, np.full_like(uu, v1))]
+    uu = np.linspace(u0, u1, samples)
+    edges = [(uu, np.full_like(uu, v0)), (uu, np.full_like(uu, v1))]
     if not surface.periodic_u:
         vv = np.linspace(v0, v1, samples)
         edges += [(np.full_like(vv, u0), vv), (np.full_like(vv, u1), vv)]
@@ -239,17 +238,21 @@ _ENTRIES = [
 entries: dict[str, CatalogEntry] = {e.name: e for e in _ENTRIES}
 
 
-def make(name: str, t_max: float | None = None,
-         params: dict | None = None) -> ParametricSurface:
-    """Build a catalog surface sized for balls up to radius t_max."""
+def lookup(name: str) -> CatalogEntry:
+    """The catalog entry of a surface name."""
     try:
-        entry = entries[name]
+        return entries[name]
     except KeyError:
         raise ConfigError(
             f"unknown catalog surface {name!r}; available: "
             f"{', '.join(sorted(entries))}"
         ) from None
-    return entry.surface(t_max, params)
+
+
+def make(name: str, t_max: float | None = None,
+         params: dict | None = None) -> ParametricSurface:
+    """Build a catalog surface sized for balls up to radius t_max."""
+    return lookup(name).surface(t_max, params)
 
 
 def list_entries() -> list[dict]:

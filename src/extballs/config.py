@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .pipeline import DEFAULT_ALPHAS, DEFAULT_GRID
 from .verdicts import DEFAULT_TOLERANCES
 
 _SPACINGS = ("geometric", "linear")
 
 _TOP_KEYS = {"surface", "params", "pole", "schedule", "grid", "alphas",
-             "tolerances", "min_samples", "output"}
+             "tolerances", "output"}
 _SCHEDULE_KEYS = {"t_min", "t_max", "count", "spacing"}
-_GRID_KEYS = {"n_u", "n_v", "periodic_u", "periodic_v"}
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
@@ -43,12 +43,9 @@ class RunConfig:
     t_max: float | None = None
     count: int | None = None
     spacing: str = "geometric"
-    grid: tuple = (512, 512)
-    periodic_u: bool | None = None
-    periodic_v: bool | None = None
-    alphas: tuple = (0.25, 0.5, 1.0, 1.5)
+    grid: tuple = DEFAULT_GRID
+    alphas: tuple = DEFAULT_ALPHAS
     tolerances: dict = field(default_factory=dict)
-    min_samples: int = 200
     output: str | None = None
 
     @staticmethod
@@ -66,13 +63,10 @@ class RunConfig:
         pole_uv = _parse_pole(doc.get("pole", "default"))
         t_min, t_max, count, spacing = _parse_schedule(
             doc.get("schedule", {}))
-        grid, per_u, per_v = _parse_grid(doc.get("grid", [512, 512]))
-        alphas = _parse_alphas(doc.get("alphas", [0.25, 0.5, 1.0, 1.5]))
+        grid = _parse_grid(doc.get("grid", DEFAULT_GRID))
+        alphas = _parse_alphas(doc.get("alphas", DEFAULT_ALPHAS))
         tolerances = _parse_tolerances(doc.get("tolerances", {}))
 
-        min_samples = doc.get("min_samples", 200)
-        if not isinstance(min_samples, int) or min_samples < 1:
-            raise ConfigError("'min_samples' must be a positive integer")
         output = doc.get("output")
         if output is not None and not isinstance(output, str):
             raise ConfigError("'output' must be a string path")
@@ -80,9 +74,7 @@ class RunConfig:
         return RunConfig(surface=doc["surface"], params=dict(params),
                          pole_uv=pole_uv, t_min=t_min, t_max=t_max,
                          count=count, spacing=spacing, grid=grid,
-                         periodic_u=per_u, periodic_v=per_v,
-                         alphas=alphas, tolerances=tolerances,
-                         min_samples=min_samples, output=output)
+                         alphas=alphas, tolerances=tolerances, output=output)
 
     @staticmethod
     def from_json(path: str | Path) -> "RunConfig":
@@ -108,10 +100,7 @@ class RunConfig:
             "grid": self.grid,
             "pole_uv": self.pole_uv,
             "alphas": self.alphas,
-            "min_samples": self.min_samples,
             "tolerances": self.tolerances or None,
-            "periodic_u": self.periodic_u,
-            "periodic_v": self.periodic_v,
         }
 
 
@@ -152,27 +141,16 @@ def _parse_schedule(raw) -> tuple:
 
 
 def _parse_grid(raw) -> tuple:
-    per_u = per_v = None
-    if isinstance(raw, dict):
-        _reject_unknown(raw, _GRID_KEYS, "grid")
-        nu = raw.get("n_u", 512)
-        nv = raw.get("n_v", 512)
-        per_u = raw.get("periodic_u")
-        per_v = raw.get("periodic_v")
-        for name, val in (("periodic_u", per_u), ("periodic_v", per_v)):
-            if val is not None and not isinstance(val, bool):
-                raise ConfigError(f"grid '{name}' must be a boolean")
-    elif isinstance(raw, int) and not isinstance(raw, bool):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         nu = nv = raw
-    elif (isinstance(raw, (list, tuple)) and len(raw) == 2):
+    elif isinstance(raw, (list, tuple)) and len(raw) == 2:
         nu, nv = raw
     else:
-        raise ConfigError(
-            "'grid' must be an integer, [n_u, n_v], or an object")
+        raise ConfigError("'grid' must be an integer n or [n_u, n_v]")
     for name, val in (("n_u", nu), ("n_v", nv)):
         if not isinstance(val, int) or isinstance(val, bool) or val < 64:
             raise ConfigError(f"grid '{name}' must be an integer >= 64")
-    return (nu, nv), per_u, per_v
+    return (nu, nv)
 
 
 def _parse_alphas(raw) -> tuple:
@@ -203,7 +181,7 @@ def set_config_key(doc: dict, dotted: str, value) -> dict:
     """Return a copy of a raw config dict with one dotted key replaced.
 
     Supports the keys a sweep may vary: top-level entries ("grid",
-    "alphas", "min_samples", ...) and one-level paths into objects
+    "alphas", "pole", ...) and one-level paths into objects
     ("params.c", "schedule.count", "tolerances.kg_gap", ...).
     """
     out = json.loads(json.dumps(doc))

@@ -2,9 +2,9 @@
 
 ``extract_ball`` is the per-radius entry point.  It extracts the level
 curve {r = t}, refines and orients every component, augments small loops
-until the sample count supports boundary quadrature, computes the area of
-{r < t} together with the curvature channels needed downstream, and
-packages per-sample frames for geodesic-curvature work.
+until the boundary carries at least ``MIN_SAMPLES`` samples, integrates
+area, |B|^2 and K over {r < t}, and packages per-sample frames for
+geodesic-curvature work.
 
 Boundary length uses a cubic Hermite reconstruction per polyline segment
 (positions plus unit level-curve tangents) integrated with two-point
@@ -32,6 +32,9 @@ _GL2_X = 0.5 * (_GL2_X + 1.0)
 _GL2_W = 0.5 * _GL2_W
 
 _LEVEL_NUDGE = 3e-13
+
+# Boundary samples per ball, spread over its loops (at least 32 a loop).
+MIN_SAMPLES = 200
 
 
 class BoundarySamples:
@@ -121,8 +124,7 @@ def _hermite_lengths(field: DistanceField, verts: np.ndarray,
     return speed @ _GL2_W
 
 
-def extract_ball(field: DistanceField, t: float,
-                 min_samples: int = 200) -> ExtrinsicBall:
+def extract_ball(field: DistanceField, t: float) -> ExtrinsicBall:
     """Extract the extrinsic ball of radius t from a distance field."""
     if not (0.0 < t <= field.t_max):
         raise ConfigError(f"radius {t} outside (0, t_max={field.t_max}]")
@@ -131,7 +133,7 @@ def extract_ball(field: DistanceField, t: float,
     tt = t + _LEVEL_NUDGE * (1.0 + t)
 
     loops = extract_loops(field, tt)
-    integrals = region_integral(field, tt, ("one", "normBsq", "K"))
+    integrals = region_integral(field, tt)
 
     if not loops:
         empty = BoundarySamples(
@@ -144,7 +146,7 @@ def extract_ball(field: DistanceField, t: float,
                              loop_lengths=[], boundary_length=0.0,
                              samples=empty, min_grad=float("inf"))
 
-    per_loop_min = max(32, -(-min_samples // len(loops)))
+    per_loop_min = max(32, -(-MIN_SAMPLES // len(loops)))
     loops = [augment_loop(field, tt, lp, per_loop_min) for lp in loops]
 
     (u0, u1), _ = field.surface.domain

@@ -52,7 +52,9 @@ class DistanceField:
     grad_norm: np.ndarray         # (n_u, n_v)
     h_u: float
     h_v: float
-    quad_cache: dict = field(default_factory=dict, repr=False)
+    # Per-channel full-cell integrals, filled by
+    # quadrature.ensure_cell_cache on first use.
+    cell_integrals: tuple | None = field(default=None, repr=False)
 
     @property
     def periodic_u(self) -> bool:
@@ -130,14 +132,9 @@ def build_field(surface: ParametricSurface, t_max: float,
         raise PoleOffModel(str(exc)) from exc
 
     (u0, u1), (v0, v1) = surface.domain
-    if surface.periodic_u:
-        h_u = (u1 - u0) / spec.n_u
-        u_nodes = u0 + h_u * np.arange(spec.n_u)
-    else:
-        h_u = (u1 - u0) / spec.n_u
-        u_nodes = u0 + h_u * (np.arange(spec.n_u) + 0.5)
-    if surface.periodic_v:
-        raise ConfigError("v-periodic charts are not supported by the field")
+    h_u = (u1 - u0) / spec.n_u
+    offset_u = 0.0 if surface.periodic_u else 0.5
+    u_nodes = u0 + h_u * (np.arange(spec.n_u) + offset_u)
     h_v = (v1 - v0) / spec.n_v
     v_nodes = v0 + h_v * (np.arange(spec.n_v) + 0.5)
 

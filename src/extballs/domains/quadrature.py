@@ -1,10 +1,14 @@
 """Area quadrature over extrinsic balls on a chart grid.
 
-``region_integral`` computes integrals of smooth densities over {r < t}:
+``region_integral`` integrates the three densities of ``CHANNELS`` over
+{r < t}, each against the area element sqrt(det g): 1 (the area), |B|^2
+(the total extrinsic curvature) and the Gauss curvature K (which feeds
+Gauss-Bonnet).
 
 * cells fully inside the ball use per-cell Gauss-Legendre 4x4 integrals,
-  cached on the field the first time any ball is integrated, because the
-  same cells are re-summed for every radius in a schedule;
+  cached on the field (``DistanceField.cell_integrals``) the first time
+  any ball is integrated, because the same cells are re-summed for every
+  radius in a schedule;
 * cut cells are sliced into Gauss-Legendre strips along the grid axis
   best aligned with the level curve's graph direction; each strip locates
   its crossing with a safeguarded Newton iteration on the exact ambient
@@ -26,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import kernels_numpy
-from ..errors import GeometryError
 from ..immersion import FrameBatch, frames
 from .field import DistanceField, bracketed_newton
 
@@ -39,16 +42,15 @@ _W2 = 0.5 * _W2
 
 _MAX_DEPTH = 6
 _STRIP_TOL = 1e-9
+_CHUNK_CELLS = 16384
 
-CHANNELS = {
-    "one": lambda fb: np.sqrt(fb.detg),
-    "normBsq": lambda fb: fb.normBsq * np.sqrt(fb.detg),
-    "K": lambda fb: fb.K * np.sqrt(fb.detg),
-}
+CHANNELS = ("one", "normBsq", "K")
 
 
-def _densities(fb: FrameBatch, names: tuple[str, ...]) -> dict[str, np.ndarray]:
-    return {name: CHANNELS[name](fb) for name in names}
+def _densities(fb: FrameBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CHANNELS densities 1, |B|^2 and K, each times sqrt(det g)."""
+    w = np.sqrt(fb.detg)
+    return w, fb.normBsq * w, fb.K * w
 
 
 def _cell_corner_indices(field: DistanceField):
@@ -61,45 +63,40 @@ def _cell_corner_indices(field: DistanceField):
     return ii, jj, inext
 
 
-def ensure_cell_cache(field: DistanceField,
-                      names: tuple[str, ...] = ("one", "normBsq", "K"),
-                      chunk_cells: int = 16384) -> dict[str, np.ndarray]:
-    """Precompute full-cell GL4x4 integrals for every cell a ball can cover.
+def ensure_cell_cache(field: DistanceField) -> dict[str, np.ndarray]:
+    """Full-cell GL4x4 integrals of every channel, by channel name.
 
     Only cells with at least one corner below t_max can ever be fully
     inside a requested ball; all other cells keep a zero entry that is
-    never read.  The evaluation runs in chunks to bound peak memory.
+    never read.  The first call fills ``field.cell_integrals``, evaluating
+    the cells in chunks to bound peak memory; later calls reuse it.
     """
-    missing = [n for n in names if f"cell::{n}" not in field.quad_cache]
-    if not missing:
-        return {n: field.quad_cache[f"cell::{n}"] for n in names}
+    if field.cell_integrals is None:
+        ii, jj, inext = _cell_corner_indices(field)
+        corner_min = np.minimum(
+            np.minimum(field.r[ii, jj], field.r[inext, jj]),
+            np.minimum(field.r[inext, jj + 1], field.r[ii, jj + 1]),
+        )
+        ci, cj = np.nonzero(corner_min < field.t_max)
 
-    ii, jj, inext = _cell_corner_indices(field)
-    corner_min = np.minimum(
-        np.minimum(field.r[ii, jj], field.r[inext, jj]),
-        np.minimum(field.r[inext, jj + 1], field.r[ii, jj + 1]),
-    )
-    mask = corner_min < field.t_max
-    ci, cj = np.nonzero(mask)
+        out = tuple(np.zeros((field.n_cells_u, field.n_cells_v))
+                    for _ in CHANNELS)
+        u0 = field.u_nodes[ci]
+        v0 = field.v_nodes[cj]
+        x, w = _X4, _W4  # the full-cell rule, per axis
+        wgrid = (w[:, None] * w[None, :]).ravel() * field.h_u * field.h_v
+        ugrid = (field.h_u * x)[:, None].repeat(len(x), axis=1).ravel()
+        vgrid = (field.h_v * x)[None, :].repeat(len(x), axis=0).ravel()
 
-    out = {n: np.zeros((field.n_cells_u, field.n_cells_v)) for n in missing}
-    u0 = field.u_nodes[ci]
-    v0 = field.v_nodes[cj]
-    wgrid = (_W4[:, None] * _W4[None, :]).ravel() * field.h_u * field.h_v
-    ugrid = (field.h_u * _X4)[:, None].repeat(4, axis=1).ravel()
-    vgrid = (field.h_v * _X4)[None, :].repeat(4, axis=0).ravel()
-
-    for start in range(0, len(ci), chunk_cells):
-        sl = slice(start, start + chunk_cells)
-        U = u0[sl, None] + ugrid[None, :]
-        V = v0[sl, None] + vgrid[None, :]
-        fb = frames(field.surface, U, V)
-        dens = _densities(fb, tuple(missing))
-        for n in missing:
-            out[n][ci[sl], cj[sl]] = dens[n] @ wgrid
-    for n in missing:
-        field.quad_cache[f"cell::{n}"] = out[n]
-    return {n: field.quad_cache[f"cell::{n}"] for n in names}
+        for start in range(0, len(ci), _CHUNK_CELLS):
+            sl = slice(start, start + _CHUNK_CELLS)
+            U = u0[sl, None] + ugrid[None, :]
+            V = v0[sl, None] + vgrid[None, :]
+            fb = frames(field.surface, U, V)
+            for cells, dens in zip(out, _densities(fb)):
+                cells[ci[sl], cj[sl]] = dens @ wgrid
+        field.cell_integrals = out
+    return dict(zip(CHANNELS, field.cell_integrals))
 
 
 def _newton_strips(field: DistanceField, tt: float,
@@ -150,26 +147,31 @@ def _cell_crossings(field: DistanceField, tt: float, u0, v0,
     return cross_u, cross_v, ok
 
 
+# How the (along, across) coordinates of a strip map to chart (u, v).
+_ORIENTATIONS = ((True, lambda a, c: (a, c)), (False, lambda a, c: (c, a)))
+
+
 def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
-                 f00, f10, f11, f01, names: tuple[str, ...]):
+                 f00, f10, f11, f01):
     """Integrate cut cells by Gauss-Legendre slices between the crossings.
 
     The curve enters and leaves a non-saddle cut cell at two refined
-    boundary crossings.  Between their coordinates (along the axis the
-    curve is a graph over) every transverse line meets the curve exactly
-    once, so the one-crossing strip construction is smooth there; outside
-    that span the cell is uniformly full or empty, handled by plain 2-D
-    Gauss-Legendre on the end pieces.  Splitting at the crossings is what
-    keeps the rule high-order: slicing the whole cell instead puts an
-    integrable kink under the u-rule wherever the curve exits a side.
+    boundary crossings.  Between their coordinates along the axis the
+    curve is a graph over (the along axis) every line of the other axis
+    (the across axis) meets the curve exactly once, so the one-crossing
+    strip construction is smooth there; outside that span the cell is
+    uniformly full or empty, handled by plain 2-D Gauss-Legendre on the
+    end pieces.  Splitting at the crossings is what keeps the rule
+    high-order: slicing the whole cell instead puts an integrable kink
+    under the along rule wherever the curve exits a side.
 
-    Returns (contrib: dict name -> (n,) array, ok: (n,) bool); the cells
-    flagged not-ok (saddles, failed Newtons, strips whose three-point sign
-    pattern is inconsistent with one crossing) contribute zero and are the
-    caller's to subdivide.
+    Returns (contrib: one (n,) array per channel, ok: (n,) bool); the
+    cells flagged not-ok (saddles, failed Newtons, strips whose
+    three-point sign pattern is inconsistent with one crossing) contribute
+    zero and are the caller's to subdivide.
     """
     n = len(u0)
-    contrib = {name: np.zeros(n) for name in names}
+    contrib = tuple(np.zeros(n) for _ in CHANNELS)
     if n == 0:
         return contrib, np.ones(0, dtype=bool)
     ok = np.ones(n, dtype=bool)
@@ -182,34 +184,30 @@ def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
     a_v = (f01 + f11 - f00 - f10) / (2.0 * hv)
     along_u = np.abs(a_v) >= np.abs(a_u)
 
-    for axis_along_u in (True, False):
+    for axis_along_u, uv in _ORIENTATIONS:
         sel = np.nonzero((along_u == axis_along_u) & ok)[0]
         if len(sel) == 0:
             continue
+        # Cell origin and side in (along, across), and whether the cell's
+        # low and high ends along the axis lie inside the ball.
         if axis_along_u:
+            a0, c0, ha, hc = u0[sel], v0[sel], hu, hv
             AB = np.sort(cross_u[sel], axis=1)
-            base0, span_t = u0[sel], hv
             lo_full = in00[sel] & in01[sel]
             hi_full = in10[sel] & in11[sel]
-            axis_h = hu
         else:
+            a0, c0, ha, hc = v0[sel], u0[sel], hv, hu
             AB = np.sort(cross_v[sel], axis=1)
-            base0, span_t = v0[sel], hu
             lo_full = in00[sel] & in10[sel]
             hi_full = in01[sel] & in11[sel]
-            axis_h = hv
         A, B = AB[:, 0], AB[:, 1]
-        totals_named = {name: np.zeros(len(sel)) for name in names}
+        totals = [np.zeros(len(sel)) for _ in CHANNELS]
 
-        # Middle span: one crossing per transverse strip.
+        # Middle span: one crossing per strip across the cell.
         mid_w = B - A
         q = A[:, None] + mid_w[:, None] * _X4[None, :]
-        if axis_along_u:
-            bu, bv = q, np.broadcast_to(v0[sel][:, None], q.shape)
-            du, dv = 0.0, hv
-        else:
-            bu, bv = np.broadcast_to(u0[sel][:, None], q.shape), q
-            du, dv = hu, 0.0
+        bu, bv = uv(q, np.broadcast_to(c0[:, None], q.shape))
+        du, dv = uv(0.0, hc)
         f_a = field.eval_r(bu, bv) - tt
         f_b = field.eval_r(bu + du, bv + dv) - tt
         f_m = field.eval_r(bu + 0.5 * du, bv + 0.5 * dv) - tt
@@ -230,60 +228,49 @@ def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
         span = s_hi - s_lo
         nodes_s = s_lo[..., None] + span[..., None] * _X4[None, None, :]
         w_mid = ((mid_w[:, None] * _W4[None, :])[..., None]
-                 * span_t * span[..., None] * _W4[None, None, :])
-        if axis_along_u:
-            NU = bu[..., None] + 0.0 * nodes_s
-            NV = v0[sel][:, None, None] + hv * nodes_s
-        else:
-            NU = u0[sel][:, None, None] + hu * nodes_s
-            NV = bv[..., None] + 0.0 * nodes_s
-        fb = frames(field.surface, NU, NV)
-        dens = _densities(fb, names)
-        for name in names:
-            totals_named[name] += np.sum(dens[name] * w_mid, axis=(1, 2))
+                 * hc * span[..., None] * _W4[None, None, :])
+        NU, NV = uv(q[..., None] + 0.0 * nodes_s,
+                    c0[:, None, None] + hc * nodes_s)
+        for total, dens in zip(totals, _densities(
+                frames(field.surface, NU, NV))):
+            total += np.sum(dens * w_mid, axis=(1, 2))
 
         # End pieces: uniformly full or empty slabs beside the crossings.
         for lo_edge, full_mask, width in (
-                (base0, lo_full, A - base0),
-                (B, hi_full, base0 + axis_h - B)):
+                (a0, lo_full, A - a0),
+                (B, hi_full, a0 + ha - B)):
             width = np.where(full_mask, np.maximum(width, 0.0), 0.0)
             if not np.any(width > 0.0):
                 continue
             qa = lo_edge[:, None] + width[:, None] * _X4[None, :]
-            if axis_along_u:
-                EU = qa[:, :, None] + np.zeros((1, 1, 4))
-                EV = (v0[sel][:, None, None]
-                      + (hv * _X4)[None, None, :] + 0.0 * qa[:, :, None])
-            else:
-                EU = (u0[sel][:, None, None]
-                      + (hu * _X4)[None, None, :] + 0.0 * qa[:, :, None])
-                EV = qa[:, :, None] + np.zeros((1, 1, 4))
+            EU, EV = uv(qa[:, :, None] + np.zeros((1, 1, 4)),
+                        c0[:, None, None] + (hc * _X4)[None, None, :]
+                        + 0.0 * qa[:, :, None])
             w_end = ((width[:, None] * _W4[None, :])[..., None]
-                     * span_t * _W4[None, None, :])
-            fb = frames(field.surface, EU, EV)
-            dens = _densities(fb, names)
-            for name in names:
-                totals_named[name] += np.sum(dens[name] * w_end, axis=(1, 2))
+                     * hc * _W4[None, None, :])
+            for total, dens in zip(totals, _densities(
+                    frames(field.surface, EU, EV))):
+                total += np.sum(dens * w_end, axis=(1, 2))
 
         ok[sel] &= ~cell_bad
-        for name in names:
-            contrib[name][sel] = totals_named[name]
+        for out, total in zip(contrib, totals):
+            out[sel] = total
 
-    for name in names:
-        contrib[name][~ok] = 0.0
+    for out in contrib:
+        out[~ok] = 0.0
     return contrib, ok
 
 
-def _gl2_full_cells(field: DistanceField, u0, v0, hu: float, hv: float,
-                    names: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """GL2x2 integrals of whole (sub)cells, vectorized over cells."""
+def _gl2_full_cells(field: DistanceField, u0, v0, hu: float,
+                    hv: float) -> tuple[np.ndarray, ...]:
+    """GL2x2 integrals of whole (sub)cells per channel, vectorized."""
     U = u0[:, None, None] + (hu * _X2)[None, :, None]
     V = v0[:, None, None] + (hv * _X2)[None, None, :]
     U, V = np.broadcast_arrays(U, V)
     fb = frames(field.surface, U, V)
-    dens = _densities(fb, names)
     w = (hu * _W2)[:, None] * (hv * _W2)[None, :]
-    return {name: np.sum(dens[name] * w[None], axis=(1, 2)) for name in names}
+    return tuple(np.sum(dens * w[None], axis=(1, 2))
+                 for dens in _densities(fb))
 
 
 _POLY_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
@@ -321,9 +308,8 @@ def _terminal_polygon(fc: np.ndarray) -> float:
 
 
 def integrate_cut_cells(field: DistanceField, tt: float,
-                        ci: np.ndarray, cj: np.ndarray,
-                        names: tuple[str, ...]) -> dict[str, float]:
-    """Integrate the inside part of all cut cells at level tt."""
+                        ci: np.ndarray, cj: np.ndarray) -> list[float]:
+    """Integrate each channel over the inside part of all cut cells."""
     n_u = field.spec.n_u
     inext = (ci + 1) % n_u if field.periodic_u else ci + 1
     u0 = field.u_nodes[ci].astype(np.float64)
@@ -333,16 +319,16 @@ def integrate_cut_cells(field: DistanceField, tt: float,
     f11 = field.r[inext, cj + 1] - tt
     f01 = field.r[ci, cj + 1] - tt
 
-    totals = {name: 0.0 for name in names}
+    totals = [0.0 for _ in CHANNELS]
     hu, hv = field.h_u, field.h_v
 
     for depth in range(_MAX_DEPTH + 1):
         if len(u0) == 0:
             return totals
         contrib, ok = _slice_cells(field, tt, u0, v0, hu, hv,
-                                   f00, f10, f11, f01, names)
-        for name in names:
-            totals[name] += float(np.sum(contrib[name][ok]))
+                                   f00, f10, f11, f01)
+        totals = [total + float(np.sum(part[ok]))
+                  for total, part in zip(totals, contrib)]
         if bool(np.all(ok)) or depth == _MAX_DEPTH:
             break
         # Subdivide the cells the slicer rejected: five fresh corner
@@ -368,9 +354,9 @@ def integrate_cut_cells(field: DistanceField, tt: float,
         c_in = (c00 < 0) & (c10 < 0) & (c11 < 0) & (c01 < 0)
         c_out = (c00 >= 0) & (c10 >= 0) & (c11 >= 0) & (c01 >= 0)
         if np.any(c_in):
-            full = _gl2_full_cells(field, cu[c_in], cv[c_in], hu, hv, names)
-            for name in names:
-                totals[name] += float(np.sum(full[name]))
+            full = _gl2_full_cells(field, cu[c_in], cv[c_in], hu, hv)
+            totals = [total + float(np.sum(part))
+                      for total, part in zip(totals, full)]
         keep = ~c_in & ~c_out
         u0, v0 = cu[keep], cv[keep]
         f00, f10, f11, f01 = c00[keep], c10[keep], c11[keep], c01[keep]
@@ -380,30 +366,21 @@ def integrate_cut_cells(field: DistanceField, tt: float,
     if len(left):
         um = u0[left] + 0.5 * hu
         vm = v0[left] + 0.5 * hv
-        fb = frames(field.surface, um, vm)
-        dens = _densities(fb, names)
+        dens = _densities(frames(field.surface, um, vm))
         for k, idx in enumerate(left):
             fc = np.array([f00[idx], f10[idx], f11[idx], f01[idx]])
             frac = _terminal_polygon(fc) * hu * hv
-            for name in names:
-                totals[name] += frac * float(dens[name][k])
+            totals = [total + frac * float(d[k])
+                      for total, d in zip(totals, dens)]
     return totals
 
 
-def region_integral(field: DistanceField, tt: float,
-                    names: tuple[str, ...] = ("one",)) -> dict[str, float]:
-    """Integrals of the named densities over the extrinsic ball {r < tt}."""
-    for name in names:
-        if name not in CHANNELS:
-            raise GeometryError(f"unknown quadrature channel {name!r}")
+def region_integral(field: DistanceField, tt: float) -> dict[str, float]:
+    """Integrals of the CHANNELS densities over the extrinsic ball {r < tt}."""
     codes = kernels_numpy.classify_cells(field.r, tt, field.periodic_u)
     cache = ensure_cell_cache(field)
-    totals = {}
     inside = codes == 1
-    for name in names:
-        totals[name] = float(np.sum(cache[name][inside]))
     ci, cj = np.nonzero(codes == 2)
-    cut = integrate_cut_cells(field, tt, ci, cj, names)
-    for name in names:
-        totals[name] += cut[name]
-    return totals
+    cut = integrate_cut_cells(field, tt, ci, cj)
+    return {name: float(np.sum(cache[name][inside])) + part
+            for name, part in zip(CHANNELS, cut)}

@@ -383,7 +383,6 @@ def radius_record(field: DistanceField, ball: ExtrinsicBall, kg: dict | None,
 class RadiusSeries:
     """Records over an increasing radius schedule for one field."""
 
-    schedule: np.ndarray
     records: list
     R0: float = _NAN
     critical_values: list = dfield(default_factory=list)

@@ -34,9 +34,10 @@ class ParametricSurface:
     """Immersed chart with analytic partials.
 
     `jet(U, V)` returns (F, F_u, F_v, F_uu, F_uv, F_vv), each an array of
-    shape U.shape + (dim,).  The domain is a coordinate rectangle; a
-    periodic flag marks directions whose chart wraps (evaluation outside
-    the interval must then be well defined).
+    shape U.shape + (dim,).  The domain is a coordinate rectangle whose
+    v direction is never periodic; `periodic_u` marks a chart that wraps
+    in u (evaluation outside the interval must then be well defined).
+    The default pole is the image of the chart origin.
     """
 
     form: SpaceForm
@@ -45,16 +46,13 @@ class ParametricSurface:
     label: str
     minimal: bool
     periodic_u: bool = False
-    periodic_v: bool = False
-    default_pole_chart: tuple[float, float] = (0.0, 0.0)
 
     def eval(self, U, V) -> np.ndarray:
         return self.jet(np.asarray(U, dtype=np.float64),
                         np.asarray(V, dtype=np.float64))[0]
 
     def default_pole(self) -> np.ndarray:
-        u0, v0 = self.default_pole_chart
-        return self.eval(np.float64(u0), np.float64(v0))
+        return self.eval(np.float64(0.0), np.float64(0.0))
 
 
 @dataclass
@@ -260,7 +258,7 @@ def check_surface(surface: ParametricSurface, n: int = 200,
     rng = np.random.default_rng(seed)
     (u0, u1), (v0, v1) = surface.domain
     pad_u = 0.0 if surface.periodic_u else 0.05 * (u1 - u0)
-    pad_v = 0.0 if surface.periodic_v else 0.05 * (v1 - v0)
+    pad_v = 0.05 * (v1 - v0)
 
     def draw(k):
         return (rng.uniform(u0 + pad_u, u1 - pad_u, k),
@@ -288,7 +286,6 @@ def check_surface(surface: ParametricSurface, n: int = 200,
         U = np.concatenate(keep_u)[:n]
         V = np.concatenate(keep_v)[:n]
     form = surface.form
-    F, Fu, Fv, *_ = surface.jet(U, V)
     fb = frames(surface, U, V)
     out = {
         "max_normH": float(np.max(fb.normH)),
@@ -314,8 +311,9 @@ def check_surface(surface: ParametricSurface, n: int = 200,
         for e in (e1, e2)
     ])))
     if form.curved:
+        F = fb.F
         out["max_model_residual"] = float(np.max(form.point_residual(F)))
-        tang = np.stack([form.inner(F, Fu), form.inner(F, Fv)])
+        tang = np.stack([form.inner(F, fb.Fu), form.inner(F, fb.Fv)])
         scale = 1.0 + np.abs(form.b) * np.einsum("...k,...k->...", F, F)
         out["max_tangency"] = float(np.max(np.abs(tang) / scale))
     return out

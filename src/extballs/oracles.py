@@ -30,11 +30,9 @@ def _metric_entries(surface: ParametricSurface, U, V):
 def _fd_step(surface: ParametricSurface, U, V, h: float) -> float:
     """Shrink a finite-difference step near non-periodic chart edges."""
     (u0, u1), (v0, v1) = surface.domain
-    margin = np.inf
+    margin = min(float(np.min(V - v0)), float(np.min(v1 - V)))
     if not surface.periodic_u:
         margin = min(margin, float(np.min(U - u0)), float(np.min(u1 - U)))
-    if not surface.periodic_v:
-        margin = min(margin, float(np.min(V - v0)), float(np.min(v1 - V)))
     if margin >= 2.0 * h:
         return h
     if margin < 4e-8:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import entries
+from .catalog import lookup
 from .domains.balls import ExtrinsicBall, extract_ball
 from .domains.field import GridSpec, build_field, critical_scan
 from .domains.quadrature import ensure_cell_cache
@@ -28,6 +28,7 @@ from .verdicts import VerdictReport, build_verdicts
 
 __all__ = ["PipelineResult", "make_schedule", "run_surface"]
 
+DEFAULT_GRID = (512, 512)
 DEFAULT_ALPHAS = (0.25, 0.5, 1.0, 1.5)
 _CRITICAL_EXCLUSION = 1e-6
 
@@ -56,18 +57,11 @@ class PipelineResult:
 def run_surface(name: str, *, params: dict | None = None,
                 t_min: float | None = None, t_max: float | None = None,
                 count: int | None = None, spacing: str = "geometric",
-                grid: tuple = (512, 512), pole_uv: tuple | None = None,
-                alphas=DEFAULT_ALPHAS, min_samples: int = 200,
-                tolerances: dict | None = None,
-                periodic_u: bool | None = None,
-                periodic_v: bool | None = None) -> PipelineResult:
+                grid: tuple = DEFAULT_GRID, pole_uv: tuple | None = None,
+                alphas=DEFAULT_ALPHAS,
+                tolerances: dict | None = None) -> PipelineResult:
     """Run the full pipeline for one catalog surface."""
-    try:
-        entry = entries[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown catalog surface {name!r}; available: "
-            f"{', '.join(sorted(entries))}") from None
+    entry = lookup(name)
     for alpha in alphas:
         if not (0.0 < alpha < 2.0):
             raise ConfigError(f"alpha {alpha} outside (0, 2)")
@@ -78,13 +72,6 @@ def run_surface(name: str, *, params: dict | None = None,
     schedule = make_schedule(t_min, t_max, count, spacing)
 
     surface = entry.surface(t_max, params)
-    for label, declared, actual in (
-            ("periodic_u", periodic_u, surface.periodic_u),
-            ("periodic_v", periodic_v, surface.periodic_v)):
-        if declared is not None and declared != actual:
-            raise ConfigError(
-                f"config declares {label}={declared} but the "
-                f"{name!r} chart is {label}={actual}")
     pole = None
     if pole_uv is not None:
         pole = surface.eval(np.array([float(pole_uv[0])]),
@@ -108,7 +95,7 @@ def run_surface(name: str, *, params: dict | None = None,
                      f"{hit[0]:.6f}"))
             continue
         try:
-            extracted.append(extract_ball(field, t, min_samples=min_samples))
+            extracted.append(extract_ball(field, t))
         except CriticalRadius as exc:
             extracted.append(RadiusRecord(t=t, skipped=True, note=str(exc)))
 
@@ -121,7 +108,6 @@ def run_surface(name: str, *, params: dict | None = None,
                if isinstance(b, ExtrinsicBall) else b for b in extracted]
 
     series = RadiusSeries(
-        schedule=schedule,
         records=records,
         R0=scan["R0"],
         critical_values=critical,

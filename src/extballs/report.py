@@ -100,9 +100,8 @@ def verdict_lines(report: VerdictReport) -> list:
     lines = [f"surface {report.surface} ({report.ambient}); "
              f"chi={report.chi} sup_growth={report.sup_growth:.6f} "
              f"R_end={report.R_end:.6f}"]
-    if report.skipped:
-        lines.append(f"skipped radii (near-critical): "
-                     f"{[round(t, 6) for t in report.skipped]}")
+    for t, note in report.skipped:
+        lines.append(f"  skip t={t:.6f}  ({note})")
     for v in report.verdicts:
         if not v.applicable:
             flag = " n/a"

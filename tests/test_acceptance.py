@@ -25,6 +25,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from extballs.domains import extract_ball
+from extballs.domains.balls import MIN_SAMPLES
 from extballs.oracles import (gauss_equation_residual, laplacian_r,
                               radial_laplacian_identity)
 from extballs.pipeline import run_surface
@@ -87,7 +88,7 @@ def _sample_uv(surface, n, r_min, r_max, seed):
     rng = np.random.default_rng(seed)
     (u0, u1), (v0, v1) = surface.domain
     pad_u = 0.0 if surface.periodic_u else 0.05 * (u1 - u0)
-    pad_v = 0.0 if surface.periodic_v else 0.05 * (v1 - v0)
+    pad_v = 0.05 * (v1 - v0)
     pole = surface.default_pole()
     us, vs = [], []
     have = 0
@@ -112,9 +113,8 @@ def test_c01_geodesic_curvature_identity(runs, name):
     assert series.valid, "no usable radii"
     worst = max(rec.kg_gap_max for rec in series.valid)
     assert worst <= 1e-5, f"max |formula - trace| = {worst:.3e}"
-    ball = extract_ball(runs[name].field, series.valid[-1].t,
-                        min_samples=200)
-    assert len(ball.samples) >= 200
+    ball = extract_ball(runs[name].field, series.valid[-1].t)
+    assert len(ball.samples) >= MIN_SAMPLES
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,60 @@
+"""The benchmark's layer hooks resolve against the program.
+
+``perfbench/tracing.py`` wraps program functions by ``module:attr`` name
+and records a target it cannot find as absent, whose metrics then read
+0 without failing the run.  These tests pin which targets are absent, so
+a refactor that moves or deletes a hooked function fails here rather
+than silently zeroing a per-layer metric.
+"""
+
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from extballs.catalog import make
+from extballs.domains import GridSpec, build_field
+from extballs.pipeline import ensure_cell_cache
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# Targets whose layers the program no longer has.
+ABSENT = {
+    "extballs.backend:get_kernels",
+    "extballs.pipeline:kg_gap",
+    "extballs.pipeline:growth_ratio",
+    "extballs.pipeline:isoperimetric_check",
+    "extballs.pipeline:gb_integrand",
+    "extballs.domains.field:frames",
+    "extballs.domains.contours:frames",
+    "extballs.functionals:frames",
+}
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    # Executed from its source text, so nothing is written beside it.
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(TRACING)
+    code = compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec")
+    exec(code, module.__dict__)
+    return module
+
+
+def test_absent_hooks(tracing):
+    absent = {hook.target for hook in tracing.HOOKS
+              if tracing._resolve(hook.target) is None}
+    assert absent == ABSENT
+
+
+def test_cell_cache_count_reads_the_area_channel(tracing):
+    surface = make("plane", t_max=2.0)
+    field = build_field(surface, 2.0, spec=GridSpec(64, 64))
+    cache = ensure_cell_cache(field)
+    name, first = next(iter(cache.items()))
+    assert name == "one"
+    assert np.count_nonzero(first) > 0
+    assert np.all(first >= 0.0)
+    count = tracing._cached_cells((field,), cache)["cells"]
+    assert count == np.count_nonzero(first)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from extballs.config import RunConfig, set_config_key
 from extballs.errors import ConfigError
 from extballs.functionals import RadiusRecord, RadiusSeries
 from extballs.report import (SCHEMA_VERSION, read_report_json,
-                             report_document, series_columns,
+                             report_document, series_columns, verdict_lines,
                              write_report_json, write_series_csv)
-from extballs.verdicts import DEFAULT_TOLERANCES
+from extballs.verdicts import DEFAULT_TOLERANCES, Verdict, VerdictReport
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
+                 .glob("*.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +43,9 @@ def test_full_config_round_trip(tmp_path):
         "pole": [0.1, 0.2],
         "schedule": {"t_min": 0.5, "t_max": 6.0, "count": 12,
                      "spacing": "linear"},
-        "grid": {"n_u": 128, "n_v": 256, "periodic_v": True},
+        "grid": [128, 256],
         "alphas": [0.5, 1.0],
         "tolerances": {"kg_gap": 2e-5},
-        "min_samples": 300,
         "output": "out/hc",
     }
     path = tmp_path / "run.json"
@@ -53,7 +56,6 @@ def test_full_config_round_trip(tmp_path):
     assert cfg.t_min == 0.5 and cfg.t_max == 6.0 and cfg.count == 12
     assert cfg.spacing == "linear"
     assert cfg.grid == (128, 256)
-    assert cfg.periodic_v is True and cfg.periodic_u is None
     assert cfg.alphas == (0.5, 1.0)
     assert cfg.tolerances == {"kg_gap": 2e-5}
     assert cfg.output == "out/hc"
@@ -74,6 +76,15 @@ def test_grid_forms():
         {"surface": "plane", "grid": [128, 192]}).grid == (128, 192)
 
 
+# Settings the config format no longer has, with the key each names.
+_REMOVED = [
+    ({"surface": "plane", "min_samples": 200}, "min_samples"),
+    ({"surface": "plane", "grid": {"n_u": 128, "n_v": 128}}, "grid"),
+    ({"surface": "plane", "grid": {"n_u": 128, "periodic_v": False}},
+     "grid"),
+]
+
+
 @pytest.mark.parametrize("doc", [
     {"surface": "plane", "bogus": 1},
     {"surface": "plane", "schedule": {"tmax": 4.0}},
@@ -91,10 +102,22 @@ def test_grid_forms():
     {"surface": 7},
     {},
     {"surface": "plane", "workers": 2},
-])
+] + [doc for doc, _ in _REMOVED])
 def test_rejected_configs(doc):
     with pytest.raises(ConfigError):
         RunConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("doc,key", _REMOVED)
+def test_removed_settings_name_their_key(doc, key):
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_configs_load(path):
+    cfg = RunConfig.from_json(path)
+    assert cfg.surface == json.loads(path.read_text())["surface"]
 
 
 def test_tolerance_keys_match_defaults():
@@ -143,8 +166,7 @@ def _tiny_series():
     rec2 = RadiusRecord(t=1.0, skipped=True, note="critical radius",
                         euler_margins={0.25: float("nan"),
                                        1.0: float("nan")})
-    return RadiusSeries(schedule=np.array([0.5, 1.0]),
-                        records=[rec1, rec2], R0=0.25)
+    return RadiusSeries(records=[rec1, rec2], R0=0.25)
 
 
 def test_series_csv_round_trip(tmp_path):
@@ -221,3 +243,24 @@ def test_report_json_strict_and_deterministic(tmp_path):
     assert doc["report"]["flag"] is True
     assert doc["report"]["seq"] == [1.0, None]
     assert math.isfinite(doc["report"]["sup"])
+
+
+# ---------------------------------------------------------------------------
+# Terminal summary
+
+
+def test_verdict_lines_list_skipped_radii():
+    report = VerdictReport(
+        surface="plane", ambient="R^3", declared_minimal=True,
+        measured_minimal=True, max_normH=0.0, pole=[0.0, 0.0, 0.0],
+        grid=(64, 64), t_max=2.0, schedule=[0.5, 1.0, 2.0],
+        skipped=[(1.0, "within 1e-06 of critical value 1.000000")],
+        R0=0.5, critical_values=[1.0], chi=1, sup_growth=1.0, R_end=0.0,
+        R_growth_doubling=0.0, G_b=float("nan"), G_b_spread=float("nan"),
+        hypothesis_violated=False,
+        verdicts=[Verdict("growth", True, True, 0.5, 1e-9)])
+    lines = verdict_lines(report)
+    skip = [line for line in lines if "t=1.000000" in line]
+    assert len(skip) == 1
+    assert "within 1e-06 of critical value 1.000000" in skip[0]
+    assert lines[-1] == "exit status 0"

@@ -15,6 +15,7 @@ from extballs.catalog.charts import plane_chart, sphere_cap_chart
 from extballs.domains import (GridSpec, build_field, coarea_integral,
                               critical_scan, extract_ball,
                               project_to_level, region_integral)
+from extballs.domains import balls
 from extballs.domains.field import bracketed_newton
 from extballs.errors import (ConfigError, CriticalRadius, DomainTooSmall,
                              PoleOffModel)
@@ -73,7 +74,7 @@ def test_plane_coarea(plane_field):
 
 
 def test_plane_curvature_channels(plane_field):
-    out = region_integral(plane_field, 3.0, ("one", "normBsq", "K"))
+    out = region_integral(plane_field, 3.0)
     assert abs(out["one"] - 9 * np.pi) / (9 * np.pi) < 1e-9
     assert abs(out["normBsq"]) < 1e-10
     assert abs(out["K"]) < 1e-10
@@ -225,8 +226,9 @@ def test_coarea_critical_rail(plane_field):
         coarea_integral(ball)
 
 
-def test_samples_augmented_to_minimum(catenoid_field):
-    ball = extract_ball(catenoid_field, 5.0, min_samples=600)
+def test_samples_augmented_to_minimum(catenoid_field, monkeypatch):
+    monkeypatch.setattr(balls, "MIN_SAMPLES", 600)
+    ball = extract_ball(catenoid_field, 5.0)
     assert len(ball.samples) >= 600
     assert abs(np.sum(ball.samples.weight)
                - ball.boundary_length) < 1e-9 * ball.boundary_length

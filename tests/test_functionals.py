@@ -205,7 +205,7 @@ def _series(ts, **columns):
         for key, vals in columns.items():
             setattr(rec, key, vals[i])
         records.append(rec)
-    return RadiusSeries(schedule=np.asarray(ts), records=records, R0=0.5)
+    return RadiusSeries(records=records, R0=0.5)
 
 
 def test_fill_R_prime_parabola_exact():
