@@ -1,10 +1,11 @@
 """Run configuration: one JSON document describing one pipeline run.
 
 A config names a catalog surface and optionally overrides the pole, the
-radius schedule, the grid, the Euler-bound exponents, and tolerance
-values.  Validation is strict: unknown keys anywhere in the document are
-errors, so a typo cannot silently fall back to a default and make a
-report look like it came from a different run than it did.
+radius schedule, the grid and the Euler-bound exponents; the verdict
+tolerances are fixed (`verdicts.TOLERANCES`).  Validation is strict:
+unknown keys anywhere in the document are errors, so a typo cannot
+silently fall back to a default and make a report look like it came
+from a different run than it did.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .pipeline import DEFAULT_ALPHAS, DEFAULT_GRID
-from .verdicts import DEFAULT_TOLERANCES
 
 _SPACINGS = ("geometric", "linear")
 
 _TOP_KEYS = {"surface", "params", "pole", "schedule", "grid", "alphas",
-             "tolerances", "output"}
+             "output"}
 _SCHEDULE_KEYS = {"t_min", "t_max", "count", "spacing"}
 
 
@@ -45,7 +45,6 @@ class RunConfig:
     spacing: str = "geometric"
     grid: tuple = DEFAULT_GRID
     alphas: tuple = DEFAULT_ALPHAS
-    tolerances: dict = field(default_factory=dict)
     output: str | None = None
 
     @staticmethod
@@ -65,7 +64,6 @@ class RunConfig:
             doc.get("schedule", {}))
         grid = _parse_grid(doc.get("grid", DEFAULT_GRID))
         alphas = _parse_alphas(doc.get("alphas", DEFAULT_ALPHAS))
-        tolerances = _parse_tolerances(doc.get("tolerances", {}))
 
         output = doc.get("output")
         if output is not None and not isinstance(output, str):
@@ -74,7 +72,7 @@ class RunConfig:
         return RunConfig(surface=doc["surface"], params=dict(params),
                          pole_uv=pole_uv, t_min=t_min, t_max=t_max,
                          count=count, spacing=spacing, grid=grid,
-                         alphas=alphas, tolerances=tolerances, output=output)
+                         alphas=alphas, output=output)
 
     @staticmethod
     def from_json(path: str | Path) -> "RunConfig":
@@ -100,7 +98,6 @@ class RunConfig:
             "grid": self.grid,
             "pole_uv": self.pole_uv,
             "alphas": self.alphas,
-            "tolerances": self.tolerances or None,
         }
 
 
@@ -165,24 +162,12 @@ def _parse_alphas(raw) -> tuple:
     return tuple(out)
 
 
-def _parse_tolerances(raw) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError("'tolerances' must be an object")
-    _reject_unknown(raw, set(DEFAULT_TOLERANCES), "tolerance")
-    out = {}
-    for key, val in raw.items():
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"tolerance {key!r} must be a number")
-        out[key] = float(val)
-    return out
-
-
 def set_config_key(doc: dict, dotted: str, value) -> dict:
     """Return a copy of a raw config dict with one dotted key replaced.
 
     Supports the keys a sweep may vary: top-level entries ("grid",
     "alphas", "pole", ...) and one-level paths into objects
-    ("params.c", "schedule.count", "tolerances.kg_gap", ...).
+    ("params.c", "schedule.count", ...).
     """
     out = json.loads(json.dumps(doc))
     parts = dotted.split(".")

@@ -42,31 +42,24 @@ class BoundarySamples:
 
     Per sample: chart coordinates ``uv``, arc-length quadrature ``weight``,
     unit tangent ``e`` and outward unit normal ``nu`` (chart components),
-    the index ``loop_id`` of its boundary loop, and its full geometric
-    state in the ``frame`` batch.
+    and its full geometric state in the ``frame`` batch.
     """
 
     def __init__(self, uv: np.ndarray, weight: np.ndarray, e: np.ndarray,
-                 nu: np.ndarray, loop_id: np.ndarray, frame: FrameBatch):
+                 nu: np.ndarray, frame: FrameBatch):
         self.uv = uv
         self.weight = weight
         self.e = e
         self.nu = nu
-        self.loop_id = loop_id
         self.frame = frame
 
     @staticmethod
     def concat(parts: list["BoundarySamples"]) -> "BoundarySamples":
-        """Samples of several boundaries as one batch, in the given order.
-
-        Loop ids keep their per-part values, so they stop identifying a
-        loop; the result is for point-wise consumers.
-        """
+        """Samples of several boundaries as one batch, in the given order."""
         def join(name):
             return np.concatenate([getattr(p, name) for p in parts])
         return BoundarySamples(
             uv=join("uv"), weight=join("weight"), e=join("e"), nu=join("nu"),
-            loop_id=join("loop_id"),
             frame=FrameBatch.concat([p.frame for p in parts]))
 
     def __len__(self) -> int:
@@ -78,7 +71,6 @@ class ExtrinsicBall:
     """The ball {r < t} with its boundary data and area integrals."""
 
     t: float
-    pole: np.ndarray
     area: float
     integrals: dict               # channel name -> integral over the ball
     boundary: list[np.ndarray]    # per-loop (N, 2) chart vertices, oriented
@@ -138,10 +130,10 @@ def extract_ball(field: DistanceField, t: float) -> ExtrinsicBall:
     if not loops:
         empty = BoundarySamples(
             uv=np.zeros((0, 2)), weight=np.zeros(0), e=np.zeros((0, 2)),
-            nu=np.zeros((0, 2)), loop_id=np.zeros(0, dtype=int),
+            nu=np.zeros((0, 2)),
             frame=frames(field.surface, np.zeros(0), np.zeros(0),
                          pole=field.pole))
-        return ExtrinsicBall(t=t, pole=field.pole, area=integrals["one"],
+        return ExtrinsicBall(t=t, area=integrals["one"],
                              integrals=integrals, boundary=[], windings=[],
                              loop_lengths=[], boundary_length=0.0,
                              samples=empty, min_grad=float("inf"))
@@ -153,8 +145,6 @@ def extract_ball(field: DistanceField, t: float) -> ExtrinsicBall:
     period = u1 - u0
 
     all_uv = np.concatenate([lp.vertices for lp in loops])
-    loop_id = np.concatenate([
-        np.full(len(lp), k, dtype=int) for k, lp in enumerate(loops)])
     fb = frames(field.surface, all_uv[:, 0], all_uv[:, 1], pole=field.pole)
 
     min_grad = float(np.min(fb.normGradPr))
@@ -190,7 +180,6 @@ def extract_ball(field: DistanceField, t: float) -> ExtrinsicBall:
 
     order = np.concatenate(keep_order)
     all_uv = all_uv[order]
-    loop_id = loop_id[order]
     fb = fb[order]
     nu = nu[order]
     e = e[order]
@@ -208,9 +197,9 @@ def extract_ball(field: DistanceField, t: float) -> ExtrinsicBall:
         offset += n
 
     samples = BoundarySamples(uv=all_uv, weight=weights, e=e, nu=nu,
-                              loop_id=loop_id, frame=fb)
+                              frame=fb)
     return ExtrinsicBall(
-        t=t, pole=field.pole, area=integrals["one"], integrals=integrals,
+        t=t, area=integrals["one"], integrals=integrals,
         boundary=[lp.vertices for lp in oriented],
         windings=[lp.winding for lp in oriented],
         loop_lengths=loop_lengths,

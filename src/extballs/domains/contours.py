@@ -27,6 +27,7 @@ from .field import DistanceField, bracketed_newton
 
 _NEWTON_TOL = 1e-10
 _NEWTON_ITERS = 5
+_PROJECT_ITERS = 2
 
 
 @dataclass
@@ -156,8 +157,7 @@ def extract_loops(field: DistanceField, tt: float) -> list[Loop]:
     return loops
 
 
-def project_to_level(field: DistanceField, tt, pts: np.ndarray,
-                     iterations: int = 2) -> np.ndarray:
+def project_to_level(field: DistanceField, tt, pts: np.ndarray) -> np.ndarray:
     """Newton-project chart points onto the level {r = tt}.
 
     ``tt`` is one level for all points or an array of one level per point.
@@ -168,7 +168,7 @@ def project_to_level(field: DistanceField, tt, pts: np.ndarray,
     seeds (off by O(h^2)) below 1e-12 in r.
     """
     pts = np.asarray(pts, dtype=np.float64).copy()
-    for _ in range(iterations):
+    for _ in range(_PROJECT_ITERS):
         fb = radial_frames(field.surface, pts[:, 0], pts[:, 1],
                            pole=field.pole)
         scale = np.maximum(fb.normGradPr ** 2, 1e-30)

@@ -23,6 +23,10 @@ import numpy as np
 from ..errors import ConfigError, DomainTooSmall, ModelError, PoleOffModel
 from ..immersion import ParametricSurface, radial_frames
 
+# Gradient-norm thresholds that `critical_scan` applies node by node.
+_GRAD_TOL = 0.02
+_SETTLE_TOL = 0.1
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -162,18 +166,16 @@ def build_field(surface: ParametricSurface, t_max: float,
                          grad_norm=grad_norm, h_u=h_u, h_v=h_v)
 
 
-def critical_scan(field: DistanceField, t_lo: float, t_hi: float,
-                  grad_tol: float = 0.02,
-                  settle_tol: float = 0.1) -> dict:
+def critical_scan(field: DistanceField, t_lo: float, t_hi: float) -> dict:
     """Scan an annulus of the field for near-critical distance levels.
 
     Returns a dict with:
 
     * ``min_grad``: minimum gradient norm over nodes with t_lo < r < t_hi.
     * ``critical_values``: cluster representatives of r over nodes whose
-      gradient norm falls below ``grad_tol`` (candidates for level values
+      gradient norm falls below ``_GRAD_TOL`` (candidates for level values
       the radius schedule should avoid).
-    * ``R0``: largest r over nodes with gradient norm <= ``settle_tol``
+    * ``R0``: largest r over nodes with gradient norm <= ``_SETTLE_TOL``
       (clipped to the annulus); beyond it every sampled level is uniformly
       non-critical.  Falls back to t_lo when the annulus is clean.
     """
@@ -189,7 +191,7 @@ def critical_scan(field: DistanceField, t_lo: float, t_hi: float,
     rr = field.r[mask]
     min_grad = float(np.min(g))
 
-    crit = np.sort(rr[g < grad_tol])
+    crit = np.sort(rr[g < _GRAD_TOL])
     values: list[float] = []
     if crit.size:
         # Cluster near-critical levels: split where consecutive sorted r
@@ -201,6 +203,6 @@ def critical_scan(field: DistanceField, t_lo: float, t_hi: float,
                 values.append(float(np.mean(crit[start:k])))
                 start = k
 
-    settled = rr[g <= settle_tol]
+    settled = rr[g <= _SETTLE_TOL]
     r0 = float(np.max(settled)) if settled.size else t_lo
     return {"min_grad": min_grad, "critical_values": values, "R0": r0}

@@ -52,6 +52,11 @@ _C1 = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0,
 _C2 = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72,
                 8 / 5, -1 / 5, 8 / 315, -1 / 560])
 _TRACE_SIDE = 4
+# Step arbitration of the trace route (see geodesic_curvature_direct):
+# the per-sample agreement that settles a step, and the most halvings an
+# unsettled sample may take.
+_KG_TOL = 1e-6
+_MAX_HALVINGS = 4
 
 
 def _tangent_unit(fb) -> np.ndarray:
@@ -124,8 +129,6 @@ def _trace_kg(field: DistanceField, fb0, uv0: np.ndarray,
 
 def geodesic_curvature_direct(field: DistanceField,
                               samples: BoundarySamples,
-                              tol: float = 1e-6,
-                              max_halvings: int = 4,
                               runs: list[int] | None = None) -> np.ndarray:
     """Boundary geodesic curvature by differentiating the curve itself.
 
@@ -158,23 +161,23 @@ def geodesic_curvature_direct(field: DistanceField,
     coarse = _trace_kg(field, fb0, uv0, 2.0 * delta, starts)
     kg = _trace_kg(field, fb0, uv0, delta, starts)
     m0 = np.abs(kg - coarse)
-    quiet = m0 <= tol
+    quiet = m0 <= _KG_TOL
     kg[quiet] = coarse[quiet]
-    active = np.flatnonzero(m0 > 5.0 * tol)
+    active = np.flatnonzero(m0 > 5.0 * _KG_TOL)
 
     move_prev = m0.copy()
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         if len(active) == 0:
             break
         delta *= 0.5
         refined = _trace_kg(field, fb0[active], uv0[active], delta,
                             np.searchsorted(active, starts))
         moved = np.abs(refined - kg[active])
-        settled = moved <= tol
+        settled = moved <= _KG_TOL
         contracting = moved < move_prev[active]
         # Growth at small scale is the position-noise floor: freeze.
         # Growth at large scale is a still-underresolved bend: press on.
-        diverging = ~contracting & (moved > 30.0 * tol)
+        diverging = ~contracting & (moved > 30.0 * _KG_TOL)
         take = ~settled & (contracting | diverging)
         kg[active[take]] = refined[take]
         move_prev[active[take]] = moved[take]

@@ -58,8 +58,7 @@ def run_surface(name: str, *, params: dict | None = None,
                 t_min: float | None = None, t_max: float | None = None,
                 count: int | None = None, spacing: str = "geometric",
                 grid: tuple = DEFAULT_GRID, pole_uv: tuple | None = None,
-                alphas=DEFAULT_ALPHAS,
-                tolerances: dict | None = None) -> PipelineResult:
+                alphas=DEFAULT_ALPHAS) -> PipelineResult:
     """Run the full pipeline for one catalog surface."""
     entry = lookup(name)
     for alpha in alphas:
@@ -130,6 +129,5 @@ def run_surface(name: str, *, params: dict | None = None,
         ambient=entry.ambient,
         declared_minimal=entry.minimal,
         grid=(spec.n_u, spec.n_v),
-        tolerances=tolerances,
     )
     return PipelineResult(field=field, series=series, report=report)

@@ -23,10 +23,15 @@ SCHEMA_VERSION = 1
 
 
 def series_columns(series: RadiusSeries) -> list:
-    """Stable CSV column order for a series (schedule-wide union)."""
-    if not series.records:
-        return []
-    return list(series.records[0].as_dict().keys())
+    """Stable CSV column order for a series (schedule-wide union).
+
+    Columns come in order of first appearance; a skipped radius carries
+    no Euler margins, so its row may lack columns a measured row has.
+    """
+    cols = {}
+    for rec in series.records:
+        cols.update(dict.fromkeys(rec.as_dict()))
+    return list(cols)
 
 
 def write_series_csv(path: str | Path, series: RadiusSeries) -> Path:
@@ -39,7 +44,7 @@ def write_series_csv(path: str | Path, series: RadiusSeries) -> Path:
         writer.writerow(cols)
         for rec in series.records:
             row = rec.as_dict()
-            writer.writerow([_cell(row[c]) for c in cols])
+            writer.writerow([_cell(row.get(c, math.nan)) for c in cols])
     return path
 
 

@@ -12,16 +12,15 @@ finite-total-curvature hypothesis, 1 otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import asdict, dataclass, field as dfield
 
 import numpy as np
 
-from .errors import ConfigError
 from .functionals import PARTNER_SPAN, RadiusSeries
 from .immersion import check_surface
 
 __all__ = [
-    "DEFAULT_TOLERANCES",
+    "TOLERANCES",
     "Verdict",
     "VerdictReport",
     "build_verdicts",
@@ -29,7 +28,7 @@ __all__ = [
 
 _NAN = float("nan")
 
-DEFAULT_TOLERANCES = {
+TOLERANCES = {
     "kg_gap": 1e-5,            # worst formula-vs-trace disagreement
     "chi_residual": 0.05,      # distance of chi_hat from its integer
     "bound_margin": -1e-6,     # divergence / Euler-growth bound floor
@@ -66,12 +65,6 @@ class Verdict:
     detail: str = ""
     gating: bool = True
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "applicable": self.applicable,
-                "passed": self.passed, "margin": self.margin,
-                "tol": self.tol, "detail": self.detail,
-                "gating": self.gating}
-
 
 @dataclass
 class VerdictReport:
@@ -104,38 +97,16 @@ class VerdictReport:
                if v.gating and v.applicable and v.passed is False]
         return 1 if bad else 0
 
-    def verdict(self, name: str) -> Verdict:
-        for v in self.verdicts:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
     def as_dict(self) -> dict:
-        return {
-            "surface": self.surface,
-            "ambient": self.ambient,
-            "declared_minimal": self.declared_minimal,
-            "measured_minimal": self.measured_minimal,
-            "max_normH": self.max_normH,
-            "pole": list(self.pole),
-            # Default and chart-coordinate poles both sit on the surface.
-            "pole_on_surface": True,
-            "grid": list(self.grid),
-            "t_max": self.t_max,
-            "schedule": list(self.schedule),
-            "skipped": list(self.skipped),
-            "R0": self.R0,
-            "critical_values": list(self.critical_values),
-            "chi": self.chi,
-            "sup_growth": self.sup_growth,
-            "R_end": self.R_end,
-            "R_growth_doubling": self.R_growth_doubling,
-            "G_b": self.G_b,
-            "G_b_spread": self.G_b_spread,
-            "hypothesis_violated": self.hypothesis_violated,
-            "exit_status": self.exit_status,
-            "verdicts": [v.as_dict() for v in self.verdicts],
-        }
+        out = {}
+        for key, value in asdict(self).items():
+            out[key] = value
+            if key == "pole":
+                # Default and chart-coordinate poles both sit on the surface.
+                out["pole_on_surface"] = True
+            elif key == "hypothesis_violated":
+                out["exit_status"] = self.exit_status
+        return out
 
 
 def _series_min(series: RadiusSeries, key: str) -> float:
@@ -159,20 +130,13 @@ def _series_max(series: RadiusSeries, key: str) -> float:
 
 
 def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
-                   ambient: str, declared_minimal: bool, grid: tuple,
-                   tolerances: dict | None = None) -> VerdictReport:
+                   ambient: str, declared_minimal: bool,
+                   grid: tuple) -> VerdictReport:
     """Reduce a finished radius series of a distance field to the report."""
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        unknown = set(tolerances) - set(tol)
-        if unknown:
-            raise ConfigError(f"unknown tolerance keys {sorted(unknown)}")
-        tol.update(tolerances)
-
     form = field.surface.form
     # Sampled mean-curvature oracle over the ball-serving region.
     probe = check_surface(field.surface, n=200, max_r=field.t_max)
-    measured_minimal = probe["max_normH"] <= tol["minimal_H"]
+    measured_minimal = probe["max_normH"] <= TOLERANCES["minimal_H"]
     minimal = declared_minimal and measured_minimal
     valid = series.valid
     verdicts: list[Verdict] = []
@@ -180,7 +144,7 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
     def add(name, applicable, passed, margin, tkey, detail="", gating=True):
         verdicts.append(Verdict(name, applicable,
                                 passed if applicable else None,
-                                margin, tol[tkey] if tkey else _NAN,
+                                margin, TOLERANCES[tkey] if tkey else _NAN,
                                 detail, gating))
 
     # Oracle agreement: the sampled mean curvature must match the
@@ -195,7 +159,7 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
     # trace route and the frame-formula route across the schedule.
     gap = _series_max(series, "kg_gap_max")
     add("kg_identity", len(valid) > 0,
-        bool(gap <= tol["kg_gap"]), gap, "kg_gap",
+        bool(gap <= TOLERANCES["kg_gap"]), gap, "kg_gap",
         f"max |formula - trace| {gap:.2e}")
 
     # Euler-characteristic plateau.
@@ -203,7 +167,7 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
     chi = plateau["chi"] if plateau["count"] else None
     add("chi_plateau", plateau["count"] > 0,
         bool(plateau["constant"]
-             and plateau["max_residual"] <= tol["chi_residual"]),
+             and plateau["max_residual"] <= TOLERANCES["chi_residual"]),
         plateau["max_residual"], "chi_residual",
         f"chi={chi} over {plateau['count']} settled radii, "
         f"constant={plateau['constant']}")
@@ -211,7 +175,7 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
     # Monotonicity of R(t) (nested domains, nonnegative integrand).
     R_inc = _min_increment(series, "R")
     add("R_monotone", len(valid) > 1,
-        bool(R_inc >= -tol["R_slack"]), R_inc, "R_slack",
+        bool(R_inc >= -TOLERANCES["R_slack"]), R_inc, "R_slack",
         f"smallest consecutive increment {R_inc:.3e}")
 
     # Hypothesis control: R growth across the top doubling of t.  True
@@ -223,33 +187,36 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
     growth_doubling = series.R_growth_over_doubling()
     diverged = (minimal
                 and not math.isnan(growth_doubling)
-                and growth_doubling > max(tol["diverge_delta"],
-                                          tol["diverge_frac"] * R_end))
+                and growth_doubling > max(TOLERANCES["diverge_delta"],
+                                          TOLERANCES["diverge_frac"] * R_end))
     ratios = [rec.ratio for rec in valid if not math.isnan(rec.ratio)]
     sup_growth = ratios[-1] if ratios else _NAN
 
     # Minimal-surface bounds; the non-minimal control is excluded.
     div_min = _series_min(series, "div_margin")
     add("divergence_bound", minimal and len(valid) > 0,
-        bool(div_min >= tol["bound_margin"]), div_min, "bound_margin",
+        bool(div_min >= TOLERANCES["bound_margin"]), div_min,
+        "bound_margin",
         f"min margin {div_min:.3e}" if minimal else "non-minimal")
 
     euler_vals = [m for rec in valid for m in rec.euler_margins.values()
                   if not math.isnan(m)]
     euler_min = min(euler_vals) if euler_vals else _NAN
     add("euler_growth_bound", minimal and bool(euler_vals),
-        bool(euler_min >= tol["bound_margin"]), euler_min, "bound_margin",
+        bool(euler_min >= TOLERANCES["bound_margin"]), euler_min,
+        "bound_margin",
         f"min margin over alphas {euler_min:.3e}" if minimal
         else "non-minimal")
 
     iso_min = _series_min(series, "iso_margin")
     add("isoperimetric", minimal and len(valid) > 0,
-        bool(iso_min >= tol["iso_margin"]), iso_min, "iso_margin",
+        bool(iso_min >= TOLERANCES["iso_margin"]), iso_min, "iso_margin",
         f"min margin {iso_min:.3e}")
 
     ratio_inc = _min_increment(series, "ratio")
     add("ratio_monotone", minimal and len(valid) > 1,
-        bool(ratio_inc >= -tol["ratio_slack"]), ratio_inc, "ratio_slack",
+        bool(ratio_inc >= -TOLERANCES["ratio_slack"]), ratio_inc,
+        "ratio_slack",
         f"smallest consecutive increment {ratio_inc:.3e}")
 
     # Decay of the boundary second-form maximum.
@@ -257,7 +224,7 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
     # Vanishing means the tail ends under the cap and has genuinely come
     # down from where it started (a flat zero tail trivially qualifies).
     decay_ok = (len(tail) >= 2
-                and tail[-1] < tol["decay_cap"]
+                and tail[-1] < TOLERANCES["decay_cap"]
                 and tail[-1] <= 0.75 * tail[0] + 1e-6)
     add("curvature_decay", minimal and len(tail) >= 2, decay_ok,
         tail[-1] if tail else _NAN, "decay_cap",
@@ -271,13 +238,14 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
     if co_applicable:
         co_margin = R_end / (4.0 * math.pi) - sup_growth + chi
     add("chern_osserman", co_applicable,
-        bool(co_margin >= tol["co_margin"]), co_margin, "co_margin",
+        bool(co_margin >= TOLERANCES["co_margin"]), co_margin, "co_margin",
         f"R/4pi - sup + chi = {co_margin:+.4f}" if co_applicable else "")
     # Diagnostic only: in a hyperbolic ambient the gap converges to the
     # limit defect over 2 pi rather than to zero, and even at b = 0 it
     # measures distance from a limit that finite t need not reach.
     add("chern_osserman_equality_gap", co_applicable,
-        bool(abs(co_margin) <= tol["co_equality"]) if co_applicable else None,
+        bool(abs(co_margin) <= TOLERANCES["co_equality"])
+        if co_applicable else None,
         abs(co_margin) if co_applicable else _NAN, "co_equality",
         "distance from equality at t_max",
         gating=False)
@@ -300,16 +268,16 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
                    if rec.t > series.R0
                    and not math.isnan(rec.gb_chain_residual)]
     resolved = (not math.isnan(G_b)
-                and G_b_spread <= tol["gb_spread"])
+                and G_b_spread <= TOLERANCES["gb_spread"])
     add("gb_tail_resolved", gb_applicable and len(gbs) >= 3, resolved,
         G_b_spread, "gb_spread",
         f"G_b = {G_b:+.5f} +- {G_b_spread:.2e}" if resolved else
         "limit not resolved at t_max", gating=False)
     add("gb_nonnegative", gb_applicable and not math.isnan(G_b),
-        bool(G_b >= tol["gb_floor"]), G_b, "gb_floor")
+        bool(G_b >= TOLERANCES["gb_floor"]), G_b, "gb_floor")
     chain = max(settled) if settled else _NAN
     add("gb_chain_identity", bool(settled),
-        bool(chain <= tol["gb_chain"]), chain, "gb_chain",
+        bool(chain <= TOLERANCES["gb_chain"]), chain, "gb_chain",
         "per-radius defect identity vs chi/R/ratio rearrangement")
     eq_applicable = (gb_applicable and co_applicable
                      and not math.isnan(G_b))
@@ -318,7 +286,7 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
         eq_residual = abs(-chi - (R_end / (4.0 * math.pi) - sup_growth
                                   - G_b / (2.0 * math.pi)))
     add("chern_osserman_equality", eq_applicable,
-        bool(eq_residual <= tol["co_eq_residual"]) if eq_applicable
+        bool(eq_residual <= TOLERANCES["co_eq_residual"]) if eq_applicable
         else None,
         eq_residual, "co_eq_residual")
 

@@ -139,6 +139,17 @@ def test_sweep_isolates_bad_values(plane_config, tmp_path, capsys):
     assert "ConfigError" in doc["runs"][1]["error"]
 
 
+def test_sweep_rejects_tolerance_parameter(plane_config, tmp_path):
+    out_root = tmp_path / "sweep"
+    assert main(["sweep", plane_config, "--param", "tolerances.kg_gap",
+                 "--values", "1e-5,2e-5", "--out", str(out_root),
+                 "--quiet"]) == 1
+    doc = json.loads((out_root / "sweep.json").read_text())
+    assert len(doc["runs"]) == 2
+    for run in doc["runs"]:
+        assert "unknown sweep parameter" in run["error"]
+
+
 def test_sweep_json_values(plane_config, tmp_path):
     out_root = tmp_path / "sweep"
     assert main(["sweep", plane_config, "--param", "grid",

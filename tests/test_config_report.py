@@ -14,7 +14,7 @@ from extballs.functionals import RadiusRecord, RadiusSeries
 from extballs.report import (SCHEMA_VERSION, read_report_json,
                              report_document, series_columns, verdict_lines,
                              write_report_json, write_series_csv)
-from extballs.verdicts import DEFAULT_TOLERANCES, Verdict, VerdictReport
+from extballs.verdicts import Verdict, VerdictReport
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
                  .glob("*.json"))
@@ -33,7 +33,6 @@ def test_minimal_config_defaults():
     kwargs = cfg.run_kwargs()
     assert kwargs["t_min"] is None and kwargs["t_max"] is None
     assert kwargs["params"] is None
-    assert kwargs["tolerances"] is None
 
 
 def test_full_config_round_trip(tmp_path):
@@ -45,7 +44,6 @@ def test_full_config_round_trip(tmp_path):
                      "spacing": "linear"},
         "grid": [128, 256],
         "alphas": [0.5, 1.0],
-        "tolerances": {"kg_gap": 2e-5},
         "output": "out/hc",
     }
     path = tmp_path / "run.json"
@@ -57,11 +55,9 @@ def test_full_config_round_trip(tmp_path):
     assert cfg.spacing == "linear"
     assert cfg.grid == (128, 256)
     assert cfg.alphas == (0.5, 1.0)
-    assert cfg.tolerances == {"kg_gap": 2e-5}
     assert cfg.output == "out/hc"
     kwargs = cfg.run_kwargs()
     assert kwargs["pole_uv"] == (0.1, 0.2)
-    assert kwargs["tolerances"] == {"kg_gap": 2e-5}
 
 
 def test_pole_default_keyword():
@@ -82,6 +78,8 @@ _REMOVED = [
     ({"surface": "plane", "grid": {"n_u": 128, "n_v": 128}}, "grid"),
     ({"surface": "plane", "grid": {"n_u": 128, "periodic_v": False}},
      "grid"),
+    ({"surface": "plane", "tolerances": {}}, "tolerances"),
+    ({"surface": "plane", "tolerances": {"kg_gap": 2e-5}}, "tolerances"),
 ]
 
 
@@ -118,14 +116,6 @@ def test_removed_settings_name_their_key(doc, key):
 def test_shipped_configs_load(path):
     cfg = RunConfig.from_json(path)
     assert cfg.surface == json.loads(path.read_text())["surface"]
-
-
-def test_tolerance_keys_match_defaults():
-    cfg = RunConfig.from_dict({
-        "surface": "plane",
-        "tolerances": {k: v for k, v in DEFAULT_TOLERANCES.items()},
-    })
-    assert cfg.tolerances == DEFAULT_TOLERANCES
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +177,25 @@ def test_series_csv_round_trip(tmp_path):
     assert row2["area"] == "nan"
     assert row1["euler_margin_a025"] == "0.125"
     assert row1["euler_margin_a100"] == "nan"
+
+
+@pytest.mark.parametrize("skip_first", [False, True])
+def test_series_csv_unions_columns_over_skipped_radii(tmp_path, skip_first):
+    # As the pipeline builds them: Euler margins on measured radii only.
+    measured = RadiusRecord(t=0.5, area=0.25,
+                            euler_margins={0.25: 0.125, 1.0: 0.5})
+    skipped = RadiusRecord(t=1.0, skipped=True, note="critical radius")
+    records = [skipped, measured] if skip_first else [measured, skipped]
+    path = write_series_csv(tmp_path / "series.csv",
+                            RadiusSeries(records=records, R0=0.25))
+    with path.open(encoding="utf-8", newline="") as fh:
+        header, *data = list(csv.reader(fh))
+    assert header == list(measured.as_dict())
+    rows = {row[0]: dict(zip(header, row)) for row in data}
+    assert rows["0.5"]["euler_margin_a025"] == "0.125"
+    assert rows["0.5"]["euler_margin_a100"] == "0.5"
+    assert rows["1.0"]["euler_margin_a025"] == "nan"
+    assert rows["1.0"]["euler_margin_a100"] == "nan"
 
 
 def test_series_csv_handles_numpy_scalars(tmp_path):

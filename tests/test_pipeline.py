@@ -13,7 +13,7 @@ import pytest
 
 from extballs.errors import ConfigError
 from extballs.pipeline import make_schedule, run_surface
-from extballs.verdicts import DEFAULT_TOLERANCES
+from extballs.verdicts import TOLERANCES
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +215,7 @@ def test_default_tolerances_are_complete():
     for key in ("kg_gap", "chi_residual", "co_margin", "diverge_delta",
                 "diverge_frac", "bound_margin", "gb_chain", "iso_margin",
                 "minimal_H", "decay_cap"):
-        assert key in DEFAULT_TOLERANCES, key
+        assert key in TOLERANCES, key
 
 
 def test_run_surface_starts_no_threads(monkeypatch):

@@ -1,0 +1,31 @@
+"""README stays in step with the program it documents."""
+
+import json
+import re
+from pathlib import Path
+
+from extballs.config import RunConfig
+from extballs.verdicts import TOLERANCES
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+    encoding="utf-8")
+
+
+def _section(heading: str) -> str:
+    start = README.index(heading + "\n")
+    end = README.find("\n#", start + len(heading))
+    return README[start:end if end >= 0 else None]
+
+
+def test_configuration_example_loads():
+    example = re.search(r"```json\n(.*?)```", _section("## Configuration"),
+                        re.S)
+    cfg = RunConfig.from_dict(json.loads(example.group(1)))
+    assert cfg.surface == "catenoid"
+
+
+def test_tolerance_table_matches_program():
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|",
+                      _section("### Verdict tolerances (fixed)"), re.M)
+    assert {name: float(value) for name, value in rows} == TOLERANCES
+    assert len(rows) == len(TOLERANCES)
