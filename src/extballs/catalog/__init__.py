@@ -11,6 +11,7 @@ fails loudly rather than truncating a ball.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,7 +54,7 @@ def _min_boundary_r(surface: ParametricSurface, samples: int = 400) -> float:
     for U, V in edges:
         F = surface.eval(U, V)
         best = min(best, float(np.min(
-            surface.form.distance(pole, F, check=False))))
+            surface.form.distance(pole, F))))
     return best
 
 
@@ -100,28 +101,33 @@ class CatalogEntry:
                 f"surface {self.name!r}; accepted: "
                 f"{sorted(self.params_doc) or 'none'}"
             )
+        for key, val in p.items():
+            if (not isinstance(val, (int, float)) or isinstance(val, bool)
+                    or not math.isfinite(val) or val <= 0):
+                raise ConfigError(
+                    f"parameter {key!r} of {self.name!r} must be a finite "
+                    f"positive number, got {val!r}")
         return self.build(t, p)
 
 
 def _build_plane(t_max, p):
-    return plane_chart(p.get("halfwidth", 1.25 * t_max))
+    return plane_chart(1.25 * t_max)
 
 
 def _build_catenoid(t_max, p):
-    v_max = p.get("v_max", float(np.arccosh(t_max + 1.0)) + 1.0)
-    return catenoid_chart(v_max)
+    return catenoid_chart(float(np.arccosh(t_max + 1.0)) + 1.0)
 
 
 def _build_enneper(t_max, p):
-    return enneper_chart(p.get("halfwidth", _enneper_halfwidth(t_max)))
+    return enneper_chart(_enneper_halfwidth(t_max))
 
 
 def _build_helicoid(t_max, p):
-    return helicoid_chart(p.get("halfwidth", 1.15 * t_max))
+    return helicoid_chart(1.15 * t_max)
 
 
 def _build_h2(t_max, p):
-    return h2_chart(p.get("halfwidth", 1.1 * t_max))
+    return h2_chart(1.1 * t_max)
 
 
 def _build_sphere(t_max, p):
@@ -130,13 +136,12 @@ def _build_sphere(t_max, p):
             f"sphere control only supports t_max <= 1.7 (extrinsic "
             f"diameter 2), got {t_max}"
         )
-    return sphere_cap_chart(p.get("halfwidth", 2.2))
+    return sphere_cap_chart(2.2)
 
 
 def _build_hyperbolic_catenoid(t_max, p):
     c = p.get("c", 1.0)
-    s_max = p.get("s_max", t_max + neck_radius(c) + 3.0)
-    return solve_hyperbolic_catenoid(c, s_max)
+    return solve_hyperbolic_catenoid(c, t_max + neck_radius(c) + 3.0)
 
 
 _ENTRIES = [
@@ -145,7 +150,6 @@ _ENTRIES = [
         description="flat plane through the origin of R^3",
         ambient="R^3", minimal=True, build=_build_plane,
         expected_ends=1,
-        params_doc={"halfwidth": "chart half-width override"},
         references=(
             ("euler characteristic", "1", "exact"),
             ("total squared curvature, full surface", "0", "exact"),
@@ -157,7 +161,6 @@ _ENTRIES = [
         description="unit-neck catenoid (cosh v cos u, cosh v sin u, v)",
         ambient="R^3", minimal=True, build=_build_catenoid,
         expected_ends=2,
-        params_doc={"v_max": "chart half-height override"},
         references=(
             ("euler characteristic", "0", "exact"),
             ("total squared curvature, full surface", "8*pi", "exact"),
@@ -170,7 +173,6 @@ _ENTRIES = [
                     " u^2 - v^2)",
         ambient="R^3", minimal=True, build=_build_enneper,
         expected_ends=1,
-        params_doc={"halfwidth": "chart half-width override"},
         references=(
             ("euler characteristic", "1", "exact"),
             ("total squared curvature, full surface", "8*pi", "exact"),
@@ -183,7 +185,6 @@ _ENTRIES = [
                     "curvature negative control",
         ambient="R^3", minimal=True, build=_build_helicoid,
         expected_ends=1,
-        params_doc={"halfwidth": "chart half-width override"},
         references=(
             ("euler characteristic", "1", "exact"),
             ("total squared curvature, full surface", "infinite", "exact"),
@@ -195,7 +196,6 @@ _ENTRIES = [
         description="totally geodesic hyperbolic plane inside H^3",
         ambient="H^3 (b = -1)", minimal=True, build=_build_h2,
         expected_ends=1,
-        params_doc={"halfwidth": "chart half-width override"},
         references=(
             ("euler characteristic", "1", "exact"),
             ("total squared curvature, full surface", "0", "exact"),
@@ -209,10 +209,7 @@ _ENTRIES = [
         ambient="H^3 (b = -1)", minimal=True,
         build=_build_hyperbolic_catenoid,
         expected_ends=2,
-        params_doc={
-            "c": "profile first-integral constant, c > 0 (default 1)",
-            "s_max": "profile arclength half-span override",
-        },
+        params_doc={"c": "profile first-integral constant, c > 0 (default 1)"},
         references=(
             ("euler characteristic", "0", "exact"),
             ("neck distance from axis at c=1", "asinh(2)/2", "exact"),
@@ -225,7 +222,6 @@ _ENTRIES = [
         ambient="R^3", minimal=False, build=_build_sphere,
         default_t_min=0.3, default_t_max=1.5,
         expected_ends=1,
-        params_doc={"halfwidth": "chart half-width override"},
         references=(
             ("euler characteristic", "1", "exact"),
             ("mean curvature magnitude", "1", "exact"),

@@ -2,8 +2,9 @@
 
 Exit codes: 0 when every applicable gating verdict passes, 2 when a run
 detects that the growth hypothesis fails (total curvature diverging),
-and 1 for configuration or numeric errors.  Usage mistakes also exit 1
-so that 2 is reserved for the mathematical outcome.
+and 1 when any other gating verdict fails or for configuration or
+numeric errors.  Usage mistakes also exit 1 so that 2 is reserved for
+the mathematical outcome.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from a different run than it did.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,15 +102,19 @@ class RunConfig:
         }
 
 
+def _is_finite_number(x) -> bool:
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
 def _parse_pole(raw) -> tuple | None:
     if raw == "default" or raw is None:
         return None
     if (isinstance(raw, (list, tuple)) and len(raw) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in raw)):
+            and all(_is_finite_number(x) for x in raw)):
         return (float(raw[0]), float(raw[1]))
     raise ConfigError(
-        "'pole' must be \"default\" or chart coordinates [u, v]")
+        "'pole' must be \"default\" or finite chart coordinates [u, v]")
 
 
 def _parse_schedule(raw) -> tuple:
@@ -121,10 +126,9 @@ def _parse_schedule(raw) -> tuple:
     count = raw.get("count")
     spacing = raw.get("spacing", "geometric")
     for name, val in (("t_min", t_min), ("t_max", t_max)):
-        if val is not None:
-            if not isinstance(val, (int, float)) or isinstance(val, bool) \
-                    or val <= 0:
-                raise ConfigError(f"schedule '{name}' must be positive")
+        if val is not None and (not _is_finite_number(val) or val <= 0):
+            raise ConfigError(
+                f"schedule '{name}' must be a finite positive number")
     if t_min is not None and t_max is not None and t_min >= t_max:
         raise ConfigError("schedule needs t_min < t_max")
     if count is not None and (not isinstance(count, int) or count < 2):
@@ -155,8 +159,7 @@ def _parse_alphas(raw) -> tuple:
         raise ConfigError("'alphas' must be a non-empty array")
     out = []
     for a in raw:
-        if not isinstance(a, (int, float)) or isinstance(a, bool) \
-                or not 0.0 < a < 2.0:
+        if not _is_finite_number(a) or not 0.0 < a < 2.0:
             raise ConfigError(f"alpha {a!r} outside the open interval (0, 2)")
         out.append(float(a))
     return tuple(out)

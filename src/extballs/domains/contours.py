@@ -1,7 +1,11 @@
 """Level-curve extraction for the extrinsic distance on a chart grid.
 
-The marching-squares kernels emit contour segments as pairs of cut grid
-edges.  This module turns them into closed loops with accurately placed
+``segment_edges`` reads each cell's marching-squares case from
+``field.cell_cases`` and emits contour segments as pairs of global edge
+ids: with ``ncu`` cell columns, the u-edge from node (i, j) to (i+1, j)
+is ``j * ncu + i`` and the v-edge from (i, j) to (i, j+1) is
+``n_v * ncu + j * n_u + i``; on a u-periodic grid i+1 wraps to 0.  This
+module turns the segments into closed loops with accurately placed
 vertices:
 
 * every cut edge gets one crossing point, refined by a safeguarded Newton
@@ -20,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import kernels_numpy
 from ..errors import GeometryError
 from ..immersion import radial_frames
-from .field import DistanceField, bracketed_newton
+from .field import DistanceField, bracketed_newton, cell_cases, corner_views
 
 _NEWTON_TOL = 1e-10
 _NEWTON_ITERS = 5
@@ -49,14 +52,79 @@ class Loop:
         return np.array([self.winding * period, 0.0])
 
 
+# Local edge codes: 0 = bottom, 1 = right, 2 = top, 3 = left.
+# Segment table for the 14 mixed marching-squares cases; saddle cases 5 and
+# 10 are resolved by the cell-center value and get two segments.
+_CASE_SEGMENTS = {
+    1: [(3, 0)], 2: [(0, 1)], 4: [(1, 2)], 8: [(2, 3)],
+    3: [(3, 1)], 6: [(0, 2)], 12: [(3, 1)], 9: [(0, 2)],
+    14: [(3, 0)], 13: [(0, 1)], 11: [(1, 2)], 7: [(2, 3)],
+}
+_SADDLE = {
+    (5, True): [(0, 1), (2, 3)],
+    (5, False): [(3, 0), (1, 2)],
+    (10, True): [(3, 0), (1, 2)],
+    (10, False): [(0, 1), (2, 3)],
+}
+
+
+def segment_edges(r: np.ndarray, t: float,
+                  periodic_u: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Emit contour segments as pairs of global edge ids over all cut cells."""
+    n_u, n_v = r.shape
+    ncu = n_u if periodic_u else n_u - 1
+    nue = n_v * ncu
+
+    case = cell_cases(r, t, periodic_u)
+    c0, c1, c2, c3 = corner_views(r, periodic_u)
+    center_in = (c0 + c1 + c2 + c3) < 4.0 * t
+
+    cut_i, cut_j = np.nonzero((case > 0) & (case < 15))
+    seg_a: list[np.ndarray] = []
+    seg_b: list[np.ndarray] = []
+
+    def global_edge(local: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+        if local == 0:
+            return jj * ncu + ii
+        if local == 2:
+            return (jj + 1) * ncu + ii
+        if local == 3:
+            return nue + jj * n_u + ii
+        nxt = (ii + 1) % n_u if periodic_u else ii + 1
+        return nue + jj * n_u + nxt
+
+    cases_here = case[cut_i, cut_j]
+    centers_here = center_in[cut_i, cut_j]
+    for code in np.unique(cases_here):
+        sel = cases_here == code
+        ii, jj = cut_i[sel], cut_j[sel]
+        if code in (5, 10):
+            for flag in (True, False):
+                fsel = centers_here[sel] == flag
+                for la, lb in _SADDLE[(int(code), flag)]:
+                    seg_a.append(global_edge(la, ii[fsel], jj[fsel]))
+                    seg_b.append(global_edge(lb, ii[fsel], jj[fsel]))
+        else:
+            for la, lb in _CASE_SEGMENTS[int(code)]:
+                seg_a.append(global_edge(la, ii, jj))
+                seg_b.append(global_edge(lb, ii, jj))
+    if not seg_a:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    return (np.concatenate(seg_a).astype(np.int64),
+            np.concatenate(seg_b).astype(np.int64))
+
+
 def _decode_edges(edges: np.ndarray, n_u: int, n_v: int, periodic_u: bool):
-    """Split global edge ids into (is_u_edge, i, j) index triples."""
+    """Split global edge ids into is_u_edge and end nodes (i, j), (i1, j1)."""
     ncu = n_u if periodic_u else n_u - 1
     nue = n_v * ncu
     is_u = edges < nue
     i = np.where(is_u, edges % ncu, (edges - nue) % n_u)
     j = np.where(is_u, edges // ncu, (edges - nue) // n_u)
-    return is_u, i, j
+    i1 = np.where(is_u, (i + 1) % n_u if periodic_u else i + 1, i)
+    j1 = np.where(is_u, j, j + 1)
+    return is_u, i, j, i1, j1
 
 
 def refine_crossings(field: DistanceField, tt: float,
@@ -67,15 +135,13 @@ def refine_crossings(field: DistanceField, tt: float,
     that may exceed the nominal domain end by less than one spacing.
     """
     n_u, n_v = field.spec.n_u, field.spec.n_v
-    is_u, i, j = _decode_edges(edges, n_u, n_v, field.periodic_u)
+    is_u, i, j, i1, j1 = _decode_edges(edges, n_u, n_v, field.periodic_u)
 
     ua = field.u_nodes[i]
     va = field.v_nodes[j]
     du = np.where(is_u, field.h_u, 0.0)
     dv = np.where(is_u, 0.0, field.h_v)
 
-    i1 = np.where(is_u, (i + 1) % n_u if field.periodic_u else i + 1, i)
-    j1 = np.where(is_u, j, j + 1)
     f0 = field.r[i, j] - tt
     f1 = field.r[i1, j1] - tt
     if np.any(f0 * f1 > 0.0):
@@ -142,7 +208,7 @@ def _unwrap_loop(field: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, int
 
 def extract_loops(field: DistanceField, tt: float) -> list[Loop]:
     """All closed components of the level {r = tt} on the field's grid."""
-    seg_a, seg_b = kernels_numpy.segment_edges(field.r, tt, field.periodic_u)
+    seg_a, seg_b = segment_edges(field.r, tt, field.periodic_u)
     if len(seg_a) == 0:
         return []
     all_edges = np.unique(np.concatenate([seg_a, seg_b]))

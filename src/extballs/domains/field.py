@@ -10,8 +10,10 @@ reads from one field, so the grid layout conventions live here:
   pole (usually the chart origin) never coincides with a node.
 * A periodic u direction places nodes at ``u0 + i h`` with ``h = period /
   n_u``; the seam cell wraps from the last column back to the first.
-* Cell (i, j) has its corners at nodes (i, j), (i+1, j), (i+1, j+1),
-  (i, j+1), matching the kernel conventions in ``kernels_numpy``.
+* Cell (i, j) has corners c0..c3 at nodes (i, j), (i+1, j), (i+1, j+1),
+  (i, j+1); on a u-periodic grid i+1 wraps to 0, giving n_u cell columns
+  (else n_u - 1).  Only ``corner_views`` spells this out, and the ball
+  quadrature and contour walker both classify cells by ``cell_cases``.
 """
 
 from __future__ import annotations
@@ -64,18 +66,31 @@ class DistanceField:
     def periodic_u(self) -> bool:
         return self.surface.periodic_u
 
-    @property
-    def n_cells_u(self) -> int:
-        return self.spec.n_u if self.periodic_u else self.spec.n_u - 1
-
-    @property
-    def n_cells_v(self) -> int:
-        return self.spec.n_v - 1
-
     def eval_r(self, U, V) -> np.ndarray:
         """Exact extrinsic distance at arbitrary chart points."""
         X = self.surface.eval(U, V)
-        return self.surface.form.distance(self.pole, X, check=False)
+        return self.surface.form.distance(self.pole, X)
+
+
+def corner_views(a: np.ndarray, periodic_u: bool):
+    """Views (c0, c1, c2, c3) of a node array at each cell's corners.
+
+    On a u-periodic grid row 0 is appended, so the last column wraps.
+    """
+    if periodic_u:
+        a = np.concatenate([a, a[:1, :]], axis=0)
+    return a[:-1, :-1], a[1:, :-1], a[1:, 1:], a[:-1, 1:]
+
+
+def cell_cases(r: np.ndarray, t: float, periodic_u: bool) -> np.ndarray:
+    """Marching-squares case of every cell against the level {r = t}.
+
+    Bit k is set when corner k has r < t: 0 is outside the ball, 15
+    inside, and 1-14 cut by the level curve.
+    """
+    c0, c1, c2, c3 = corner_views(r, periodic_u)
+    return ((c0 < t).astype(np.int16) + 2 * (c1 < t).astype(np.int16)
+            + 4 * (c2 < t).astype(np.int16) + 8 * (c3 < t).astype(np.int16))
 
 
 def bracketed_newton(field: DistanceField, tt: float, base_u, base_v, du, dv,
@@ -96,7 +111,7 @@ def bracketed_newton(field: DistanceField, tt: float, base_u, base_v, du, dv,
     done = np.zeros(np.shape(s), dtype=bool)
     for _ in range(iters):
         F, Fu, Fv, _, _, _ = surf.jet(base_u + s * du, base_v + s * dv)
-        f = form.distance(field.pole, F, check=False) - tt
+        f = form.distance(field.pole, F) - tt
         rad = form.radial_unit(field.pole, F)
         fp = form.inner(rad, Fu * du[..., None] + Fv * dv[..., None])
         done |= np.abs(f) <= tol
@@ -158,7 +173,8 @@ def build_field(surface: ParametricSurface, t_max: float,
     if ring_min <= t_max:
         raise DomainTooSmall(
             f"chart {surface.label!r} boundary reaches extrinsic distance "
-            f"{ring_min:.4f} <= t_max = {t_max:.4f}; enlarge the chart"
+            f"{ring_min:.4f} <= t_max = {t_max:.4f}; move the pole toward "
+            "the chart centre or lower t_max"
         )
 
     return DistanceField(surface=surface, pole=pole, spec=spec, t_max=t_max,

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import kernels_numpy
 from ..immersion import FrameBatch, frames
-from .field import DistanceField, bracketed_newton
+from .field import DistanceField, bracketed_newton, cell_cases, corner_views
 
 _X4, _W4 = np.polynomial.legendre.leggauss(4)
 _X4 = 0.5 * (_X4 + 1.0)
@@ -53,16 +52,6 @@ def _densities(fb: FrameBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, fb.normBsq * w, fb.K * w
 
 
-def _cell_corner_indices(field: DistanceField):
-    """Corner node indices (i, j), (i+1, j), (i+1, j+1), (i, j+1) per cell."""
-    n_u = field.spec.n_u
-    i = np.arange(field.n_cells_u)
-    j = np.arange(field.n_cells_v)
-    ii, jj = np.meshgrid(i, j, indexing="ij")
-    inext = (ii + 1) % n_u if field.periodic_u else ii + 1
-    return ii, jj, inext
-
-
 def ensure_cell_cache(field: DistanceField) -> dict[str, np.ndarray]:
     """Full-cell GL4x4 integrals of every channel, by channel name.
 
@@ -72,15 +61,11 @@ def ensure_cell_cache(field: DistanceField) -> dict[str, np.ndarray]:
     the cells in chunks to bound peak memory; later calls reuse it.
     """
     if field.cell_integrals is None:
-        ii, jj, inext = _cell_corner_indices(field)
-        corner_min = np.minimum(
-            np.minimum(field.r[ii, jj], field.r[inext, jj]),
-            np.minimum(field.r[inext, jj + 1], field.r[ii, jj + 1]),
-        )
+        c0, c1, c2, c3 = corner_views(field.r, field.periodic_u)
+        corner_min = np.minimum(np.minimum(c0, c1), np.minimum(c2, c3))
         ci, cj = np.nonzero(corner_min < field.t_max)
 
-        out = tuple(np.zeros((field.n_cells_u, field.n_cells_v))
-                    for _ in CHANNELS)
+        out = tuple(np.zeros(corner_min.shape) for _ in CHANNELS)
         u0 = field.u_nodes[ci]
         v0 = field.v_nodes[cj]
         x, w = _X4, _W4  # the full-cell rule, per axis
@@ -310,14 +295,10 @@ def _terminal_polygon(fc: np.ndarray) -> float:
 def integrate_cut_cells(field: DistanceField, tt: float,
                         ci: np.ndarray, cj: np.ndarray) -> list[float]:
     """Integrate each channel over the inside part of all cut cells."""
-    n_u = field.spec.n_u
-    inext = (ci + 1) % n_u if field.periodic_u else ci + 1
     u0 = field.u_nodes[ci].astype(np.float64)
     v0 = field.v_nodes[cj].astype(np.float64)
-    f00 = field.r[ci, cj] - tt
-    f10 = field.r[inext, cj] - tt
-    f11 = field.r[inext, cj + 1] - tt
-    f01 = field.r[ci, cj + 1] - tt
+    f00, f10, f11, f01 = (c[ci, cj] - tt
+                          for c in corner_views(field.r, field.periodic_u))
 
     totals = [0.0 for _ in CHANNELS]
     hu, hv = field.h_u, field.h_v
@@ -377,10 +358,10 @@ def integrate_cut_cells(field: DistanceField, tt: float,
 
 def region_integral(field: DistanceField, tt: float) -> dict[str, float]:
     """Integrals of the CHANNELS densities over the extrinsic ball {r < tt}."""
-    codes = kernels_numpy.classify_cells(field.r, tt, field.periodic_u)
+    cases = cell_cases(field.r, tt, field.periodic_u)
     cache = ensure_cell_cache(field)
-    inside = codes == 1
-    ci, cj = np.nonzero(codes == 2)
+    inside = cases == 15
+    ci, cj = np.nonzero((cases > 0) & (cases < 15))
     cut = integrate_cut_cells(field, tt, ci, cj)
     return {name: float(np.sum(cache[name][inside])) + part
             for name, part in zip(CHANNELS, cut)}

@@ -158,7 +158,7 @@ def _first_order(surface: ParametricSurface, F, Fu, Fv, pole) -> FrameBatch:
 
     if pole is not None:
         pole = np.asarray(pole, dtype=np.float64)
-        batch.r = form.distance(pole, F, check=False)
+        batch.r = form.distance(pole, F)
         batch.radial = form.radial_unit(pole, F)
         w1 = form.inner(batch.radial, Fu)
         w2 = form.inner(batch.radial, Fv)
@@ -270,7 +270,7 @@ def check_surface(surface: ParametricSurface, n: int = 200,
         keep_u, keep_v = [], []
         total = 0
         for _ in range(200):
-            r = surface.form.distance(pole, surface.eval(U, V), check=False)
+            r = surface.form.distance(pole, surface.eval(U, V))
             sel = r <= max_r
             keep_u.append(U[sel])
             keep_v.append(V[sel])

@@ -58,7 +58,7 @@ def laplacian_r(surface: ParametricSurface, U, V, pole: np.ndarray,
 
     def rr(du, dv):
         F = surface.eval(U + du * h, V + dv * h)
-        return form.distance(pole, F, check=False)
+        return form.distance(pole, F)
 
     r00 = rr(0, 0)
     if np.any(r00 < 1e-3):

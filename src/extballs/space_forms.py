@@ -16,8 +16,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels_numpy
 from .errors import ConfigError, ModelError, PoleSingularity
+
+# acosh(1 + d) = sqrt(2d) * (1 - d/12 + 3d^2/160 - ...) for small d >= 0.
+_SERIES_CUT = 1e-4
+
+
+def stable_acosh(delta: np.ndarray) -> np.ndarray:
+    """Elementwise acosh(1 + delta) for delta >= 0, stable near zero."""
+    d = np.maximum(np.asarray(delta, dtype=np.float64), 0.0)
+    small = d <= _SERIES_CUT
+    out = np.empty_like(d)
+    ds = d[small]
+    out[small] = np.sqrt(2.0 * ds) * (1.0 - ds / 12.0 + 3.0 * ds * ds / 160.0)
+    dl = d[~small]
+    out[~small] = np.log1p(dl + np.sqrt(dl * (2.0 + dl)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -122,18 +136,14 @@ class SpaceForm:
 
     # -- distance and radial structure -----------------------------------
 
-    def distance(self, p: np.ndarray, q: np.ndarray,
-                 check: bool = True) -> np.ndarray:
-        """Geodesic distance between model points, broadcasting."""
+    def distance(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Geodesic distance between model points, broadcasting, unchecked."""
         p = np.asarray(p, dtype=np.float64)
         q = np.asarray(q, dtype=np.float64)
         if not self.curved:
             return np.linalg.norm(q - p, axis=-1)
-        if check:
-            self.check_point(p, what="p")
-            self.check_point(q, what="q")
         delta = self.b * self.inner(p, q) - 1.0
-        return kernels_numpy.stable_acosh(delta) / self.kappa
+        return stable_acosh(delta) / self.kappa
 
     def radial_unit(self, o: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Unit tangent at x of the geodesic from the pole o through x.

@@ -95,7 +95,7 @@ def _sample_uv(surface, n, r_min, r_max, seed):
     while have < n:
         U = rng.uniform(u0 + pad_u, u1 - pad_u, 8 * n)
         V = rng.uniform(v0 + pad_v, v1 - pad_v, 8 * n)
-        r = surface.form.distance(pole, surface.eval(U, V), check=False)
+        r = surface.form.distance(pole, surface.eval(U, V))
         sel = (r >= r_min) & (r <= r_max)
         us.append(U[sel])
         vs.append(V[sel])

@@ -49,10 +49,20 @@ def test_sphere_control_radius_cap():
 
 
 def test_param_overrides():
-    surface = catalog.make("plane", t_max=4.0, params={"halfwidth": 9.0})
-    assert surface.domain == ((-9.0, 9.0), (-9.0, 9.0))
-    surface = catalog.make("catenoid", params={"v_max": 2.0})
-    assert surface.domain[1] == (-2.0, 2.0)
+    # chart sizes follow from t_max alone; only the profile constant is set
+    with pytest.raises(ConfigError, match="halfwidth"):
+        catalog.make("plane", t_max=4.0, params={"halfwidth": 9.0})
+    with pytest.raises(ConfigError, match="v_max"):
+        catalog.make("catenoid", params={"v_max": 2.0})
+    surface = catalog.make("hyperbolic_catenoid", t_max=2.0,
+                           params={"c": 2.0})
+    assert surface.label == "hyperbolic_catenoid"
+
+
+@pytest.mark.parametrize("bad", ["x", float("nan"), float("inf"), 0.0, True])
+def test_profile_constant_must_be_finite_positive(bad):
+    with pytest.raises(ConfigError, match="'c'"):
+        catalog.make("hyperbolic_catenoid", t_max=2.0, params={"c": bad})
 
 
 # --- hyperbolic catenoid -------------------------------------------------

@@ -82,12 +82,32 @@ def test_report_invalid_json(tmp_path, capsys):
 def test_report_infeasible_geometry(tmp_path, capsys):
     cfg = _write(tmp_path, "small.json", {
         "surface": "plane",
-        "params": {"halfwidth": 3.0},
+        "pole": [12.0, 0.0],
         "schedule": {"t_max": 10.0},
         "grid": 64,
     })
     assert main(["report", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err and "boundary reaches extrinsic distance" in err
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"surface": "hyperbolic_catenoid", "params": {"c": "x"}}, "'c'"),
+    ({"surface": "hyperbolic_catenoid", "params": {"c": float("nan")}},
+     "'c'"),
+    ({"surface": "catenoid", "schedule": {"t_max": float("inf")}},
+     "'t_max'"),
+    ({"surface": "hyperbolic_catenoid",
+      "schedule": {"t_max": float("inf")}}, "'t_max'"),
+    ({"surface": "plane", "pole": [float("nan"), 0.0]}, "'pole'"),
+    ({"surface": "plane", "pole": [float("inf"), 0.0]}, "'pole'"),
+], ids=["c_string", "c_nan", "t_max_inf_catenoid", "t_max_inf_hyperbolic",
+        "pole_nan", "pole_inf"])
+def test_report_bad_numbers_name_their_key(tmp_path, capsys, doc, key):
+    cfg = _write(tmp_path, "bad.json", dict(doc, grid=64))
+    assert main(["report", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("extballs: error:") and key in err
 
 
 def test_usage_errors_exit_one(capsys):
@@ -137,6 +157,18 @@ def test_sweep_isolates_bad_values(plane_config, tmp_path, capsys):
     doc = json.loads((out_root / "sweep.json").read_text())
     assert doc["runs"][0]["error"] is None
     assert "ConfigError" in doc["runs"][1]["error"]
+
+
+def test_sweep_records_a_bad_parameter_value(tmp_path):
+    cfg = _write(tmp_path, "hc.json", {"surface": "hyperbolic_catenoid",
+                                       "grid": 64})
+    out_root = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--param", "params.c", "--values", '["x"]',
+                 "--out", str(out_root), "--quiet"]) == 1
+    doc = json.loads((out_root / "sweep.json").read_text())
+    assert doc["values"] == ["x"]
+    error = doc["runs"][0]["error"]
+    assert error.startswith("ConfigError") and "'c'" in error
 
 
 def test_sweep_rejects_tolerance_parameter(plane_config, tmp_path):

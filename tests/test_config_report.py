@@ -112,6 +112,19 @@ def test_removed_settings_name_their_key(doc, key):
         RunConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("doc,key", [
+    ({"surface": "plane", "schedule": {"t_max": math.inf}}, "t_max"),
+    ({"surface": "plane", "schedule": {"t_max": math.nan}}, "t_max"),
+    ({"surface": "plane", "schedule": {"t_min": math.nan}}, "t_min"),
+    ({"surface": "plane", "pole": [math.nan, 0.0]}, "pole"),
+    ({"surface": "plane", "pole": [math.inf, 0.0]}, "pole"),
+    ({"surface": "plane", "pole": [0.0, -math.inf]}, "pole"),
+])
+def test_non_finite_numbers_name_their_key(doc, key):
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        RunConfig.from_dict(doc)
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
 def test_shipped_configs_load(path):
     cfg = RunConfig.from_json(path)

@@ -143,7 +143,7 @@ def test_laplacian_identity_on_catalog():
         U = rng.uniform(u0 + 0.3, u1 - 0.3, 40)
         V = rng.uniform(v0 + 0.3, v1 - 0.3, 40)
         F = surface.eval(U, V)
-        r = surface.form.distance(pole, F, check=False)
+        r = surface.form.distance(pole, F)
         keep = (r > 0.3) & (r < 0.8 * surface_reach(surface))
         U, V = U[keep], V[keep]
         assert U.size > 10, name

@@ -1,11 +1,12 @@
 """README stays in step with the program it documents."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 from extballs.config import RunConfig
-from extballs.verdicts import TOLERANCES
+from extballs.verdicts import TOLERANCES, Verdict
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
     encoding="utf-8")
@@ -29,3 +30,10 @@ def test_tolerance_table_matches_program():
                       _section("### Verdict tolerances (fixed)"), re.M)
     assert {name: float(value) for name, value in rows} == TOLERANCES
     assert len(rows) == len(TOLERANCES)
+
+
+def test_verdict_field_list_matches_program():
+    fields = re.search(r"Every verdict carries `([^`]+)`",
+                       README.replace("\n", " "))
+    listed = [name.strip() for name in fields.group(1).split(",")]
+    assert listed == [f.name for f in dataclasses.fields(Verdict)]
