@@ -107,17 +107,21 @@ class RotationProfile:
             out.append((h * acc + yrow[seg]).reshape(s.shape))
         return tuple(out)
 
-    def jets(self, sigma: np.ndarray):
-        """(rho, rho', rho'', t, t', t'') at sigma, derivatives in sigma.
+    def jets(self, sigma: np.ndarray, order: int):
+        """rho and t at sigma with their first `order` sigma-derivatives.
 
-        The profile is even in sigma for rho and odd for t; only |sigma|
-        is interpolated and every derivative is recomputed from the first
-        integral so the 2-jet stays exactly on the minimal trajectory.
+        Returns ((rho, rho', ...), (t, t', ...)), each of length
+        order + 1; no derivative above `order` is computed.  The profile
+        is even in sigma for rho and odd for t; only |sigma| is
+        interpolated and every derivative is recomputed from the first
+        integral so the jet stays exactly on the minimal trajectory.
         """
         sigma = np.asarray(sigma, dtype=np.float64)
         sgn = np.sign(sigma)
         rho, t_abs = self.profile_values(np.abs(sigma))
         t = sgn * t_abs
+        if order == 0:
+            return (rho,), (t,)
 
         c = self.c
         ch, sh = np.cosh(rho), np.sinh(rho)
@@ -125,10 +129,12 @@ class RotationProfile:
         ratio_sq = np.clip(1.0 - (c / m) ** 2, 0.0, None)
         rho_d = sgn * np.sqrt(ratio_sq)
         t_d = c / (m * ch)
+        if order == 1:
+            return (rho, rho_d), (t, t_d)
         m_prime = np.cosh(2.0 * rho)
         rho_dd = c * c * m_prime / m**3
         t_dd = -c * rho_d * (m_prime * ch + m * sh) / (m * ch) ** 2
-        return rho, rho_d, rho_dd, t, t_d, t_dd
+        return (rho, rho_d, rho_dd), (t, t_d, t_dd)
 
 
 def _check_against_solution(profile: RotationProfile, sol) -> None:
@@ -194,34 +200,41 @@ def solve_hyperbolic_catenoid(c: float = 1.0,
     sigma_max = float(s_max)
     profile = solve_profile(c, sigma_max)
 
-    def jet(U, V):
+    def jet(U, V, order):
         U, V = np.broadcast_arrays(U, V)
-        rho, rho_d, rho_dd, t, t_d, t_dd = profile.jets(V)
+        rho_j, t_j = profile.jets(V, order)
+        rho, t = rho_j[0], t_j[0]
         ct, st = np.cosh(t), np.sinh(t)
         ch, sh = np.cosh(rho), np.sinh(rho)
         cth, sth = np.cos(U), np.sin(U)
-        zero = np.zeros_like(U)
 
         def stack(*comps):
             return np.stack(np.broadcast_arrays(*comps), axis=-1)
 
-        X = stack(ct * ch, st * ch, sh * cth, sh * sth)
+        F = stack(ct * ch, st * ch, sh * cth, sh * sth)
+        if order == 0:
+            return (F,)
+
+        rho_d, t_d = rho_j[1], t_j[1]
+        zero = np.zeros_like(U)
         E_t = stack(st * ch, ct * ch, zero, zero)
         E_rho = stack(ct * sh, st * sh, ch * cth, ch * sth)
         E_theta = stack(zero, zero, -sh * sth, sh * cth)
+        d = lambda a: a[..., None]
+        Fu = E_theta
+        Fv = E_t * d(t_d) + E_rho * d(rho_d)
+        if order == 1:
+            return F, Fu, Fv
+
+        rho_dd, t_dd = rho_j[2], t_j[2]
         E_tt = stack(ct * ch, st * ch, zero, zero)
         E_trho = stack(st * sh, ct * sh, zero, zero)
         E_rhotheta = stack(zero, zero, -ch * sth, ch * cth)
         E_thetatheta = stack(zero, zero, -sh * cth, -sh * sth)
-
-        d = lambda a: a[..., None]
-        F = X
-        Fu = E_theta
-        Fv = E_t * d(t_d) + E_rho * d(rho_d)
         Fuu = E_thetatheta
         Fuv = E_rhotheta * d(rho_d)
         Fvv = (E_t * d(t_dd) + E_rho * d(rho_dd) + E_tt * d(t_d**2)
-               + 2.0 * E_trho * d(t_d * rho_d) + X * d(rho_d**2))
+               + 2.0 * E_trho * d(t_d * rho_d) + F * d(rho_d**2))
         return F, Fu, Fv, Fuu, Fuv, Fvv
 
     surface = ParametricSurface(

@@ -110,7 +110,7 @@ def bracketed_newton(field: DistanceField, tt: float, base_u, base_v, du, dv,
     s = lo + (hi - lo) * flo / (flo - fhi)
     done = np.zeros(np.shape(s), dtype=bool)
     for _ in range(iters):
-        F, Fu, Fv, _, _, _ = surf.jet(base_u + s * du, base_v + s * dv)
+        F, Fu, Fv = surf.jet(base_u + s * du, base_v + s * dv, 1)
         f = form.distance(field.pole, F) - tt
         rad = form.radial_unit(field.pole, F)
         fp = form.inner(rad, Fu * du[..., None] + Fv * dv[..., None])

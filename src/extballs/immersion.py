@@ -1,12 +1,15 @@
 """Immersion calculus for parametric surface charts.
 
 A chart supplies exact first and second partials of the embedding
-F : (u, v) -> ambient.  From those this module computes the induced metric,
+F : (u, v) -> ambient, up to the order its caller asks for: 0 for
+positions (`ParametricSurface.eval`), 1 for `radial_frames`, 2 for
+`frames`.  From those this module computes the induced metric,
 the normal-valued second fundamental form, mean curvature vector, Gauss
 curvature, and the tangential/normal split of the radial direction from a
 pole.  Everything is vectorized over point batches.
 `radial_frames` stops at first order (metric and radial split) for callers
-that need only r and its gradient; `frames` adds the second-order state.
+that need only r and its gradient, and never builds the chart's second
+partials; `frames` adds the second-order state.
 
 For an ambient hyperboloid the coordinate second partials are corrected to
 model-covariant derivatives before the normal projection: the position
@@ -25,31 +28,34 @@ import numpy as np
 from .errors import ImmersionError
 from .space_forms import SpaceForm
 
-Jet = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-            np.ndarray]
+Jet = tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
 class ParametricSurface:
     """Immersed chart with analytic partials.
 
-    `jet(U, V)` returns (F, F_u, F_v, F_uu, F_uv, F_vv), each an array of
-    shape U.shape + (dim,).  The domain is a coordinate rectangle whose
-    v direction is never periodic; `periodic_u` marks a chart that wraps
-    in u (evaluation outside the interval must then be well defined).
+    `jet(U, V, order)` returns the partials of F up to `order` (a
+    required argument), each an array of shape U.shape + (dim,): (F,)
+    for order 0, (F, F_u, F_v) for order 1 and (F, F_u, F_v, F_uu, F_uv,
+    F_vv) for order 2.  A chart computes only the terms it returns, and
+    a lower-order jet equals the leading entries of a higher-order one
+    bitwise.  The domain is a coordinate rectangle whose v direction is
+    never periodic; `periodic_u` marks a chart that wraps in u
+    (evaluation outside the interval must then be well defined).
     The default pole is the image of the chart origin.
     """
 
     form: SpaceForm
     domain: tuple[tuple[float, float], tuple[float, float]]
-    jet: Callable[[np.ndarray, np.ndarray], Jet]
+    jet: Callable[[np.ndarray, np.ndarray, int], Jet]
     label: str
     minimal: bool
     periodic_u: bool = False
 
     def eval(self, U, V) -> np.ndarray:
         return self.jet(np.asarray(U, dtype=np.float64),
-                        np.asarray(V, dtype=np.float64))[0]
+                        np.asarray(V, dtype=np.float64), 0)[0]
 
     def default_pole(self) -> np.ndarray:
         return self.eval(np.float64(0.0), np.float64(0.0))
@@ -181,7 +187,7 @@ def radial_frames(surface: ParametricSurface, U, V,
     """
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
-    F, Fu, Fv, *_ = surface.jet(U, V)
+    F, Fu, Fv = surface.jet(U, V, 1)
     return _first_order(surface, F, Fu, Fv, pole)
 
 
@@ -191,7 +197,7 @@ def frames(surface: ParametricSurface, U, V,
     form = surface.form
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
-    F, Fu, Fv, Fuu, Fuv, Fvv = surface.jet(U, V)
+    F, Fu, Fv, Fuu, Fuv, Fvv = surface.jet(U, V, 2)
     batch = _first_order(surface, F, Fu, Fv, pole)
     g11, g12, g22, detg = batch.g11, batch.g12, batch.g22, batch.detg
 

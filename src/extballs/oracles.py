@@ -21,8 +21,8 @@ def gauss_equation_residual(surface: ParametricSurface, u, v) -> np.ndarray:
 
 
 def _metric_entries(surface: ParametricSurface, U, V):
-    F, Fu, Fv, *_ = surface.jet(np.asarray(U, dtype=np.float64),
-                                np.asarray(V, dtype=np.float64))
+    _, Fu, Fv = surface.jet(np.asarray(U, dtype=np.float64),
+                            np.asarray(V, dtype=np.float64), 1)
     ip = surface.form.inner
     return np.stack([ip(Fu, Fu), ip(Fu, Fv), ip(Fv, Fv)], axis=-1)
 

@@ -103,7 +103,7 @@ def test_neck_frame_golden_ratio_values():
 def test_profile_first_integral_conserved():
     profile = solve_profile(1.0, 10.0)
     sigma = np.linspace(0.0, 10.0, 400)
-    rho, rho_d, _, _, t_d, _ = profile.jets(sigma)
+    (rho, rho_d), (_, t_d) = profile.jets(sigma, 1)
     conserved = np.sinh(rho) * np.cosh(rho) ** 2 * t_d
     assert np.allclose(conserved, 1.0, atol=1e-9)
     # arclength parametrization: cosh^2 rho t'^2 + rho'^2 = 1
@@ -116,7 +116,7 @@ def test_profile_metric_along_sigma():
     sig = rng.uniform(-8.0, 8.0, 80)
     theta = rng.uniform(0, 2 * np.pi, 80)
     fb = frames(HC, theta, sig)
-    profile_rho = solve_profile(1.0, 9.0).jets(sig)[0]
+    (profile_rho,), _ = solve_profile(1.0, 9.0).jets(sig, 0)
     assert np.allclose(fb.g11, np.sinh(profile_rho) ** 2, rtol=1e-9)
     assert np.allclose(fb.g22, 1.0, atol=1e-9)
 
@@ -176,7 +176,7 @@ def test_profile_values_match_ode_solution():
     got = np.stack(profile.profile_values(sigma))
     assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
     # jets mirror |sigma|: rho even, t odd
-    rho, _, _, t, _, _ = profile.jets(-sigma)
+    (rho,), (t,) = profile.jets(-sigma, 0)
     assert np.array_equal(rho, got[0]) and np.array_equal(t, -got[1])
 
 

@@ -16,9 +16,11 @@ from extballs.domains import (GridSpec, build_field, coarea_integral,
                               critical_scan, extract_ball,
                               project_to_level, region_integral)
 from extballs.domains import balls
-from extballs.domains.field import bracketed_newton
+from extballs.domains.field import bracketed_newton, corner_views
+from extballs.domains.quadrature import ensure_cell_cache
 from extballs.errors import (ConfigError, CriticalRadius, DomainTooSmall,
                              PoleOffModel)
+from extballs.immersion import frames
 
 
 @pytest.fixture(scope="module")
@@ -232,3 +234,43 @@ def test_samples_augmented_to_minimum(catenoid_field, monkeypatch):
     assert len(ball.samples) >= 600
     assert abs(np.sum(ball.samples.weight)
                - ball.boundary_length) < 1e-9 * ball.boundary_length
+
+
+def _gl6_cell_totals(field):
+    """Reference for the full-cell cache: GL6x6 over the same cells.
+
+    The cells are those with a corner below t_max; each channel's
+    density (1, |B|^2, K, each times sqrt(det g)) is summed one u node
+    of the rule at a time to keep the frame batches small.
+    """
+    x, w = np.polynomial.legendre.leggauss(6)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    c0, c1, c2, c3 = corner_views(field.r, field.periodic_u)
+    corner_min = np.minimum(np.minimum(c0, c1), np.minimum(c2, c3))
+    ci, cj = np.nonzero(corner_min < field.t_max)
+    V = field.v_nodes[cj][:, None] + field.h_v * x[None, :]
+    totals = np.zeros(3)
+    for xa, wa in zip(x, w):
+        U = np.broadcast_to(field.u_nodes[ci][:, None] + field.h_u * xa,
+                            V.shape)
+        fb = frames(field.surface, U, V)
+        area = np.sqrt(fb.detg)
+        for k, dens in enumerate((area, fb.normBsq * area, fb.K * area)):
+            totals[k] += wa * field.h_u * field.h_v * float(np.sum(dens @ w))
+    return totals
+
+
+# Largest relative error of any channel's cache total against GL6x6 at
+# 128^2 and t_max = 8: 1.5e-12 on the catenoid and 2.0e-9 (the |B|^2
+# channel) on the hyperbolic catenoid.  GL2x2 in the cache would be off by
+# 4.8e-8 and 2.6e-7.
+@pytest.mark.parametrize("name, bound", [("catenoid", 2e-11),
+                                         ("hyperbolic_catenoid", 2e-8)])
+def test_cell_cache_matches_gl6_reference(name, bound):
+    field = build_field(make(name, t_max=8.0), 8.0, spec=GridSpec(128, 128))
+    cache = ensure_cell_cache(field)
+    assert list(cache) == ["one", "normBsq", "K"]
+    got = np.array([float(np.sum(cells)) for cells in cache.values()])
+    ref = _gl6_cell_totals(field)
+    rel = np.abs(got - ref) / np.abs(ref)
+    assert np.all(rel < bound), (rel, ref)
