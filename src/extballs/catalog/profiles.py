@@ -246,16 +246,16 @@ def solve_hyperbolic_catenoid(c: float = 1.0,
 
     # Construction-time correctness oracle: sampled mean curvature.  The
     # sample spans the ball-serving part of the chart; the outermost
-    # margin (reserved so that every requested ball clears the edge) sits
-    # at hyperboloid components ~e^sigma where float64 cancellation in
-    # the tangential projection inflates |H| past the tolerance even on
-    # an exact minimal surface.
+    # margin (reserved so that every requested ball clears the edge) is
+    # left out: there the float64 floor of |H| rises from 2e-12 at r in
+    # (8, 9) to 3e-8 at r in (10, 11), and past sigma ~ 12.3 `frames`
+    # raises ImmersionError.
     rng = np.random.default_rng(7)
     span = max(sigma_max - 2.0, 0.75 * sigma_max)
     sig = rng.uniform(-span, span, 500)
     theta = rng.uniform(0.0, 2.0 * np.pi, 500)
     fb = immersion.frames(surface, theta, sig)
-    worst = float(np.max(fb.normH))
+    worst = float(np.max(np.abs(fb.H)))
     if worst > 1e-6:
         raise ConstructionError(
             f"rotational surface failed the minimality oracle: "

@@ -25,11 +25,9 @@ from ..errors import ConfigError, CriticalRadius
 from ..immersion import FrameBatch, frames, radial_frames
 from .contours import Loop, augment_loop, extract_loops
 from .field import DistanceField
-from .quadrature import region_integral
+from .quadrature import _unit_gauss_legendre, region_integral
 
-_GL2_X, _GL2_W = np.polynomial.legendre.leggauss(2)
-_GL2_X = 0.5 * (_GL2_X + 1.0)
-_GL2_W = 0.5 * _GL2_W
+_GL2_X, _GL2_W = _unit_gauss_legendre(2)
 
 _LEVEL_NUDGE = 3e-13
 

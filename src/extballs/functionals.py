@@ -185,6 +185,12 @@ def geodesic_curvature_direct(field: DistanceField,
     return kg
 
 
+def _normal_term(form, samples: BoundarySamples) -> np.ndarray:
+    """<B(e, e), perp gradient of r> = b(e, e) <N, radial> per sample."""
+    fb = samples.frame
+    return fb.second_form(samples.e, samples.e) * form.inner(fb.N, fb.radial)
+
+
 def geodesic_curvature_formula(field: DistanceField,
                                samples: BoundarySamples) -> np.ndarray:
     """Boundary geodesic curvature from pointwise frame data only.
@@ -195,11 +201,8 @@ def geodesic_curvature_formula(field: DistanceField,
     independent check of the trace route.
     """
     fb = samples.frame
-    h = field.surface.form.h(fb.r)
-    ip = field.surface.form.inner
-    normal_term = ip(fb.bilinear_B(samples.e, samples.e),
-                     fb.ambient_gradPerp())
-    return (h + normal_term) / fb.normGradPr
+    form = field.surface.form
+    return (form.h(fb.r) + _normal_term(form, samples)) / fb.normGradPr
 
 
 def kg_gaps(field: DistanceField, balls: list[ExtrinsicBall]) -> list[dict]:
@@ -262,11 +265,9 @@ def gb_integrand(field: DistanceField, ball: ExtrinsicBall,
     h = float(form.h(ball.t))
     V = float(form.ball_area(ball.t))
     Vp = float(form.circle_length(ball.t))
-    fb = ball.samples.frame
     normal_term = float(np.sum(
-        ball.samples.weight
-        * form.inner(fb.bilinear_B(ball.samples.e, ball.samples.e),
-                     fb.ambient_gradPerp()) / fb.normGradPr))
+        ball.samples.weight * _normal_term(form, ball.samples)
+        / ball.samples.frame.normGradPr))
     return h * (coarea - ball.area * Vp / V) + normal_term
 
 
@@ -363,7 +364,7 @@ def radius_record(field: DistanceField, ball: ExtrinsicBall, kg: dict | None,
     rec.intKg = kg["intKg"]
     rec.kg_gap_max = kg["max_gap"]
     rec.chi_hat = (intK + rec.intKg) / (2.0 * math.pi)
-    rec.max_B = float(np.max(ball.samples.frame.normB))
+    rec.max_B = float(np.sqrt(np.max(ball.samples.frame.normBsq)))
     # Area over the area of the model geodesic disk of radius t.
     model_area = float(form.ball_area(t))
     rec.ratio = ball.area / model_area

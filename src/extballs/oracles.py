@@ -86,9 +86,9 @@ def radial_laplacian_identity(surface: ParametricSurface, U, V,
                               pole: np.ndarray) -> np.ndarray:
     """Closed form for the radial Laplacian on a surface in a space form:
 
-        (2 - |grad^P r|^2) h_b(r) + 2 <radial, H>.
+        (2 - |grad^P r|^2) h_b(r) + 2 H <radial, N>.
     """
     fb = frames(surface, U, V, pole=pole)
     hb = surface.form.h(fb.r)
     return ((2.0 - fb.normGradPr ** 2) * hb
-            + 2.0 * surface.form.inner(fb.radial, fb.H))
+            + 2.0 * fb.H * surface.form.inner(fb.radial, fb.N))

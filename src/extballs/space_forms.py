@@ -1,13 +1,14 @@
 """Simply connected space forms of curvature b <= 0.
 
-For b = 0 the model is R^n with its Euclidean structure.  For b < 0 it is
+For b = 0 the model is R^3 with its Euclidean structure.  For b < 0 it is
 the hyperboloid sheet {x : <x,x>_M = 1/b, x_0 > 0} inside Minkowski
-R^{n+1}, where <x,y>_M = -x_0 y_0 + sum_i x_i y_i; the induced metric has
-constant curvature b.  Distances, geodesics, and radial directions are
-closed-form in this model, with no boundary blow-up at large radius.
+R^4, where <x,y>_M = -x_0 y_0 + x_1 y_1 + x_2 y_2 + x_3 y_3; the induced
+metric has constant curvature b.  Distances, geodesics, and radial
+directions are closed-form in this model, with no boundary blow-up at
+large radius.
 
 Points and tangent vectors are plain float arrays of length `dim`
-(n for b = 0, n+1 for b < 0); all operations broadcast over leading axes.
+(3 for b = 0, 4 for b < 0); all operations broadcast over leading axes.
 """
 
 from __future__ import annotations
@@ -36,17 +37,14 @@ def stable_acosh(delta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpaceForm:
-    """Ambient space of constant curvature b <= 0 and dimension n >= 3."""
+    """Ambient 3-space of constant curvature b <= 0."""
 
     b: float
-    n: int = 3
     kappa: float = field(init=False)
 
     def __post_init__(self):
         if self.b > 0:
             raise ConfigError(f"curvature b={self.b} > 0 is not supported")
-        if self.n < 3:
-            raise ConfigError(f"ambient dimension n={self.n} must be >= 3")
         object.__setattr__(self, "kappa", float(np.sqrt(-self.b)))
 
     @property
@@ -56,7 +54,7 @@ class SpaceForm:
     @property
     def dim(self) -> int:
         """Coordinate length of ambient points."""
-        return self.n + 1 if self.curved else self.n
+        return 4 if self.curved else 3
 
     # -- ambient bilinear form -------------------------------------------
 
@@ -69,8 +67,20 @@ class SpaceForm:
             s = s - 2.0 * x[..., 0] * y[..., 0]
         return s
 
-    def norm(self, v: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(self.inner(v, v), 0.0))
+    def normal_seed(self, x: np.ndarray, a: np.ndarray,
+                    c: np.ndarray) -> np.ndarray:
+        """A normal to the tangent plane span(a, c) at x, of free length
+        and sign: a x c for b = 0; for b < 0 the Minkowski dual of the
+        triple cross product, (x.(a x c), x_0 a x c + a_0 c x x + c_0 x x a).
+        """
+        if not self.curved:
+            return np.cross(a, c)
+        xs, as_, cs = x[..., 1:], a[..., 1:], c[..., 1:]
+        ac = np.cross(as_, cs)
+        rest = (x[..., :1] * ac + a[..., :1] * np.cross(cs, xs)
+                + c[..., :1] * np.cross(xs, as_))
+        head = np.einsum("...k,...k->...", xs, ac)[..., None]
+        return np.concatenate([head, rest], axis=-1)
 
     # -- model membership ------------------------------------------------
 

@@ -5,7 +5,7 @@ import pytest
 
 from extballs import catalog
 from extballs.catalog import _min_boundary_r, solve_profile
-from extballs.errors import ConfigError
+from extballs.errors import ConfigError, GeometryError
 from extballs.immersion import check_surface, frames
 
 ALL_NAMES = ["plane", "catenoid", "enneper", "helicoid", "h2_in_h3",
@@ -134,11 +134,18 @@ def test_mirror_symmetry():
 
 def test_minimality_oracle_inner_region():
     chk = check_surface(HC, n=500, seed=2, max_r=8.5)
-    assert chk["max_normH"] <= 1e-6
+    assert chk["max_normH"] <= 1e-11
     assert chk["max_model_residual"] <= 1e-9
-    # Normalized tangency of the second form sits at the same float64
-    # frame-error floor as the mean curvature at r <= 8.5 (a few e-9).
-    assert chk["max_B_tangency"] <= 1e-8
+    # The unit normal is projected against the tangent plane, so the
+    # normalized tangency of the second form sits at float64 epsilon.
+    assert chk["max_B_tangency"] <= 1e-12
+
+
+def test_degenerate_normal_fails_construction():
+    # Past sigma ~ 12.3 the hyperboloid normal seed cancels to <X,X> <= 0;
+    # the build must fail, not pass NaN through the minimality oracle.
+    with pytest.raises(GeometryError, match="<X,X>"):
+        catalog.make("hyperbolic_catenoid", t_max=14.0)
 
 
 def test_saddle_distance_is_asinh_2c():

@@ -22,16 +22,16 @@ def test_catenoid_origin_curvatures():
     # neck point: K = -1, |B|^2 = 2, H = 0
     assert float(fb.K) == pytest.approx(-1.0, abs=1e-12)
     assert float(fb.normBsq) == pytest.approx(2.0, abs=1e-12)
-    assert float(fb.normH) < 1e-13
+    assert abs(float(fb.H)) < 1e-13
 
 
 def test_enneper_origin_second_form():
     fb = frames(ENNEPER, np.float64(0.0), np.float64(0.0))
     assert float(fb.K) == pytest.approx(-4.0, abs=1e-12)
     assert float(fb.normBsq) == pytest.approx(8.0, abs=1e-12)
-    assert np.allclose(fb.B11, [0.0, 0.0, 2.0], atol=1e-13)
-    assert np.allclose(fb.B22, [0.0, 0.0, -2.0], atol=1e-13)
-    assert np.allclose(fb.B12, 0.0, atol=1e-13)
+    assert np.allclose(fb.b11 * fb.N, [0.0, 0.0, 2.0], atol=1e-13)
+    assert np.allclose(fb.b22 * fb.N, [0.0, 0.0, -2.0], atol=1e-13)
+    assert np.allclose(fb.b12, 0.0, atol=1e-13)
 
 
 def test_enneper_curvature_closed_form():
@@ -65,7 +65,7 @@ def test_sphere_control_unit_mean_curvature():
     U = rng.uniform(-1.4, 1.4, 50)
     V = rng.uniform(-1.4, 1.4, 50)
     fb = frames(SPHERE, U, V)
-    assert np.allclose(fb.normH, 1.0, atol=1e-10)
+    assert np.allclose(np.abs(fb.H), 1.0, atol=1e-10)
     assert np.allclose(fb.K, 1.0, atol=1e-10)
     assert np.allclose(fb.normBsq, 2.0, atol=1e-10)
 
@@ -184,9 +184,10 @@ def test_radial_split_is_orthonormal():
     assert np.allclose(fb.normGradPr**2 + fb.normGradPerp**2, 1.0,
                        atol=1e-12)
     amb = fb.ambient_gradPr()
-    perp = fb.ambient_gradPerp()
     ip = CATENOID.form.inner
-    assert np.allclose(ip(amb, perp), 0.0, atol=1e-10)
+    assert np.allclose(ip(amb, fb.N), 0.0, atol=1e-10)
+    assert np.allclose(ip(fb.radial, fb.N) ** 2, fb.normGradPerp**2,
+                       atol=1e-10)
     assert np.allclose(ip(amb, amb), fb.normGradPr**2, atol=1e-10)
 
 
@@ -226,4 +227,77 @@ def test_radial_frames_bitwise_equal_frames(name):
     for key in ("F", "Fu", "Fv", "g11", "g12", "g22", "detg", "r",
                 "radial", "gradPr", "normGradPr", "normGradPerp"):
         assert np.array_equal(getattr(first, key), getattr(full, key)), key
-    assert first.B11 is None and first.K is None
+    assert first.N is None and first.b11 is None and first.K is None
+
+
+def _vector_contraction(surface, U, V):
+    """|B|^2 and K from three ambient second-form vectors.
+
+    The general-codimension route: project each covariant second partial
+    onto the normal space, then contract the six Minkowski products of
+    the projections.  Kept as an independent reference for the scalar
+    kernel of `frames`.
+    """
+    form = surface.form
+    ip = form.inner
+    F, Fu, Fv, Fuu, Fuv, Fvv = surface.jet(U, V, 2)
+    g11, g12, g22 = ip(Fu, Fu), ip(Fu, Fv), ip(Fv, Fv)
+    detg = g11 * g22 - g12 * g12
+
+    def normal_part(D):
+        w1, w2 = ip(D, Fu), ip(D, Fv)
+        a1 = (g22 * w1 - g12 * w2) / detg
+        a2 = (g11 * w2 - g12 * w1) / detg
+        return D - a1[..., None] * Fu - a2[..., None] * Fv
+
+    B11 = normal_part(Fuu + form.b * g11[..., None] * F)
+    B12 = normal_part(Fuv + form.b * g12[..., None] * F)
+    B22 = normal_part(Fvv + form.b * g22[..., None] * F)
+    inv11, inv12, inv22 = g22 / detg, -g12 / detg, g11 / detg
+    bb1111, bb1112, bb1122 = ip(B11, B11), ip(B11, B12), ip(B11, B22)
+    bb1212, bb1222, bb2222 = ip(B12, B12), ip(B12, B22), ip(B22, B22)
+    normBsq = (inv11 * inv11 * bb1111
+               + 4.0 * inv11 * inv12 * bb1112
+               + 2.0 * inv11 * inv22 * bb1212
+               + 2.0 * inv12 * inv12 * (bb1212 + bb1122)
+               + 4.0 * inv12 * inv22 * bb1222
+               + inv22 * inv22 * bb2222)
+    return np.maximum(normBsq, 0.0), form.b + (bb1122 - bb1212) / detg
+
+
+@pytest.mark.parametrize("name", sorted(catalog.entries))
+def test_scalar_form_matches_vector_contraction(name):
+    entry = catalog.lookup(name)
+    surface = entry.surface()
+    (u0, u1), (v0, v1) = surface.domain
+    pole = surface.default_pole()
+    rng = np.random.default_rng(17)
+    U = rng.uniform(u0, u1, 20000)
+    V = rng.uniform(v0, v1, 20000)
+    keep = surface.form.distance(pole, surface.eval(U, V)) \
+        <= entry.default_t_max
+    U, V = U[keep][:2000], V[keep][:2000]
+    assert U.size == 2000
+    fb = frames(surface, U, V)
+    for got, ref in zip((fb.normBsq, fb.K), _vector_contraction(surface, U, V)):
+        err = np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)
+        assert float(np.max(err)) <= 1e-13
+
+
+def test_degenerate_normal_raises():
+    # A chart off the hyperboloid at a spacelike position: the metric is
+    # Euclidean, so the det g floor passes, but the normal to F, F_u, F_v
+    # is timelike and <X, X> < 0.
+    def jet(U, V, order):
+        one, zero = np.ones_like(U), np.zeros_like(U)
+        F = np.stack([zero, U, V, one], axis=-1)
+        Fu = np.stack([zero, one, zero, zero], axis=-1)
+        Fv = np.stack([zero, zero, one, zero], axis=-1)
+        z = np.zeros_like(F)
+        return (F, Fu, Fv, z, z, z)[:(1, 3, 6)[order]]
+
+    bad = ParametricSurface(form=SpaceForm(-1.0),
+                            domain=((-1, 1), (-1, 1)), jet=jet,
+                            label="spacelike", minimal=False)
+    with pytest.raises(ImmersionError, match=r"'spacelike'.*<X,X> = -1"):
+        frames(bad, np.array([0.1]), np.array([0.2]))

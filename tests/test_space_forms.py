@@ -177,3 +177,14 @@ def test_geodesic_step_reaches_radial_target():
             continue
         q2 = H3.geodesic_step(p, -H3.radial_unit(q, p), d)
         assert np.allclose(q2, q, atol=1e-10 * (1 + np.abs(q).max()))
+
+
+@pytest.mark.parametrize("form", [E3, H3], ids=["E3", "H3"])
+def test_normal_seed_is_orthogonal_to_point_and_plane(form):
+    rng = np.random.default_rng(12)
+    x, a, c = rng.standard_normal((3, 50, form.dim))
+    X = form.normal_seed(x, a, c)
+    for y in ((a, c) if not form.curved else (x, a, c)):
+        scale = np.linalg.norm(X, axis=-1) * np.linalg.norm(y, axis=-1)
+        assert np.all(np.abs(form.inner(X, y)) <= 1e-14 * scale)
+    assert np.all(np.linalg.norm(X, axis=-1) > 0.0)
