@@ -1,18 +1,21 @@
-"""Extrinsic balls: area, boundary polylines, and boundary frames.
+"""Extrinsic balls: area integrals and boundary samples with frames.
 
 ``extract_ball`` is the per-radius entry point.  It extracts the level
-curve {r = t}, refines and orients every component, augments small loops
-until the boundary carries at least ``MIN_SAMPLES`` samples, integrates
-area, |B|^2 and K over {r < t}, and packages per-sample frames for
-geodesic-curvature work.
+curve {r = t} as closed components of refined edge crossings joined by
+unordered segments, bisects segments until the boundary carries at least
+``MIN_SAMPLES`` samples, integrates area, |B|^2 and K over {r < t}, and
+packages per-sample frames for geodesic-curvature work.  Every boundary
+quantity downstream is a weighted sum over samples, so no component is
+ever put in order or oriented.
 
-Boundary length uses a cubic Hermite reconstruction per polyline segment
-(positions plus unit level-curve tangents) integrated with two-point
-Gauss-Legendre in the induced metric.  A plain chord sum would be second
-order: on a unit circle sampled at the grid's ~160 crossings it loses
-about 6e-5 of the length, which is far above what the closed-form checks
-tolerate, while the Hermite reconstruction is fifth order and leaves
-errors near 1e-8.
+Boundary length uses a cubic Hermite reconstruction per segment
+(positions plus unit level-curve tangents, signed per segment to follow
+its direction) integrated with two-point Gauss-Legendre in the induced
+metric; each sample's arc-length weight is half the length of its two
+segments.  A plain chord sum would be second order: on a unit circle
+sampled at the grid's ~160 crossings it loses about 6e-5 of the length,
+which is far above what the closed-form checks tolerate, while the
+Hermite reconstruction is fifth order and leaves errors near 1e-8.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from ..errors import ConfigError, CriticalRadius
 from ..immersion import FrameBatch, frames, radial_frames
-from .contours import Loop, augment_loop, extract_loops
+from .contours import augment_loop, extract_loops, segment_chords
 from .field import DistanceField
 from .quadrature import _unit_gauss_legendre, region_integral
 
@@ -66,37 +69,34 @@ class BoundarySamples:
 
 @dataclass
 class ExtrinsicBall:
-    """The ball {r < t} with its boundary data and area integrals."""
+    """The ball {r < t} with its boundary samples and area integrals."""
 
     t: float
     area: float
     integrals: dict               # channel name -> integral over the ball
-    boundary: list[np.ndarray]    # per-loop (N, 2) chart vertices, oriented
-    windings: list[int]
-    loop_lengths: list[float]
+    n_components: int             # closed components of the boundary
     boundary_length: float
     samples: BoundarySamples
     min_grad: float
 
-    @property
-    def n_components(self) -> int:
-        return len(self.boundary)
 
+def _hermite_lengths(field: DistanceField, vertices: np.ndarray,
+                     segments: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Metric lengths of the boundary's segments.
 
-def _hermite_lengths(field: DistanceField, verts: np.ndarray,
-                     e_chart: np.ndarray, closing: np.ndarray) -> np.ndarray:
-    """Metric lengths of the closed polyline's segments."""
-    nxt = np.roll(verts, -1, axis=0)
-    nxt[-1] = verts[0] + closing
-    d = nxt - verts
-    t0 = e_chart / np.linalg.norm(e_chart, axis=-1, keepdims=True)
-    t1 = np.roll(t0, -1, axis=0)
+    Each segment is the cubic Hermite curve whose end tangents are the
+    level curve's unit tangents e at its two ends, signed to follow the
+    segment's direction.
+    """
+    start, d = segment_chords(field, vertices, segments)
+    e0, e1 = e[segments[:, 0]], e[segments[:, 1]]
+    sign = np.where(np.sum(d * e0, axis=-1) < 0.0, -1.0, 1.0)[:, None]
     ell = np.linalg.norm(d, axis=-1, keepdims=True)
-    m0 = t0 * ell
-    m1 = t1 * ell
+    m0 = sign * e0 / np.linalg.norm(e0, axis=-1, keepdims=True) * ell
+    m1 = sign * e1 / np.linalg.norm(e1, axis=-1, keepdims=True) * ell
 
     s = _GL2_X[None, :, None]
-    p0 = verts[:, None, :]
+    p0 = start[:, None, :]
     dd = d[:, None, :]
     a0 = m0[:, None, :]
     a1 = m1[:, None, :]
@@ -132,18 +132,18 @@ def extract_ball(field: DistanceField, t: float) -> ExtrinsicBall:
             frame=frames(field.surface, np.zeros(0), np.zeros(0),
                          pole=field.pole))
         return ExtrinsicBall(t=t, area=integrals["one"],
-                             integrals=integrals, boundary=[], windings=[],
-                             loop_lengths=[], boundary_length=0.0,
-                             samples=empty, min_grad=float("inf"))
+                             integrals=integrals, n_components=0,
+                             boundary_length=0.0, samples=empty,
+                             min_grad=float("inf"))
 
     per_loop_min = max(32, -(-MIN_SAMPLES // len(loops)))
     loops = [augment_loop(field, tt, lp, per_loop_min) for lp in loops]
 
-    (u0, u1), _ = field.surface.domain
-    period = u1 - u0
-
-    all_uv = np.concatenate([lp.vertices for lp in loops])
-    fb = frames(field.surface, all_uv[:, 0], all_uv[:, 1], pole=field.pole)
+    offsets = np.cumsum([0] + [len(lp) for lp in loops[:-1]])
+    segments = np.concatenate([lp.segments + off
+                               for lp, off in zip(loops, offsets)])
+    uv = np.concatenate([lp.vertices for lp in loops])
+    fb = frames(field.surface, uv[:, 0], uv[:, 1], pole=field.pole)
 
     min_grad = float(np.min(fb.normGradPr))
     if min_grad < 1e-6:
@@ -152,56 +152,16 @@ def extract_ball(field: DistanceField, t: float) -> ExtrinsicBall:
     nu = fb.gradPr / fb.normGradPr[:, None]
     e = fb.rotate90(nu)
 
-    # Orient each loop so traversal follows the tangent e = J nu; the
-    # per-vertex frames are orientation-intrinsic, so only the vertex
-    # order (and the winding sign) flips.
-    offset = 0
-    keep_order: list[np.ndarray] = []
-    oriented: list[Loop] = []
-    for k, lp in enumerate(loops):
-        n = len(lp)
-        sl = slice(offset, offset + n)
-        verts = lp.vertices
-        nxt = np.roll(verts, -1, axis=0)
-        nxt[-1] = verts[0] + lp.closing_offset(period)
-        chord = nxt - verts
-        sigma = float(np.sum(fb[sl].metric_dot(chord, e[sl])))
-        if sigma < 0.0:
-            order = np.arange(offset + n - 1, offset - 1, -1)
-            oriented.append(Loop(vertices=verts[::-1].copy(),
-                                 winding=-lp.winding))
-        else:
-            order = np.arange(offset, offset + n)
-            oriented.append(lp)
-        keep_order.append(order)
-        offset += n
+    # Each sample carries half the length of each of its two segments.
+    lengths = _hermite_lengths(field, uv, segments, e)
+    weights = 0.5 * np.bincount(segments.ravel(),
+                                weights=np.repeat(lengths, 2),
+                                minlength=len(uv))
 
-    order = np.concatenate(keep_order)
-    all_uv = all_uv[order]
-    fb = fb[order]
-    nu = nu[order]
-    e = e[order]
-
-    loop_lengths: list[float] = []
-    weights = np.zeros(len(all_uv))
-    offset = 0
-    for k, lp in enumerate(oriented):
-        n = len(lp)
-        sl = slice(offset, offset + n)
-        seg = _hermite_lengths(field, lp.vertices, e[sl],
-                               lp.closing_offset(period))
-        loop_lengths.append(float(np.sum(seg)))
-        weights[sl] = 0.5 * (seg + np.roll(seg, 1))
-        offset += n
-
-    samples = BoundarySamples(uv=all_uv, weight=weights, e=e, nu=nu,
-                              frame=fb)
+    samples = BoundarySamples(uv=uv, weight=weights, e=e, nu=nu, frame=fb)
     return ExtrinsicBall(
         t=t, area=integrals["one"], integrals=integrals,
-        boundary=[lp.vertices for lp in oriented],
-        windings=[lp.winding for lp in oriented],
-        loop_lengths=loop_lengths,
-        boundary_length=float(sum(loop_lengths)),
+        n_components=len(loops), boundary_length=float(np.sum(lengths)),
         samples=samples, min_grad=min_grad)
 
 

@@ -5,17 +5,21 @@
 ids: with ``ncu`` cell columns, the u-edge from node (i, j) to (i+1, j)
 is ``j * ncu + i`` and the v-edge from (i, j) to (i, j+1) is
 ``n_v * ncu + j * n_u + i``; on a u-periodic grid i+1 wraps to 0.  This
-module turns the segments into closed loops with accurately placed
+module turns the segments into closed components with accurately placed
 vertices:
 
 * every cut edge gets one crossing point, refined by a safeguarded Newton
   iteration on the exact ambient distance along the edge (the grid only
   seeds the bracket, so no interpolation bias survives);
-* segments are stitched into closed loops by walking the edge adjacency,
-  which handles the periodic seam with no special casing because seam
-  edges already share global ids;
-* loops on periodic charts are unwrapped in u and carry their winding
-  number, so downstream code can treat vertices as plain planar points.
+* the segments, read as a graph on the cut edges, split into closed
+  components by connectivity alone; seam edges already share global ids,
+  so the periodic seam needs no special casing, and no component is ever
+  walked in order;
+* a segment on a u-periodic chart reaches its far end at the nearest
+  u-image (``segment_chords``), so vertices stay where the grid put them.
+
+Everything downstream (boundary length, co-area and k_g sums) is a sum
+over segments or samples, which does not depend on their order.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ..errors import GeometryError
 from ..immersion import radial_frames
@@ -37,19 +43,17 @@ _PROJECT_ITERS = 2
 class Loop:
     """One closed boundary component in chart coordinates.
 
-    ``vertices`` are unwrapped: on a u-periodic chart consecutive vertices
-    differ by small steps even across the seam, and the loop closes onto
-    ``vertices[0] + (winding * period, 0)``.
+    ``vertices`` are the component's edge crossings (plus any inserted
+    midpoints) in no particular order; ``segments`` pair vertex indices,
+    one pair per cut cell (two in a saddle cell), each in an arbitrary
+    direction.  Every vertex belongs to exactly two segments.
     """
 
-    vertices: np.ndarray          # (N, 2) chart points, unwrapped in u
-    winding: int                  # net u-period wraps around the loop
+    vertices: np.ndarray          # (N, 2) chart points
+    segments: np.ndarray          # (N, 2) vertex index pairs
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def closing_offset(self, period: float) -> np.ndarray:
-        return np.array([self.winding * period, 0.0])
 
 
 # Local edge codes: 0 = bottom, 1 = right, 2 = top, 3 = left.
@@ -152,75 +156,51 @@ def refine_crossings(field: DistanceField, tt: float,
     return np.stack([ua + s * du, va + s * dv], axis=-1)
 
 
-def assemble_loops(seg_a: np.ndarray, seg_b: np.ndarray) -> list[np.ndarray]:
-    """Stitch edge-pair segments into closed loops of edge ids."""
-    n_seg = len(seg_a)
-    seg_of: dict[int, list[int]] = {}
-    for k in range(n_seg):
-        seg_of.setdefault(int(seg_a[k]), []).append(k)
-        seg_of.setdefault(int(seg_b[k]), []).append(k)
-    for edge, ks in seg_of.items():
-        if len(ks) != 2:
-            raise GeometryError(
-                f"contour edge {edge} belongs to {len(ks)} segments; the "
-                "level curve is not closed inside the grid"
-            )
-
-    visited = np.zeros(n_seg, dtype=bool)
-    loops: list[np.ndarray] = []
-    for k0 in range(n_seg):
-        if visited[k0]:
-            continue
-        start_edge = int(seg_a[k0])
-        edges = [start_edge]
-        k = k0
-        enter = start_edge
-        while True:
-            visited[k] = True
-            exit_edge = int(seg_b[k]) if int(seg_a[k]) == enter else int(seg_a[k])
-            if exit_edge == start_edge:
-                break
-            edges.append(exit_edge)
-            ka, kb = seg_of[exit_edge]
-            k = kb if ka == k else ka
-            enter = exit_edge
-        loops.append(np.asarray(edges, dtype=np.int64))
-    return loops
-
-
-def _unwrap_loop(field: DistanceField, pts: np.ndarray) -> tuple[np.ndarray, int]:
-    """Unwrap u along a closed loop; return (vertices, winding)."""
-    if not field.periodic_u:
-        return pts, 0
-    (u0, u1), _ = field.surface.domain
-    period = u1 - u0
-    u = pts[:, 0].copy()
-    du = np.diff(u)
-    du -= period * np.round(du / period)
-    u[1:] = u[0] + np.cumsum(du)
-    # The minimal-image closing step differs from u[0] - u[-1] by exactly
-    # winding * period.
-    winding = int(np.round((u[-1] - u[0]) / period))
-    out = pts.copy()
-    out[:, 0] = u
-    return out, winding
-
-
 def extract_loops(field: DistanceField, tt: float) -> list[Loop]:
     """All closed components of the level {r = tt} on the field's grid."""
     seg_a, seg_b = segment_edges(field.r, tt, field.periodic_u)
     if len(seg_a) == 0:
         return []
-    all_edges = np.unique(np.concatenate([seg_a, seg_b]))
-    pos = refine_crossings(field, tt, all_edges)
-    pos_of = {int(e): pos[k] for k, e in enumerate(all_edges)}
+    edges, ends = np.unique(np.concatenate([seg_a, seg_b]),
+                            return_inverse=True)
+    degree = np.bincount(ends, minlength=len(edges))
+    if np.any(degree != 2):
+        k = int(np.argmax(degree != 2))
+        raise GeometryError(
+            f"contour edge {edges[k]} belongs to {degree[k]} segments; the "
+            "level curve is not closed inside the grid"
+        )
+    pos = refine_crossings(field, tt, edges)
+    segments = ends.reshape(2, -1).T
+    n_comp, label = connected_components(
+        coo_matrix((np.ones(len(segments)), (segments[:, 0], segments[:, 1])),
+                   shape=(len(edges), len(edges))), directed=False)
 
+    # Each component numbers its own vertices from 0, in edge-id order.
+    seg_label = label[segments[:, 0]]
+    local = np.empty(len(edges), dtype=np.int64)
     loops = []
-    for edge_seq in assemble_loops(seg_a, seg_b):
-        pts = np.asarray([pos_of[int(e)] for e in edge_seq])
-        vertices, winding = _unwrap_loop(field, pts)
-        loops.append(Loop(vertices=vertices, winding=winding))
+    for comp in range(n_comp):
+        mine = label == comp
+        local[mine] = np.arange(np.count_nonzero(mine))
+        loops.append(Loop(vertices=pos[mine],
+                          segments=local[segments[seg_label == comp]]))
     return loops
+
+
+def segment_chords(field: DistanceField, vertices: np.ndarray,
+                   segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start point and displacement of each segment.
+
+    On a u-periodic chart the displacement reaches the far end at its
+    nearest u-image, so a segment across the seam stays short.
+    """
+    start = vertices[segments[:, 0]]
+    d = vertices[segments[:, 1]] - start
+    if field.periodic_u:
+        (u0, u1), _ = field.surface.domain
+        d[:, 0] -= (u1 - u0) * np.round(d[:, 0] / (u1 - u0))
+    return start, d
 
 
 def project_to_level(field: DistanceField, tt, pts: np.ndarray) -> np.ndarray:
@@ -244,16 +224,17 @@ def project_to_level(field: DistanceField, tt, pts: np.ndarray) -> np.ndarray:
 
 def augment_loop(field: DistanceField, tt: float, loop: Loop,
                  n_min: int) -> Loop:
-    """Insert projected midpoints until the loop has at least n_min vertices."""
-    (u0, u1), _ = field.surface.domain
-    period = u1 - u0
-    verts = loop.vertices
-    while len(verts) < n_min:
-        nxt = np.roll(verts, -1, axis=0)
-        nxt[-1] = verts[0] + loop.closing_offset(period)
-        mids = project_to_level(field, tt, 0.5 * (verts + nxt))
-        merged = np.empty((2 * len(verts), 2))
-        merged[0::2] = verts
-        merged[1::2] = mids
-        verts = merged
-    return Loop(vertices=verts, winding=loop.winding)
+    """Insert projected midpoints until the loop has at least n_min vertices.
+
+    Each pass bisects every segment.
+    """
+    while len(loop) < n_min:
+        start, d = segment_chords(field, loop.vertices, loop.segments)
+        mids = project_to_level(field, tt, start + 0.5 * d)
+        n, m = len(loop), len(loop.segments)
+        new = np.arange(n, n + m)
+        a, b = loop.segments.T
+        loop = Loop(vertices=np.concatenate([loop.vertices, mids]),
+                    segments=np.concatenate([np.stack([a, new], axis=1),
+                                             np.stack([new, b], axis=1)]))
+    return loop

@@ -3,7 +3,7 @@
 ``region_integral`` integrates the three densities of ``CHANNELS`` over
 {r < t}, each against the area element sqrt(det g): 1 (the area), |B|^2
 (the total extrinsic curvature) and the Gauss curvature K (which feeds
-Gauss-Bonnet).
+Gauss-Bonnet).  It is a sum over grid cells:
 
 * cells fully inside the ball use per-cell Gauss-Legendre 3x3 integrals,
   cached on the field (``DistanceField.cell_integrals``) the first time
@@ -12,16 +12,18 @@ Gauss-Bonnet).
   against 4x4 the 3x3 rule moves the shipped configs' ball totals by
   at most 6e-12 relative wherever the total is not zero in closed form,
   at 9 instead of 16 frame evaluations per cell);
-* cut cells are sliced into Gauss-Legendre strips along the grid axis
-  best aligned with the level curve's graph direction; each strip locates
-  its crossing with a safeguarded Newton iteration on the exact ambient
-  distance and then integrates the inside subinterval with a 1-D
-  Gauss-Legendre rule, so the only error left is the smooth-quadrature
-  remainder; strips and the full end pieces beside them stay 4-point
-  Gauss-Legendre per axis;
+* each cut cell is split at the level curve's two boundary crossings
+  into three pieces along the grid axis best aligned with the curve's
+  graph direction, and every piece is integrated by four 4-point
+  Gauss-Legendre strips across the cell; a strip covers the whole cell,
+  nothing, or its inside part up to a crossing that a safeguarded Newton
+  iteration locates on the exact ambient distance, so the only error
+  left is the smooth-quadrature remainder.  One frame evaluation serves
+  all pieces of all cut cells;
 * cells where the strip picture fails (saddles of r, curve tangent to a
-  strip) subdivide recursively, re-trying the slicer on each child, with
-  a linear marching-squares polygon estimate at the maximum depth.
+  strip) subdivide recursively, re-trying the slicer on each child and
+  integrating children that fall wholly inside with the full-cell rule,
+  with a linear marching-squares polygon estimate at the maximum depth.
 
 Features of the region smaller than one grid cell (for example an island
 of the outside region just after a critical level) are resolved only once
@@ -45,7 +47,6 @@ def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 _X4, _W4 = _unit_gauss_legendre(4)
 _X3, _W3 = _unit_gauss_legendre(3)
-_X2, _W2 = _unit_gauss_legendre(2)
 
 _MAX_DEPTH = 6
 _STRIP_TOL = 1e-9
@@ -63,8 +64,8 @@ def _densities(fb: FrameBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def ensure_cell_cache(field: DistanceField) -> dict[str, np.ndarray]:
     """Full-cell GL3x3 integrals of every channel, by channel name.
 
-    Cut-cell strips and their end pieces (`integrate_cut_cells`) keep
-    their 4-point rule; only whole cells use this cache.
+    Cut-cell strips (`integrate_cut_cells`) keep their 4-point rule;
+    only whole cells use this cache.
 
     Only cells with at least one corner below t_max can ever be fully
     inside a requested ball; all other cells keep a zero entry that is
@@ -79,18 +80,11 @@ def ensure_cell_cache(field: DistanceField) -> dict[str, np.ndarray]:
         out = tuple(np.zeros(corner_min.shape) for _ in CHANNELS)
         u0 = field.u_nodes[ci]
         v0 = field.v_nodes[cj]
-        x, w = _X3, _W3  # the full-cell rule, per axis
-        wgrid = (w[:, None] * w[None, :]).ravel() * field.h_u * field.h_v
-        ugrid = (field.h_u * x)[:, None].repeat(len(x), axis=1).ravel()
-        vgrid = (field.h_v * x)[None, :].repeat(len(x), axis=0).ravel()
-
         for start in range(0, len(ci), _CHUNK_CELLS):
             sl = slice(start, start + _CHUNK_CELLS)
-            U = u0[sl, None] + ugrid[None, :]
-            V = v0[sl, None] + vgrid[None, :]
-            fb = frames(field.surface, U, V)
-            for cells, dens in zip(out, _densities(fb)):
-                cells[ci[sl], cj[sl]] = dens @ wgrid
+            for cells, part in zip(out, _full_cells(
+                    field, u0[sl], v0[sl], field.h_u, field.h_v)):
+                cells[ci[sl], cj[sl]] = part
         field.cell_integrals = out
     return dict(zip(CHANNELS, field.cell_integrals))
 
@@ -143,23 +137,22 @@ def _cell_crossings(field: DistanceField, tt: float, u0, v0,
     return cross_u, cross_v, ok
 
 
-# How the (along, across) coordinates of a strip map to chart (u, v).
-_ORIENTATIONS = ((True, lambda a, c: (a, c)), (False, lambda a, c: (c, a)))
-
-
 def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
                  f00, f10, f11, f01):
-    """Integrate cut cells by Gauss-Legendre slices between the crossings.
+    """Integrate cut cells by Gauss-Legendre strips between the crossings.
 
     The curve enters and leaves a non-saddle cut cell at two refined
-    boundary crossings.  Between their coordinates along the axis the
-    curve is a graph over (the along axis) every line of the other axis
-    (the across axis) meets the curve exactly once, so the one-crossing
-    strip construction is smooth there; outside that span the cell is
-    uniformly full or empty, handled by plain 2-D Gauss-Legendre on the
-    end pieces.  Splitting at the crossings is what keeps the rule
-    high-order: slicing the whole cell instead puts an integrable kink
-    under the along rule wherever the curve exits a side.
+    boundary crossings, at A <= B along the cell's along axis (the grid
+    axis best aligned with the curve's graph direction).  The cell splits
+    into three along pieces [a0, A], [A, B] and [B, a0 + h], each
+    integrated by four 4-point strips across the cell.  Between A and B
+    every strip meets the curve exactly once, and its across interval is
+    the Newton-located inside part; beside the crossings the cell is
+    uniformly full or empty, so a strip's across interval is [0, 1] or
+    empty.  Splitting at the crossings is what keeps the rule high-order:
+    slicing the whole cell instead puts an integrable kink under the
+    along rule wherever the curve exits a side.  All three pieces of all
+    cells share one frame evaluation.
 
     Returns (contrib: one (n,) array per channel, ok: (n,) bool); the
     cells flagged not-ok (saddles, failed Newtons, strips whose
@@ -168,105 +161,88 @@ def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
     """
     n = len(u0)
     contrib = tuple(np.zeros(n) for _ in CHANNELS)
-    if n == 0:
-        return contrib, np.ones(0, dtype=bool)
     ok = np.ones(n, dtype=bool)
-
     cross_u, cross_v, ok = _cell_crossings(
         field, tt, u0, v0, hu, hv, f00, f10, f11, f01, ok)
+    sel = np.nonzero(ok)[0]
+    if len(sel) == 0:
+        return contrib, ok
 
-    in00, in10, in11, in01 = f00 < 0, f10 < 0, f11 < 0, f01 < 0
+    in00, in10, in11, in01 = (f[sel] < 0 for f in (f00, f10, f11, f01))
+    f00, f10, f11, f01 = f00[sel], f10[sel], f11[sel], f01[sel]
     a_u = (f10 + f11 - f00 - f01) / (2.0 * hu)
     a_v = (f01 + f11 - f00 - f10) / (2.0 * hv)
     along_u = np.abs(a_v) >= np.abs(a_u)
 
-    for axis_along_u, uv in _ORIENTATIONS:
-        sel = np.nonzero((along_u == axis_along_u) & ok)[0]
-        if len(sel) == 0:
-            continue
-        # Cell origin and side in (along, across), and whether the cell's
-        # low and high ends along the axis lie inside the ball.
-        if axis_along_u:
-            a0, c0, ha, hc = u0[sel], v0[sel], hu, hv
-            AB = np.sort(cross_u[sel], axis=1)
-            lo_full = in00[sel] & in01[sel]
-            hi_full = in10[sel] & in11[sel]
-        else:
-            a0, c0, ha, hc = v0[sel], u0[sel], hv, hu
-            AB = np.sort(cross_v[sel], axis=1)
-            lo_full = in00[sel] & in10[sel]
-            hi_full = in01[sel] & in11[sel]
-        A, B = AB[:, 0], AB[:, 1]
-        totals = [np.zeros(len(sel)) for _ in CHANNELS]
+    def uv(along, across):
+        """Chart (u, v) of a point given as (along, across) per cell."""
+        axis = along_u.reshape((-1,) + (1,) * (np.ndim(along) - 1))
+        return np.where(axis, along, across), np.where(axis, across, along)
 
-        # Middle span: one crossing per strip across the cell.
-        mid_w = B - A
-        q = A[:, None] + mid_w[:, None] * _X4[None, :]
-        bu, bv = uv(q, np.broadcast_to(c0[:, None], q.shape))
-        du, dv = uv(0.0, hc)
-        f_a = field.eval_r(bu, bv) - tt
-        f_b = field.eval_r(bu + du, bv + dv) - tt
-        f_m = field.eval_r(bu + 0.5 * du, bv + 0.5 * dv) - tt
-        in_a, in_b, in_m = f_a < 0, f_b < 0, f_m < 0
-        bad_strip = in_a == in_b
-        cell_bad = np.any(bad_strip, axis=1)
+    # Cell origin and side in (along, across), the crossings' span, and
+    # whether the cell's low and high ends along the axis are inside.
+    a0, c0 = uv(u0[sel], v0[sel])
+    ha, hc = np.where(along_u, hu, hv), np.where(along_u, hv, hu)
+    AB = np.sort(np.where(along_u[:, None], cross_u[sel], cross_v[sel]),
+                 axis=1)
+    A, B = AB[:, 0], AB[:, 1]
+    lo_full = np.where(along_u, in00 & in01, in00 & in10)
+    hi_full = np.where(along_u, in10 & in11, in01 & in11)
 
-        lower = in_a != in_m
-        lo = np.where(lower, 0.0, 0.5)
-        hi = np.where(lower, 0.5, 1.0)
-        flo = np.where(lower, f_a, f_m)
-        fhi = np.where(lower, f_m, f_b)
-        s, nok = _newton_strips(field, tt, bu, bv, du, dv, lo, hi, flo, fhi)
-        cell_bad |= np.any(~nok, axis=1)
-        s_lo = np.where(in_a, 0.0, s)
-        s_hi = np.where(in_a, s, 1.0)
+    # Middle piece: one crossing per strip across the cell.
+    q = A[:, None] + (B - A)[:, None] * _X4[None, :]
+    bu, bv = uv(q, c0[:, None])
+    du, dv = uv(0.0 * hc, hc)
+    du, dv = du[:, None], dv[:, None]
+    f_a = field.eval_r(bu, bv) - tt
+    f_b = field.eval_r(bu + du, bv + dv) - tt
+    f_m = field.eval_r(bu + 0.5 * du, bv + 0.5 * dv) - tt
+    in_a, in_b, in_m = f_a < 0, f_b < 0, f_m < 0
+    cell_bad = np.any(in_a == in_b, axis=1)
 
-        span = s_hi - s_lo
-        nodes_s = s_lo[..., None] + span[..., None] * _X4[None, None, :]
-        w_mid = ((mid_w[:, None] * _W4[None, :])[..., None]
-                 * hc * span[..., None] * _W4[None, None, :])
-        NU, NV = uv(q[..., None] + 0.0 * nodes_s,
-                    c0[:, None, None] + hc * nodes_s)
-        for total, dens in zip(totals, _densities(
-                frames(field.surface, NU, NV))):
-            total += np.sum(dens * w_mid, axis=(1, 2))
+    lower = in_a != in_m
+    lo = np.where(lower, 0.0, 0.5)
+    hi = np.where(lower, 0.5, 1.0)
+    flo = np.where(lower, f_a, f_m)
+    fhi = np.where(lower, f_m, f_b)
+    s, nok = _newton_strips(field, tt, bu, bv, du, dv, lo, hi, flo, fhi)
+    cell_bad |= np.any(~nok, axis=1)
 
-        # End pieces: uniformly full or empty slabs beside the crossings.
-        for lo_edge, full_mask, width in (
-                (a0, lo_full, A - a0),
-                (B, hi_full, a0 + ha - B)):
-            width = np.where(full_mask, np.maximum(width, 0.0), 0.0)
-            if not np.any(width > 0.0):
-                continue
-            qa = lo_edge[:, None] + width[:, None] * _X4[None, :]
-            EU, EV = uv(qa[:, :, None] + np.zeros((1, 1, 4)),
-                        c0[:, None, None] + (hc * _X4)[None, None, :]
-                        + 0.0 * qa[:, :, None])
-            w_end = ((width[:, None] * _W4[None, :])[..., None]
-                     * hc * _W4[None, None, :])
-            for total, dens in zip(totals, _densities(
-                    frames(field.surface, EU, EV))):
-                total += np.sum(dens * w_end, axis=(1, 2))
+    # Pieces [a0, A], [A, B], [B, a0 + h]: along start and width, and per
+    # strip the across interval [s_lo, s_lo + span].
+    start = np.stack([a0, A, B], axis=1)
+    width = np.stack([A - a0, B - A, a0 + ha - B], axis=1)
+    zero = np.zeros_like(s)
+    mid_lo = np.where(in_a, 0.0, s)
+    s_lo = np.stack([zero, mid_lo, zero], axis=1)
+    span = np.stack([zero + lo_full[:, None], np.where(in_a, s, 1.0) - mid_lo,
+                     zero + hi_full[:, None]], axis=1)
 
-        ok[sel] &= ~cell_bad
-        for out, total in zip(contrib, totals):
-            out[sel] = total
+    q = start[..., None] + width[..., None] * _X4
+    nodes_s = s_lo[..., None] + span[..., None] * _X4
+    w = ((width[..., None] * _W4)[..., None]
+         * hc[:, None, None, None] * span[..., None] * _W4)
+    NU, NV = uv(q[..., None] + 0.0 * nodes_s,
+                c0[:, None, None, None] + hc[:, None, None, None] * nodes_s)
+    for out, dens in zip(contrib, _densities(frames(field.surface, NU, NV))):
+        out[sel] = np.sum(dens * w, axis=(1, 2, 3))
 
+    ok[sel] &= ~cell_bad
     for out in contrib:
         out[~ok] = 0.0
     return contrib, ok
 
 
-def _gl2_full_cells(field: DistanceField, u0, v0, hu: float,
-                    hv: float) -> tuple[np.ndarray, ...]:
-    """GL2x2 integrals of whole (sub)cells per channel, vectorized."""
-    U = u0[:, None, None] + (hu * _X2)[None, :, None]
-    V = v0[:, None, None] + (hv * _X2)[None, None, :]
-    U, V = np.broadcast_arrays(U, V)
-    fb = frames(field.surface, U, V)
-    w = (hu * _W2)[:, None] * (hv * _W2)[None, :]
-    return tuple(np.sum(dens * w[None], axis=(1, 2))
-                 for dens in _densities(fb))
+def _full_cells(field: DistanceField, u0, v0, hu: float,
+                hv: float) -> tuple[np.ndarray, ...]:
+    """GL3x3 integrals per channel of whole (sub)cells with origins u0, v0."""
+    x, w = _X3, _W3
+    wgrid = (w[:, None] * w[None, :]).ravel() * hu * hv
+    ugrid = (hu * x)[:, None].repeat(len(x), axis=1).ravel()
+    vgrid = (hv * x)[None, :].repeat(len(x), axis=0).ravel()
+    fb = frames(field.surface, u0[:, None] + ugrid[None, :],
+                v0[:, None] + vgrid[None, :])
+    return tuple(dens @ wgrid for dens in _densities(fb))
 
 
 _POLY_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
@@ -346,7 +322,7 @@ def integrate_cut_cells(field: DistanceField, tt: float,
         c_in = (c00 < 0) & (c10 < 0) & (c11 < 0) & (c01 < 0)
         c_out = (c00 >= 0) & (c10 >= 0) & (c11 >= 0) & (c01 >= 0)
         if np.any(c_in):
-            full = _gl2_full_cells(field, cu[c_in], cv[c_in], hu, hv)
+            full = _full_cells(field, cu[c_in], cv[c_in], hu, hv)
             totals = [total + float(np.sum(part))
                       for total, part in zip(totals, full)]
         keep = ~c_in & ~c_out

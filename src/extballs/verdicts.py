@@ -109,24 +109,10 @@ class VerdictReport:
         return out
 
 
-def _series_min(series: RadiusSeries, key: str) -> float:
-    vals = [getattr(rec, key) for rec in series.valid]
-    vals = [v for v in vals if not math.isnan(v)]
-    return min(vals) if vals else _NAN
-
-
-def _min_increment(series: RadiusSeries, key: str) -> float:
-    vals = [getattr(rec, key) for rec in series.valid]
-    vals = [v for v in vals if not math.isnan(v)]
-    if len(vals) < 2:
-        return _NAN
-    return min(b - a for a, b in zip(vals, vals[1:]))
-
-
-def _series_max(series: RadiusSeries, key: str) -> float:
-    vals = [getattr(rec, key) for rec in series.valid]
-    vals = [v for v in vals if not math.isnan(v)]
-    return max(vals) if vals else _NAN
+def _finite(series: RadiusSeries, key: str) -> list[float]:
+    """The non-NaN values of ``key`` over the series' valid radii."""
+    vals = (getattr(rec, key) for rec in series.valid)
+    return [v for v in vals if not math.isnan(v)]
 
 
 def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
@@ -157,7 +143,7 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
 
     # Geodesic-curvature identity: the worst disagreement between the
     # trace route and the frame-formula route across the schedule.
-    gap = _series_max(series, "kg_gap_max")
+    gap = max(_finite(series, "kg_gap_max"), default=_NAN)
     add("kg_identity", len(valid) > 0,
         bool(gap <= TOLERANCES["kg_gap"]), gap, "kg_gap",
         f"max |formula - trace| {gap:.2e}")
@@ -173,7 +159,8 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
         f"constant={plateau['constant']}")
 
     # Monotonicity of R(t) (nested domains, nonnegative integrand).
-    R_inc = _min_increment(series, "R")
+    R = _finite(series, "R")
+    R_inc = min((b - a for a, b in zip(R, R[1:])), default=_NAN)
     add("R_monotone", len(valid) > 1,
         bool(R_inc >= -TOLERANCES["R_slack"]), R_inc, "R_slack",
         f"smallest consecutive increment {R_inc:.3e}")
@@ -189,11 +176,11 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
                 and not math.isnan(growth_doubling)
                 and growth_doubling > max(TOLERANCES["diverge_delta"],
                                           TOLERANCES["diverge_frac"] * R_end))
-    ratios = [rec.ratio for rec in valid if not math.isnan(rec.ratio)]
+    ratios = _finite(series, "ratio")
     sup_growth = ratios[-1] if ratios else _NAN
 
     # Minimal-surface bounds; the non-minimal control is excluded.
-    div_min = _series_min(series, "div_margin")
+    div_min = min(_finite(series, "div_margin"), default=_NAN)
     add("divergence_bound", minimal and len(valid) > 0,
         bool(div_min >= TOLERANCES["bound_margin"]), div_min,
         "bound_margin",
@@ -208,12 +195,13 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
         f"min margin over alphas {euler_min:.3e}" if minimal
         else "non-minimal")
 
-    iso_min = _series_min(series, "iso_margin")
+    iso_min = min(_finite(series, "iso_margin"), default=_NAN)
     add("isoperimetric", minimal and len(valid) > 0,
         bool(iso_min >= TOLERANCES["iso_margin"]), iso_min, "iso_margin",
         f"min margin {iso_min:.3e}")
 
-    ratio_inc = _min_increment(series, "ratio")
+    ratio_inc = min((b - a for a, b in zip(ratios, ratios[1:])),
+                    default=_NAN)
     add("ratio_monotone", minimal and len(valid) > 1,
         bool(ratio_inc >= -TOLERANCES["ratio_slack"]), ratio_inc,
         "ratio_slack",

@@ -13,8 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from extballs import pipeline
 from extballs.catalog import make
 from extballs.domains import GridSpec, build_field
+from extballs.domains.field import cell_cases
 from extballs.pipeline import ensure_cell_cache
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -58,3 +60,41 @@ def test_cell_cache_count_reads_the_area_channel(tracing):
     assert np.all(first >= 0.0)
     count = tracing._cached_cells((field,), cache)["cells"]
     assert count == np.count_nonzero(first)
+
+
+def test_ball_hook_counts_match_the_ball(tracing, monkeypatch):
+    # Each per-radius hook's count, applied to the real calls of one ball
+    # extraction, must read the ball's components, vertices, samples and
+    # cut cells; a changed return shape fails here, not in a traced round.
+    layers = ("contours.extract_loops", "contours.augment_loop",
+              "balls.extract_ball", "quadrature.cut_cells")
+    hooks = {hook.layer: hook for hook in tracing.HOOKS
+             if hook.layer in layers}
+    assert set(hooks) == set(layers)
+    calls = {layer: [] for layer in layers}
+    for layer, hook in hooks.items():
+        owner, attr, raw = tracing._resolve(hook.target)
+
+        def record(*args, _fn=raw, _calls=calls[layer]):
+            result = _fn(*args)
+            _calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(owner, attr, record)
+
+    field = build_field(make("catenoid", t_max=6.0), 6.0,
+                        spec=GridSpec(96, 96))
+    ball = pipeline.extract_ball(field, 5.0)
+
+    def count(layer, key):
+        return sum(hooks[layer].count(args, result)[key]
+                   for args, result in calls[layer])
+
+    tt = calls["contours.extract_loops"][0][0][1]
+    cases = cell_cases(field.r, tt, field.periodic_u)
+    assert count("contours.extract_loops", "loops") == ball.n_components == 2
+    assert len(calls["contours.augment_loop"]) == 2
+    assert count("contours.augment_loop", "vertices") == len(ball.samples)
+    assert count("balls.extract_ball", "samples") == len(ball.samples)
+    assert count("quadrature.cut_cells", "cells") == np.count_nonzero(
+        (cases > 0) & (cases < 15))

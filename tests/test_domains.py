@@ -13,7 +13,7 @@ import pytest
 from extballs.catalog import make
 from extballs.catalog.charts import plane_chart, sphere_cap_chart
 from extballs.domains import (GridSpec, build_field, coarea_integral,
-                              critical_scan, extract_ball,
+                              critical_scan, extract_ball, extract_loops,
                               project_to_level, region_integral)
 from extballs.domains import balls
 from extballs.domains.field import bracketed_newton, corner_views
@@ -114,7 +114,11 @@ def test_sphere_chord_ball():
 def test_catenoid_two_ends(catenoid_field):
     ball = extract_ball(catenoid_field, 5.0)
     assert ball.n_components == 2
-    assert sorted(abs(w) for w in ball.windings) == [1, 1]
+    # Each end circles the neck: its vertices leave no wide gap in u.
+    for loop in extract_loops(catenoid_field, 5.0):
+        u = np.sort(loop.vertices[:, 0])
+        gaps = np.diff(np.concatenate([u, u[:1] + 2 * np.pi]))
+        assert np.max(gaps) < 0.1
 
 
 def test_enneper_single_end():
@@ -173,14 +177,6 @@ def test_boundary_sample_invariants(catenoid_field):
     assert np.all(np.abs(fb.r - 4.0) < 1e-8)
     assert np.all(s.weight > 0.0)
     assert s.uv.shape == (len(s), 2)
-
-
-def test_boundary_orientation_positive(plane_field):
-    ball = extract_ball(plane_field, 2.0)
-    pts = ball.boundary[0]
-    x, y = pts[:, 0], pts[:, 1]
-    area2 = np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))
-    assert area2 > 0.0
 
 
 def test_project_to_level(plane_field):
@@ -274,3 +270,48 @@ def test_cell_cache_matches_gl6_reference(name, bound):
     ref = _gl6_cell_totals(field)
     rel = np.abs(got - ref) / np.abs(ref)
     assert np.all(rel < bound), (rel, ref)
+
+
+def test_cut_cell_fallbacks_converge_with_depth(monkeypatch):
+    # Just past the catenoid's neck saddle at r = 2 the level curve
+    # pinches inside a few cells; the slicer rejects them, so they
+    # subdivide, and at the depth cap the terminal polygon estimates
+    # what is left.  Each extra level of subdivision must move every
+    # channel closer to the uncapped ball.
+    from extballs.domains import quadrature
+
+    field = build_field(make("catenoid", t_max=4.0), 4.0,
+                        spec=GridSpec(192, 192))
+    t = 2.0 + 1e-5
+    ref = extract_ball(field, t).integrals
+
+    rejected = []
+    slice_cells = quadrature._slice_cells
+
+    def spy(*args):
+        contrib, ok = slice_cells(*args)
+        rejected.append(int(np.count_nonzero(~ok)))
+        return contrib, ok
+
+    polygons = []
+    terminal_polygon = quadrature._terminal_polygon
+
+    def polygon_spy(fc):
+        polygons.append(fc)
+        return terminal_polygon(fc)
+
+    monkeypatch.setattr(quadrature, "_slice_cells", spy)
+    monkeypatch.setattr(quadrature, "_terminal_polygon", polygon_spy)
+    errors = []
+    for depth in (0, 1, 2):
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", depth)
+        rejected.clear()
+        polygons.clear()
+        got = extract_ball(field, t).integrals
+        errors.append({name: abs(got[name] - ref[name]) for name in ref})
+        if depth == 0:
+            assert rejected[0] > 0 and len(polygons) == rejected[0]
+    for name in ref:
+        coarse, mid, fine = (err[name] for err in errors)
+        assert coarse > mid > fine, (name, errors)
+        assert coarse > 1e-5
