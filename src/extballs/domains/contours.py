@@ -45,8 +45,9 @@ class Loop:
 
     ``vertices`` are the component's edge crossings (plus any inserted
     midpoints) in no particular order; ``segments`` pair vertex indices,
-    one pair per cut cell (two in a saddle cell), each in an arbitrary
-    direction.  Every vertex belongs to exactly two segments.
+    one pair per cut cell (two in a saddle cell, halves of these once
+    ``augment_loop`` bisects them), each in an arbitrary direction.
+    Every vertex belongs to exactly two segments.
     """
 
     vertices: np.ndarray          # (N, 2) chart points

@@ -13,7 +13,8 @@ reads from one field, so the grid layout conventions live here:
 * Cell (i, j) has corners c0..c3 at nodes (i, j), (i+1, j), (i+1, j+1),
   (i, j+1); on a u-periodic grid i+1 wraps to 0, giving n_u cell columns
   (else n_u - 1).  Only ``corner_views`` spells this out, and the ball
-  quadrature and contour walker both classify cells by ``cell_cases``.
+  quadrature and contour extraction both classify cells by
+  ``cell_cases``.
 """
 
 from __future__ import annotations

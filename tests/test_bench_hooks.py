@@ -4,7 +4,8 @@
 and records a target it cannot find as absent, whose metrics then read
 0 without failing the run.  These tests pin which targets are absent, so
 a refactor that moves or deletes a hooked function fails here rather
-than silently zeroing a per-layer metric.
+than silently zeroing a per-layer metric, and apply the hooks' counters
+to real results, so a changed return shape fails here too.
 """
 
 import types

@@ -15,11 +15,11 @@ from extballs.catalog.charts import plane_chart, sphere_cap_chart
 from extballs.domains import (GridSpec, build_field, coarea_integral,
                               critical_scan, extract_ball, extract_loops,
                               project_to_level, region_integral)
-from extballs.domains import balls
+from extballs.domains import balls, quadrature
 from extballs.domains.field import bracketed_newton, corner_views
 from extballs.domains.quadrature import ensure_cell_cache
 from extballs.errors import (ConfigError, CriticalRadius, DomainTooSmall,
-                             PoleOffModel)
+                             GeometryError, PoleOffModel)
 from extballs.immersion import frames
 
 
@@ -179,6 +179,13 @@ def test_boundary_sample_invariants(catenoid_field):
     assert s.uv.shape == (len(s), 2)
 
 
+def test_open_level_curve_raises(plane_field):
+    # A level just above the chart edge's midpoint distance leaves the
+    # grid, so its edge crossings cannot all pair into closed components.
+    with pytest.raises(GeometryError, match="not closed inside the grid"):
+        extract_loops(plane_field, float(plane_field.r[0, 256]) + 1e-3)
+
+
 def test_project_to_level(plane_field):
     rng = np.random.default_rng(11)
     ang = rng.uniform(0.0, 2 * np.pi, 40)
@@ -278,8 +285,6 @@ def test_cut_cell_fallbacks_converge_with_depth(monkeypatch):
     # subdivide, and at the depth cap the terminal polygon estimates
     # what is left.  Each extra level of subdivision must move every
     # channel closer to the uncapped ball.
-    from extballs.domains import quadrature
-
     field = build_field(make("catenoid", t_max=4.0), 4.0,
                         spec=GridSpec(192, 192))
     t = 2.0 + 1e-5
