@@ -16,7 +16,7 @@ from extballs.domains import (GridSpec, build_field, coarea_integral,
                               critical_scan, extract_ball, extract_loops,
                               project_to_level, region_integral)
 from extballs.domains import balls, quadrature
-from extballs.domains.field import bracketed_newton, corner_views
+from extballs.domains.field import bracketed_newton, cell_cases, corner_views
 from extballs.domains.quadrature import ensure_cell_cache
 from extballs.errors import (ConfigError, CriticalRadius, DomainTooSmall,
                              GeometryError, PoleOffModel)
@@ -36,6 +36,12 @@ def catenoid_field():
 @pytest.fixture(scope="module")
 def h2_field():
     return build_field(make("h2_in_h3", t_max=8.0), 8.0)
+
+
+@pytest.fixture(scope="module")
+def catenoid_192():
+    return build_field(make("catenoid", t_max=4.0), 4.0,
+                       spec=GridSpec(192, 192))
 
 
 def test_grid_spec_minimum():
@@ -279,14 +285,13 @@ def test_cell_cache_matches_gl6_reference(name, bound):
     assert np.all(rel < bound), (rel, ref)
 
 
-def test_cut_cell_fallbacks_converge_with_depth(monkeypatch):
+def test_cut_cell_fallbacks_converge_with_depth(catenoid_192, monkeypatch):
     # Just past the catenoid's neck saddle at r = 2 the level curve
     # pinches inside a few cells; the slicer rejects them, so they
     # subdivide, and at the depth cap the terminal polygon estimates
     # what is left.  Each extra level of subdivision must move every
     # channel closer to the uncapped ball.
-    field = build_field(make("catenoid", t_max=4.0), 4.0,
-                        spec=GridSpec(192, 192))
+    field = catenoid_192
     t = 2.0 + 1e-5
     ref = extract_ball(field, t).integrals
 
@@ -320,3 +325,33 @@ def test_cut_cell_fallbacks_converge_with_depth(monkeypatch):
         coarse, mid, fine = (err[name] for err in errors)
         assert coarse > mid > fine, (name, errors)
         assert coarse > 1e-5
+
+
+def _cut_cells(field, t):
+    cases = cell_cases(field.r, t, field.periodic_u)
+    return np.nonzero((cases > 0) & (cases < 15))
+
+
+# Per-channel cut-cell totals of the catenoid at 192^2 around the default
+# pole (one, |B|^2, K).  The three levels reach every piece shape of the
+# slicer: along-u and along-v cells (t = 1, a disk around the pole),
+# side pieces of zero width, full ones and empty ones (all three),
+# subdivided children (the neck pinch just past r = 2) and cells on the
+# u-periodic seam (all three).  Any change to which points the slicer evaluates must leave
+# these bits alone.
+_CUT_CELL_PINS = {
+    1.0: ("0x1.990425087167ap-3", "0x1.8bfb3919812f4p-3",
+          "-0x1.8bfb3919812f4p-4"),
+    2.0 + 1e-5: ("0x1.b055439e2b674p-1", "0x1.6b559d91813d8p-2",
+                 "-0x1.6b559d91813d8p-3"),
+    3.0: ("0x1.82986f2dc3b64p+0", "0x1.92f8e32accf07p-4",
+          "-0x1.92f8e32accf07p-5"),
+}
+
+
+@pytest.mark.parametrize("t", sorted(_CUT_CELL_PINS))
+def test_cut_cell_totals_are_pinned(catenoid_192, t):
+    ci, cj = _cut_cells(catenoid_192, t)
+    got = quadrature.integrate_cut_cells(catenoid_192, t, ci, cj)
+    assert [x.hex() for x in got] == list(_CUT_CELL_PINS[t])
+
