@@ -434,13 +434,18 @@ class RadiusSeries:
         The partner is the largest t <= t_last / 2.  It must also reach
         t_last / PARTNER_SPAN: on a sparse schedule the radius below half
         can sit several doublings down, and the difference then reads a
-        slowly settling finite total as divergence.  NaN without one.
+        slowly settling finite total as divergence.  It must reach R0 as
+        well, past which `chi_plateau` counts radii as settled: below R0
+        the ball is still taking in the neck, and R gains that curvature
+        however the ends behave.  A NaN R0 sets no bound.  NaN without a
+        partner.
         """
         recs = self.valid
         if len(recs) < 2:
             return _NAN
         t_last = recs[-1].t
         half = [rec for rec in recs if rec.t <= 0.5 * t_last + 1e-12]
-        if not half or half[-1].t < t_last / PARTNER_SPAN - 1e-12:
+        if (not half or half[-1].t < t_last / PARTNER_SPAN - 1e-12
+                or half[-1].t < self.R0):
             return _NAN
         return recs[-1].R - half[-1].R

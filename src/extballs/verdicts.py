@@ -288,8 +288,8 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
         add("total_curvature_finite", minimal and measured, True,
             growth_doubling, "diverge_delta",
             "" if measured or not minimal else
-            f"no radius in [t_last/{PARTNER_SPAN:g}, t_last/2] to measure "
-            "a doubling")
+            f"no radius in [t_last/{PARTNER_SPAN:g}, t_last/2] past "
+            f"R0 = {series.R0:.4g} to measure a doubling")
 
     return VerdictReport(
         surface=surface_name,

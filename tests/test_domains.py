@@ -355,3 +355,40 @@ def test_cut_cell_totals_are_pinned(catenoid_192, t):
     got = quadrature.integrate_cut_cells(catenoid_192, t, ci, cj)
     assert [x.hex() for x in got] == list(_CUT_CELL_PINS[t])
 
+
+@pytest.mark.parametrize("t", sorted(_CUT_CELL_PINS))
+def test_slicer_evaluates_at_most_32_points_per_cell(catenoid_192, t,
+                                                     monkeypatch):
+    # A non-saddle cut cell has at most one full side piece (two would put
+    # all four corners inside), so at most two of its three 16-point
+    # pieces carry weight, and only those points reach frames.
+    calls = []
+    slice_cells = quadrature._slice_cells
+    cell_crossings = quadrature._cell_crossings
+    quad_frames = quadrature.frames
+
+    def slice_spy(*args):
+        calls.append({"cells": 0, "points": 0, "open": True})
+        try:
+            return slice_cells(*args)
+        finally:
+            calls[-1]["open"] = False
+
+    def crossings_spy(*args):
+        cross_u, cross_v, ok = cell_crossings(*args)
+        calls[-1]["cells"] = int(np.count_nonzero(ok))
+        return cross_u, cross_v, ok
+
+    def frames_spy(surface, u, v):
+        if calls and calls[-1]["open"]:
+            calls[-1]["points"] += np.size(u)
+        return quad_frames(surface, u, v)
+
+    monkeypatch.setattr(quadrature, "_slice_cells", slice_spy)
+    monkeypatch.setattr(quadrature, "_cell_crossings", crossings_spy)
+    monkeypatch.setattr(quadrature, "frames", frames_spy)
+    ci, cj = _cut_cells(catenoid_192, t)
+    quadrature.integrate_cut_cells(catenoid_192, t, ci, cj)
+    assert calls and all(c["cells"] > 0 for c in calls)
+    for c in calls:
+        assert 0 < c["points"] <= 32 * c["cells"], (t, calls)

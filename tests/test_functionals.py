@@ -268,6 +268,16 @@ def test_R_growth_needs_a_doubling_partner():
     assert series.R_growth_over_doubling() == pytest.approx(3.0)
 
 
+def test_R_growth_partner_must_reach_r0():
+    series = _series([1.0, 2.0, 4.0], R=[1.0, 2.0, 5.0])
+    series.R0 = 2.5
+    assert math.isnan(series.R_growth_over_doubling())
+    series.R0 = 2.0
+    assert series.R_growth_over_doubling() == pytest.approx(3.0)
+    series.R0 = float("nan")
+    assert series.R_growth_over_doubling() == pytest.approx(3.0)
+
+
 def test_R_growth_partner_on_a_ratio_174_schedule():
     # geomspace(0.5, 8, 6): the partner of t = 8 is 2.64, 3.03x down.
     ts = list(np.geomspace(0.5, 8.0, 6))
