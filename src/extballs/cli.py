@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("config", help="path to a JSON run configuration")
     swp.add_argument("--param", required=True,
                      help="config key to vary, e.g. params.c | grid | "
-                          "alphas | schedule.count")
+                          "pole | schedule.count")
     swp.add_argument("--values", required=True,
                      help="JSON array, or comma-separated JSON values")
     swp.add_argument("--out", help="output directory (default 'out')")

@@ -1,8 +1,9 @@
 """Run configuration: one JSON document describing one pipeline run.
 
 A config names a catalog surface and optionally overrides the pole, the
-radius schedule, the grid and the Euler-bound exponents; the verdict
-tolerances are fixed (`verdicts.TOLERANCES`).  Validation is strict:
+radius schedule and the grid; the verdict tolerances
+(`verdicts.TOLERANCES`) and the Euler-bound weights
+(`functionals.EULER_ALPHAS`) are fixed.  Validation is strict:
 unknown keys anywhere in the document are errors, so a typo cannot
 silently fall back to a default and make a report look like it came
 from a different run than it did.
@@ -16,12 +17,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .pipeline import DEFAULT_ALPHAS, DEFAULT_GRID
+from .pipeline import DEFAULT_GRID
 
 _SPACINGS = ("geometric", "linear")
 
-_TOP_KEYS = {"surface", "params", "pole", "schedule", "grid", "alphas",
-             "output"}
+_TOP_KEYS = {"surface", "params", "pole", "schedule", "grid", "output"}
 _SCHEDULE_KEYS = {"t_min", "t_max", "count", "spacing"}
 
 
@@ -45,7 +45,6 @@ class RunConfig:
     count: int | None = None
     spacing: str = "geometric"
     grid: tuple = DEFAULT_GRID
-    alphas: tuple = DEFAULT_ALPHAS
     output: str | None = None
 
     @staticmethod
@@ -64,7 +63,6 @@ class RunConfig:
         t_min, t_max, count, spacing = _parse_schedule(
             doc.get("schedule", {}))
         grid = _parse_grid(doc.get("grid", DEFAULT_GRID))
-        alphas = _parse_alphas(doc.get("alphas", DEFAULT_ALPHAS))
 
         output = doc.get("output")
         if output is not None and not isinstance(output, str):
@@ -73,7 +71,7 @@ class RunConfig:
         return RunConfig(surface=doc["surface"], params=dict(params),
                          pole_uv=pole_uv, t_min=t_min, t_max=t_max,
                          count=count, spacing=spacing, grid=grid,
-                         alphas=alphas, output=output)
+                         output=output)
 
     @staticmethod
     def from_json(path: str | Path) -> "RunConfig":
@@ -98,7 +96,6 @@ class RunConfig:
             "spacing": self.spacing,
             "grid": self.grid,
             "pole_uv": self.pole_uv,
-            "alphas": self.alphas,
         }
 
 
@@ -154,22 +151,11 @@ def _parse_grid(raw) -> tuple:
     return (nu, nv)
 
 
-def _parse_alphas(raw) -> tuple:
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ConfigError("'alphas' must be a non-empty array")
-    out = []
-    for a in raw:
-        if not _is_finite_number(a) or not 0.0 < a < 2.0:
-            raise ConfigError(f"alpha {a!r} outside the open interval (0, 2)")
-        out.append(float(a))
-    return tuple(out)
-
-
 def set_config_key(doc: dict, dotted: str, value) -> dict:
     """Return a copy of a raw config dict with one dotted key replaced.
 
     Supports the keys a sweep may vary: top-level entries ("grid",
-    "alphas", "pole", ...) and one-level paths into objects
+    "pole", ...) and one-level paths into objects
     ("params.c", "schedule.count", ...).
     """
     out = json.loads(json.dumps(doc))

@@ -35,6 +35,7 @@ from .errors import ConfigError
 from .immersion import radial_frames
 
 __all__ = [
+    "EULER_ALPHAS",
     "RadiusRecord",
     "RadiusSeries",
     "divergence_bound_sides",
@@ -271,6 +272,11 @@ def gb_integrand(field: DistanceField, ball: ExtrinsicBall,
     return h * (coarea - ball.area * Vp / V) + normal_term
 
 
+# The weights at which runs check the Euler-term growth bound, which
+# holds for every alpha in (0, 2).
+EULER_ALPHAS = (0.25, 0.5, 1.0, 1.5)
+
+
 def euler_bound_sides(form, t: float, alpha: float, *, R: float,
                       R_prime: float, area: float, coarea: float,
                       chi: int) -> dict:
@@ -333,10 +339,13 @@ class RadiusRecord:
     gb_chain_residual: float = _NAN
 
     def as_dict(self) -> dict:
+        """Flat row with one `euler_margin_aNNN` column per `EULER_ALPHAS`
+        weight, NaN where the margin was not computed."""
         out = dataclasses.asdict(self)
         margins = out.pop("euler_margins")
-        for alpha, margin in margins.items():
-            out[f"euler_margin_a{int(round(100 * alpha)):03d}"] = margin
+        for alpha in EULER_ALPHAS:
+            out[f"euler_margin_a{int(round(100 * alpha)):03d}"] = \
+                margins.get(alpha, _NAN)
         return out
 
 

@@ -22,14 +22,13 @@ from .domains.balls import ExtrinsicBall, extract_ball
 from .domains.field import GridSpec, build_field, critical_scan
 from .domains.quadrature import ensure_cell_cache
 from .errors import ConfigError, CriticalRadius
-from .functionals import (RadiusRecord, RadiusSeries, euler_bound_sides,
-                          kg_gaps, radius_record)
+from .functionals import (EULER_ALPHAS, RadiusRecord, RadiusSeries,
+                          euler_bound_sides, kg_gaps, radius_record)
 from .verdicts import VerdictReport, build_verdicts
 
 __all__ = ["PipelineResult", "make_schedule", "run_surface"]
 
 DEFAULT_GRID = (512, 512)
-DEFAULT_ALPHAS = (0.25, 0.5, 1.0, 1.5)
 _CRITICAL_EXCLUSION = 1e-6
 
 
@@ -47,6 +46,19 @@ def make_schedule(t_min: float, t_max: float, count: int,
     raise ConfigError(f"unknown spacing {spacing!r}; use geometric|linear")
 
 
+def _check_pole_in_domain(surface, pole_uv: tuple) -> None:
+    """Reject chart coordinates outside the domain in a non-wrapping
+    direction: every ball about such a pole would be empty."""
+    (u0, u1), (v0, v1) = surface.domain
+    u, v = pole_uv
+    if (v0 <= v <= v1) and (surface.periodic_u or u0 <= u <= u1):
+        return
+    u_range = "u periodic" if surface.periodic_u else f"u in [{u0:g}, {u1:g}]"
+    raise ConfigError(
+        f"'pole' [{u:g}, {v:g}] lies outside the chart domain of "
+        f"{surface.label!r} ({u_range}, v in [{v0:g}, {v1:g}])")
+
+
 @dataclass
 class PipelineResult:
     field: object
@@ -57,13 +69,10 @@ class PipelineResult:
 def run_surface(name: str, *, params: dict | None = None,
                 t_min: float | None = None, t_max: float | None = None,
                 count: int | None = None, spacing: str = "geometric",
-                grid: tuple = DEFAULT_GRID, pole_uv: tuple | None = None,
-                alphas=DEFAULT_ALPHAS) -> PipelineResult:
+                grid: tuple = DEFAULT_GRID,
+                pole_uv: tuple | None = None) -> PipelineResult:
     """Run the full pipeline for one catalog surface."""
     entry = lookup(name)
-    for alpha in alphas:
-        if not (0.0 < alpha < 2.0):
-            raise ConfigError(f"alpha {alpha} outside (0, 2)")
 
     t_min = entry.default_t_min if t_min is None else float(t_min)
     t_max = entry.default_t_max if t_max is None else float(t_max)
@@ -73,6 +82,7 @@ def run_surface(name: str, *, params: dict | None = None,
     surface = entry.surface(t_max, params)
     pole = None
     if pole_uv is not None:
+        _check_pole_in_domain(surface, pole_uv)
         pole = surface.eval(np.array([float(pole_uv[0])]),
                             np.array([float(pole_uv[1])]))[0]
     spec = GridSpec(n_u=int(grid[0]), n_v=int(grid[1]))
@@ -118,7 +128,7 @@ def run_surface(name: str, *, params: dict | None = None,
             if math.isnan(rec.coarea) or math.isnan(rec.R_prime):
                 continue
             chi = int(round(rec.chi_hat))
-            for alpha in alphas:
+            for alpha in EULER_ALPHAS:
                 rec.euler_margins[alpha] = euler_bound_sides(
                     form, rec.t, alpha, R=rec.R, R_prime=rec.R_prime,
                     area=rec.area, coarea=rec.coarea, chi=chi)["margin"]

@@ -16,35 +16,24 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .functionals import RadiusSeries
+from .functionals import RadiusRecord, RadiusSeries
 from .verdicts import VerdictReport
 
 SCHEMA_VERSION = 1
 
 
-def series_columns(series: RadiusSeries) -> list:
-    """Stable CSV column order for a series (schedule-wide union).
-
-    Columns come in order of first appearance; a skipped radius carries
-    no Euler margins, so its row may lack columns a measured row has.
-    """
-    cols = {}
-    for rec in series.records:
-        cols.update(dict.fromkeys(rec.as_dict()))
-    return list(cols)
-
-
 def write_series_csv(path: str | Path, series: RadiusSeries) -> Path:
-    """Write one row per scheduled radius; not-applicable cells are nan."""
+    """Write one row per scheduled radius; not-applicable cells are nan.
+
+    Every row has the columns of `RadiusRecord.as_dict`, in its order.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    cols = series_columns(series)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cols)
+        writer.writerow(list(RadiusRecord(t=math.nan).as_dict()))
         for rec in series.records:
-            row = rec.as_dict()
-            writer.writerow([_cell(row.get(c, math.nan)) for c in cols])
+            writer.writerow([_cell(v) for v in rec.as_dict().values()])
     return path
 
 

@@ -101,8 +101,13 @@ def test_report_infeasible_geometry(tmp_path, capsys):
       "schedule": {"t_max": float("inf")}}, "'t_max'"),
     ({"surface": "plane", "pole": [float("nan"), 0.0]}, "'pole'"),
     ({"surface": "plane", "pole": [float("inf"), 0.0]}, "'pole'"),
+    ({"surface": "plane", "pole": [100, 0],
+      "schedule": {"t_max": 2.0, "count": 3}}, "'pole' [100, 0]"),
+    ({"surface": "enneper", "pole": [0, 40],
+      "schedule": {"t_max": 2.0, "count": 3}}, "'pole' [0, 40]"),
 ], ids=["c_string", "c_nan", "t_max_inf_catenoid", "t_max_inf_hyperbolic",
-        "pole_nan", "pole_inf"])
+        "pole_nan", "pole_inf", "pole_off_plane_chart",
+        "pole_off_enneper_chart"])
 def test_report_bad_numbers_name_their_key(tmp_path, capsys, doc, key):
     cfg = _write(tmp_path, "bad.json", dict(doc, grid=64))
     assert main(["report", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -180,6 +185,17 @@ def test_sweep_rejects_tolerance_parameter(plane_config, tmp_path):
     assert len(doc["runs"]) == 2
     for run in doc["runs"]:
         assert "unknown sweep parameter" in run["error"]
+
+
+def test_sweep_rejects_alphas_parameter(plane_config, tmp_path):
+    out_root = tmp_path / "sweep"
+    assert main(["sweep", plane_config, "--param", "alphas",
+                 "--values", "[[0.5], [1.0]]", "--out", str(out_root),
+                 "--quiet"]) == 1
+    doc = json.loads((out_root / "sweep.json").read_text())
+    assert len(doc["runs"]) == 2
+    for run in doc["runs"]:
+        assert "unknown config key(s) ['alphas']" in run["error"]
 
 
 def test_sweep_json_values(plane_config, tmp_path):

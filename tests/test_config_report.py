@@ -10,9 +10,9 @@ import pytest
 
 from extballs.config import RunConfig, set_config_key
 from extballs.errors import ConfigError
-from extballs.functionals import RadiusRecord, RadiusSeries
+from extballs.functionals import EULER_ALPHAS, RadiusRecord, RadiusSeries
 from extballs.report import (SCHEMA_VERSION, read_report_json,
-                             report_document, series_columns, verdict_lines,
+                             report_document, verdict_lines,
                              write_report_json, write_series_csv)
 from extballs.verdicts import Verdict, VerdictReport
 
@@ -29,7 +29,6 @@ def test_minimal_config_defaults():
     assert cfg.surface == "plane"
     assert cfg.grid == (512, 512)
     assert cfg.spacing == "geometric"
-    assert cfg.alphas == (0.25, 0.5, 1.0, 1.5)
     kwargs = cfg.run_kwargs()
     assert kwargs["t_min"] is None and kwargs["t_max"] is None
     assert kwargs["params"] is None
@@ -43,7 +42,6 @@ def test_full_config_round_trip(tmp_path):
         "schedule": {"t_min": 0.5, "t_max": 6.0, "count": 12,
                      "spacing": "linear"},
         "grid": [128, 256],
-        "alphas": [0.5, 1.0],
         "output": "out/hc",
     }
     path = tmp_path / "run.json"
@@ -54,7 +52,6 @@ def test_full_config_round_trip(tmp_path):
     assert cfg.t_min == 0.5 and cfg.t_max == 6.0 and cfg.count == 12
     assert cfg.spacing == "linear"
     assert cfg.grid == (128, 256)
-    assert cfg.alphas == (0.5, 1.0)
     assert cfg.output == "out/hc"
     kwargs = cfg.run_kwargs()
     assert kwargs["pole_uv"] == (0.1, 0.2)
@@ -80,6 +77,7 @@ _REMOVED = [
      "grid"),
     ({"surface": "plane", "tolerances": {}}, "tolerances"),
     ({"surface": "plane", "tolerances": {"kg_gap": 2e-5}}, "tolerances"),
+    ({"surface": "plane", "alphas": [0.5, 1.0]}, r"\['alphas'\]"),
 ]
 
 
@@ -178,7 +176,7 @@ def test_series_csv_round_trip(tmp_path):
     with path.open(encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     header, data = rows[0], rows[1:]
-    assert header == series_columns(series)
+    assert header == list(RadiusRecord(t=1.0).as_dict())
     assert len(data) == 2
     row1 = dict(zip(header, data[0]))
     row2 = dict(zip(header, data[1]))
@@ -193,8 +191,9 @@ def test_series_csv_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("skip_first", [False, True])
-def test_series_csv_unions_columns_over_skipped_radii(tmp_path, skip_first):
-    # As the pipeline builds them: Euler margins on measured radii only.
+def test_series_csv_rows_share_fixed_columns(tmp_path, skip_first):
+    # As the pipeline builds them: Euler margins on measured radii only,
+    # here at two of the four weights.
     measured = RadiusRecord(t=0.5, area=0.25,
                             euler_margins={0.25: 0.125, 1.0: 0.5})
     skipped = RadiusRecord(t=1.0, skipped=True, note="critical radius")
@@ -203,12 +202,16 @@ def test_series_csv_unions_columns_over_skipped_radii(tmp_path, skip_first):
                             RadiusSeries(records=records, R0=0.25))
     with path.open(encoding="utf-8", newline="") as fh:
         header, *data = list(csv.reader(fh))
-    assert header == list(measured.as_dict())
+    assert header == list(skipped.as_dict()) == list(measured.as_dict())
+    assert header[-4:] == [f"euler_margin_a{round(100 * a):03d}"
+                           for a in EULER_ALPHAS]
+    assert all(len(row) == len(header) for row in data)
     rows = {row[0]: dict(zip(header, row)) for row in data}
     assert rows["0.5"]["euler_margin_a025"] == "0.125"
+    assert rows["0.5"]["euler_margin_a050"] == "nan"
     assert rows["0.5"]["euler_margin_a100"] == "0.5"
-    assert rows["1.0"]["euler_margin_a025"] == "nan"
-    assert rows["1.0"]["euler_margin_a100"] == "nan"
+    assert rows["0.5"]["euler_margin_a150"] == "nan"
+    assert all(rows["1.0"][col] == "nan" for col in header[-4:])
 
 
 def test_series_csv_handles_numpy_scalars(tmp_path):

@@ -257,6 +257,8 @@ def test_record_flattens_euler_margins():
     row = rec.as_dict()
     assert row["euler_margin_a025"] == 1.5
     assert row["euler_margin_a100"] == 2.5
+    assert math.isnan(row["euler_margin_a050"])
+    assert math.isnan(row["euler_margin_a150"])
     assert "euler_margins" not in row
 
 

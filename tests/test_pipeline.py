@@ -76,10 +76,15 @@ def test_run_surface_rejects_unknown_name():
         run_surface("moebius")
 
 
-def test_run_surface_rejects_bad_alpha():
-    with pytest.raises(ConfigError):
-        run_surface("plane", alphas=(3.0,), grid=(64, 64), t_max=2.0,
-                    count=2)
+def test_run_surface_accepts_pole_past_the_period():
+    # The catenoid wraps in u, so u = 2 pi + 0.5 names the pole at 0.5.
+    kwargs = dict(grid=(64, 64), t_min=0.5, t_max=2.0, count=2)
+    wrapped = run_surface("catenoid", pole_uv=(2.0 * math.pi + 0.5, 0.0),
+                          **kwargs)
+    inside = run_surface("catenoid", pole_uv=(0.5, 0.0), **kwargs)
+    assert wrapped.report.exit_status == inside.report.exit_status
+    assert wrapped.report.R_end == pytest.approx(inside.report.R_end,
+                                                 rel=1e-9)
 
 
 def test_run_surface_small_plane_passes():

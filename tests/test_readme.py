@@ -6,7 +6,8 @@ import re
 from pathlib import Path
 
 from extballs.config import RunConfig
-from extballs.verdicts import TOLERANCES, Verdict
+from extballs.functionals import RadiusRecord
+from extballs.verdicts import TOLERANCES, Verdict, VerdictReport
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
     encoding="utf-8")
@@ -37,3 +38,18 @@ def test_verdict_field_list_matches_program():
                        README.replace("\n", " "))
     listed = [name.strip() for name in fields.group(1).split(",")]
     assert listed == [f.name for f in dataclasses.fields(Verdict)]
+
+
+def test_report_key_list_matches_program():
+    listing = re.search(r"^report   — (.*?)```", _section("### `report.json`"),
+                        re.S | re.M)
+    listed = [name.strip() for name in listing.group(1).split(",")]
+    blank = {f.name: None for f in dataclasses.fields(VerdictReport)}
+    report = VerdictReport(**dict(blank, verdicts=[]))
+    assert listed == list(report.as_dict())
+
+
+def test_series_column_list_matches_program():
+    listing = re.search(r"Columns:\s+`([^`]+)`", _section("### `series.csv`"))
+    listed = [name.strip() for name in listing.group(1).split(",")]
+    assert listed == list(RadiusRecord(t=1.0).as_dict())

@@ -82,3 +82,17 @@ def test_missing_run_fails(tmp_path):
     code, out = _diff(old, new)
     assert code == 1
     assert "extra: missing in NEW" in out
+
+
+def test_fields_on_one_side_are_added_or_removed(tmp_path):
+    old, new = _copies(tmp_path)
+    _edit_report(new / "quick", lambda rep: rep.pop("G_b_spread"))
+    path = new / "quick" / "series.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0] + ",extra"]
+                              + [line + ",1.0" for line in lines[1:]]) + "\n")
+    code, out = _diff(old, new)
+    assert code == 0
+    assert f"added series.csv[*].extra ({len(lines) - 1})" in out
+    assert "removed report.json.report.G_b_spread" in out
+    assert "non-numeric" not in out

@@ -8,8 +8,10 @@ directories themselves or hold run directories below them, matched by
 their path under the root.  For each run this prints one line: either
 ``identical`` (both files byte-equal), or whether the exit status and
 every verdict's ``applicable``/``passed`` flags match, plus the field
-that moved most.  A number's change is relative where |old| > 1e-3 and
-absolute otherwise.
+that moved most, the fields present on one side only (added or removed,
+list indices starred and counted) and the count of other non-numeric
+fields that differ.  A number's change is relative where |old| > 1e-3
+and absolute otherwise.
 
 Exits 1 when any exit status or verdict flag differs, or a run is
 missing on one side; 0 otherwise.  Standard library only.
@@ -20,7 +22,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 _REL_FLOOR = 1e-3
@@ -79,6 +83,12 @@ def _series_leaves(path: Path):
                 yield f"series.csv[{i}].{key}", val
 
 
+def _grouped(keys: list[str]) -> str:
+    """Leaf paths with list indices starred, each with its count."""
+    counts = Counter(re.sub(r"\[\d+\]", "[*]", key) for key in keys)
+    return ", ".join(f"{p} ({n})" if n > 1 else p for p, n in counts.items())
+
+
 def _flags(report: dict) -> dict:
     return {v["name"]: (v["applicable"], v["passed"])
             for v in report["report"]["verdicts"]}
@@ -111,9 +121,11 @@ def compare_run(old: Path, new: Path) -> tuple[str, bool]:
     new_leaves = dict(_leaves(rep_new, "report.json"))
     new_leaves.update(_series_leaves(new / "series.csv"))
     worst = (0.0, None)
+    added = sorted(new_leaves.keys() - old_leaves.keys())
+    removed = sorted(old_leaves.keys() - new_leaves.keys())
     other = []
-    for key in sorted(old_leaves.keys() | new_leaves.keys()):
-        a, b = old_leaves.get(key), new_leaves.get(key)
+    for key in sorted(old_leaves.keys() & new_leaves.keys()):
+        a, b = old_leaves[key], new_leaves[key]
         if a == b:
             continue
         na, nb = _number(a), _number(b)
@@ -127,6 +139,10 @@ def compare_run(old: Path, new: Path) -> tuple[str, bool]:
                 else "abs")
         parts.append(f"largest change {key} {old_leaves[key]} -> "
                      f"{new_leaves[key]} ({kind} {worst[0]:.2e})")
+    if added:
+        parts.append(f"added {_grouped(added)}")
+    if removed:
+        parts.append(f"removed {_grouped(removed)}")
     if other:
         parts.append(f"{len(other)} non-numeric field(s) differ, "
                      f"first {other[0]}")
