@@ -70,7 +70,7 @@ def plane_chart(halfwidth: float = 10.0) -> ParametricSurface:
     a = float(halfwidth)
     return ParametricSurface(
         form=SpaceForm(0.0), domain=((-a, a), (-a, a)), jet=jet,
-        label="plane", minimal=True,
+        label="plane", minimal=True, u_isometry=True,
     )
 
 
@@ -100,6 +100,7 @@ def catenoid_chart(v_max: float = 4.0) -> ParametricSurface:
     return ParametricSurface(
         form=SpaceForm(0.0), domain=((0.0, 2.0 * np.pi), (-m, m)), jet=jet,
         label="catenoid", minimal=True, periodic_u=True,
+        u_isometry=True,
     )
 
 
@@ -154,7 +155,7 @@ def helicoid_chart(halfwidth: float = 9.2) -> ParametricSurface:
     a = float(halfwidth)
     return ParametricSurface(
         form=SpaceForm(0.0), domain=((-a, a), (-a, a)), jet=jet,
-        label="helicoid", minimal=True,
+        label="helicoid", minimal=True, u_isometry=True,
     )
 
 
@@ -189,7 +190,7 @@ def h2_chart(halfwidth: float = 8.8) -> ParametricSurface:
     a = float(halfwidth)
     return ParametricSurface(
         form=SpaceForm(-1.0), domain=((-a, a), (-a, a)), jet=jet,
-        label="h2_in_h3", minimal=True,
+        label="h2_in_h3", minimal=True, u_isometry=True,
     )
 
 

@@ -11,7 +11,10 @@ Gauss-Bonnet).  It is a sum over grid cells:
   radius in a schedule (the integrands are smooth on a cell, and
   against 4x4 the 3x3 rule moves the shipped configs' ball totals by
   at most 6e-12 relative wherever the total is not zero in closed form,
-  at 9 instead of 16 frame evaluations per cell);
+  at 9 instead of 16 frame evaluations per cell); on a chart whose
+  u-shifts are ambient isometries (``ParametricSurface.u_isometry``) the
+  integrals depend on the cell row alone, so only one column of cells,
+  at u = 0, is evaluated;
 * each cut cell is split at the level curve's two boundary crossings
   into three pieces along the grid axis best aligned with the curve's
   graph direction, and every piece is integrated by four 4-point
@@ -69,8 +72,12 @@ def ensure_cell_cache(field: DistanceField) -> dict[str, np.ndarray]:
 
     Only cells with at least one corner below t_max can ever be fully
     inside a requested ball; all other cells keep a zero entry that is
-    never read.  The first call fills ``field.cell_integrals``, evaluating
-    the cells in chunks to bound peak memory; later calls reuse it.
+    never read.  The first call fills ``field.cell_integrals``; later
+    calls reuse it.  On a `u_isometry` chart the densities depend on v
+    alone, so one column of cells at u = 0 (one cell per row the mask
+    reaches) is integrated and each row's integrals are written into
+    every masked cell of that row.  Any other chart integrates every
+    masked cell, in chunks to bound peak memory.
     """
     if field.cell_integrals is None:
         c0, c1, c2, c3 = corner_views(field.r, field.periodic_u)
@@ -78,13 +85,20 @@ def ensure_cell_cache(field: DistanceField) -> dict[str, np.ndarray]:
         ci, cj = np.nonzero(corner_min < field.t_max)
 
         out = tuple(np.zeros(corner_min.shape) for _ in CHANNELS)
-        u0 = field.u_nodes[ci]
-        v0 = field.v_nodes[cj]
-        for start in range(0, len(ci), _CHUNK_CELLS):
-            sl = slice(start, start + _CHUNK_CELLS)
-            for cells, part in zip(out, _full_cells(
-                    field, u0[sl], v0[sl], field.h_u, field.h_v)):
-                cells[ci[sl], cj[sl]] = part
+        if field.surface.u_isometry:
+            rows, row_of = np.unique(cj, return_inverse=True)
+            column = _full_cells(field, np.zeros(len(rows)),
+                                 field.v_nodes[rows], field.h_u, field.h_v)
+            for cells, part in zip(out, column):
+                cells[ci, cj] = part[row_of]
+        else:
+            u0 = field.u_nodes[ci]
+            v0 = field.v_nodes[cj]
+            for start in range(0, len(ci), _CHUNK_CELLS):
+                sl = slice(start, start + _CHUNK_CELLS)
+                for cells, part in zip(out, _full_cells(
+                        field, u0[sl], v0[sl], field.h_u, field.h_v)):
+                    cells[ci[sl], cj[sl]] = part
         field.cell_integrals = out
     return dict(zip(CHANNELS, field.cell_integrals))
 

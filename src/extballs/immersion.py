@@ -49,6 +49,13 @@ class ParametricSurface:
     never periodic; `periodic_u` marks a chart that wraps in u
     (evaluation outside the interval must then be well defined).
     The default pole is the image of the chart origin.
+
+    `u_isometry` marks a chart on which every shift u -> u + c is induced
+    by an ambient isometry carrying the surface to itself (a rotation,
+    screw motion, translation or boost), so every pole-free quantity of
+    `frames` (metric, |B|^2, K, ...) depends on v alone.  The full-cell
+    quadrature cache then integrates one column of cells at u = 0 and
+    copies each row's integrals along it.
     """
 
     form: SpaceForm
@@ -57,6 +64,7 @@ class ParametricSurface:
     label: str
     minimal: bool
     periodic_u: bool = False
+    u_isometry: bool = False
 
     def eval(self, U, V) -> np.ndarray:
         return self.jet(np.asarray(U, dtype=np.float64),

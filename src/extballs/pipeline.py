@@ -6,8 +6,9 @@ ball of every scheduled radius, run the trace route of the
 geodesic-curvature check once over the boundary samples of all those
 balls, build each radius's record from its ball and its share of that
 trace, and assemble the verdicts.  Scheduled radii that collide with a
-critical value of the boundary-distance function are recorded as
-skipped rather than evaluated.
+critical value of the boundary-distance function, or below which no
+grid node lies (an empty discrete ball, although the true ball always
+holds the pole), are recorded as skipped rather than evaluated.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ def run_surface(name: str, *, params: dict | None = None,
     critical = scan["critical_values"]
 
     # One extracted ball per radius, or the record of a skipped radius.
+    r_nearest = float(np.min(field.r))
     extracted = []
     for t in schedule:
         t = float(t)
@@ -102,6 +104,13 @@ def run_surface(name: str, *, params: dict | None = None,
                 t=t, skipped=True,
                 note=f"within {_CRITICAL_EXCLUSION:g} of critical value "
                      f"{hit[0]:.6f}"))
+            continue
+        if t <= r_nearest:
+            extracted.append(RadiusRecord(
+                t=t, skipped=True,
+                note=f"no grid node inside t = {t:.6g} (nearest node at "
+                     f"r = {r_nearest:.6g}); refine the grid or raise "
+                     f"t_min"))
             continue
         try:
             extracted.append(extract_ball(field, t))

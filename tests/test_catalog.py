@@ -198,3 +198,47 @@ def test_profile_self_check_rejects_foreign_segments():
     bent = dataclasses.replace(profile, Q=profile.Q * (1.0 + 1e-9))
     with pytest.raises(ConstructionError):
         _check_against_solution(bent, integrate_profile(1.0, 6.0))
+
+
+# --- u-isometric charts --------------------------------------------------
+
+U_ISOMETRIC = ["plane", "catenoid", "helicoid", "h2_in_h3",
+               "hyperbolic_catenoid"]
+
+# Largest change of each density at (u, v) against (0, v), per unit area
+# at (0, v), over 2,000 seeded points with r <= t_max at catalog defaults:
+# 1.8e-15 in R^3 and 9.3e-10 in H^3, where the chart carries cosh u and
+# sinh u factors of up to e^8.8 whose roundoff the metric amplifies.
+_U_SHIFT_BOUND = {"R^3": 1e-14, "H^3": 5e-9}
+
+
+def test_u_isometric_charts_are_pinned():
+    declared = [name for name in ALL_NAMES
+                if catalog.make(name).u_isometry]
+    assert declared == U_ISOMETRIC
+
+
+@pytest.mark.parametrize("name", U_ISOMETRIC)
+def test_u_isometry_densities_depend_on_v_alone(name):
+    # The full-cell cache integrates one column of cells on these charts,
+    # so the declared symmetry is checked here rather than trusted: the
+    # three cached densities at (u, v) equal those at (0, v).
+    entry = catalog.lookup(name)
+    surface = entry.surface()
+    (u0, u1), (v0, v1) = surface.domain
+    rng = np.random.default_rng(7)
+    U = rng.uniform(u0, u1, 20000)
+    V = rng.uniform(v0, v1, 20000)
+    r = surface.form.distance(surface.default_pole(), surface.eval(U, V))
+    inside = r <= entry.default_t_max
+    U, V = U[inside][:2000], V[inside][:2000]
+    assert len(U) == 2000
+
+    def densities(UU):
+        fb = frames(surface, UU, V)
+        w = np.sqrt(fb.detg)
+        return np.stack([w, fb.normBsq * w, fb.K * w])
+
+    at_zero = densities(np.zeros_like(U))
+    err = np.max(np.abs(densities(U) - at_zero) / at_zero[0])
+    assert err <= _U_SHIFT_BOUND[entry.ambient[:3]], err

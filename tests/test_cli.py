@@ -91,6 +91,28 @@ def test_report_infeasible_geometry(tmp_path, capsys):
     assert "error" in err and "boundary reaches extrinsic distance" in err
 
 
+def test_radius_below_grid_resolution_is_skipped(tmp_path):
+    # No node of the 64^2 plane grid lies within t = 0.001 of the pole
+    # (the nearest is at r = 0.055), so that ball is empty on the grid
+    # although the true ball holds the pole.  It is recorded as skipped,
+    # and the report is written and exits by its verdicts.
+    cfg = _write(tmp_path, "tiny.json", {
+        "surface": "plane", "grid": 64,
+        "schedule": {"t_min": 0.001, "t_max": 2, "count": 3},
+    })
+    out_dir = tmp_path / "out"
+    code = main(["report", cfg, "--out", str(out_dir), "--quiet"])
+    doc = read_report_json(out_dir / "report.json")
+    assert code == doc["report"]["exit_status"] == 0
+    lines = (out_dir / "series.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + 3
+    skipped = doc["report"]["skipped"]
+    assert [t for t, _ in skipped] == pytest.approx([0.001, 0.04472136])
+    note = skipped[0][1]
+    assert "t = 0.001" in note and "r = 0.0552" in note
+    assert "refine the grid or raise t_min" in note
+
+
 @pytest.mark.parametrize("doc,key", [
     ({"surface": "hyperbolic_catenoid", "params": {"c": "x"}}, "'c'"),
     ({"surface": "hyperbolic_catenoid", "params": {"c": float("nan")}},

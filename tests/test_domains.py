@@ -245,18 +245,23 @@ def test_samples_augmented_to_minimum(catenoid_field, monkeypatch):
                - ball.boundary_length) < 1e-9 * ball.boundary_length
 
 
+def _cached_cells(field):
+    """(ci, cj) of the cells with a corner below t_max: the cached ones."""
+    c0, c1, c2, c3 = corner_views(field.r, field.periodic_u)
+    corner_min = np.minimum(np.minimum(c0, c1), np.minimum(c2, c3))
+    return np.nonzero(corner_min < field.t_max)
+
+
 def _gl6_cell_totals(field):
     """Reference for the full-cell cache: GL6x6 over the same cells.
 
-    The cells are those with a corner below t_max; each channel's
-    density (1, |B|^2, K, each times sqrt(det g)) is summed one u node
-    of the rule at a time to keep the frame batches small.
+    Each channel's density (1, |B|^2, K, each times sqrt(det g)) is
+    summed one u node of the rule at a time to keep the frame batches
+    small.
     """
     x, w = np.polynomial.legendre.leggauss(6)
     x, w = 0.5 * (x + 1.0), 0.5 * w
-    c0, c1, c2, c3 = corner_views(field.r, field.periodic_u)
-    corner_min = np.minimum(np.minimum(c0, c1), np.minimum(c2, c3))
-    ci, cj = np.nonzero(corner_min < field.t_max)
+    ci, cj = _cached_cells(field)
     V = field.v_nodes[cj][:, None] + field.h_v * x[None, :]
     totals = np.zeros(3)
     for xa, wa in zip(x, w):
@@ -270,19 +275,72 @@ def _gl6_cell_totals(field):
 
 
 # Largest relative error of any channel's cache total against GL6x6 at
-# 128^2 and t_max = 8: 1.5e-12 on the catenoid and 2.0e-9 (the |B|^2
-# channel) on the hyperbolic catenoid.  GL2x2 in the cache would be off by
-# 4.8e-8 and 2.6e-7.
+# 128^2 and t_max = 8: 1.5e-12 on the catenoid, 2.0e-9 (the |B|^2
+# channel) on the hyperbolic catenoid, 2.8e-16 on the plane, 3.3e-12 on
+# the helicoid, 3.6e-15 on Enneper and 7.7e-12 on h2_in_h3, whose cache
+# integrates a column at u = 0 while the reference sums every column,
+# where cosh u factors of up to e^8.8 carry correlated roundoff.  GL2x2
+# in the cache would be off by 4.8e-8 and 2.6e-7 on the two catenoids.
+# A channel that is zero in the reference (|B|^2 and K on the plane,
+# |B|^2 on h2_in_h3) must read zero to the bound absolutely.
 @pytest.mark.parametrize("name, bound", [("catenoid", 2e-11),
-                                         ("hyperbolic_catenoid", 2e-8)])
+                                         ("hyperbolic_catenoid", 2e-8),
+                                         ("plane", 1e-14),
+                                         ("helicoid", 2e-11),
+                                         ("h2_in_h3", 5e-11),
+                                         ("enneper", 1e-13)])
 def test_cell_cache_matches_gl6_reference(name, bound):
     field = build_field(make(name, t_max=8.0), 8.0, spec=GridSpec(128, 128))
     cache = ensure_cell_cache(field)
     assert list(cache) == ["one", "normBsq", "K"]
     got = np.array([float(np.sum(cells)) for cells in cache.values()])
     ref = _gl6_cell_totals(field)
-    rel = np.abs(got - ref) / np.abs(ref)
+    rel = np.abs(got - ref) / np.where(ref != 0.0, np.abs(ref), 1.0)
     assert np.all(rel < bound), (rel, ref)
+
+
+def test_cell_cache_h2_matches_exact_rows():
+    # On the totally geodesic H^2 the area density is cosh v, so a whole
+    # cell of row j integrates to h_u (sinh v_j+1 - sinh v_j) exactly,
+    # and K = -1 makes the K total minus the area.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    field = build_field(make("h2_in_h3", t_max=8.0), 8.0,
+                        spec=GridSpec(128, 128))
+    cache = ensure_cell_cache(field)
+    _, cj = _cached_cells(field)
+    counts = np.bincount(cj)
+    hu, hv = mpmath.mpf(field.h_u), mpmath.mpf(field.h_v)
+    exact = mpmath.fsum(
+        int(counts[j]) * hu * (mpmath.sinh(mpmath.mpf(field.v_nodes[j]) + hv)
+                               - mpmath.sinh(mpmath.mpf(field.v_nodes[j])))
+        for j in np.unique(cj))
+    one = float(np.sum(cache["one"]))
+    assert abs(one - float(exact)) <= 1e-11 * float(exact)
+    assert abs(float(np.sum(cache["K"])) + one) <= 1e-12 * one
+    assert float(np.sum(cache["normBsq"])) == 0.0
+
+
+@pytest.mark.parametrize("name, column", [("catenoid", True),
+                                          ("h2_in_h3", True),
+                                          ("enneper", False)])
+def test_cell_cache_frame_points(name, column, monkeypatch):
+    # A u-isometric chart evaluates one GL3x3 cell per cached row; any
+    # other chart evaluates every cached cell.
+    field = build_field(make(name, t_max=4.0), 4.0, spec=GridSpec(96, 96))
+    points = []
+
+    def spy(surface, U, V, *args):
+        points.append(np.size(U))
+        return frames(surface, U, V, *args)
+
+    monkeypatch.setattr(quadrature, "frames", spy)
+    ensure_cell_cache(field)
+    _, cj = _cached_cells(field)
+    rows = len(np.unique(cj))
+    assert field.surface.u_isometry == column
+    assert sum(points) == 9 * (rows if column else len(cj))
+    assert rows < len(cj)
 
 
 def test_cut_cell_fallbacks_converge_with_depth(catenoid_192, monkeypatch):

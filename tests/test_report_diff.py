@@ -96,3 +96,32 @@ def test_fields_on_one_side_are_added_or_removed(tmp_path):
     assert f"added series.csv[*].extra ({len(lines) - 1})" in out
     assert "removed report.json.report.G_b_spread" in out
     assert "non-numeric" not in out
+
+
+def test_every_changed_field_gets_a_line(tmp_path):
+    old, new = _copies(tmp_path)
+
+    def edit(rep):
+        rep["R_end"] *= 1.0 + 1e-9
+        rep["sup_growth"] *= 1.0 + 1e-6
+
+    _edit_report(new / "quick", edit)
+    path = new / "quick" / "series.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    col = lines[0].split(",").index("area")
+    for row, factor in ((1, 1.0 + 1e-12), (2, 1.0 + 1e-10)):
+        cells = lines[row].split(",")
+        cells[col] = repr(float(cells[col]) * factor)
+        lines[row] = ",".join(cells)
+    path.write_text("".join(lines))
+    code, out = _diff(old, new)
+    assert code == 0
+    first, *fields = out.splitlines()
+    assert first.startswith("quick: exit status 0 matches; ")
+    assert "largest change report.json.report.sup_growth" in first
+    # One line per field, largest first; the two area rows are pooled.
+    names = [line.split()[0] for line in fields]
+    assert all(line.startswith("    ") for line in fields)
+    assert names == ["report.json.report.sup_growth",
+                     "report.json.report.R_end", "series.csv[*].area"]
+    assert fields[2].endswith("rel 1.00e-10")

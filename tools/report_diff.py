@@ -11,7 +11,9 @@ every verdict's ``applicable``/``passed`` flags match, plus the field
 that moved most, the fields present on one side only (added or removed,
 list indices starred and counted) and the count of other non-numeric
 fields that differ.  A number's change is relative where |old| > 1e-3
-and absolute otherwise.
+and absolute otherwise.  Below that line, one indented line per changed
+numeric field gives its largest change, with list indices starred (so a
+``series.csv`` column is pooled over its rows), largest first.
 
 Exits 1 when any exit status or verdict flag differs, or a run is
 missing on one side; 0 otherwise.  Standard library only.
@@ -61,6 +63,10 @@ def _change(a: float, b: float) -> float:
     return abs(b - a)
 
 
+def _kind(old: float) -> str:
+    return "rel" if abs(old) > _REL_FLOOR else "abs"
+
+
 def _leaves(obj, path: str):
     """(path, value) of every scalar in a JSON value; verdicts by name."""
     if isinstance(obj, dict):
@@ -85,8 +91,12 @@ def _series_leaves(path: Path):
 
 def _grouped(keys: list[str]) -> str:
     """Leaf paths with list indices starred, each with its count."""
-    counts = Counter(re.sub(r"\[\d+\]", "[*]", key) for key in keys)
+    counts = Counter(_starred(key) for key in keys)
     return ", ".join(f"{p} ({n})" if n > 1 else p for p, n in counts.items())
+
+
+def _starred(key: str) -> str:
+    return re.sub(r"\[\d+\]", "[*]", key)
 
 
 def _flags(report: dict) -> dict:
@@ -95,7 +105,7 @@ def _flags(report: dict) -> dict:
 
 
 def compare_run(old: Path, new: Path) -> tuple[str, bool]:
-    """One summary line for a run and whether its verdict outcome matches."""
+    """A run's summary and field lines, and whether its verdicts match."""
     if all((old / f).exists() == (new / f).exists()
            and (not (old / f).exists()
                 or (old / f).read_bytes() == (new / f).read_bytes())
@@ -120,7 +130,7 @@ def compare_run(old: Path, new: Path) -> tuple[str, bool]:
     old_leaves.update(_series_leaves(old / "series.csv"))
     new_leaves = dict(_leaves(rep_new, "report.json"))
     new_leaves.update(_series_leaves(new / "series.csv"))
-    worst = (0.0, None)
+    by_field: dict[str, tuple[float, str]] = {}
     added = sorted(new_leaves.keys() - old_leaves.keys())
     removed = sorted(old_leaves.keys() - new_leaves.keys())
     other = []
@@ -131,14 +141,18 @@ def compare_run(old: Path, new: Path) -> tuple[str, bool]:
         na, nb = _number(a), _number(b)
         if na is None or nb is None:
             other.append(key)
-        elif _change(na, nb) > worst[0]:
-            worst = (_change(na, nb), key)
-    if worst[1] is not None:
-        key = worst[1]
-        kind = ("rel" if abs(_number(old_leaves[key])) > _REL_FLOOR
-                else "abs")
+            continue
+        change = _change(na, nb)
+        field = _starred(key)
+        if change > by_field.get(field, (0.0,))[0]:
+            by_field[field] = (change, key)
+    # Largest first; on a tie, the field whose first row sorts first.
+    ranked = sorted(by_field.items(), key=lambda item: -item[1][0])
+    if ranked:
+        change, key = ranked[0][1]
+        kind = _kind(_number(old_leaves[key]))
         parts.append(f"largest change {key} {old_leaves[key]} -> "
-                     f"{new_leaves[key]} ({kind} {worst[0]:.2e})")
+                     f"{new_leaves[key]} ({kind} {change:.2e})")
     if added:
         parts.append(f"added {_grouped(added)}")
     if removed:
@@ -146,7 +160,9 @@ def compare_run(old: Path, new: Path) -> tuple[str, bool]:
     if other:
         parts.append(f"{len(other)} non-numeric field(s) differ, "
                      f"first {other[0]}")
-    return "; ".join(parts), same
+    fields = [f"    {field} {_kind(_number(old_leaves[key]))} {change:.2e}"
+              for field, (change, key) in ranked]
+    return "\n".join(["; ".join(parts)] + fields), same
 
 
 def main(argv: list[str]) -> int:
