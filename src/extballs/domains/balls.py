@@ -27,7 +27,7 @@ import numpy as np
 from ..errors import ConfigError, CriticalRadius
 from ..immersion import FrameBatch, frames, radial_frames
 from .contours import augment_loop, extract_loops, segment_chords
-from .field import DistanceField
+from .field import DistanceField, cell_cases
 from .quadrature import _unit_gauss_legendre, region_integral
 
 _GL2_X, _GL2_W = _unit_gauss_legendre(2)
@@ -122,8 +122,9 @@ def extract_ball(field: DistanceField, t: float) -> ExtrinsicBall:
     # and length move by O(1e-13).
     tt = t + _LEVEL_NUDGE * (1.0 + t)
 
-    loops = extract_loops(field, tt)
-    integrals = region_integral(field, tt)
+    case = cell_cases(field.r, tt, field.periodic_u)
+    loops = extract_loops(field, tt, case)
+    integrals = region_integral(field, tt, case)
 
     if not loops:
         empty = BoundarySamples(

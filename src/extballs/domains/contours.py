@@ -1,12 +1,12 @@
 """Level-curve extraction for the extrinsic distance on a chart grid.
 
-``segment_edges`` reads each cell's marching-squares case from
-``field.cell_cases`` and emits contour segments as pairs of global edge
-ids: with ``ncu`` cell columns, the u-edge from node (i, j) to (i+1, j)
-is ``j * ncu + i`` and the v-edge from (i, j) to (i, j+1) is
-``n_v * ncu + j * n_u + i``; on a u-periodic grid i+1 wraps to 0.  This
-module turns the segments into closed components with accurately placed
-vertices:
+``segment_edges`` takes each cell's marching-squares case, as
+``field.cell_cases`` classifies it once per radius, and emits contour
+segments as pairs of global edge ids: with ``ncu`` cell columns, the
+u-edge from node (i, j) to (i+1, j) is ``j * ncu + i`` and the v-edge from
+(i, j) to (i, j+1) is ``n_v * ncu + j * n_u + i``; on a u-periodic grid
+i+1 wraps to 0.  This module turns the segments into closed components
+with accurately placed vertices:
 
 * every cut edge gets one crossing point, refined by a safeguarded Newton
   iteration on the exact ambient distance along the edge (the grid only
@@ -32,7 +32,7 @@ from scipy.sparse.csgraph import connected_components
 
 from ..errors import GeometryError
 from ..immersion import radial_frames
-from .field import DistanceField, bracketed_newton, cell_cases, corner_views
+from .field import DistanceField, bracketed_newton
 
 _NEWTON_TOL = 1e-10
 _NEWTON_ITERS = 5
@@ -58,66 +58,47 @@ class Loop:
 
 
 # Local edge codes: 0 = bottom, 1 = right, 2 = top, 3 = left.
-# Segment table for the 14 mixed marching-squares cases; saddle cases 5 and
-# 10 are resolved by the cell-center value and get two segments.
-_CASE_SEGMENTS = {
-    1: [(3, 0)], 2: [(0, 1)], 4: [(1, 2)], 8: [(2, 3)],
-    3: [(3, 1)], 6: [(0, 2)], 12: [(3, 1)], 9: [(0, 2)],
-    14: [(3, 0)], 13: [(0, 1)], 11: [(1, 2)], 7: [(2, 3)],
-}
-_SADDLE = {
-    (5, True): [(0, 1), (2, 3)],
-    (5, False): [(3, 0), (1, 2)],
-    (10, True): [(3, 0), (1, 2)],
-    (10, False): [(0, 1), (2, 3)],
+# Segments of the 14 mixed marching-squares cases, in emission order; the
+# saddle cases 5 and 10 get two segments each, keyed by whether the cell
+# centre (the mean of its corners) is inside.
+_SEGMENTS = {
+    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
+    (5, True): [(0, 1), (2, 3)], (5, False): [(3, 0), (1, 2)],
+    6: [(0, 2)], 7: [(2, 3)], 8: [(2, 3)], 9: [(0, 2)],
+    (10, True): [(3, 0), (1, 2)], (10, False): [(0, 1), (2, 3)],
+    11: [(1, 2)], 12: [(3, 1)], 13: [(0, 1)], 14: [(3, 0)],
 }
 
 
-def segment_edges(r: np.ndarray, t: float,
-                  periodic_u: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Emit contour segments as pairs of global edge ids over all cut cells."""
+def segment_edges(r: np.ndarray, t: float, periodic_u: bool,
+                  case: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Emit contour segments as pairs of global edge ids over all cut cells.
+
+    ``case`` is ``cell_cases(r, t, periodic_u)``.
+    """
     n_u, n_v = r.shape
     ncu = n_u if periodic_u else n_u - 1
     nue = n_v * ncu
 
-    case = cell_cases(r, t, periodic_u)
-    c0, c1, c2, c3 = corner_views(r, periodic_u)
-    center_in = (c0 + c1 + c2 + c3) < 4.0 * t
+    i, j = np.nonzero((case > 0) & (case < 15))
+    code = case[i, j]
+    nxt = (i + 1) % n_u if periodic_u else i + 1
+    centre_in = (r[i, j] + r[nxt, j] + r[nxt, j + 1] + r[i, j + 1]) < 4.0 * t
+    # Each cut cell's bottom, right, top and left global edge ids.
+    edge = np.stack([j * ncu + i, nue + j * n_u + nxt,
+                     (j + 1) * ncu + i, nue + j * n_u + i], axis=1)
 
-    cut_i, cut_j = np.nonzero((case > 0) & (case < 15))
     seg_a: list[np.ndarray] = []
     seg_b: list[np.ndarray] = []
-
-    def global_edge(local: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-        if local == 0:
-            return jj * ncu + ii
-        if local == 2:
-            return (jj + 1) * ncu + ii
-        if local == 3:
-            return nue + jj * n_u + ii
-        nxt = (ii + 1) % n_u if periodic_u else ii + 1
-        return nue + jj * n_u + nxt
-
-    cases_here = case[cut_i, cut_j]
-    centers_here = center_in[cut_i, cut_j]
-    for code in np.unique(cases_here):
-        sel = cases_here == code
-        ii, jj = cut_i[sel], cut_j[sel]
-        if code in (5, 10):
-            for flag in (True, False):
-                fsel = centers_here[sel] == flag
-                for la, lb in _SADDLE[(int(code), flag)]:
-                    seg_a.append(global_edge(la, ii[fsel], jj[fsel]))
-                    seg_b.append(global_edge(lb, ii[fsel], jj[fsel]))
-        else:
-            for la, lb in _CASE_SEGMENTS[int(code)]:
-                seg_a.append(global_edge(la, ii, jj))
-                seg_b.append(global_edge(lb, ii, jj))
-    if not seg_a:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return (np.concatenate(seg_a).astype(np.int64),
-            np.concatenate(seg_b).astype(np.int64))
+    for key, pairs in _SEGMENTS.items():
+        c, centre = key if isinstance(key, tuple) else (key, None)
+        sel = code == c
+        if centre is not None:
+            sel &= centre_in == centre
+        for la, lb in pairs:
+            seg_a.append(edge[sel, la])
+            seg_b.append(edge[sel, lb])
+    return np.concatenate(seg_a), np.concatenate(seg_b)
 
 
 def _decode_edges(edges: np.ndarray, n_u: int, n_v: int, periodic_u: bool):
@@ -157,9 +138,13 @@ def refine_crossings(field: DistanceField, tt: float,
     return np.stack([ua + s * du, va + s * dv], axis=-1)
 
 
-def extract_loops(field: DistanceField, tt: float) -> list[Loop]:
-    """All closed components of the level {r = tt} on the field's grid."""
-    seg_a, seg_b = segment_edges(field.r, tt, field.periodic_u)
+def extract_loops(field: DistanceField, tt: float,
+                  case: np.ndarray) -> list[Loop]:
+    """All closed components of the level {r = tt} on the field's grid.
+
+    ``case`` is ``cell_cases(field.r, tt, field.periodic_u)``.
+    """
+    seg_a, seg_b = segment_edges(field.r, tt, field.periodic_u, case)
     if len(seg_a) == 0:
         return []
     edges, ends = np.unique(np.concatenate([seg_a, seg_b]),

@@ -12,9 +12,9 @@ reads from one field, so the grid layout conventions live here:
   n_u``; the seam cell wraps from the last column back to the first.
 * Cell (i, j) has corners c0..c3 at nodes (i, j), (i+1, j), (i+1, j+1),
   (i, j+1); on a u-periodic grid i+1 wraps to 0, giving n_u cell columns
-  (else n_u - 1).  Only ``corner_views`` spells this out, and the ball
-  quadrature and contour extraction both classify cells by
-  ``cell_cases``.
+  (else n_u - 1).  ``extract_ball`` classifies the cells once per radius
+  by ``cell_cases`` and hands the one case array to both the contour
+  extraction and the ball quadrature.
 """
 
 from __future__ import annotations

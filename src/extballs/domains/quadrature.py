@@ -3,7 +3,9 @@
 ``region_integral`` integrates the three densities of ``CHANNELS`` over
 {r < t}, each against the area element sqrt(det g): 1 (the area), |B|^2
 (the total extrinsic curvature) and the Gauss curvature K (which feeds
-Gauss-Bonnet).  It is a sum over grid cells:
+Gauss-Bonnet).  It is a sum over grid cells, read from the cell cases
+that ``extract_ball`` classifies once per radius and shares with the
+contours:
 
 * cells fully inside the ball use per-cell Gauss-Legendre 3x3 integrals,
   cached on the field (``DistanceField.cell_integrals``) the first time
@@ -39,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..immersion import FrameBatch, frames
-from .field import DistanceField, bracketed_newton, cell_cases, corner_views
+from .field import DistanceField, bracketed_newton, corner_views
 
 
 def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -363,12 +365,15 @@ def integrate_cut_cells(field: DistanceField, tt: float,
     return totals
 
 
-def region_integral(field: DistanceField, tt: float) -> dict[str, float]:
-    """Integrals of the CHANNELS densities over the extrinsic ball {r < tt}."""
-    cases = cell_cases(field.r, tt, field.periodic_u)
+def region_integral(field: DistanceField, tt: float,
+                    case: np.ndarray) -> dict[str, float]:
+    """Integrals of the CHANNELS densities over the extrinsic ball {r < tt}.
+
+    ``case`` is ``cell_cases(field.r, tt, field.periodic_u)``.
+    """
     cache = ensure_cell_cache(field)
-    inside = cases == 15
-    ci, cj = np.nonzero((cases > 0) & (cases < 15))
+    inside = case == 15
+    ci, cj = np.nonzero((case > 0) & (case < 15))
     cut = integrate_cut_cells(field, tt, ci, cj)
     return {name: float(np.sum(cache[name][inside])) + part
             for name, part in zip(CHANNELS, cut)}

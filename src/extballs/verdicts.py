@@ -121,7 +121,8 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
     """Reduce a finished radius series of a distance field to the report."""
     form = field.surface.form
     # Sampled mean-curvature oracle over the ball-serving region.
-    probe = check_surface(field.surface, n=200, max_r=field.t_max)
+    probe = check_surface(field.surface, n=200, max_r=field.t_max,
+                          pole=field.pole)
     measured_minimal = probe["max_normH"] <= TOLERANCES["minimal_H"]
     minimal = declared_minimal and measured_minimal
     valid = series.valid

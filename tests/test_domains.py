@@ -15,7 +15,7 @@ from extballs.catalog.charts import plane_chart, sphere_cap_chart
 from extballs.domains import (GridSpec, build_field, coarea_integral,
                               critical_scan, extract_ball, extract_loops,
                               project_to_level, region_integral)
-from extballs.domains import balls, quadrature
+from extballs.domains import balls, contours, quadrature
 from extballs.domains.field import bracketed_newton, cell_cases, corner_views
 from extballs.domains.quadrature import ensure_cell_cache
 from extballs.errors import (ConfigError, CriticalRadius, DomainTooSmall,
@@ -82,7 +82,8 @@ def test_plane_coarea(plane_field):
 
 
 def test_plane_curvature_channels(plane_field):
-    out = region_integral(plane_field, 3.0)
+    case = cell_cases(plane_field.r, 3.0, plane_field.periodic_u)
+    out = region_integral(plane_field, 3.0, case)
     assert abs(out["one"] - 9 * np.pi) / (9 * np.pi) < 1e-9
     assert abs(out["normBsq"]) < 1e-10
     assert abs(out["K"]) < 1e-10
@@ -121,10 +122,26 @@ def test_catenoid_two_ends(catenoid_field):
     ball = extract_ball(catenoid_field, 5.0)
     assert ball.n_components == 2
     # Each end circles the neck: its vertices leave no wide gap in u.
-    for loop in extract_loops(catenoid_field, 5.0):
+    case = cell_cases(catenoid_field.r, 5.0, catenoid_field.periodic_u)
+    for loop in extract_loops(catenoid_field, 5.0, case):
         u = np.sort(loop.vertices[:, 0])
         gaps = np.diff(np.concatenate([u, u[:1] + 2 * np.pi]))
         assert np.max(gaps) < 0.1
+
+
+def test_one_classification_per_radius(catenoid_192, monkeypatch):
+    # extract_ball classifies the grid once and shares the cases between
+    # the contours and the quadrature.
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return cell_cases(*args, **kwargs)
+
+    for module in (balls, contours, quadrature):
+        monkeypatch.setattr(module, "cell_cases", spy, raising=False)
+    extract_ball(catenoid_192, 3.0)
+    assert len(calls) == 1
 
 
 def test_enneper_single_end():
@@ -188,8 +205,10 @@ def test_boundary_sample_invariants(catenoid_field):
 def test_open_level_curve_raises(plane_field):
     # A level just above the chart edge's midpoint distance leaves the
     # grid, so its edge crossings cannot all pair into closed components.
+    t = float(plane_field.r[0, 256]) + 1e-3
+    case = cell_cases(plane_field.r, t, plane_field.periodic_u)
     with pytest.raises(GeometryError, match="not closed inside the grid"):
-        extract_loops(plane_field, float(plane_field.r[0, 256]) + 1e-3)
+        extract_loops(plane_field, t, case)
 
 
 def test_project_to_level(plane_field):

@@ -91,7 +91,7 @@ def test_single_corner_segment_ids():
     # 2x2 grid, only node (0,0) inside: one segment joining the left and
     # bottom edges of the single cell
     r = np.array([[0.0, 1.0], [1.0, 1.0]])
-    a, b = segment_edges(r, 0.5, periodic_u=False)
+    a, b = segment_edges(r, 0.5, False, cell_cases(r, 0.5, False))
     assert a.shape == (1,) and b.shape == (1,)
     # bottom u-edge id 0; left v-edge id n_v*ncu + 0 = 2
     assert {int(a[0]), int(b[0])} == {2, 0}
@@ -102,19 +102,27 @@ def test_all_single_corner_cases_emit_one_segment():
         r = np.full((2, 2), 1.0)
         pos = [(0, 0), (1, 0), (1, 1), (0, 1)][corner]
         r[pos] = 0.0
-        a, b = segment_edges(r, 0.5, periodic_u=False)
+        a, b = segment_edges(r, 0.5, False, cell_cases(r, 0.5, False))
         assert a.shape == (1,), f"corner {corner}"
         assert a[0] != b[0]
 
 
-def test_saddle_center_disambiguation():
-    # corners c0 and c2 inside (case 5); the center average picks the
-    # topology: low center joins the inside corners, high center splits
-    r_join = np.array([[0.0, 1.0], [1.0, 0.1]])   # mean 0.525 < t
-    r_split = np.array([[0.0, 1.9], [1.9, 0.1]])  # mean 0.975 > t
+@pytest.mark.parametrize("code, r_join, r_split", [
+    # corners c0 and c2 inside
+    (5, [[0.0, 1.0], [1.0, 0.1]], [[0.0, 1.9], [1.9, 0.1]]),
+    # corners c1 and c3 inside
+    (10, [[1.0, 0.0], [0.1, 1.0]], [[1.9, 0.0], [0.1, 1.9]]),
+], ids=["case5", "case10"])
+def test_saddle_center_disambiguation(code, r_join, r_split):
+    # the center average picks the topology: low center (mean 0.525 < t)
+    # joins the inside corners, high center (mean 0.975 > t) splits them
+    r_join, r_split = np.array(r_join), np.array(r_split)
     t = 0.55
-    aj, bj = segment_edges(r_join, t, periodic_u=False)
-    asp, bsp = segment_edges(r_split, t, periodic_u=False)
+    case_join = cell_cases(r_join, t, periodic_u=False)
+    case_split = cell_cases(r_split, t, periodic_u=False)
+    assert case_join.tolist() == case_split.tolist() == [[code]]
+    aj, bj = segment_edges(r_join, t, False, case_join)
+    asp, bsp = segment_edges(r_split, t, False, case_split)
     assert aj.shape == (2,) and asp.shape == (2,)
     assert (sorted(zip(aj.tolist(), bj.tolist()))
             != sorted(zip(asp.tolist(), bsp.tolist())))
@@ -126,7 +134,7 @@ def test_crossed_edges_have_degree_two_on_closed_curves():
     n = 40
     x = np.linspace(-2, 2, n)
     r = np.hypot(x[:, None], x[None, :])
-    a, b = segment_edges(r, 1.37, periodic_u=False)
+    a, b = segment_edges(r, 1.37, False, cell_cases(r, 1.37, False))
     ids, counts = np.unique(np.concatenate([a, b]), return_counts=True)
     assert ids.size > 20
     assert np.all(counts == 2)
@@ -138,7 +146,7 @@ def test_periodic_contour_wraps_seam():
     n_u, n_v = 12, 9
     v = np.linspace(-2, 2, n_v)
     r = np.broadcast_to(np.abs(v)[None, :], (n_u, n_v)).copy()
-    a, b = segment_edges(r, 1.0, periodic_u=True)
+    a, b = segment_edges(r, 1.0, True, cell_cases(r, 1.0, True))
     # two levels (v = -1 and v = +1), each crossing n_u cell columns
     assert a.size == 2 * n_u
     ids, counts = np.unique(np.concatenate([a, b]), return_counts=True)

@@ -11,9 +11,14 @@ import math
 import numpy as np
 import pytest
 
+from extballs import immersion
+from extballs.catalog import make
+from extballs.domains import GridSpec, build_field
 from extballs.errors import ConfigError
+from extballs.functionals import RadiusSeries
+from extballs.immersion import frames
 from extballs.pipeline import make_schedule, run_surface
-from extballs.verdicts import TOLERANCES
+from extballs.verdicts import TOLERANCES, build_verdicts
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +183,28 @@ def test_sphere_minimality_oracle_detail(sphere_run):
     # Declared non-minimal and measured non-minimal: consistent, passes.
     assert v.passed
     assert "1.0" in v.detail or "1.00" in v.detail
+
+
+def test_minimality_oracle_probes_around_the_run_pole(monkeypatch):
+    # The oracle samples the region the balls evaluate: within t_max of
+    # the run's own pole, here a neck-offset one, not the chart's default.
+    surface = make("hyperbolic_catenoid", t_max=8.0)
+    pole = surface.eval(np.array([0.0]), np.array([2.5]))[0]
+    field = build_field(surface, 8.0, pole=pole, spec=GridSpec(64, 64))
+    probed = []
+
+    def spy(surf, U, V, *args, **kwargs):
+        probed.append((U, V))
+        return frames(surf, U, V, *args, **kwargs)
+
+    monkeypatch.setattr(immersion, "frames", spy)
+    build_verdicts(field, RadiusSeries(records=[]),
+                   surface_name="hyperbolic_catenoid", ambient="H3",
+                   declared_minimal=True, grid=(64, 64))
+    assert probed
+    U, V = (np.concatenate(part) for part in zip(*probed))
+    r = surface.form.distance(pole, surface.eval(U, V))
+    assert np.max(r) <= field.t_max
 
 
 # ---------------------------------------------------------------------------
