@@ -2,17 +2,17 @@
 
 Every chart returns exact partials up to the order its caller asks for
 (see `ParametricSurface`), building no term above it; nothing here is
-differenced numerically.  Charts whose pole sits at a coordinate center use
-Cartesian exponential coordinates (u, v) with w = u^2 + v^2, built from the
-entire functions
+differenced numerically.  The sphere cap chart uses Cartesian exponential
+coordinates (u, v) about its pole, with w = u^2 + v^2, built from the
+entire function
 
-    sinhc family:  A(w) = sinh(sqrt(w))/sqrt(w)   (hyperbolic plane chart)
-    sinc family:   A(w) = sin(sqrt(w))/sqrt(w)    (sphere cap chart)
+    sinc family:   A(w) = sin(sqrt(w))/sqrt(w)
 
-and their first two w-derivatives, evaluated by series near w = 0 to avoid
+and its first two w-derivatives, evaluated by series near w = 0 to avoid
 cancellation.  This keeps the chart smooth through the center, so the pole
 never sits on a coordinate singularity the way it would in polar
-coordinates.
+coordinates.  The hyperbolic plane chart uses Fermi coordinates along a
+geodesic axis instead (see `h2_chart`).
 """
 
 from __future__ import annotations

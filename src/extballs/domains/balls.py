@@ -114,8 +114,18 @@ def _hermite_lengths(field: DistanceField, vertices: np.ndarray,
     return speed @ _GL2_W
 
 
+def no_node_note(t: float, r_nearest: float) -> str:
+    """Why a radius that holds no grid node has no discrete ball."""
+    return (f"no grid node inside t = {t:.6g} (nearest node at r = "
+            f"{r_nearest:.6g}); refine the grid or raise t_min")
+
+
 def extract_ball(field: DistanceField, t: float) -> ExtrinsicBall:
-    """Extract the extrinsic ball of radius t from a distance field."""
+    """Extract the extrinsic ball of radius t from a distance field.
+
+    Raises ConfigError when no grid node lies inside it: every ball
+    returned has a boundary of at least ``MIN_SAMPLES`` samples.
+    """
     if not (0.0 < t <= field.t_max):
         raise ConfigError(f"radius {t} outside (0, t_max={field.t_max}]")
     # Nudge the level so node values never sit exactly on it; the area
@@ -124,18 +134,9 @@ def extract_ball(field: DistanceField, t: float) -> ExtrinsicBall:
 
     case = cell_cases(field.r, tt, field.periodic_u)
     loops = extract_loops(field, tt, case)
-    integrals = region_integral(field, tt, case)
-
     if not loops:
-        empty = BoundarySamples(
-            uv=np.zeros((0, 2)), weight=np.zeros(0), e=np.zeros((0, 2)),
-            nu=np.zeros((0, 2)),
-            frame=frames(field.surface, np.zeros(0), np.zeros(0),
-                         pole=field.pole))
-        return ExtrinsicBall(t=t, area=integrals["one"],
-                             integrals=integrals, n_components=0,
-                             boundary_length=0.0, samples=empty,
-                             min_grad=float("inf"))
+        raise ConfigError(no_node_note(t, float(np.min(field.r))))
+    integrals = region_integral(field, tt, case)
 
     per_loop_min = max(32, -(-MIN_SAMPLES // len(loops)))
     loops = [augment_loop(field, tt, lp, per_loop_min) for lp in loops]
@@ -168,9 +169,4 @@ def extract_ball(field: DistanceField, t: float) -> ExtrinsicBall:
 
 def coarea_integral(ball: ExtrinsicBall) -> float:
     """Boundary integral of 1 / |grad r| (the derivative of area in t)."""
-    if len(ball.samples) == 0:
-        return 0.0
-    g = ball.samples.frame.normGradPr
-    if float(np.min(g)) < 1e-6:
-        raise CriticalRadius(ball.t, "gradient vanishes on the boundary")
-    return float(np.sum(ball.samples.weight / g))
+    return float(np.sum(ball.samples.weight / ball.samples.frame.normGradPr))

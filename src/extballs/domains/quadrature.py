@@ -272,20 +272,15 @@ _POLY_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 def _terminal_polygon(fc: np.ndarray) -> float:
-    """Inside-area fraction of a terminal cell by linear marching clip.
+    """Inside-area fraction of a cut terminal cell by linear marching clip.
 
-    fc holds the four corner values of r - tt in the conventional corner
-    order.  Saddle configurations get the half-cell estimate; terminal
-    saddles only occur in the immediate neighborhood of a saddle point of
-    r and contribute at most a few cells of size (h / 64)^2.
+    fc holds the four corner values of r - tt, of mixed sign, in the
+    conventional corner order.  Saddle configurations get the half-cell
+    estimate; terminal saddles only occur next to a saddle point of r
+    and contribute at most a few cells of size (h / 64)^2.
     """
     inside = fc < 0.0
-    n_in = int(np.count_nonzero(inside))
-    if n_in == 0:
-        return 0.0
-    if n_in == 4:
-        return 1.0
-    if n_in == 2 and inside[0] == inside[2]:
+    if np.count_nonzero(inside) == 2 and inside[0] == inside[2]:
         return 0.5
     poly: list[np.ndarray] = []
     for a, b in _POLY_EDGES:

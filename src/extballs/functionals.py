@@ -207,13 +207,14 @@ def geodesic_curvature_formula(field: DistanceField,
 
 
 def kg_gaps(field: DistanceField, balls: list[ExtrinsicBall]) -> list[dict]:
-    """`kg_gap` for several nonempty balls of one field, one trace pass.
+    """`kg_gap` for several balls of one field, one trace pass.
 
-    The trace route runs once over the concatenated boundary samples:
-    its step is set by the grid alone, each traced point keeps its own
-    level value, the halving chain decides per sample and the stencils
-    act per ball, so the result for each ball equals a call on that
-    ball alone, bit for bit, while the per-call overhead is paid once.
+    Returns one entry per ball, in order.  The trace route runs once
+    over the concatenated boundary samples: its step is set by the grid
+    alone, each traced point keeps its own level value, the halving
+    chain decides per sample and the stencils act per ball, so the
+    result for each ball equals a call on that ball alone, bit for bit,
+    while the per-call overhead is paid once.
     """
     if not balls:
         return []
@@ -349,29 +350,22 @@ class RadiusRecord:
         return out
 
 
-def radius_record(field: DistanceField, ball: ExtrinsicBall, kg: dict | None,
+def radius_record(field: DistanceField, ball: ExtrinsicBall, kg: dict,
                   minimal: bool) -> RadiusRecord:
     """Every per-radius measure of one extracted ball.
 
-    ``kg`` is the ball's `kg_gaps` entry, or None for an empty ball, whose
-    boundary measures stay NaN.  The comparison margins and the defect
-    integrand are filled for minimal surfaces only, the defect in a
-    curved ambient only.
+    ``kg`` is the ball's `kg_gaps` entry.  The comparison margins and the
+    defect integrand are filled for minimal surfaces only, the defect in
+    a curved ambient only; the rest is filled for every ball.
     """
     t = ball.t
     R = ball.integrals["normBsq"]
     intK = ball.integrals["K"]
     rec = RadiusRecord(t=t, area=ball.area, length=ball.boundary_length,
                        ends=ball.n_components, min_grad=ball.min_grad,
-                       R=R, intK=intK)
-    if kg is None:
-        rec.note = "empty ball"
-        return rec
-
+                       R=R, intK=intK, coarea=coarea_integral(ball),
+                       intKg=kg["intKg"], kg_gap_max=kg["max_gap"])
     form = field.surface.form
-    rec.coarea = coarea_integral(ball)
-    rec.intKg = kg["intKg"]
-    rec.kg_gap_max = kg["max_gap"]
     rec.chi_hat = (intK + rec.intKg) / (2.0 * math.pi)
     rec.max_B = float(np.sqrt(np.max(ball.samples.frame.normBsq)))
     # Area over the area of the model geodesic disk of radius t.

@@ -241,17 +241,15 @@ def frames(surface: ParametricSurface, U, V,
 
 
 def check_surface(surface: ParametricSurface, n: int = 200,
-                  seed: int = 0, max_r: float | None = None,
-                  pole: np.ndarray | None = None) -> dict:
+                  seed: int = 0, max_r: float | None = None) -> dict:
     """Sample invariants of a chart: model membership, tangency, minimality.
 
     Returns the sampled maxima so callers can assert against their own
-    tolerances; raises nothing by itself.  With `max_r` the samples are
-    restricted to extrinsic distance at most max_r from `pole` (default:
-    the chart's default pole); a run's own pole and t_max give the region
-    its balls evaluate.  Outside it the hyperboloid components reach e^r:
-    max |H| on the hyperbolic catenoid is 8e-13 at r in (7, 8) but 3e-8 at
-    r in (10, 11).
+    tolerances.  With `max_r` the samples are rejection-drawn at extrinsic
+    distance at most max_r from the chart's default pole, and too small a
+    region raises ImmersionError.  Outside such a region the hyperboloid
+    components reach e^r: max |H| on the hyperbolic catenoid is 8e-13 at
+    r in (7, 8) but 3e-8 at r in (10, 11).
     """
     rng = np.random.default_rng(seed)
     (u0, u1), (v0, v1) = surface.domain
@@ -264,8 +262,7 @@ def check_surface(surface: ParametricSurface, n: int = 200,
 
     U, V = draw(n)
     if max_r is not None:
-        if pole is None:
-            pole = surface.default_pole()
+        pole = surface.default_pole()
         keep_u, keep_v = [], []
         total = 0
         for _ in range(200):

@@ -7,7 +7,7 @@ geodesic-curvature check once over the boundary samples of all those
 balls, build each radius's record from its ball and its share of that
 trace, and assemble the verdicts.  Scheduled radii that collide with a
 critical value of the boundary-distance function, or below which no
-grid node lies (an empty discrete ball, although the true ball always
+grid node lies (no discrete boundary, although the true ball always
 holds the pole), are recorded as skipped rather than evaluated.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import lookup
-from .domains.balls import ExtrinsicBall, extract_ball
+from .domains.balls import ExtrinsicBall, extract_ball, no_node_note
 from .domains.field import GridSpec, build_field, critical_scan
 from .domains.quadrature import ensure_cell_cache
 from .errors import ConfigError, CriticalRadius
@@ -107,22 +107,17 @@ def run_surface(name: str, *, params: dict | None = None,
             continue
         if t <= r_nearest:
             extracted.append(RadiusRecord(
-                t=t, skipped=True,
-                note=f"no grid node inside t = {t:.6g} (nearest node at "
-                     f"r = {r_nearest:.6g}); refine the grid or raise "
-                     f"t_min"))
+                t=t, skipped=True, note=no_node_note(t, r_nearest)))
             continue
         try:
             extracted.append(extract_ball(field, t))
         except CriticalRadius as exc:
             extracted.append(RadiusRecord(t=t, skipped=True, note=str(exc)))
 
-    bounded = [b for b in extracted
-               if isinstance(b, ExtrinsicBall) and len(b.samples)]
-    gaps = iter(kg_gaps(field, bounded))
+    balls = [b for b in extracted if isinstance(b, ExtrinsicBall)]
+    gaps = iter(kg_gaps(field, balls))
     minimal = entry.minimal
-    records = [radius_record(field, b, next(gaps) if len(b.samples) else None,
-                             minimal)
+    records = [radius_record(field, b, next(gaps), minimal)
                if isinstance(b, ExtrinsicBall) else b for b in extracted]
 
     series = RadiusSeries(
@@ -134,7 +129,7 @@ def run_surface(name: str, *, params: dict | None = None,
     if minimal:
         form = surface.form
         for rec in series.valid:
-            if math.isnan(rec.coarea) or math.isnan(rec.R_prime):
+            if math.isnan(rec.R_prime):
                 continue
             chi = int(round(rec.chi_hat))
             for alpha in EULER_ALPHAS:

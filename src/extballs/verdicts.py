@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field as dfield
 import numpy as np
 
 from .functionals import PARTNER_SPAN, RadiusSeries
-from .immersion import check_surface
+from .immersion import frames
 
 __all__ = [
     "TOLERANCES",
@@ -120,10 +120,15 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
                    grid: tuple) -> VerdictReport:
     """Reduce a finished radius series of a distance field to the report."""
     form = field.surface.form
-    # Sampled mean-curvature oracle over the ball-serving region.
-    probe = check_surface(field.surface, n=200, max_r=field.t_max,
-                          pole=field.pole)
-    measured_minimal = probe["max_normH"] <= TOLERANCES["minimal_H"]
+    # Sampled mean-curvature oracle over the ball-serving region: up to
+    # 200 seeded grid nodes within t_max of the pole, or the nearest one.
+    nodes = np.flatnonzero(field.r <= max(field.t_max, np.min(field.r)))
+    pick = np.random.default_rng(0).choice(nodes, min(200, len(nodes)),
+                                           replace=False)
+    iu, iv = np.unravel_index(pick, field.r.shape)
+    fb = frames(field.surface, field.u_nodes[iu], field.v_nodes[iv])
+    max_normH = float(np.max(np.abs(fb.H)))
+    measured_minimal = max_normH <= TOLERANCES["minimal_H"]
     minimal = declared_minimal and measured_minimal
     valid = series.valid
     verdicts: list[Verdict] = []
@@ -138,13 +143,12 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
     # catalog's claim; a control surface passing as minimal (or the
     # reverse) poisons every downstream verdict.
     add("minimality_oracle", True, measured_minimal == declared_minimal,
-        probe["max_normH"], "minimal_H",
-        f"max |H| {probe['max_normH']:.2e} vs declared "
-        f"minimal={declared_minimal}")
+        max_normH, "minimal_H",
+        f"max |H| {max_normH:.2e} vs declared minimal={declared_minimal}")
 
     # Geodesic-curvature identity: the worst disagreement between the
     # trace route and the frame-formula route across the schedule.
-    gap = max(_finite(series, "kg_gap_max"), default=_NAN)
+    gap = max((rec.kg_gap_max for rec in valid), default=_NAN)
     add("kg_identity", len(valid) > 0,
         bool(gap <= TOLERANCES["kg_gap"]), gap, "kg_gap",
         f"max |formula - trace| {gap:.2e}")
@@ -160,7 +164,7 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
         f"constant={plateau['constant']}")
 
     # Monotonicity of R(t) (nested domains, nonnegative integrand).
-    R = _finite(series, "R")
+    R = [rec.R for rec in valid]
     R_inc = min((b - a for a, b in zip(R, R[1:])), default=_NAN)
     add("R_monotone", len(valid) > 1,
         bool(R_inc >= -TOLERANCES["R_slack"]), R_inc, "R_slack",
@@ -177,7 +181,7 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
                 and not math.isnan(growth_doubling)
                 and growth_doubling > max(TOLERANCES["diverge_delta"],
                                           TOLERANCES["diverge_frac"] * R_end))
-    ratios = _finite(series, "ratio")
+    ratios = [rec.ratio for rec in valid]
     sup_growth = ratios[-1] if ratios else _NAN
 
     # Minimal-surface bounds; the non-minimal control is excluded.
@@ -187,8 +191,7 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
         "bound_margin",
         f"min margin {div_min:.3e}" if minimal else "non-minimal")
 
-    euler_vals = [m for rec in valid for m in rec.euler_margins.values()
-                  if not math.isnan(m)]
+    euler_vals = [m for rec in valid for m in rec.euler_margins.values()]
     euler_min = min(euler_vals) if euler_vals else _NAN
     add("euler_growth_bound", minimal and bool(euler_vals),
         bool(euler_min >= TOLERANCES["bound_margin"]), euler_min,
@@ -209,7 +212,7 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
         f"smallest consecutive increment {ratio_inc:.3e}")
 
     # Decay of the boundary second-form maximum.
-    tail = [rec.max_B for rec in valid[-5:] if not math.isnan(rec.max_B)]
+    tail = [rec.max_B for rec in valid[-5:]]
     # Vanishing means the tail ends under the cap and has genuinely come
     # down from where it started (a flat zero tail trivially qualifies).
     decay_ok = (len(tail) >= 2
@@ -248,14 +251,13 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
     gbs = []
     settled = []
     if gb_applicable:
-        gbs = [rec.gb for rec in valid if not math.isnan(rec.gb)]
+        gbs = [rec.gb for rec in valid]
         if len(gbs) >= 3:
             window = gbs[-3:]
             G_b = float(np.mean(window))
             G_b_spread = float(np.max(window) - np.min(window))
         settled = [abs(rec.gb_chain_residual) for rec in valid
-                   if rec.t > series.R0
-                   and not math.isnan(rec.gb_chain_residual)]
+                   if rec.t > series.R0]
     resolved = (not math.isnan(G_b)
                 and G_b_spread <= TOLERANCES["gb_spread"])
     add("gb_tail_resolved", gb_applicable and len(gbs) >= 3, resolved,
@@ -297,7 +299,7 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
         ambient=ambient,
         declared_minimal=declared_minimal,
         measured_minimal=measured_minimal,
-        max_normH=probe["max_normH"],
+        max_normH=max_normH,
         pole=[float(x) for x in np.asarray(field.pole).ravel()],
         grid=grid,
         t_max=field.t_max,

@@ -18,8 +18,8 @@ from extballs.domains import (GridSpec, build_field, coarea_integral,
 from extballs.domains import balls, contours, quadrature
 from extballs.domains.field import bracketed_newton, cell_cases, corner_views
 from extballs.domains.quadrature import ensure_cell_cache
-from extballs.errors import (ConfigError, CriticalRadius, DomainTooSmall,
-                             GeometryError, PoleOffModel)
+from extballs.errors import (ConfigError, DomainTooSmall, GeometryError,
+                             PoleOffModel)
 from extballs.immersion import frames
 
 
@@ -231,12 +231,17 @@ def test_bracketed_newton_on_a_chord(plane_field):
 
 
 def test_empty_ball_off_surface_pole():
+    # Pole off the sphere cap, farther than t from every grid node: the
+    # discrete ball would have no boundary, so extraction refuses it.
     field = build_field(sphere_cap_chart(), 0.5,
                         pole=np.array([0.0, 0.0, 2.0]))
-    ball = extract_ball(field, 0.5)
-    assert ball.area == 0.0
-    assert ball.n_components == 0
-    assert coarea_integral(ball) == 0.0
+    nearest = float(np.min(field.r))
+    assert nearest > 1.0
+    with pytest.raises(ConfigError) as exc:
+        extract_ball(field, 0.5)
+    msg = str(exc.value)
+    assert "t = 0.5" in msg and f"r = {nearest:.6g}" in msg
+    assert "refine the grid or raise t_min" in msg
 
 
 def test_radius_bounds(plane_field):
@@ -246,14 +251,6 @@ def test_radius_bounds(plane_field):
         extract_ball(plane_field, 0.0)
     with pytest.raises(ConfigError):
         extract_ball(plane_field, -1.0)
-
-
-def test_coarea_critical_rail(plane_field):
-    ball = extract_ball(plane_field, 1.0)
-    ball.samples.frame.normGradPr = (
-        ball.samples.frame.normGradPr * 1e-9)
-    with pytest.raises(CriticalRadius):
-        coarea_integral(ball)
 
 
 def test_samples_augmented_to_minimum(catenoid_field, monkeypatch):

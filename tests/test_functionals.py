@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from extballs.catalog import make
-from extballs.catalog.charts import sphere_cap_chart
 from extballs.domains import build_field, extract_ball
 from extballs.errors import ConfigError
 from extballs.functionals import (RadiusRecord, RadiusSeries,
@@ -134,16 +133,6 @@ def test_catenoid_curvature_decays(catenoid_field):
     far = _record(catenoid_field, 5.5)
     assert far.max_B < near.max_B
     assert far.R < 8.0 * math.pi
-
-
-def test_empty_ball_record():
-    # Pole off the sphere cap, farther than t from every surface point.
-    field = build_field(sphere_cap_chart(), 0.5,
-                        pole=np.array([0.0, 0.0, 2.0]))
-    rec = radius_record(field, extract_ball(field, 0.5), None, True)
-    assert rec.note == "empty ball"
-    assert (rec.area, rec.length, rec.ends) == (0.0, 0.0, 0)
-    assert math.isnan(rec.coarea) and math.isnan(rec.chi_hat)
 
 
 # ---------------------------------------------------------------------------

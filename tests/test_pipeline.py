@@ -11,10 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from extballs import immersion
+from extballs import verdicts
 from extballs.catalog import make
-from extballs.domains import GridSpec, build_field
-from extballs.errors import ConfigError
+from extballs.domains import GridSpec, balls, build_field, extract_ball
+from extballs.errors import ConfigError, CriticalRadius
 from extballs.functionals import RadiusSeries
 from extballs.immersion import frames
 from extballs.pipeline import make_schedule, run_surface
@@ -197,7 +197,7 @@ def test_minimality_oracle_probes_around_the_run_pole(monkeypatch):
         probed.append((U, V))
         return frames(surf, U, V, *args, **kwargs)
 
-    monkeypatch.setattr(immersion, "frames", spy)
+    monkeypatch.setattr(verdicts, "frames", spy)
     build_verdicts(field, RadiusSeries(records=[]),
                    surface_name="hyperbolic_catenoid", ambient="H3",
                    declared_minimal=True, grid=(64, 64))
@@ -205,6 +205,37 @@ def test_minimality_oracle_probes_around_the_run_pole(monkeypatch):
     U, V = (np.concatenate(part) for part in zip(*probed))
     r = surface.form.distance(pole, surface.eval(U, V))
     assert np.max(r) <= field.t_max
+
+
+def test_minimality_oracle_on_a_small_ball():
+    # The region within t_max = 0.1 of the pole covers under 1e-4 of the
+    # chart, so the oracle must probe it without sampling the chart.
+    field = build_field(make("catenoid", t_max=0.1), 0.1,
+                        spec=GridSpec(64, 64))
+    report = build_verdicts(field, RadiusSeries(records=[]),
+                            surface_name="catenoid", ambient="R3",
+                            declared_minimal=True, grid=(64, 64))
+    assert report.measured_minimal
+    assert _verdict(report, "minimality_oracle").passed
+
+
+def test_critical_rail_skips_every_radius(monkeypatch):
+    # A gradient norm scaled to 1e-9 on the boundary is a critical level:
+    # extraction raises and the run records every radius as skipped.
+    def flat(surf, U, V, *args, **kwargs):
+        fb = frames(surf, U, V, *args, **kwargs)
+        fb.normGradPr = fb.normGradPr * 1e-9
+        return fb
+
+    monkeypatch.setattr(balls, "frames", flat)
+    field = build_field(make("plane", t_max=2.0), 2.0, spec=GridSpec(64, 64))
+    with pytest.raises(CriticalRadius):
+        extract_ball(field, 1.0)
+    result = run_surface("plane", t_min=0.5, t_max=2.0, count=3,
+                         grid=(64, 64))
+    assert all(rec.skipped for rec in result.series.records)
+    assert len(result.report.skipped) == 3
+    assert all("gradient norm" in note for _, note in result.report.skipped)
 
 
 # ---------------------------------------------------------------------------

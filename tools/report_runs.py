@@ -3,13 +3,15 @@
     python3 tools/report_runs.py OUT_DIR
 
 Runs ``extballs report`` (through ``extballs.cli.main``, on the package
-in this checkout's ``src``) for thirteen reference runs, one directory
+in this checkout's ``src``) for fourteen reference runs, one directory
 each under OUT_DIR:
 
 - ``configs/<name>``: every ``configs/*.json``;
 - ``catalog/<surface>``: every catalog surface at catalog defaults
   (the config ``{"surface": <surface>}``);
-- ``kg_sentinel``: ``KG_SENTINEL`` from ``perfbench/workloads.py``.
+- ``kg_sentinel``: ``KG_SENTINEL`` from ``perfbench/workloads.py``;
+- ``below_resolution``: ``BELOW_RESOLUTION``, whose first radii hold no
+  grid node and are recorded as skipped.
 
 Each directory gets the ``config.json`` it ran, its ``report.json`` and
 ``series.csv``, and ``exit_status`` holds every run's exit status.
@@ -32,6 +34,11 @@ sys.path.insert(0, str(ROOT / "src"))
 from extballs.catalog import list_entries  # noqa: E402
 from extballs.cli import main as cli_main  # noqa: E402
 
+# A 64^2 plane whose nearest node sits at r = 0.055: the radii 0.001 and
+# 0.0447 hold no node and take the skip path.
+BELOW_RESOLUTION = {"surface": "plane", "grid": 64,
+                    "schedule": {"t_min": 0.001, "t_max": 2, "count": 3}}
+
 
 def _sentinel() -> dict:
     """``KG_SENTINEL`` read from perfbench/workloads.py by file path."""
@@ -49,6 +56,7 @@ def reference_runs() -> dict[str, dict]:
     runs.update((f"catalog/{e['name']}", {"surface": e["name"]})
                 for e in list_entries())
     runs["kg_sentinel"] = _sentinel()
+    runs["below_resolution"] = BELOW_RESOLUTION
     return runs
 
 
