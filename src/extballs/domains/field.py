@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, DomainTooSmall, ModelError, PoleOffModel
-from ..immersion import ParametricSurface, radial_frames
+from ..immersion import BATCH_POINTS, ParametricSurface, radial_frames
 
 # Gradient-norm thresholds that `critical_scan` applies node by node.
 _GRAD_TOL = 0.02
@@ -134,6 +134,11 @@ def build_field(surface: ParametricSurface, t_max: float,
                 spec: GridSpec | None = None) -> DistanceField:
     """Sample r and its gradient norm; check the domain-covers-ball guard.
 
+    The frames run over blocks of whole u-rows of at most
+    ``BATCH_POINTS`` nodes (one row when a row is longer), and only r
+    and its gradient norm are kept, so the batch temporaries stay a
+    block's size while the grids match one whole-grid batch bitwise.
+
     The guard requires the minimum of r over the outermost node ring (in
     every non-periodic direction) to exceed t_max: otherwise some requested
     ball would leak outside the chart and its area and boundary would be
@@ -158,10 +163,15 @@ def build_field(surface: ParametricSurface, t_max: float,
     h_v = (v1 - v0) / spec.n_v
     v_nodes = v0 + h_v * (np.arange(spec.n_v) + 0.5)
 
-    U, V = np.meshgrid(u_nodes, v_nodes, indexing="ij")
-    fb = radial_frames(surface, U, V, pole=pole)
-    r = fb.r
-    grad_norm = fb.normGradPr
+    r = np.empty((spec.n_u, spec.n_v))
+    grad_norm = np.empty_like(r)
+    rows = max(1, BATCH_POINTS // spec.n_v)
+    for start in range(0, spec.n_u, rows):
+        block = slice(start, start + rows)
+        U, V = np.meshgrid(u_nodes[block], v_nodes, indexing="ij")
+        fb = radial_frames(surface, U, V, pole=pole)
+        r[block] = fb.r
+        grad_norm[block] = fb.normGradPr
     if not np.all(np.isfinite(r)):
         raise ConfigError(
             f"distance field on {surface.label!r} contains non-finite values"

@@ -77,23 +77,27 @@ def ensure_cell_cache(field: DistanceField) -> dict[str, np.ndarray]:
     never read.  The first call fills ``field.cell_integrals``; later
     calls reuse it.  On a `u_isometry` chart the densities depend on v
     alone, so one column of cells at u = 0 (one cell per row the mask
-    reaches) is integrated and each row's integrals are written into
-    every masked cell of that row.  Any other chart integrates every
-    masked cell, in chunks to bound peak memory.
+    reaches) is integrated and each channel is the mask selecting its
+    row's integral, with no per-cell index arrays.  Any other chart
+    integrates every masked cell, in chunks to bound peak memory.
     """
     if field.cell_integrals is None:
         c0, c1, c2, c3 = corner_views(field.r, field.periodic_u)
-        corner_min = np.minimum(np.minimum(c0, c1), np.minimum(c2, c3))
-        ci, cj = np.nonzero(corner_min < field.t_max)
+        reach = (np.minimum(np.minimum(c0, c1), np.minimum(c2, c3))
+                 < field.t_max)
 
-        out = tuple(np.zeros(corner_min.shape) for _ in CHANNELS)
         if field.surface.u_isometry:
-            rows, row_of = np.unique(cj, return_inverse=True)
+            rows = np.flatnonzero(np.any(reach, axis=0))
             column = _full_cells(field, np.zeros(len(rows)),
                                  field.v_nodes[rows], field.h_u, field.h_v)
-            for cells, part in zip(out, column):
-                cells[ci, cj] = part[row_of]
+            out = []
+            for part in column:
+                row_values = np.zeros(reach.shape[1])
+                row_values[rows] = part
+                out.append(np.where(reach, row_values, 0.0))
         else:
+            ci, cj = np.nonzero(reach)
+            out = [np.zeros(reach.shape) for _ in CHANNELS]
             u0 = field.u_nodes[ci]
             v0 = field.v_nodes[cj]
             for start in range(0, len(ci), _CHUNK_CELLS):
@@ -101,7 +105,7 @@ def ensure_cell_cache(field: DistanceField) -> dict[str, np.ndarray]:
                 for cells, part in zip(out, _full_cells(
                         field, u0[sl], v0[sl], field.h_u, field.h_v)):
                     cells[ci[sl], cj[sl]] = part
-        field.cell_integrals = out
+        field.cell_integrals = tuple(out)
     return dict(zip(CHANNELS, field.cell_integrals))
 
 

@@ -35,6 +35,13 @@ from .space_forms import SpaceForm
 
 Jet = tuple[np.ndarray, ...]
 
+# Most points of one frame batch over a whole grid or a whole radius
+# schedule: callers that cover more split the work into blocks of at
+# most this many points (one larger unit, a grid row or a ball's
+# boundary, goes alone), so the batch temporaries stay small while the
+# results stay bitwise those of one batch.
+BATCH_POINTS = 16384
+
 
 @dataclass(frozen=True)
 class ParametricSurface:

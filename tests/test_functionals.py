@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from extballs import functionals
 from extballs.catalog import make
 from extballs.domains import build_field, extract_ball
 from extballs.errors import ConfigError
@@ -277,17 +278,42 @@ def test_R_growth_partner_on_a_ratio_174_schedule():
     assert series.R_growth_over_doubling() == pytest.approx(6.0 - 4.0)
 
 
-def test_kg_gaps_batch_equals_per_ball():
+@pytest.fixture(scope="module")
+def catenoid_balls():
     from extballs.domains import GridSpec
 
     field = build_field(make("catenoid", t_max=6.0), 6.0,
                         spec=GridSpec(192, 192))
-    balls = [extract_ball(field, float(t))
-             for t in np.geomspace(0.5, 6.0, 6)]
+    return field, [extract_ball(field, t) for t in (0.5, 1.0, 2.5, 4.0, 6.0)]
+
+
+@pytest.mark.parametrize("budget", ["default", "small"])
+def test_kg_gaps_batch_equals_per_ball(catenoid_balls, budget, monkeypatch):
+    # kg_gaps traces consecutive balls in groups of at most BATCH_POINTS
+    # samples, a larger ball alone; no grouping moves a bit.  The small
+    # budget holds the first two balls together and leaves the third,
+    # larger than it, on its own.
+    field, balls = catenoid_balls
+    sizes = [len(ball.samples) for ball in balls]
+    if budget == "small":
+        monkeypatch.setattr(functionals, "BATCH_POINTS", sizes[0] + sizes[1])
+        assert sizes[2] > sizes[0] + sizes[1]
+        expected = [sizes[:2], sizes[2:3], sizes[3:4], sizes[4:]]
+    else:
+        expected = [sizes]
+    groups = []
+    direct_route = functionals.geodesic_curvature_direct
+
+    def spy(field, samples, runs=None):
+        groups.append(runs)
+        return direct_route(field, samples, runs=runs)
+
+    monkeypatch.setattr(functionals, "geodesic_curvature_direct", spy)
     batch = kg_gaps(field, balls)
+    assert groups == expected
     assert kg_gaps(field, []) == []
     for ball, got in zip(balls, batch):
-        direct = geodesic_curvature_direct(field, ball.samples)
+        direct = direct_route(field, ball.samples)
         assert np.array_equal(got["direct"], direct)
         one = kg_gaps(field, [ball])[0]
         assert np.array_equal(got["formula"], one["formula"])
