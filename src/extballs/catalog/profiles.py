@@ -241,7 +241,7 @@ def solve_hyperbolic_catenoid(c: float = 1.0,
         form=SpaceForm(-1.0),
         domain=((0.0, 2.0 * np.pi), (-sigma_max, sigma_max)),
         jet=jet, label="hyperbolic_catenoid", minimal=True,
-        periodic_u=True, u_isometry=True,
+        periodic_u=True, symmetry="u_shift",
     )
 
     # Construction-time correctness oracle: sampled mean curvature.  The

@@ -13,10 +13,13 @@ contours:
   radius in a schedule (the integrands are smooth on a cell, and
   against 4x4 the 3x3 rule moves the shipped configs' ball totals by
   at most 6e-12 relative wherever the total is not zero in closed form,
-  at 9 instead of 16 frame evaluations per cell); on a chart whose
-  u-shifts are ambient isometries (``ParametricSurface.u_isometry``) the
-  integrals depend on the cell row alone, so only one column of cells,
-  at u = 0, is evaluated;
+  at 9 instead of 16 frame evaluations per cell).  The chart's declared
+  ``ParametricSurface.symmetry`` limits the cells evaluated: on a
+  ``"u_shift"`` chart the integrals depend on the cell row alone, so only
+  one column of cells, at u = 0, is evaluated; on a ``"dihedral"`` chart
+  (Enneper, the sphere control) only one octant of cells (one quadrant
+  on a non-square grid) is, and reflections fill the rest.  The cells
+  go to `frames` in batches of at most ``BATCH_POINTS`` points;
 * each cut cell is split at the level curve's two boundary crossings
   into three pieces along the grid axis best aligned with the curve's
   graph direction, and every piece is integrated by four 4-point
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..immersion import FrameBatch, frames
+from ..immersion import BATCH_POINTS, FrameBatch, frames
 from .field import DistanceField, bracketed_newton, corner_views
 
 
@@ -55,7 +58,6 @@ _X3, _W3 = _unit_gauss_legendre(3)
 
 _MAX_DEPTH = 6
 _STRIP_TOL = 1e-9
-_CHUNK_CELLS = 16384
 
 CHANNELS = ("one", "normBsq", "K")
 
@@ -72,41 +74,121 @@ def ensure_cell_cache(field: DistanceField) -> dict[str, np.ndarray]:
     Cut-cell strips (`integrate_cut_cells`) keep their 4-point rule;
     only whole cells use this cache.
 
-    Only cells with at least one corner below t_max can ever be fully
-    inside a requested ball; all other cells keep a zero entry that is
-    never read.  The first call fills ``field.cell_integrals``; later
-    calls reuse it.  On a `u_isometry` chart the densities depend on v
-    alone, so one column of cells at u = 0 (one cell per row the mask
-    reaches) is integrated and each channel is the mask selecting its
-    row's integral, with no per-cell index arrays.  Any other chart
-    integrates every masked cell, in chunks to bound peak memory.
+    Only cells with at least one corner below t_max (`_reach_mask`) can
+    ever be fully inside a requested ball; all other cells keep a zero
+    entry that is never read.  The first call fills
+    ``field.cell_integrals``; later calls reuse it.  The chart's declared
+    ``symmetry`` picks the cells that are integrated:
+
+    * ``"u_shift"``: the densities depend on v alone, so one column of
+      cells at u = 0 (one cell per row the mask reaches) is integrated and
+      each channel is the mask selecting its row's integral;
+    * ``"dihedral"``: the fundamental cells whose orbit meets the mask are
+      integrated and unfolded by reflection (`_dihedral_cells`);
+    * None: every masked cell is integrated.
+
+    Every frame batch holds at most ``BATCH_POINTS`` points
+    (`_cell_batches`).
     """
     if field.cell_integrals is None:
-        c0, c1, c2, c3 = corner_views(field.r, field.periodic_u)
-        reach = (np.minimum(np.minimum(c0, c1), np.minimum(c2, c3))
-                 < field.t_max)
-
-        if field.surface.u_isometry:
+        reach = _reach_mask(field)
+        symmetry = field.surface.symmetry
+        if symmetry == "u_shift":
             rows = np.flatnonzero(np.any(reach, axis=0))
-            column = _full_cells(field, np.zeros(len(rows)),
-                                 field.v_nodes[rows], field.h_u, field.h_v)
+            column = _cell_batches(field, np.zeros(len(rows)),
+                                   field.v_nodes[rows])
             out = []
             for part in column:
                 row_values = np.zeros(reach.shape[1])
                 row_values[rows] = part
                 out.append(np.where(reach, row_values, 0.0))
+        elif symmetry == "dihedral":
+            out = _dihedral_cells(field, reach)
         else:
             ci, cj = np.nonzero(reach)
             out = [np.zeros(reach.shape) for _ in CHANNELS]
-            u0 = field.u_nodes[ci]
-            v0 = field.v_nodes[cj]
-            for start in range(0, len(ci), _CHUNK_CELLS):
-                sl = slice(start, start + _CHUNK_CELLS)
-                for cells, part in zip(out, _full_cells(
-                        field, u0[sl], v0[sl], field.h_u, field.h_v)):
-                    cells[ci[sl], cj[sl]] = part
+            for cells, part in zip(out, _cell_batches(
+                    field, field.u_nodes[ci], field.v_nodes[cj])):
+                cells[ci, cj] = part
         field.cell_integrals = tuple(out)
     return dict(zip(CHANNELS, field.cell_integrals))
+
+
+def _reach_mask(field: DistanceField) -> np.ndarray:
+    """Cells with a corner below ``field.t_max``, as a bool cell grid.
+
+    The corner minimum is taken in place in one cell-grid buffer, and the
+    u-periodic wrap column (last node row against row 0) is filled on its
+    own, so no periodic copy of ``field.r`` and no pairwise minima are
+    built.
+    """
+    r = field.r
+    n = r.shape[0] - 1
+    low = np.empty((n + field.periodic_u, r.shape[1] - 1))
+    blocks = [(low[:n], r[:-1], r[1:])]
+    if field.periodic_u:
+        blocks.append((low[n:], r[-1:], r[:1]))
+    for part, a, b in blocks:
+        np.minimum(a[:, :-1], b[:, :-1], out=part)
+        np.minimum(part, b[:, 1:], out=part)
+        np.minimum(part, a[:, 1:], out=part)
+    return low < field.t_max
+
+
+def _cell_batches(field: DistanceField, u0: np.ndarray,
+                  v0: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`_full_cells` of whole grid cells, ``BATCH_POINTS`` frame points a call."""
+    step = BATCH_POINTS // _X3.size ** 2
+    parts = [_full_cells(field, u0[s:s + step], v0[s:s + step],
+                         field.h_u, field.h_v)
+             for s in range(0, len(u0), step)]
+    if not parts:
+        return tuple(np.zeros(0) for _ in CHANNELS)
+    return tuple(np.concatenate(channel) for channel in zip(*parts))
+
+
+def _dihedral_cells(field: DistanceField,
+                    reach: np.ndarray) -> list[np.ndarray]:
+    """Cache channels of a ``"dihedral"`` chart from its fundamental cells.
+
+    The nodes sit at half offsets on (-a, a), so cell column i and
+    column m_u - 1 - i (of m_u) are mirror images under u -> -u, and
+    likewise for rows; the quadrant of the lowest ceil(m/2) indices on
+    each axis is fundamental.  When the quadrant is square and the
+    domain is too, u <-> v maps cell (i, j) to (j, i), and the upper
+    triangle i <= j of the quadrant (one octant) is fundamental.  A
+    fundamental cell is integrated when any image of it is reached (the
+    mask is folded, so an off-centre pole is covered), and each channel
+    is the reach mask selecting the unfolded values, block by block.
+    """
+    m_u, m_v = reach.shape
+    half_u, half_v = (m_u + 1) // 2, (m_v + 1) // 2
+    fold = reach[:half_u] | reach[::-1][:half_u]
+    fold = fold[:, :half_v] | fold[:, ::-1][:, :half_v]
+    (_, u1), (_, v1) = field.surface.domain
+    octant = half_u == half_v and u1 == v1
+    if octant:
+        fold = np.triu(fold | fold.T)
+    fi, fj = np.nonzero(fold)
+    # Per axis, (grid slice, quadrant slice) pairs: the low half of the
+    # grid is the quadrant, the high half the quadrant reversed (its
+    # last index, the middle cell when m is odd, left out then).
+    halves = [((slice(None, h), slice(None)),
+               (slice(h, None), slice(m - 1 - h, None, -1)))
+              for m, h in ((m_u, half_u), (m_v, half_v))]
+    out = []
+    for part in _cell_batches(field, field.u_nodes[fi], field.v_nodes[fj]):
+        quadrant = np.zeros((half_u, half_v))
+        quadrant[fi, fj] = part
+        if octant:
+            quadrant += np.triu(quadrant, 1).T
+        cells = np.empty(reach.shape)
+        for grid_u, quad_u in halves[0]:
+            for grid_v, quad_v in halves[1]:
+                cells[grid_u, grid_v] = np.where(
+                    reach[grid_u, grid_v], quadrant[quad_u, quad_v], 0.0)
+        out.append(cells)
+    return out
 
 
 def _newton_strips(field: DistanceField, tt: float,

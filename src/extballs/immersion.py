@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ImmersionError
+from .errors import ConfigError, ImmersionError
 from .space_forms import SpaceForm
 
 Jet = tuple[np.ndarray, ...]
@@ -41,6 +41,9 @@ Jet = tuple[np.ndarray, ...]
 # boundary, goes alone), so the batch temporaries stay small while the
 # results stay bitwise those of one batch.
 BATCH_POINTS = 16384
+
+# The values of `ParametricSurface.symmetry`.
+SYMMETRIES = (None, "u_shift", "dihedral")
 
 
 @dataclass(frozen=True)
@@ -57,12 +60,24 @@ class ParametricSurface:
     (evaluation outside the interval must then be well defined).
     The default pole is the image of the chart origin.
 
-    `u_isometry` marks a chart on which every shift u -> u + c is induced
-    by an ambient isometry carrying the surface to itself (a rotation,
-    screw motion, translation or boost), so every pole-free quantity of
-    `frames` (metric, |B|^2, K, ...) depends on v alone.  The full-cell
-    quadrature cache then integrates one column of cells at u = 0 and
-    copies each row's integrals along it.
+    `symmetry` declares ambient isometries of the surface that the
+    full-cell quadrature cache may use, one of ``SYMMETRIES``:
+
+    * None (the default): none is used, and every cell is integrated;
+    * ``"u_shift"``: every shift u -> u + c is induced by an ambient
+      isometry carrying the surface to itself (a rotation, screw motion,
+      translation or boost), so every pole-free quantity of `frames`
+      (metric, |B|^2, K, ...) depends on v alone.  The cache integrates
+      one column of cells at u = 0 and copies each row's integrals
+      along it;
+    * ``"dihedral"``: u -> -u, v -> -v and u <-> v are induced by ambient
+      isometries, on a non-periodic domain centred at the origin.  The
+      cache integrates one octant of cells (one quadrant when the grid
+      or the domain is not square) and unfolds it by reflection.
+
+    A declaration is checked when the surface is built: an unknown value,
+    or ``"dihedral"`` on a periodic or off-centre domain, raises
+    `ConfigError`.
     """
 
     form: SpaceForm
@@ -71,7 +86,22 @@ class ParametricSurface:
     label: str
     minimal: bool
     periodic_u: bool = False
-    u_isometry: bool = False
+    symmetry: str | None = None
+
+    def __post_init__(self):
+        if self.symmetry not in SYMMETRIES:
+            raise ConfigError(
+                f"chart {self.label!r}: symmetry must be one of "
+                f"{SYMMETRIES}, got {self.symmetry!r}"
+            )
+        (u0, u1), (v0, v1) = self.domain
+        if self.symmetry == "dihedral" and (self.periodic_u or u0 != -u1
+                                            or v0 != -v1):
+            raise ConfigError(
+                f"chart {self.label!r}: symmetry 'dihedral' needs a "
+                f"non-periodic domain centred at the origin, got "
+                f"{self.domain}"
+            )
 
     def eval(self, U, V) -> np.ndarray:
         return self.jet(np.asarray(U, dtype=np.float64),

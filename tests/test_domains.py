@@ -7,6 +7,7 @@ cap of height t^2 / 2 with area pi t^2 and boundary circle of intrinsic
 radius 2 asin(t / 2).
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from extballs.domains.field import bracketed_newton, cell_cases, corner_views
 from extballs.domains.quadrature import ensure_cell_cache
 from extballs.errors import (ConfigError, DomainTooSmall, GeometryError,
                              PoleOffModel)
-from extballs.immersion import frames, radial_frames
+from extballs.immersion import BATCH_POINTS, frames, radial_frames
 
 
 @pytest.fixture(scope="module")
@@ -91,24 +92,36 @@ def test_field_blocks_equal_one_batch(name, monkeypatch):
     assert np.array_equal(field.grad_norm, whole.normGradPr)
 
 
+def _peak_mb(call):
+    """Result and tracemalloc peak (MB) of one call, from a fresh start."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 # Traced peaks on the 512^2 catenoid: build_field 10.8 MB against 60.8 MB
-# for one whole-grid batch; ensure_cell_cache 8.7 MB against 20.9 MB with
-# per-cell index arrays.
+# for one whole-grid batch; ensure_cell_cache 6.6 MB, against 20.9 MB
+# with per-cell index arrays and 8.7 MB with a periodic copy of r and
+# pairwise minima for the reach mask.
 def test_field_and_cache_traced_peaks():
     surface = make("catenoid", t_max=8.0)
-
-    def peak_mb(call):
-        tracemalloc.start()
-        try:
-            return call(), tracemalloc.get_traced_memory()[1] / 1e6
-        finally:
-            tracemalloc.stop()
-
-    field, field_mb = peak_mb(
+    field, field_mb = _peak_mb(
         lambda: build_field(surface, 8.0, spec=GridSpec(512, 512)))
-    _, cache_mb = peak_mb(lambda: ensure_cell_cache(field))
+    _, cache_mb = _peak_mb(lambda: ensure_cell_cache(field))
     assert field_mb < 32.0
     assert cache_mb < 14.0
+
+
+# The cache on Enneper at catalog defaults (512^2, 152,861 cached cells)
+# rises by 8.5 MB: 6.3 MB of results, the reach mask and one batch of
+# frames over 19,297 octant cells.  Integrating every cached cell in
+# batches of 16,384 cells rose by 67.0 MB.
+def test_dihedral_cache_traced_peak():
+    field = build_field(make("enneper"), 8.0, spec=GridSpec(512, 512))
+    _, cache_mb = _peak_mb(lambda: ensure_cell_cache(field))
+    assert cache_mb < 16.0
 
 
 def test_plane_disk_closed_forms(plane_field):
@@ -341,7 +354,8 @@ def _gl6_cell_totals(field):
 # channel) on the hyperbolic catenoid, 2.8e-16 on the plane, 3.3e-12 on
 # the helicoid, 3.6e-15 on Enneper and 7.7e-12 on h2_in_h3, whose cache
 # integrates a column at u = 0 while the reference sums every column,
-# where cosh u factors of up to e^8.8 carry correlated roundoff.  GL2x2
+# where cosh u factors of up to e^8.8 carry correlated roundoff.  The
+# sphere control, at its catalog t_max of 1.5, reads 3.7e-16.  GL2x2
 # in the cache would be off by 4.8e-8 and 2.6e-7 on the two catenoids.
 # A channel that is zero in the reference (|B|^2 and K on the plane,
 # |B|^2 on h2_in_h3) must read zero to the bound absolutely.
@@ -350,9 +364,12 @@ def _gl6_cell_totals(field):
                                          ("plane", 1e-14),
                                          ("helicoid", 2e-11),
                                          ("h2_in_h3", 5e-11),
-                                         ("enneper", 1e-13)])
+                                         ("enneper", 1e-13),
+                                         ("sphere_control", 5e-15)])
 def test_cell_cache_matches_gl6_reference(name, bound):
-    field = build_field(make(name, t_max=8.0), 8.0, spec=GridSpec(128, 128))
+    t_max = 1.5 if name == "sphere_control" else 8.0
+    field = build_field(make(name, t_max=t_max), t_max,
+                        spec=GridSpec(128, 128))
     cache = ensure_cell_cache(field)
     assert list(cache) == ["one", "normBsq", "K"]
     got = np.array([float(np.sum(cells)) for cells in cache.values()])
@@ -383,13 +400,20 @@ def test_cell_cache_h2_matches_exact_rows():
     assert float(np.sum(cache["normBsq"])) == 0.0
 
 
-@pytest.mark.parametrize("name, column", [("catenoid", True),
-                                          ("h2_in_h3", True),
-                                          ("enneper", False)])
-def test_cell_cache_frame_points(name, column, monkeypatch):
-    # A u-isometric chart evaluates one GL3x3 cell per cached row; any
-    # other chart evaluates every cached cell.
-    field = build_field(make(name, t_max=4.0), 4.0, spec=GridSpec(96, 96))
+def _dihedral_orbits(field, ci, cj):
+    """Orbits of cells (ci, cj) under u -> -u, v -> -v and, on a square
+    grid over a square domain, u <-> v: the cells a dihedral cache needs."""
+    m_u, m_v = field.spec.n_u - 1, field.spec.n_v - 1
+    fi = np.minimum(ci, m_u - 1 - ci)
+    fj = np.minimum(cj, m_v - 1 - cj)
+    (_, u1), (_, v1) = field.surface.domain
+    if m_u == m_v and u1 == v1:
+        fi, fj = np.minimum(fi, fj), np.maximum(fi, fj)
+    return len(set(zip(fi.tolist(), fj.tolist())))
+
+
+def _frame_spy(monkeypatch):
+    """Record the point count of every `frames` call of the quadrature."""
     points = []
 
     def spy(surface, U, V, *args):
@@ -397,11 +421,31 @@ def test_cell_cache_frame_points(name, column, monkeypatch):
         return frames(surface, U, V, *args)
 
     monkeypatch.setattr(quadrature, "frames", spy)
+    return points
+
+
+@pytest.mark.parametrize("name, column", [("catenoid", True),
+                                          ("h2_in_h3", True),
+                                          ("enneper", False),
+                                          ("sphere_control", False)])
+def test_cell_cache_frame_points(name, column, monkeypatch):
+    # A "u_shift" chart evaluates one GL3x3 cell per cached row; a
+    # "dihedral" chart one cell per orbit of its mirror and swap maps
+    # that meets the cache, at least 4x fewer than the cached cells.
+    t_max = 1.5 if name == "sphere_control" else 4.0
+    field = build_field(make(name, t_max=t_max), t_max,
+                        spec=GridSpec(96, 96))
+    points = _frame_spy(monkeypatch)
     cache = ensure_cell_cache(field)
     ci, cj = _cached_cells(field)
     rows, row_of = np.unique(cj, return_inverse=True)
-    assert field.surface.u_isometry == column
-    assert sum(points) == 9 * (len(rows) if column else len(cj))
+    assert field.surface.symmetry == ("u_shift" if column else "dihedral")
+    if column:
+        assert sum(points) == 9 * len(rows)
+    else:
+        orbits = _dihedral_orbits(field, ci, cj)
+        assert sum(points) == 9 * orbits
+        assert 4 * orbits <= len(ci)
     assert len(rows) < len(cj)
     if column:
         # The row-mask construction equals scattering the column's
@@ -413,6 +457,73 @@ def test_cell_cache_frame_points(name, column, monkeypatch):
             scattered = np.zeros(cache[name].shape)
             scattered[ci, cj] = values[row_of]
             assert np.array_equal(cache[name], scattered), name
+
+
+# Grid (n_u, n_v), pole in chart coordinates (None: the origin) and the
+# fraction of the chart's half-width kept in v.  "odd" has 95 cell columns
+# (a middle one on the mirror line), "even" 96 (a middle node sits on the
+# origin, so the pole moves just off it), "quadrant" a non-square grid
+# and "narrow" a non-square domain (no u <-> v map, so one quadrant
+# each); "off_centre" has a reach mask that no mirror map preserves.
+_DIHEDRAL_CASES = {
+    "odd": ((96, 96), None, 1.0),
+    "even": ((97, 97), (0.02, 0.01), 1.0),
+    "quadrant": ((96, 80), None, 1.0),
+    "narrow": ((96, 96), None, 0.9),
+    "off_centre": ((96, 96), (0.3, -0.2), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIHEDRAL_CASES))
+@pytest.mark.parametrize("name", ["enneper", "sphere_control"])
+def test_dihedral_cache_matches_per_cell(name, case, monkeypatch):
+    # The cache unfolded from the fundamental cells equals, cell by cell,
+    # the per-cell path of the same chart declaring no symmetry.
+    (n_u, n_v), pole_uv, narrow = _DIHEDRAL_CASES[case]
+    t_chart = 1.5 if name == "sphere_control" else 4.0
+    surface = make(name, t_max=t_chart)
+    (u0, u1), _ = surface.domain
+    surface = dataclasses.replace(
+        surface, domain=((u0, u1), (narrow * u0, narrow * u1)))
+    pole = None if pole_uv is None else surface.eval(*pole_uv)
+    field = build_field(surface, 0.7 * t_chart, pole=pole,
+                        spec=GridSpec(n_u, n_v))
+    points = _frame_spy(monkeypatch)
+    cache = ensure_cell_cache(field)
+    ci, cj = _cached_cells(field)
+    assert sum(points) == 9 * _dihedral_orbits(field, ci, cj)
+    assert max(points) <= BATCH_POINTS
+
+    plain = dataclasses.replace(
+        field, surface=dataclasses.replace(surface, symmetry=None),
+        cell_integrals=None)
+    ref = ensure_cell_cache(plain)
+    for channel in quadrature.CHANNELS:
+        got, want = cache[channel], ref[channel]
+        assert np.array_equal(got != 0.0, want != 0.0), channel
+        rel = np.abs(got - want) / np.where(want != 0.0, np.abs(want), 1.0)
+        assert np.max(rel) <= 1e-13, (channel, np.max(rel))
+
+
+@pytest.mark.parametrize("symmetry", ["dihedral", None])
+def test_cell_cache_batches(symmetry, monkeypatch):
+    # Every frame batch of the cache holds BATCH_POINTS // 9 whole cells,
+    # the last one the rest; the batches change no cell beyond roundoff.
+    surface = dataclasses.replace(make("enneper", t_max=4.0),
+                                  symmetry=symmetry)
+    field = build_field(surface, 4.0, spec=GridSpec(96, 96))
+    whole = ensure_cell_cache(field)
+    field.cell_integrals = None
+    monkeypatch.setattr(quadrature, "BATCH_POINTS", 9 * 100 + 5)
+    points = _frame_spy(monkeypatch)
+    cache = ensure_cell_cache(field)
+    assert len(points) > 2
+    assert points[:-1] == [900] * (len(points) - 1)
+    assert 0 < points[-1] <= 900
+    for channel in quadrature.CHANNELS:
+        scale = np.max(np.abs(whole[channel]))
+        assert np.max(np.abs(cache[channel] - whole[channel])) <= (
+            1e-15 * scale), channel
 
 
 def test_cut_cell_fallbacks_converge_with_depth(catenoid_192, monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from extballs import catalog
-from extballs.errors import ImmersionError
+from extballs.errors import ConfigError, ImmersionError
 from extballs.immersion import ParametricSurface, check_surface, frames
 from extballs.oracles import (gauss_equation_residual, laplacian_r,
                               radial_laplacian_identity)
@@ -111,6 +111,25 @@ def test_degenerate_metric_raises():
                             label="degenerate", minimal=False)
     with pytest.raises(ImmersionError):
         frames(bad, np.array([0.1]), np.array([0.2]))
+
+
+def _flat_chart(domain, **kwargs):
+    def jet(U, V, order):
+        F = np.stack([U, V, np.zeros_like(U)], axis=-1)
+        return (F,)
+    return ParametricSurface(form=SpaceForm(0.0), domain=domain, jet=jet,
+                             label="flat", minimal=True, **kwargs)
+
+
+def test_unknown_symmetry_raises():
+    with pytest.raises(ConfigError, match="'u_shift', 'dihedral'"):
+        _flat_chart(((-1.0, 1.0), (-1.0, 1.0)), symmetry="mirror")
+
+
+def test_dihedral_symmetry_needs_centred_domain():
+    _flat_chart(((-1.0, 1.0), (-2.0, 2.0)), symmetry="dihedral")
+    with pytest.raises(ConfigError, match=r"\(\(-1\.0, 1\.5\), "):
+        _flat_chart(((-1.0, 1.5), (-1.0, 1.0)), symmetry="dihedral")
 
 
 def test_laplacian_r_plane_closed_form():
