@@ -154,9 +154,9 @@ def _dihedral_cells(field: DistanceField,
     The nodes sit at half offsets on (-a, a), so cell column i and
     column m_u - 1 - i (of m_u) are mirror images under u -> -u, and
     likewise for rows; the quadrant of the lowest ceil(m/2) indices on
-    each axis is fundamental.  When the quadrant is square and the
-    domain is too, u <-> v maps cell (i, j) to (j, i), and the upper
-    triangle i <= j of the quadrant (one octant) is fundamental.  A
+    each axis is fundamental.  When the cell grid is square (m_u == m_v)
+    and the domain is too, u <-> v maps cell (i, j) to (j, i), and the
+    upper triangle i <= j of the quadrant (one octant) is fundamental.  A
     fundamental cell is integrated when any image of it is reached (the
     mask is folded, so an off-centre pole is covered), and each channel
     is the reach mask selecting the unfolded values, block by block.
@@ -166,7 +166,7 @@ def _dihedral_cells(field: DistanceField,
     fold = reach[:half_u] | reach[::-1][:half_u]
     fold = fold[:, :half_v] | fold[:, ::-1][:, :half_v]
     (_, u1), (_, v1) = field.surface.domain
-    octant = half_u == half_v and u1 == v1
+    octant = m_u == m_v and u1 == v1
     if octant:
         fold = np.triu(fold | fold.T)
     fi, fj = np.nonzero(fold)

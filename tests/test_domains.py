@@ -462,13 +462,15 @@ def test_cell_cache_frame_points(name, column, monkeypatch):
 # Grid (n_u, n_v), pole in chart coordinates (None: the origin) and the
 # fraction of the chart's half-width kept in v.  "odd" has 95 cell columns
 # (a middle one on the mirror line), "even" 96 (a middle node sits on the
-# origin, so the pole moves just off it), "quadrant" a non-square grid
+# origin, so the pole moves just off it), "quadrant" a non-square grid,
+# "adjacent" cell counts 95 and 96 (equal quadrants, unequal spacings)
 # and "narrow" a non-square domain (no u <-> v map, so one quadrant
 # each); "off_centre" has a reach mask that no mirror map preserves.
 _DIHEDRAL_CASES = {
     "odd": ((96, 96), None, 1.0),
     "even": ((97, 97), (0.02, 0.01), 1.0),
     "quadrant": ((96, 80), None, 1.0),
+    "adjacent": ((96, 97), None, 1.0),
     "narrow": ((96, 96), None, 0.9),
     "off_centre": ((96, 96), (0.3, -0.2), 1.0),
 }
