@@ -2,13 +2,14 @@
 
 from .balls import (BoundarySamples, ExtrinsicBall, coarea_integral,
                     extract_ball)
-from .contours import Loop, extract_loops, project_to_level
-from .field import DistanceField, GridSpec, build_field, critical_scan
+from .contours import Level, Loop, extract_loops, project_to_level, solve_level
+from .field import (DistanceField, GridSpec, build_field, critical_scan,
+                    level_cells)
 from .quadrature import region_integral
 
 __all__ = [
     "BoundarySamples", "ExtrinsicBall", "coarea_integral",
-    "extract_ball", "Loop", "extract_loops", "project_to_level",
-    "DistanceField", "GridSpec", "build_field", "critical_scan",
-    "region_integral",
+    "extract_ball", "Level", "Loop", "extract_loops", "project_to_level",
+    "solve_level", "DistanceField", "GridSpec", "build_field",
+    "critical_scan", "level_cells", "region_integral",
 ]

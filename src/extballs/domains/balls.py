@@ -1,10 +1,12 @@
 """Extrinsic balls: area integrals and boundary samples with frames.
 
-``extract_ball`` is the per-radius entry point.  It extracts the level
-curve {r = t} as closed components of refined edge crossings joined by
-unordered segments, bisects segments until the boundary carries at least
-``MIN_SAMPLES`` samples, integrates area, |B|^2 and K over {r < t}, and
-packages per-sample frames for geodesic-curvature work.  Every boundary
+``extract_ball`` is the per-radius entry point.  It finds the cells the
+level curve {r = t} cuts in the field's sorted band, solves each cut
+edge's crossing once, extracts the curve as closed components of those
+crossings joined by unordered segments, bisects segments until the
+boundary carries at least ``MIN_SAMPLES`` samples, integrates area,
+|B|^2 and K over {r < t} from the same crossings, and packages
+per-sample frames for geodesic-curvature work.  Every boundary
 quantity downstream is a weighted sum over samples, so no component is
 ever put in order or oriented.
 
@@ -26,8 +28,8 @@ import numpy as np
 
 from ..errors import ConfigError, CriticalRadius
 from ..immersion import FrameBatch, frames, radial_frames
-from .contours import augment_loop, extract_loops, segment_chords
-from .field import DistanceField, cell_cases
+from .contours import augment_loop, extract_loops, segment_chords, solve_level
+from .field import DistanceField, level_cells
 from .quadrature import _unit_gauss_legendre, region_integral
 
 _GL2_X, _GL2_W = _unit_gauss_legendre(2)
@@ -132,11 +134,11 @@ def extract_ball(field: DistanceField, t: float) -> ExtrinsicBall:
     # and length move by O(1e-13).
     tt = t + _LEVEL_NUDGE * (1.0 + t)
 
-    case = cell_cases(field.r, tt, field.periodic_u)
-    loops = extract_loops(field, tt, case)
+    level = solve_level(field, tt, level_cells(field, tt))
+    loops = extract_loops(field, tt, level)
     if not loops:
         raise ConfigError(no_node_note(t, float(np.min(field.r))))
-    integrals = region_integral(field, tt, case)
+    integrals = region_integral(field, tt, level)
 
     per_loop_min = max(32, -(-MIN_SAMPLES // len(loops)))
     loops = [augment_loop(field, tt, lp, per_loop_min) for lp in loops]

@@ -1,20 +1,20 @@
 """Level-curve extraction for the extrinsic distance on a chart grid.
 
-``segment_edges`` takes each cell's marching-squares case, as
-``field.cell_cases`` classifies it once per radius, and emits contour
-segments as pairs of global edge ids: with ``ncu`` cell columns, the
-u-edge from node (i, j) to (i+1, j) is ``j * ncu + i`` and the v-edge from
-(i, j) to (i, j+1) is ``n_v * ncu + j * n_u + i``; on a u-periodic grid
-i+1 wraps to 0.  This module turns the segments into closed components
-with accurately placed vertices:
+``solve_level`` takes the cells the level {r = tt} cuts, as
+``field.level_cells`` finds them in the field's sorted band, and emits
+contour segments as pairs of global edge ids (the numbering of
+``domains.field``).  It then solves each cut edge's crossing once, by a
+safeguarded Newton iteration on the exact ambient distance along the
+edge (the grid only seeds the bracket, so no interpolation bias
+survives).  The contours and the ball quadrature both read that one
+`Level`:
 
-* every cut edge gets one crossing point, refined by a safeguarded Newton
-  iteration on the exact ambient distance along the edge (the grid only
-  seeds the bracket, so no interpolation bias survives);
 * the segments, read as a graph on the cut edges, split into closed
-  components by connectivity alone; seam edges already share global ids,
-  so the periodic seam needs no special casing, and no component is ever
-  walked in order;
+  components by connectivity alone (``extract_loops``); seam edges
+  already share global ids, so the periodic seam needs no special
+  casing, and no component is ever walked in order;
+* each cut cell reads its edges' crossings back (``Level.cell_edges``),
+  so the quadrature slices its cells without a second solve;
 * a segment on a u-periodic chart reaches its far end at the nearest
   u-image (``segment_chords``), so vertices stay where the grid put them.
 
@@ -32,7 +32,8 @@ from scipy.sparse.csgraph import connected_components
 
 from ..errors import GeometryError
 from ..immersion import radial_frames
-from .field import DistanceField, bracketed_newton
+from .field import (CutCells, DistanceField, bracketed_newton,
+                    crossings_located)
 
 _NEWTON_TOL = 1e-10
 _NEWTON_ITERS = 5
@@ -57,6 +58,43 @@ class Loop:
         return len(self.vertices)
 
 
+@dataclass
+class Level:
+    """The level {r = tt} on a field's grid: cut cells, segments, crossings.
+
+    ``edges`` are the sorted global ids of the cut edges; per edge,
+    ``s`` is the crossing's parameter from the edge's first node, ``pos``
+    its chart point and ``located`` whether r there is within
+    1e-8 of tt (`crossings_located`).  ``segments`` pairs indices into
+    ``edges``, one pair per contour segment.
+    """
+
+    tt: float
+    cells: CutCells
+    edges: np.ndarray             # (n_edges,)
+    s: np.ndarray                 # (n_edges,)
+    pos: np.ndarray               # (n_edges, 2)
+    located: np.ndarray           # (n_edges,)
+    segments: np.ndarray          # (n_segments, 2)
+
+    def cell_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per cut cell and side (bottom, right, top, left): s and located.
+
+        A side the level does not cut reads NaN and False.
+        """
+        inside = self.cells.corners < self.tt
+        cut = np.stack([inside[:, 0] != inside[:, 1],
+                        inside[:, 1] != inside[:, 2],
+                        inside[:, 3] != inside[:, 2],
+                        inside[:, 0] != inside[:, 3]], axis=1)
+        k = np.searchsorted(self.edges, self.cells.edges[cut])
+        s = np.full(cut.shape, np.nan)
+        s[cut] = self.s[k]
+        located = np.zeros(cut.shape, dtype=bool)
+        located[cut] = self.located[k]
+        return s, located
+
+
 # Local edge codes: 0 = bottom, 1 = right, 2 = top, 3 = left.
 # Segments of the 14 mixed marching-squares cases, in emission order; the
 # saddle cases 5 and 10 get two segments each, keyed by whether the cell
@@ -70,34 +108,21 @@ _SEGMENTS = {
 }
 
 
-def segment_edges(r: np.ndarray, t: float, periodic_u: bool,
-                  case: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Emit contour segments as pairs of global edge ids over all cut cells.
-
-    ``case`` is ``cell_cases(r, t, periodic_u)``.
-    """
-    n_u, n_v = r.shape
-    ncu = n_u if periodic_u else n_u - 1
-    nue = n_v * ncu
-
-    i, j = np.nonzero((case > 0) & (case < 15))
-    code = case[i, j]
-    nxt = (i + 1) % n_u if periodic_u else i + 1
-    centre_in = (r[i, j] + r[nxt, j] + r[nxt, j + 1] + r[i, j + 1]) < 4.0 * t
-    # Each cut cell's bottom, right, top and left global edge ids.
-    edge = np.stack([j * ncu + i, nue + j * n_u + nxt,
-                     (j + 1) * ncu + i, nue + j * n_u + i], axis=1)
-
+def segment_edges(cells: CutCells,
+                  t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Emit contour segments as pairs of global edge ids over cut cells."""
+    c = cells.corners
+    centre_in = (c[:, 0] + c[:, 1] + c[:, 2] + c[:, 3]) < 4.0 * t
     seg_a: list[np.ndarray] = []
     seg_b: list[np.ndarray] = []
     for key, pairs in _SEGMENTS.items():
-        c, centre = key if isinstance(key, tuple) else (key, None)
-        sel = code == c
+        code, centre = key if isinstance(key, tuple) else (key, None)
+        sel = cells.case == code
         if centre is not None:
             sel &= centre_in == centre
         for la, lb in pairs:
-            seg_a.append(edge[sel, la])
-            seg_b.append(edge[sel, lb])
+            seg_a.append(cells.edges[sel, la])
+            seg_b.append(cells.edges[sel, lb])
     return np.concatenate(seg_a), np.concatenate(seg_b)
 
 
@@ -113,12 +138,13 @@ def _decode_edges(edges: np.ndarray, n_u: int, n_v: int, periodic_u: bool):
     return is_u, i, j, i1, j1
 
 
-def refine_crossings(field: DistanceField, tt: float,
-                     edges: np.ndarray) -> np.ndarray:
+def refine_crossings(field: DistanceField, tt: float, edges: np.ndarray):
     """Locate the level crossing on each cut edge to high accuracy.
 
-    Returns (n_edges, 2) chart points.  Seam u-edges report an unwrapped u
-    that may exceed the nominal domain end by less than one spacing.
+    Returns the parameter s of each crossing from the edge's first node,
+    its (n_edges, 2) chart point and whether it is located (see
+    `crossings_located`).  Seam u-edges report an unwrapped u that may
+    exceed the nominal domain end by less than one spacing.
     """
     n_u, n_v = field.spec.n_u, field.spec.n_v
     is_u, i, j, i1, j1 = _decode_edges(edges, n_u, n_v, field.periodic_u)
@@ -133,31 +159,47 @@ def refine_crossings(field: DistanceField, tt: float,
     if np.any(f0 * f1 > 0.0):
         raise GeometryError("edge reported as cut has same-sign endpoints")
 
-    s = bracketed_newton(field, tt, ua, va, du, dv, 0.0, 1.0, f0, f1,
-                         iters=_NEWTON_ITERS, tol=_NEWTON_TOL)
-    return np.stack([ua + s * du, va + s * dv], axis=-1)
+    s, frozen = bracketed_newton(field, tt, ua, va, du, dv, 0.0, 1.0, f0, f1,
+                                 iters=_NEWTON_ITERS, tol=_NEWTON_TOL)
+    U, V = ua + s * du, va + s * dv
+    return s, np.stack([U, V], axis=-1), crossings_located(field, tt, U, V,
+                                                           frozen)
+
+
+def solve_level(field: DistanceField, tt: float, cells: CutCells) -> Level:
+    """Segments and edge crossings of the level {r = tt} on its cut cells.
+
+    ``cells`` is ``level_cells(field, tt)``; each cut edge is solved once.
+    """
+    if len(cells) == 0:
+        return Level(tt=tt, cells=cells, edges=np.zeros(0, dtype=np.int64),
+                     s=np.zeros(0), pos=np.zeros((0, 2)),
+                     located=np.zeros(0, dtype=bool),
+                     segments=np.zeros((0, 2), dtype=np.int64))
+    seg_a, seg_b = segment_edges(cells, tt)
+    edges, ends = np.unique(np.concatenate([seg_a, seg_b]),
+                            return_inverse=True)
+    s, pos, located = refine_crossings(field, tt, edges)
+    return Level(tt=tt, cells=cells, edges=edges, s=s, pos=pos,
+                 located=located, segments=ends.reshape(2, -1).T)
 
 
 def extract_loops(field: DistanceField, tt: float,
-                  case: np.ndarray) -> list[Loop]:
+                  level: Level) -> list[Loop]:
     """All closed components of the level {r = tt} on the field's grid.
 
-    ``case`` is ``cell_cases(field.r, tt, field.periodic_u)``.
+    ``level`` is ``solve_level(field, tt, level_cells(field, tt))``.
     """
-    seg_a, seg_b = segment_edges(field.r, tt, field.periodic_u, case)
-    if len(seg_a) == 0:
+    edges, segments = level.edges, level.segments
+    if len(segments) == 0:
         return []
-    edges, ends = np.unique(np.concatenate([seg_a, seg_b]),
-                            return_inverse=True)
-    degree = np.bincount(ends, minlength=len(edges))
+    degree = np.bincount(segments.ravel(), minlength=len(edges))
     if np.any(degree != 2):
         k = int(np.argmax(degree != 2))
         raise GeometryError(
             f"contour edge {edges[k]} belongs to {degree[k]} segments; the "
             "level curve is not closed inside the grid"
         )
-    pos = refine_crossings(field, tt, edges)
-    segments = ends.reshape(2, -1).T
     n_comp, label = connected_components(
         coo_matrix((np.ones(len(segments)), (segments[:, 0], segments[:, 1])),
                    shape=(len(edges), len(edges))), directed=False)
@@ -169,7 +211,7 @@ def extract_loops(field: DistanceField, tt: float,
     for comp in range(n_comp):
         mine = label == comp
         local[mine] = np.arange(np.count_nonzero(mine))
-        loops.append(Loop(vertices=pos[mine],
+        loops.append(Loop(vertices=level.pos[mine],
                           segments=local[segments[seg_label == comp]]))
     return loops
 

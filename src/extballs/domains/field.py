@@ -6,15 +6,26 @@ downstream (contour extraction, area quadrature, critical-radius scans)
 reads from one field, so the grid layout conventions live here:
 
 * Non-periodic directions place nodes at half offsets,
-  ``u0 + (i + 1/2) h``, so no node touches the open chart boundary and the
-  pole (usually the chart origin) never coincides with a node.
+  ``u0 + (i + 1/2) h``, so no node touches the open chart boundary.  An
+  even node count keeps every node off the axis's centre; with an odd
+  count the middle node sits on it, and a node that lands on the pole
+  (by default the chart origin) is a ``ConfigError``.
 * A periodic u direction places nodes at ``u0 + i h`` with ``h = period /
   n_u``; the seam cell wraps from the last column back to the first.
 * Cell (i, j) has corners c0..c3 at nodes (i, j), (i+1, j), (i+1, j+1),
-  (i, j+1); on a u-periodic grid i+1 wraps to 0, giving n_u cell columns
-  (else n_u - 1).  ``extract_ball`` classifies the cells once per radius
-  by ``cell_cases`` and hands the one case array to both the contour
-  extraction and the ball quadrature.
+  (i, j+1); on a u-periodic grid i+1 wraps to 0, giving ``m_u = n_u``
+  cell columns (else n_u - 1), and its flat id is ``i * (n_v - 1) + j``.
+  With ``ncu`` cell columns, the u-edge from node (i, j) to (i+1, j) has
+  global id ``j * ncu + i`` and the v-edge from (i, j) to (i, j+1) has
+  ``n_v * ncu + j * n_u + i``.
+* Once per field, the cells with a corner below t_max (the only ones a
+  requested ball can reach) are sorted by their corner maximum of r
+  (``DistanceField.cell_order``).  The cells fully inside {r < t} are a
+  prefix of that order, and every cell the level {r = t} cuts lies in
+  the band of cells whose maximum is in [t, t + largest cell span), so
+  ``level_cells`` classifies only that band, never the whole grid.
+  ``cell_cases`` classifies every cell; it is the reference the tests
+  hold the band against.
 """
 
 from __future__ import annotations
@@ -23,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, DomainTooSmall, ModelError, PoleOffModel
+from ..errors import (ConfigError, DomainTooSmall, ModelError, PoleOffModel,
+                      PoleSingularity)
 from ..immersion import BATCH_POINTS, ParametricSurface, radial_frames
 
 # Gradient-norm thresholds that `critical_scan` applies node by node.
@@ -59,13 +71,25 @@ class DistanceField:
     grad_norm: np.ndarray         # (n_u, n_v)
     h_u: float
     h_v: float
-    # Per-channel full-cell integrals, filled by
+    # Flat ids of the cells with a corner below t_max, sorted by their
+    # corner maximum of r (`_sort_reached_cells`), that maximum in the
+    # same order, and the largest corner max - min among those cells.
+    cell_order: np.ndarray = field(repr=False)     # (n_reached,) int32
+    cell_max: np.ndarray = field(repr=False)       # (n_reached,)
+    cell_span: float
+    # Per-channel full-cell integrals in ``cell_order``, filled by
     # quadrature.ensure_cell_cache on first use.
     cell_integrals: tuple | None = field(default=None, repr=False)
 
     @property
     def periodic_u(self) -> bool:
         return self.surface.periodic_u
+
+    @property
+    def cell_shape(self) -> tuple[int, int]:
+        """Cell columns and rows (m_u, m_v) of the grid."""
+        return (self.spec.n_u if self.periodic_u else self.spec.n_u - 1,
+                self.spec.n_v - 1)
 
     def eval_r(self, U, V) -> np.ndarray:
         """Exact extrinsic distance at arbitrary chart points."""
@@ -94,15 +118,111 @@ def cell_cases(r: np.ndarray, t: float, periodic_u: bool) -> np.ndarray:
             + 4 * (c2 < t).astype(np.int16) + 8 * (c3 < t).astype(np.int16))
 
 
+def _sort_reached_cells(r: np.ndarray, periodic_u: bool, t_max: float):
+    """(cell_order, cell_max, cell_span) of the cells reaching below t_max.
+
+    The corner minimum and maximum are taken in place in two cell-grid
+    buffers, and the u-periodic wrap column (last node row against row
+    0) is filled on its own, so no periodic copy of ``r`` is built.  The
+    sort is stable, so equal maxima keep their row-major order.
+    """
+    n = r.shape[0] - 1
+    lo = np.empty((n + periodic_u, r.shape[1] - 1))
+    hi = np.empty_like(lo)
+    blocks = [(slice(None, n), r[:-1], r[1:])]
+    if periodic_u:
+        blocks.append((slice(n, None), r[-1:], r[:1]))
+    for rows, a, b in blocks:
+        for out, op in ((lo[rows], np.minimum), (hi[rows], np.maximum)):
+            op(a[:, :-1], b[:, :-1], out=out)
+            op(out, b[:, 1:], out=out)
+            op(out, a[:, 1:], out=out)
+    reached = np.flatnonzero(lo < t_max)
+    cell_max = hi.ravel()[reached]
+    span = float(np.max(cell_max - lo.ravel()[reached])) if len(reached) \
+        else 0.0
+    order = np.argsort(cell_max, kind="stable")
+    return reached[order].astype(np.int32), cell_max[order], span
+
+
+def gather_corners(r: np.ndarray, i: np.ndarray, j: np.ndarray,
+                   periodic_u: bool) -> np.ndarray:
+    """(n, 4) node values at corners c0..c3 of the cells (i, j)."""
+    i1 = (i + 1) % r.shape[0] if periodic_u else i + 1
+    return np.stack([r[i, j], r[i1, j], r[i1, j + 1], r[i, j + 1]], axis=1)
+
+
+@dataclass
+class CutCells:
+    """The cells a level {r = t} cuts, in row-major (flat id) order.
+
+    Per cell: its flat id, the node values of r at its corners c0..c3,
+    its marching-squares ``case`` (1-14, bit k set when corner k is
+    inside) and the global ids of its bottom, right, top and left edges.
+    """
+
+    ids: np.ndarray               # (n,)
+    corners: np.ndarray           # (n, 4)
+    case: np.ndarray              # (n,)
+    edges: np.ndarray             # (n, 4)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def cut_cells(r: np.ndarray, t: float, periodic_u: bool,
+              ids: np.ndarray) -> CutCells:
+    """The cells among the flat ``ids`` that the level {r = t} cuts."""
+    n_u, n_v = r.shape
+    corners = gather_corners(r, *np.divmod(ids, n_v - 1), periodic_u)
+    case = (corners < t) @ np.array([1, 2, 4, 8], dtype=np.int16)
+    keep = np.flatnonzero((case > 0) & (case < 15))
+    keep = keep[np.argsort(ids[keep])]
+    ids, corners, case = ids[keep], corners[keep], case[keep]
+    i, j = np.divmod(ids, n_v - 1)
+    ncu = n_u if periodic_u else n_u - 1
+    nue = n_v * ncu
+    i1 = (i + 1) % n_u if periodic_u else i + 1
+    edges = np.stack([j * ncu + i, nue + j * n_u + i1,
+                      (j + 1) * ncu + i, nue + j * n_u + i], axis=1)
+    return CutCells(ids=ids, corners=corners, case=case, edges=edges)
+
+
+# Relative slack on the band's upper end, so rounding in t + span never
+# drops a cut cell (four units in the last place).
+_BAND_SLACK = 1.0 + 4.0 * np.finfo(np.float64).eps
+
+
+def level_cells(field: DistanceField, tt: float) -> CutCells:
+    """The cells the level {r = tt} cuts, classified from its band only.
+
+    A cut cell has corner maximum >= tt and corner minimum < tt, so its
+    maximum lies in [tt, tt + cell_span): only that slice of the sorted
+    reached cells is gathered and classified.
+    """
+    first = np.searchsorted(field.cell_max, tt)
+    stop = np.searchsorted(field.cell_max,
+                           (tt + field.cell_span) * _BAND_SLACK, side="right")
+    return cut_cells(field.r, tt, field.periodic_u,
+                     field.cell_order[first:stop])
+
+
+# A Newton crossing counts as located when r there is this close to the
+# level.
+_CROSSING_RESIDUAL = 1e-8
+
+
 def bracketed_newton(field: DistanceField, tt: float, base_u, base_v, du, dv,
                      lo, hi, flo, fhi, *, iters: int,
-                     tol: float) -> np.ndarray:
+                     tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Solve r(base + s * (du, dv)) = tt for s, safeguarded by a bracket.
 
     The arrays flo = f(lo) and fhi = f(hi) have opposite signs; lo and hi
     may be scalars.  The solve starts at the secant root, takes Newton
     steps on the exact distance, bisects wherever a step leaves the
-    bracket, and freezes a point once |r - tt| <= tol.
+    bracket, and freezes a point once |r - tt| <= tol.  Returns s and
+    whether each point froze; r at an unfrozen point's final s was never
+    evaluated.
     """
     surf = field.surface
     form = surf.form
@@ -126,7 +246,23 @@ def bracketed_newton(field: DistanceField, tt: float, base_u, base_v, du, dv,
             s_new = s - f / fp
         bad = ~np.isfinite(s_new) | (s_new <= lo) | (s_new >= hi)
         s = np.where(done, s, np.where(bad, 0.5 * (lo + hi), s_new))
-    return s
+    return s, done
+
+
+def crossings_located(field: DistanceField, tt: float, U, V,
+                      frozen: np.ndarray) -> np.ndarray:
+    """Whether |r - tt| <= ``_CROSSING_RESIDUAL`` at the crossings (U, V).
+
+    A point that froze in `bracketed_newton` already met a tighter
+    tolerance, so r is evaluated only at the others.
+    """
+    located = frozen.copy()
+    redo = ~frozen
+    if np.any(redo):
+        U, V = np.broadcast_arrays(U, V)
+        located[redo] = (np.abs(field.eval_r(U[redo], V[redo]) - tt)
+                         <= _CROSSING_RESIDUAL)
+    return located
 
 
 def build_field(surface: ParametricSurface, t_max: float,
@@ -142,7 +278,9 @@ def build_field(surface: ParametricSurface, t_max: float,
     The guard requires the minimum of r over the outermost node ring (in
     every non-periodic direction) to exceed t_max: otherwise some requested
     ball would leak outside the chart and its area and boundary would be
-    silently truncated.
+    silently truncated.  A node on the pole raises ``ConfigError``.  The
+    field ends with the reached cells sorted by their corner maximum
+    (``cell_order``), which every ball of the schedule reads.
     """
     if not np.isfinite(t_max) or t_max <= 0.0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
@@ -169,7 +307,10 @@ def build_field(surface: ParametricSurface, t_max: float,
     for start in range(0, spec.n_u, rows):
         block = slice(start, start + rows)
         U, V = np.meshgrid(u_nodes[block], v_nodes, indexing="ij")
-        fb = radial_frames(surface, U, V, pole=pole)
+        try:
+            fb = radial_frames(surface, U, V, pole=pole)
+        except PoleSingularity:
+            raise _node_on_pole(surface, pole, U, V, start) from None
         r[block] = fb.r
         grad_norm[block] = fb.normGradPr
     if not np.all(np.isfinite(r)):
@@ -188,9 +329,24 @@ def build_field(surface: ParametricSurface, t_max: float,
             "the chart centre or lower t_max"
         )
 
+    order, cell_max, span = _sort_reached_cells(r, surface.periodic_u, t_max)
     return DistanceField(surface=surface, pole=pole, spec=spec, t_max=t_max,
                          u_nodes=u_nodes, v_nodes=v_nodes, r=r,
-                         grad_norm=grad_norm, h_u=h_u, h_v=h_v)
+                         grad_norm=grad_norm, h_u=h_u, h_v=h_v,
+                         cell_order=order, cell_max=cell_max, cell_span=span)
+
+
+def _node_on_pole(surface: ParametricSurface, pole: np.ndarray, U, V,
+                  first_row: int) -> ConfigError:
+    """The error for a block of grid nodes (U, V) that holds the pole."""
+    d = surface.form.distance(pole, surface.eval(U, V))
+    i, j = np.unravel_index(np.argmin(d), d.shape)
+    return ConfigError(
+        f"grid node ({first_row + i}, {j}) at chart point "
+        f"({U[i, j]:.6g}, {V[i, j]:.6g}) lies on the pole, where the radial "
+        "direction is undefined; use an even node count along each "
+        "non-periodic axis (an odd count puts its middle node on the chart "
+        "centre) or move the pole")
 
 
 def critical_scan(field: DistanceField, t_lo: float, t_hi: float) -> dict:

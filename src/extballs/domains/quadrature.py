@@ -3,9 +3,8 @@
 ``region_integral`` integrates the three densities of ``CHANNELS`` over
 {r < t}, each against the area element sqrt(det g): 1 (the area), |B|^2
 (the total extrinsic curvature) and the Gauss curvature K (which feeds
-Gauss-Bonnet).  It is a sum over grid cells, read from the cell cases
-that ``extract_ball`` classifies once per radius and shares with the
-contours:
+Gauss-Bonnet).  It is a sum over grid cells, read from the `Level` that
+``extract_ball`` solves once per radius and shares with the contours:
 
 * cells fully inside the ball use per-cell Gauss-Legendre 3x3 integrals,
   cached on the field (``DistanceField.cell_integrals``) the first time
@@ -13,20 +12,26 @@ contours:
   radius in a schedule (the integrands are smooth on a cell, and
   against 4x4 the 3x3 rule moves the shipped configs' ball totals by
   at most 6e-12 relative wherever the total is not zero in closed form,
-  at 9 instead of 16 frame evaluations per cell).  The chart's declared
-  ``ParametricSurface.symmetry`` limits the cells evaluated: on a
-  ``"u_shift"`` chart the integrals depend on the cell row alone, so only
-  one column of cells, at u = 0, is evaluated; on a ``"dihedral"`` chart
-  (Enneper, the sphere control) only one octant of cells (one quadrant
-  on a non-square grid) is, and reflections fill the rest.  The cells
-  go to `frames` in batches of at most ``BATCH_POINTS`` points;
+  at 9 instead of 16 frame evaluations per cell).  The cache holds the
+  reached cells in ``DistanceField.cell_order``, sorted by their corner
+  maximum of r, so the cells inside {r < t} are a prefix and each
+  radius sums that slice with ``np.sum`` (pairwise, no cumulative
+  sum).  The chart's declared ``ParametricSurface.symmetry`` limits the
+  cells evaluated: on a ``"u_shift"`` chart the integrals depend on the
+  cell row alone, so only one column of cells, at u = 0, is evaluated;
+  on a ``"dihedral"`` chart (Enneper, the sphere control) only one
+  octant of cells (one quadrant on a non-square grid) is, and
+  reflections fill the rest.  The cells go to `frames` in batches of at
+  most ``BATCH_POINTS`` points;
 * each cut cell is split at the level curve's two boundary crossings
   into three pieces along the grid axis best aligned with the curve's
   graph direction, and every piece is integrated by four 4-point
   Gauss-Legendre strips across the cell; a strip covers the whole cell,
   nothing, or its inside part up to a crossing that a safeguarded Newton
   iteration locates on the exact ambient distance, so the only error
-  left is the smooth-quadrature remainder.  Frames run only at points of
+  left is the smooth-quadrature remainder.  A grid cell reads its two
+  boundary crossings from the level's one solve per cut edge; only
+  subdivided children solve their own.  Frames run only at points of
   positive weight;
 * cells where the strip picture fails (saddles of r, curve tangent to a
   strip) subdivide recursively, re-trying the slicer on each child and
@@ -44,7 +49,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..immersion import BATCH_POINTS, FrameBatch, frames
-from .field import DistanceField, bracketed_newton, corner_views
+from .field import (DistanceField, bracketed_newton, crossings_located,
+                    gather_corners)
 
 
 def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -74,65 +80,57 @@ def ensure_cell_cache(field: DistanceField) -> dict[str, np.ndarray]:
     Cut-cell strips (`integrate_cut_cells`) keep their 4-point rule;
     only whole cells use this cache.
 
-    Only cells with at least one corner below t_max (`_reach_mask`) can
-    ever be fully inside a requested ball; all other cells keep a zero
-    entry that is never read.  The first call fills
-    ``field.cell_integrals``; later calls reuse it.  The chart's declared
-    ``symmetry`` picks the cells that are integrated:
+    Only cells with at least one corner below t_max can ever be fully
+    inside a requested ball, so each channel holds those cells alone, in
+    ``field.cell_order``.  The first call fills ``field.cell_integrals``;
+    later calls reuse it.  The chart's declared ``symmetry`` picks the
+    cells that are integrated:
 
     * ``"u_shift"``: the densities depend on v alone, so one column of
-      cells at u = 0 (one cell per row the mask reaches) is integrated and
-      each channel is the mask selecting its row's integral;
-    * ``"dihedral"``: the fundamental cells whose orbit meets the mask are
-      integrated and unfolded by reflection (`_dihedral_cells`);
-    * None: every masked cell is integrated.
+      cells at u = 0 (one cell per row the reached cells meet) is
+      integrated and each cell reads its row's integral;
+    * ``"dihedral"``: the fundamental cells whose orbit meets the reached
+      cells are integrated and unfolded by reflection
+      (`_dihedral_cells`);
+    * None: every reached cell is integrated, in row-major order.
 
     Every frame batch holds at most ``BATCH_POINTS`` points
     (`_cell_batches`).
     """
     if field.cell_integrals is None:
-        reach = _reach_mask(field)
+        i, j = np.divmod(field.cell_order, field.spec.n_v - 1)
         symmetry = field.surface.symmetry
         if symmetry == "u_shift":
-            rows = np.flatnonzero(np.any(reach, axis=0))
+            index, rows = _distinct(j, field.spec.n_v - 1)
             column = _cell_batches(field, np.zeros(len(rows)),
                                    field.v_nodes[rows])
-            out = []
-            for part in column:
-                row_values = np.zeros(reach.shape[1])
-                row_values[rows] = part
-                out.append(np.where(reach, row_values, 0.0))
+            out = [part[index] for part in column]
         elif symmetry == "dihedral":
-            out = _dihedral_cells(field, reach)
+            out = _dihedral_cells(field, i, j)
         else:
-            ci, cj = np.nonzero(reach)
-            out = [np.zeros(reach.shape) for _ in CHANNELS]
-            for cells, part in zip(out, _cell_batches(
-                    field, field.u_nodes[ci], field.v_nodes[cj])):
-                cells[ci, cj] = part
+            row_major = np.argsort(field.cell_order, kind="stable")
+            out = []
+            for part in _cell_batches(field, field.u_nodes[i[row_major]],
+                                      field.v_nodes[j[row_major]]):
+                cells = np.empty(len(part))
+                cells[row_major] = part
+                out.append(cells)
         field.cell_integrals = tuple(out)
     return dict(zip(CHANNELS, field.cell_integrals))
 
 
-def _reach_mask(field: DistanceField) -> np.ndarray:
-    """Cells with a corner below ``field.t_max``, as a bool cell grid.
+def _distinct(keys: np.ndarray, size: int):
+    """(index, present) for integer keys in [0, size).
 
-    The corner minimum is taken in place in one cell-grid buffer, and the
-    u-periodic wrap column (last node row against row 0) is filled on its
-    own, so no periodic copy of ``field.r`` and no pairwise minima are
-    built.
+    ``present`` lists the distinct keys in increasing order and
+    ``index[k]`` is the position of ``keys[k]`` in it.
     """
-    r = field.r
-    n = r.shape[0] - 1
-    low = np.empty((n + field.periodic_u, r.shape[1] - 1))
-    blocks = [(low[:n], r[:-1], r[1:])]
-    if field.periodic_u:
-        blocks.append((low[n:], r[-1:], r[:1]))
-    for part, a, b in blocks:
-        np.minimum(a[:, :-1], b[:, :-1], out=part)
-        np.minimum(part, b[:, 1:], out=part)
-        np.minimum(part, a[:, 1:], out=part)
-    return low < field.t_max
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    present = np.flatnonzero(seen)
+    slot = np.zeros(size, dtype=np.int64)
+    slot[present] = np.arange(len(present))
+    return slot[keys], present
 
 
 def _cell_batches(field: DistanceField, u0: np.ndarray,
@@ -147,8 +145,8 @@ def _cell_batches(field: DistanceField, u0: np.ndarray,
     return tuple(np.concatenate(channel) for channel in zip(*parts))
 
 
-def _dihedral_cells(field: DistanceField,
-                    reach: np.ndarray) -> list[np.ndarray]:
+def _dihedral_cells(field: DistanceField, i: np.ndarray,
+                    j: np.ndarray) -> list[np.ndarray]:
     """Cache channels of a ``"dihedral"`` chart from its fundamental cells.
 
     The nodes sit at half offsets on (-a, a), so cell column i and
@@ -156,39 +154,23 @@ def _dihedral_cells(field: DistanceField,
     likewise for rows; the quadrant of the lowest ceil(m/2) indices on
     each axis is fundamental.  When the cell grid is square (m_u == m_v)
     and the domain is too, u <-> v maps cell (i, j) to (j, i), and the
-    upper triangle i <= j of the quadrant (one octant) is fundamental.  A
-    fundamental cell is integrated when any image of it is reached (the
-    mask is folded, so an off-centre pole is covered), and each channel
-    is the reach mask selecting the unfolded values, block by block.
+    upper triangle i <= j of the quadrant (one octant) is fundamental.
+    Each reached cell (i, j) folds to its fundamental image; those images
+    are integrated once each, in row-major order, and every reached cell
+    reads its image's integrals.
     """
-    m_u, m_v = reach.shape
-    half_u, half_v = (m_u + 1) // 2, (m_v + 1) // 2
-    fold = reach[:half_u] | reach[::-1][:half_u]
-    fold = fold[:, :half_v] | fold[:, ::-1][:, :half_v]
+    m_u, m_v = field.cell_shape
+    half_v = (m_v + 1) // 2
+    fi = np.minimum(i, m_u - 1 - i)
+    fj = np.minimum(j, m_v - 1 - j)
     (_, u1), (_, v1) = field.surface.domain
-    octant = m_u == m_v and u1 == v1
-    if octant:
-        fold = np.triu(fold | fold.T)
-    fi, fj = np.nonzero(fold)
-    # Per axis, (grid slice, quadrant slice) pairs: the low half of the
-    # grid is the quadrant, the high half the quadrant reversed (its
-    # last index, the middle cell when m is odd, left out then).
-    halves = [((slice(None, h), slice(None)),
-               (slice(h, None), slice(m - 1 - h, None, -1)))
-              for m, h in ((m_u, half_u), (m_v, half_v))]
-    out = []
-    for part in _cell_batches(field, field.u_nodes[fi], field.v_nodes[fj]):
-        quadrant = np.zeros((half_u, half_v))
-        quadrant[fi, fj] = part
-        if octant:
-            quadrant += np.triu(quadrant, 1).T
-        cells = np.empty(reach.shape)
-        for grid_u, quad_u in halves[0]:
-            for grid_v, quad_v in halves[1]:
-                cells[grid_u, grid_v] = np.where(
-                    reach[grid_u, grid_v], quadrant[quad_u, quad_v], 0.0)
-        out.append(cells)
-    return out
+    if m_u == m_v and u1 == v1:
+        fi, fj = np.minimum(fi, fj), np.maximum(fi, fj)
+    index, fundamental = _distinct(fi * half_v + fj,
+                                   ((m_u + 1) // 2) * half_v)
+    qi, qj = np.divmod(fundamental, half_v)
+    return [part[index] for part in _cell_batches(
+        field, field.u_nodes[qi], field.v_nodes[qj])]
 
 
 def _newton_strips(field: DistanceField, tt: float,
@@ -196,21 +178,25 @@ def _newton_strips(field: DistanceField, tt: float,
     """Solve r(base + s * (du, dv)) = tt on bracketed strips, vectorized.
 
     (du, dv) spans the whole strip; lo/hi bracket the crossing in the
-    strip parameter s with f(lo) and f(hi) of opposite signs.
+    strip parameter s with f(lo) and f(hi) of opposite signs.  Returns s
+    and whether each crossing is located (`crossings_located`).
     """
-    s = bracketed_newton(field, tt, base_u, base_v, du, dv, lo, hi, flo, fhi,
-                         iters=iters, tol=_STRIP_TOL)
-    f = field.eval_r(base_u + s * du, base_v + s * dv) - tt
-    return s, np.abs(f) <= 1e-8
+    s, frozen = bracketed_newton(field, tt, base_u, base_v, du, dv, lo, hi,
+                                 flo, fhi, iters=iters, tol=_STRIP_TOL)
+    return s, crossings_located(field, tt, base_u + s * du,
+                                base_v + s * dv, frozen)
 
 
-def _cell_crossings(field: DistanceField, tt: float, u0, v0,
-                    hu: float, hv: float, f00, f10, f11, f01, ok):
-    """Locate the level curve's two boundary crossings per non-saddle cell.
+def _cell_crossings(u0, v0, hu: float, hv: float, f00, f10, f11, f01, ok,
+                    solve):
+    """Place the level curve's two boundary crossings per non-saddle cell.
 
     Marking saddle cells (four cut edges) not-ok, every remaining cut cell
-    has exactly two cut edges; each gets a Newton-refined crossing.
-    Returns (cross_u, cross_v) of shape (n, 2) plus the updated ok mask.
+    has exactly two cut sides.  ``solve(side, sel, base_u, base_v, du, dv,
+    f_a, f_b)`` returns the crossing parameter s from the side's base and
+    whether it is located, for the cells ``sel`` on that side (0 bottom,
+    1 right, 2 top, 3 left).  Returns (cross_u, cross_v) of shape (n, 2)
+    plus the updated ok mask.
     """
     n = len(u0)
     in00, in10, in11, in01 = f00 < 0, f10 < 0, f11 < 0, f01 < 0
@@ -226,12 +212,12 @@ def _cell_crossings(field: DistanceField, tt: float, u0, v0,
     cross_u = np.zeros((n, 2))
     cross_v = np.zeros((n, 2))
     slot = np.zeros(n, dtype=np.int64)
-    for cut, bu, bv, du, dv, fa, fb_ in cuts:
+    for side, (cut, bu, bv, du, dv, fa, fb_) in enumerate(cuts):
         sel = np.nonzero(cut & ok)[0]
         if len(sel) == 0:
             continue
-        s, nok = _newton_strips(field, tt, bu[sel], bv[sel], du, dv,
-                                0.0, 1.0, fa[sel], fb_[sel], iters=4)
+        s, nok = solve(side, sel, bu[sel], bv[sel], du, dv, fa[sel],
+                       fb_[sel])
         ok[sel] &= nok
         cross_u[sel, slot[sel]] = bu[sel] + s * du
         cross_v[sel, slot[sel]] = bv[sel] + s * dv
@@ -240,7 +226,7 @@ def _cell_crossings(field: DistanceField, tt: float, u0, v0,
 
 
 def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
-                 f00, f10, f11, f01):
+                 f00, f10, f11, f01, solve):
     """Integrate cut cells by Gauss-Legendre strips between the crossings.
 
     The curve enters and leaves a non-saddle cut cell at two refined
@@ -258,8 +244,9 @@ def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
     weight: a side piece of zero width or an empty across interval weighs
     zero, so at most 32 of a cell's 48 points are evaluated.
 
+    ``solve`` places the boundary crossings (see `_cell_crossings`).
     Returns (contrib: one (n,) array per channel, ok: (n,) bool); the
-    cells flagged not-ok (saddles, failed Newtons, strips whose
+    cells flagged not-ok (saddles, unlocated crossings, strips whose
     three-point sign pattern is inconsistent with one crossing) contribute
     zero and are the caller's to subdivide.
     """
@@ -267,7 +254,7 @@ def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
     contrib = tuple(np.zeros(n) for _ in CHANNELS)
     ok = np.ones(n, dtype=bool)
     cross_u, cross_v, ok = _cell_crossings(
-        field, tt, u0, v0, hu, hv, f00, f10, f11, f01, ok)
+        u0, v0, hu, hv, f00, f10, f11, f01, ok, solve)
     sel = np.nonzero(ok)[0]
     if len(sel) == 0:
         return contrib, ok
@@ -382,22 +369,37 @@ def _terminal_polygon(fc: np.ndarray) -> float:
                               - np.dot(y, np.roll(x, -1))))
 
 
-def integrate_cut_cells(field: DistanceField, tt: float,
-                        ci: np.ndarray, cj: np.ndarray) -> list[float]:
-    """Integrate each channel over the inside part of all cut cells."""
-    u0 = field.u_nodes[ci].astype(np.float64)
-    v0 = field.v_nodes[cj].astype(np.float64)
-    f00, f10, f11, f01 = (c[ci, cj] - tt
-                          for c in corner_views(field.r, field.periodic_u))
+def integrate_cut_cells(field: DistanceField, tt: float, ids: np.ndarray,
+                        edge_s: np.ndarray,
+                        edge_located: np.ndarray) -> list[float]:
+    """Integrate each channel over the inside part of the cut cells ``ids``.
+
+    ``ids`` are flat cell ids in row-major order, and ``edge_s`` and
+    ``edge_located`` hold per cell and side the level's edge crossings
+    (``Level.cell_edges``).  Subdivided children solve their own.
+    """
+    ci, cj = np.divmod(ids, field.spec.n_v - 1)
+    u0 = field.u_nodes[ci]
+    v0 = field.v_nodes[cj]
+    f00, f10, f11, f01 = (gather_corners(field.r, ci, cj, field.periodic_u)
+                          - tt).T
 
     totals = [0.0 for _ in CHANNELS]
     hu, hv = field.h_u, field.h_v
 
+    def shared(side, sel, *_):
+        return edge_s[sel, side], edge_located[sel, side]
+
+    def newton(side, sel, bu, bv, du, dv, fa, fb):
+        return _newton_strips(field, tt, bu, bv, du, dv, 0.0, 1.0, fa, fb,
+                              iters=4)
+
+    solve = shared
     for depth in range(_MAX_DEPTH + 1):
         if len(u0) == 0:
             return totals
         contrib, ok = _slice_cells(field, tt, u0, v0, hu, hv,
-                                   f00, f10, f11, f01)
+                                   f00, f10, f11, f01, solve)
         totals = [total + float(np.sum(part[ok]))
                   for total, part in zip(totals, contrib)]
         if bool(np.all(ok)) or depth == _MAX_DEPTH:
@@ -415,6 +417,7 @@ def integrate_cut_cells(field: DistanceField, tt: float,
         ec = field.eval_r(um, vm) - tt
 
         hu, hv = 0.5 * hu, 0.5 * hv
+        solve = newton
         cu = np.concatenate([pu, um, um, pu])
         cv = np.concatenate([pv, pv, vm, vm])
         c00 = np.concatenate([p00, eb, ec, el])
@@ -447,14 +450,15 @@ def integrate_cut_cells(field: DistanceField, tt: float,
 
 
 def region_integral(field: DistanceField, tt: float,
-                    case: np.ndarray) -> dict[str, float]:
+                    level) -> dict[str, float]:
     """Integrals of the CHANNELS densities over the extrinsic ball {r < tt}.
 
-    ``case`` is ``cell_cases(field.r, tt, field.periodic_u)``.
+    ``level`` is the `contours.Level` of tt.  The cells fully inside are
+    the leading cells of ``field.cell_order`` whose corner maximum is
+    below tt; the cut cells are the level's.
     """
     cache = ensure_cell_cache(field)
-    inside = case == 15
-    ci, cj = np.nonzero((case > 0) & (case < 15))
-    cut = integrate_cut_cells(field, tt, ci, cj)
-    return {name: float(np.sum(cache[name][inside])) + part
+    inside = int(np.searchsorted(field.cell_max, tt))
+    cut = integrate_cut_cells(field, tt, level.cells.ids, *level.cell_edges())
+    return {name: float(np.sum(cache[name][:inside])) + part
             for name, part in zip(CHANNELS, cut)}

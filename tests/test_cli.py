@@ -91,6 +91,25 @@ def test_report_infeasible_geometry(tmp_path, capsys):
     assert "error" in err and "boundary reaches extrinsic distance" in err
 
 
+@pytest.mark.parametrize("surface", ["enneper", "plane", "sphere_control"])
+def test_grid_node_on_the_pole_names_the_fix(surface, tmp_path, capsys):
+    # With 97 half-offset nodes on (-a, a) the middle node sits at the
+    # chart origin, the default pole; 96 nodes straddle it.
+    schedule = {"count": 3}
+    cfg = _write(tmp_path, "odd.json", {"surface": surface, "grid": 97,
+                                        "schedule": schedule})
+    assert main(["report", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert ("grid node (48, 48) at chart point (0, 0) lies on the pole"
+            in err)
+    assert "even node count" in err and "move the pole" in err
+    cfg = _write(tmp_path, "mixed.json", {"surface": surface,
+                                          "grid": [97, 96],
+                                          "schedule": schedule})
+    assert main(["report", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0
+
+
 def test_radius_below_grid_resolution_is_skipped(tmp_path):
     # No node of the 64^2 plane grid lies within t = 0.001 of the pole
     # (the nearest is at r = 0.055), so that ball is empty on the grid

@@ -20,11 +20,17 @@ from extballs.domains import (GridSpec, build_field, coarea_integral,
                               project_to_level, region_integral)
 from extballs.domains import balls, contours, quadrature
 from extballs.domains import field as field_module
-from extballs.domains.field import bracketed_newton, cell_cases, corner_views
+from extballs.domains.field import (bracketed_newton, cell_cases, corner_views,
+                                    cut_cells, level_cells)
 from extballs.domains.quadrature import ensure_cell_cache
 from extballs.errors import (ConfigError, DomainTooSmall, GeometryError,
                              PoleOffModel)
 from extballs.immersion import BATCH_POINTS, frames, radial_frames
+
+
+def _level(field, t):
+    """The `contours.Level` that extract_ball solves for the level t."""
+    return contours.solve_level(field, t, level_cells(field, t))
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +147,7 @@ def test_plane_coarea(plane_field):
 
 
 def test_plane_curvature_channels(plane_field):
-    case = cell_cases(plane_field.r, 3.0, plane_field.periodic_u)
-    out = region_integral(plane_field, 3.0, case)
+    out = region_integral(plane_field, 3.0, _level(plane_field, 3.0))
     assert abs(out["one"] - 9 * np.pi) / (9 * np.pi) < 1e-9
     assert abs(out["normBsq"]) < 1e-10
     assert abs(out["K"]) < 1e-10
@@ -181,26 +186,78 @@ def test_catenoid_two_ends(catenoid_field):
     ball = extract_ball(catenoid_field, 5.0)
     assert ball.n_components == 2
     # Each end circles the neck: its vertices leave no wide gap in u.
-    case = cell_cases(catenoid_field.r, 5.0, catenoid_field.periodic_u)
-    for loop in extract_loops(catenoid_field, 5.0, case):
+    level = _level(catenoid_field, 5.0)
+    for loop in extract_loops(catenoid_field, 5.0, level):
         u = np.sort(loop.vertices[:, 0])
         gaps = np.diff(np.concatenate([u, u[:1] + 2 * np.pi]))
         assert np.max(gaps) < 0.1
 
 
 def test_one_classification_per_radius(catenoid_192, monkeypatch):
-    # extract_ball classifies the grid once and shares the cases between
-    # the contours and the quadrature.
+    # extract_ball classifies the cells of the field's sorted band once,
+    # shares them between the contours and the quadrature, and never
+    # classifies or gathers corners over the whole grid; the band's cut
+    # cells are those of the whole-grid reference classification.
     calls = []
 
     def spy(*args, **kwargs):
         calls.append(args)
-        return cell_cases(*args, **kwargs)
+        return cut_cells(*args, **kwargs)
 
-    for module in (balls, contours, quadrature):
-        monkeypatch.setattr(module, "cell_cases", spy, raising=False)
-    extract_ball(catenoid_192, 3.0)
+    def whole_grid(*args, **kwargs):
+        raise AssertionError("whole-grid classification in a ball step")
+
+    monkeypatch.setattr(field_module, "cut_cells", spy)
+    for module in (balls, contours, quadrature, field_module):
+        monkeypatch.setattr(module, "cell_cases", whole_grid, raising=False)
+        monkeypatch.setattr(module, "corner_views", whole_grid,
+                            raising=False)
+    ball = extract_ball(catenoid_192, 3.0)
     assert len(calls) == 1
+    assert len(calls[0][3]) < catenoid_192.r.size // 10
+
+    monkeypatch.undo()
+    tt = 3.0 + balls._LEVEL_NUDGE * 4.0
+    cases = cell_cases(catenoid_192.r, tt, catenoid_192.periodic_u)
+    ci, cj = np.nonzero((cases > 0) & (cases < 15))
+    cells = level_cells(catenoid_192, tt)
+    assert np.array_equal(cells.ids, ci * (catenoid_192.spec.n_v - 1) + cj)
+    assert np.array_equal(cells.case, cases[ci, cj])
+    assert ball.n_components == 2
+
+
+def test_each_cut_edge_is_solved_once(catenoid_192, monkeypatch):
+    # One Newton solve per cut edge, shared by the contours and the
+    # slicer: every bracketed_newton call on whole edges (bracket [0, 1])
+    # together holds each cut edge exactly once.  The strip solves of the
+    # slicer, which bracket half strips, are not edge solves.
+    t = 3.0
+    level = _level(catenoid_192, t + balls._LEVEL_NUDGE * (1.0 + t))
+    calls = []
+
+    def spy(field, tt, base_u, base_v, du, dv, lo, hi, *args, **kwargs):
+        if np.ndim(lo) == 0 and (lo, hi) == (0.0, 1.0):
+            U, V, dU, dV = np.broadcast_arrays(base_u, base_v, du, dv)
+            calls.append(np.stack([U, V, dU, dV], axis=-1).reshape(-1, 4))
+        return bracketed_newton(field, tt, base_u, base_v, du, dv, lo, hi,
+                                *args, **kwargs)
+
+    rejected = []
+    slice_cells = quadrature._slice_cells
+
+    def slice_spy(*args):
+        contrib, ok = slice_cells(*args)
+        rejected.append(int(np.count_nonzero(~ok)))
+        return contrib, ok
+
+    for module in (contours, quadrature):
+        monkeypatch.setattr(module, "bracketed_newton", spy)
+    monkeypatch.setattr(quadrature, "_slice_cells", slice_spy)
+    extract_ball(catenoid_192, t)
+    assert rejected == [0]
+    solved = np.concatenate(calls)
+    assert len(solved) == len(level.edges) > 0
+    assert len(np.unique(solved, axis=0)) == len(solved)
 
 
 def test_enneper_single_end():
@@ -264,10 +321,15 @@ def test_boundary_sample_invariants(catenoid_field):
 def test_open_level_curve_raises(plane_field):
     # A level just above the chart edge's midpoint distance leaves the
     # grid, so its edge crossings cannot all pair into closed components.
+    # That level lies beyond t_max, outside the sorted band of reached
+    # cells, so its cut cells come from every cell of the grid.
     t = float(plane_field.r[0, 256]) + 1e-3
-    case = cell_cases(plane_field.r, t, plane_field.periodic_u)
+    m_u, m_v = plane_field.cell_shape
+    cells = cut_cells(plane_field.r, t, plane_field.periodic_u,
+                      np.arange(m_u * m_v))
     with pytest.raises(GeometryError, match="not closed inside the grid"):
-        extract_loops(plane_field, t, case)
+        extract_loops(plane_field, t,
+                      contours.solve_level(plane_field, t, cells))
 
 
 def test_project_to_level(plane_field):
@@ -283,10 +345,11 @@ def test_bracketed_newton_on_a_chord(plane_field):
     # r(1 + s, 1 - s) = sqrt(2 + 2 s^2) meets 1.5 at s = sqrt(1/8); the
     # secant start at s = 0.146 lies well short of it.
     one = np.array([1.0])
-    s = bracketed_newton(plane_field, 1.5, one, one, 1.0, -1.0, 0.0, 1.0,
-                         np.sqrt(2.0) * one - 1.5, 0.5 * one,
-                         iters=8, tol=1e-13)
+    s, frozen = bracketed_newton(plane_field, 1.5, one, one, 1.0, -1.0, 0.0,
+                                 1.0, np.sqrt(2.0) * one - 1.5, 0.5 * one,
+                                 iters=8, tol=1e-13)
     assert abs(s[0] - np.sqrt(0.125)) < 1e-12
+    assert frozen.tolist() == [True]
 
 
 def test_empty_ball_off_surface_pole():
@@ -447,15 +510,19 @@ def test_cell_cache_frame_points(name, column, monkeypatch):
         assert sum(points) == 9 * orbits
         assert 4 * orbits <= len(ci)
     assert len(rows) < len(cj)
+    # The sorted cells are the cached cells of the reference reach mask.
+    row_major = np.argsort(field.cell_order, kind="stable")
+    assert np.array_equal(field.cell_order[row_major],
+                          ci * (field.spec.n_v - 1) + cj)
     if column:
-        # The row-mask construction equals scattering the column's
-        # integrals through per-cell index arrays, bit for bit.
+        # The cache equals scattering the column's integrals through
+        # per-cell index arrays, bit for bit.
         part = quadrature._full_cells(field, np.zeros(len(rows)),
                                       field.v_nodes[rows], field.h_u,
                                       field.h_v)
         for name, values in zip(quadrature.CHANNELS, part):
             scattered = np.zeros(cache[name].shape)
-            scattered[ci, cj] = values[row_of]
+            scattered[row_major] = values[row_of]
             assert np.array_equal(cache[name], scattered), name
 
 
@@ -570,9 +637,11 @@ def test_cut_cell_fallbacks_converge_with_depth(catenoid_192, monkeypatch):
         assert coarse > 1e-5
 
 
-def _cut_cells(field, t):
-    cases = cell_cases(field.r, t, field.periodic_u)
-    return np.nonzero((cases > 0) & (cases < 15))
+def _cut_cell_totals(field, t):
+    """Cut-cell totals of the level t from the level's shared crossings."""
+    level = _level(field, t)
+    return quadrature.integrate_cut_cells(field, t, level.cells.ids,
+                                          *level.cell_edges())
 
 
 # Per-channel cut-cell totals of the catenoid at 192^2 around the default
@@ -580,22 +649,22 @@ def _cut_cells(field, t):
 # slicer: along-u and along-v cells (t = 1, a disk around the pole),
 # side pieces of zero width, full ones and empty ones (all three),
 # subdivided children (the neck pinch just past r = 2) and cells on the
-# u-periodic seam (all three).  Any change to which points the slicer evaluates must leave
-# these bits alone.
+# u-periodic seam (all three).  Grid cells read their crossings from the
+# level's one solve per cut edge.  Any change to which points the slicer
+# evaluates must leave these bits alone.
 _CUT_CELL_PINS = {
-    1.0: ("0x1.990425087167ap-3", "0x1.8bfb3919812f4p-3",
-          "-0x1.8bfb3919812f4p-4"),
+    1.0: ("0x1.990425087167ap-3", "0x1.8bfb3919812f6p-3",
+          "-0x1.8bfb3919812f7p-4"),
     2.0 + 1e-5: ("0x1.b055439e2b674p-1", "0x1.6b559d91813d8p-2",
                  "-0x1.6b559d91813d8p-3"),
-    3.0: ("0x1.82986f2dc3b64p+0", "0x1.92f8e32accf07p-4",
+    3.0: ("0x1.82986f2dc3b63p+0", "0x1.92f8e32accf07p-4",
           "-0x1.92f8e32accf07p-5"),
 }
 
 
 @pytest.mark.parametrize("t", sorted(_CUT_CELL_PINS))
 def test_cut_cell_totals_are_pinned(catenoid_192, t):
-    ci, cj = _cut_cells(catenoid_192, t)
-    got = quadrature.integrate_cut_cells(catenoid_192, t, ci, cj)
+    got = _cut_cell_totals(catenoid_192, t)
     assert [x.hex() for x in got] == list(_CUT_CELL_PINS[t])
 
 
@@ -630,8 +699,7 @@ def test_slicer_evaluates_at_most_32_points_per_cell(catenoid_192, t,
     monkeypatch.setattr(quadrature, "_slice_cells", slice_spy)
     monkeypatch.setattr(quadrature, "_cell_crossings", crossings_spy)
     monkeypatch.setattr(quadrature, "frames", frames_spy)
-    ci, cj = _cut_cells(catenoid_192, t)
-    quadrature.integrate_cut_cells(catenoid_192, t, ci, cj)
+    _cut_cell_totals(catenoid_192, t)
     assert calls and all(c["cells"] > 0 for c in calls)
     for c in calls:
         assert 0 < c["points"] <= 32 * c["cells"], (t, calls)

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from extballs.domains.contours import segment_edges
-from extballs.domains.field import cell_cases, corner_views
+from extballs.domains.field import cell_cases, corner_views, cut_cells
 from extballs.space_forms import stable_acosh
+
+
+def _segments(r, t, periodic_u):
+    """Contour segments of {r = t} over every cell of the node array r."""
+    n_cells = (r.shape[0] - (not periodic_u)) * (r.shape[1] - 1)
+    return segment_edges(cut_cells(r, t, periodic_u, np.arange(n_cells)), t)
 
 
 def test_stable_acosh_frozen_value():
@@ -91,7 +97,7 @@ def test_single_corner_segment_ids():
     # 2x2 grid, only node (0,0) inside: one segment joining the left and
     # bottom edges of the single cell
     r = np.array([[0.0, 1.0], [1.0, 1.0]])
-    a, b = segment_edges(r, 0.5, False, cell_cases(r, 0.5, False))
+    a, b = _segments(r, 0.5, False)
     assert a.shape == (1,) and b.shape == (1,)
     # bottom u-edge id 0; left v-edge id n_v*ncu + 0 = 2
     assert {int(a[0]), int(b[0])} == {2, 0}
@@ -102,7 +108,7 @@ def test_all_single_corner_cases_emit_one_segment():
         r = np.full((2, 2), 1.0)
         pos = [(0, 0), (1, 0), (1, 1), (0, 1)][corner]
         r[pos] = 0.0
-        a, b = segment_edges(r, 0.5, False, cell_cases(r, 0.5, False))
+        a, b = _segments(r, 0.5, False)
         assert a.shape == (1,), f"corner {corner}"
         assert a[0] != b[0]
 
@@ -121,8 +127,8 @@ def test_saddle_center_disambiguation(code, r_join, r_split):
     case_join = cell_cases(r_join, t, periodic_u=False)
     case_split = cell_cases(r_split, t, periodic_u=False)
     assert case_join.tolist() == case_split.tolist() == [[code]]
-    aj, bj = segment_edges(r_join, t, False, case_join)
-    asp, bsp = segment_edges(r_split, t, False, case_split)
+    aj, bj = _segments(r_join, t, False)
+    asp, bsp = _segments(r_split, t, False)
     assert aj.shape == (2,) and asp.shape == (2,)
     assert (sorted(zip(aj.tolist(), bj.tolist()))
             != sorted(zip(asp.tolist(), bsp.tolist())))
@@ -134,7 +140,7 @@ def test_crossed_edges_have_degree_two_on_closed_curves():
     n = 40
     x = np.linspace(-2, 2, n)
     r = np.hypot(x[:, None], x[None, :])
-    a, b = segment_edges(r, 1.37, False, cell_cases(r, 1.37, False))
+    a, b = _segments(r, 1.37, False)
     ids, counts = np.unique(np.concatenate([a, b]), return_counts=True)
     assert ids.size > 20
     assert np.all(counts == 2)
@@ -146,7 +152,7 @@ def test_periodic_contour_wraps_seam():
     n_u, n_v = 12, 9
     v = np.linspace(-2, 2, n_v)
     r = np.broadcast_to(np.abs(v)[None, :], (n_u, n_v)).copy()
-    a, b = segment_edges(r, 1.0, True, cell_cases(r, 1.0, True))
+    a, b = _segments(r, 1.0, True)
     # two levels (v = -1 and v = +1), each crossing n_u cell columns
     assert a.size == 2 * n_u
     ids, counts = np.unique(np.concatenate([a, b]), return_counts=True)
