@@ -36,7 +36,8 @@ import numpy as np
 
 from ..errors import (ConfigError, DomainTooSmall, ModelError, PoleOffModel,
                       PoleSingularity)
-from ..immersion import BATCH_POINTS, ParametricSurface, radial_frames
+from ..immersion import (BATCH_POINTS, ParametricSurface, batch_map,
+                         radial_frames)
 
 # Gradient-norm thresholds that `critical_scan` applies node by node.
 _GRAD_TOL = 0.02
@@ -59,7 +60,13 @@ class GridSpec:
 
 @dataclass
 class DistanceField:
-    """Extrinsic distance r and its tangential gradient norm on a grid."""
+    """Extrinsic distance r and its tangential gradient norm on a grid.
+
+    A field is read-only once `quadrature.ensure_cell_cache` has filled
+    ``cell_integrals``: the balls of a schedule are extracted from it
+    concurrently (`immersion.batch_map`), so nothing after that point
+    may write to it.
+    """
 
     surface: ParametricSurface
     pole: np.ndarray
@@ -232,8 +239,8 @@ def bracketed_newton(field: DistanceField, tt: float, base_u, base_v, du, dv,
     done = np.zeros(np.shape(s), dtype=bool)
     for _ in range(iters):
         F, Fu, Fv = surf.jet(base_u + s * du, base_v + s * dv, 1)
-        f = form.distance(field.pole, F) - tt
-        rad = form.radial_unit(field.pole, F)
+        r, rad = form._radial_split(field.pole, F)
+        f = r - tt
         fp = form.inner(rad, Fu * du[..., None] + Fv * dv[..., None])
         done |= np.abs(f) <= tol
         if bool(np.all(done)):
@@ -271,9 +278,10 @@ def build_field(surface: ParametricSurface, t_max: float,
     """Sample r and its gradient norm; check the domain-covers-ball guard.
 
     The frames run over blocks of whole u-rows of at most
-    ``BATCH_POINTS`` nodes (one row when a row is longer), and only r
-    and its gradient norm are kept, so the batch temporaries stay a
-    block's size while the grids match one whole-grid batch bitwise.
+    ``BATCH_POINTS`` nodes (one row when a row is longer), one
+    `batch_map` task each, and only r and its gradient norm are kept, so
+    the batch temporaries stay a block's size while the grids match one
+    whole-grid batch bitwise.
 
     The guard requires the minimum of r over the outermost node ring (in
     every non-periodic direction) to exceed t_max: otherwise some requested
@@ -304,7 +312,8 @@ def build_field(surface: ParametricSurface, t_max: float,
     r = np.empty((spec.n_u, spec.n_v))
     grad_norm = np.empty_like(r)
     rows = max(1, BATCH_POINTS // spec.n_v)
-    for start in range(0, spec.n_u, rows):
+
+    def sample(start):
         block = slice(start, start + rows)
         U, V = np.meshgrid(u_nodes[block], v_nodes, indexing="ij")
         try:
@@ -313,6 +322,8 @@ def build_field(surface: ParametricSurface, t_max: float,
             raise _node_on_pole(surface, pole, U, V, start) from None
         r[block] = fb.r
         grad_norm[block] = fb.normGradPr
+
+    batch_map(sample, range(0, spec.n_u, rows))
     if not np.all(np.isfinite(r)):
         raise ConfigError(
             f"distance field on {surface.label!r} contains non-finite values"

@@ -21,8 +21,9 @@ Gauss-Bonnet).  It is a sum over grid cells, read from the `Level` that
   cell row alone, so only one column of cells, at u = 0, is evaluated;
   on a ``"dihedral"`` chart (Enneper, the sphere control) only one
   octant of cells (one quadrant on a non-square grid) is, and
-  reflections fill the rest.  The cells go to `frames` in batches of at
-  most ``BATCH_POINTS`` points;
+  reflections fill the rest.  The cells are weighted in batches of at
+  most ``BATCH_POINTS`` points, whose frames run as two `batch_map`
+  tasks;
 * each cut cell is split at the level curve's two boundary crossings
   into three pieces along the grid axis best aligned with the curve's
   graph direction, and every piece is integrated by four 4-point
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..immersion import BATCH_POINTS, FrameBatch, frames
+from ..immersion import BATCH_POINTS, FrameBatch, batch_map, frames
 from .field import (DistanceField, bracketed_newton, crossings_located,
                     gather_corners)
 
@@ -94,8 +95,9 @@ def ensure_cell_cache(field: DistanceField) -> dict[str, np.ndarray]:
       (`_dihedral_cells`);
     * None: every reached cell is integrated, in row-major order.
 
-    Every frame batch holds at most ``BATCH_POINTS`` points
-    (`_cell_batches`).
+    Every quadrature batch holds at most ``BATCH_POINTS`` points, and
+    its frames run in two halves, one `batch_map` task each
+    (`_cell_batches`, `_full_cells`).
     """
     if field.cell_integrals is None:
         i, j = np.divmod(field.cell_order, field.spec.n_v - 1)
@@ -135,7 +137,7 @@ def _distinct(keys: np.ndarray, size: int):
 
 def _cell_batches(field: DistanceField, u0: np.ndarray,
                   v0: np.ndarray) -> tuple[np.ndarray, ...]:
-    """`_full_cells` of whole grid cells, ``BATCH_POINTS`` frame points a call."""
+    """`_full_cells` of whole grid cells, ``BATCH_POINTS`` points a batch."""
     step = BATCH_POINTS // _X3.size ** 2
     parts = [_full_cells(field, u0[s:s + step], v0[s:s + step],
                          field.h_u, field.h_v)
@@ -242,7 +244,11 @@ def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
     along rule wherever the curve exits a side.  All three pieces of all
     cells share one frame evaluation, made only at the points of positive
     weight: a side piece of zero width or an empty across interval weighs
-    zero, so at most 32 of a cell's 48 points are evaluated.
+    zero, so at most 32 of a cell's 48 points are evaluated.  Those
+    points go to `frames` in slices of at most ``BATCH_POINTS // 2``
+    (the balls of a schedule are extracted two or more at once), and the
+    densities are joined before the per-cell sums, so the result is
+    bitwise that of one frame batch.
 
     ``solve`` places the boundary crossings (see `_cell_crossings`).
     Returns (contrib: one (n,) array per channel, ok: (n,) bool); the
@@ -316,10 +322,14 @@ def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
     NU, NV = uv(q[..., None] + 0.0 * nodes_s,
                 c0[:, None, None, None] + hc[:, None, None, None] * nodes_s)
     live = w != 0.0
-    for out, dens in zip(contrib, _densities(
-            frames(field.surface, NU[live], NV[live]))):
+    NU, NV = NU[live], NV[live]
+    step = BATCH_POINTS // 2
+    parts = [_densities(frames(field.surface, NU[s:s + step],
+                               NV[s:s + step]))
+             for s in range(0, len(NU), step)]
+    for out, dens in zip(contrib, zip(*parts)):
         weighted = np.zeros(w.shape)
-        weighted[live] = dens * w[live]
+        weighted[live] = np.concatenate(dens) * w[live]
         out[sel] = np.sum(weighted, axis=(1, 2, 3))
 
     ok[sel] &= ~cell_bad
@@ -330,14 +340,24 @@ def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
 
 def _full_cells(field: DistanceField, u0, v0, hu: float,
                 hv: float) -> tuple[np.ndarray, ...]:
-    """GL3x3 integrals per channel of whole (sub)cells with origins u0, v0."""
+    """GL3x3 integrals per channel of whole (sub)cells with origins u0, v0.
+
+    The frames run in two halves of the cells, one `batch_map` task
+    each, so two tasks at once hold the points of one call; the
+    densities are pointwise, and one product per channel weights all
+    the cells, so the integrals are bitwise those of one frame batch.
+    """
     x, w = _X3, _W3
     wgrid = (w[:, None] * w[None, :]).ravel() * hu * hv
     ugrid = (hu * x)[:, None].repeat(len(x), axis=1).ravel()
     vgrid = (hv * x)[None, :].repeat(len(x), axis=0).ravel()
-    fb = frames(field.surface, u0[:, None] + ugrid[None, :],
-                v0[:, None] + vgrid[None, :])
-    return tuple(dens @ wgrid for dens in _densities(fb))
+    mid = len(u0) // 2
+    halves = batch_map(
+        lambda part: _densities(frames(field.surface,
+                                       u0[part, None] + ugrid[None, :],
+                                       v0[part, None] + vgrid[None, :])),
+        (slice(None, mid), slice(mid, None)))
+    return tuple(np.concatenate(dens) @ wgrid for dens in zip(*halves))
 
 
 _POLY_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))

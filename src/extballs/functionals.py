@@ -32,7 +32,7 @@ from .domains.balls import BoundarySamples, ExtrinsicBall, coarea_integral
 from .domains.contours import project_to_level
 from .domains.field import DistanceField
 from .errors import ConfigError
-from .immersion import BATCH_POINTS, radial_frames
+from .immersion import BATCH_POINTS, batch_map, radial_frames
 
 __all__ = [
     "EULER_ALPHAS",
@@ -166,6 +166,9 @@ def geodesic_curvature_direct(field: DistanceField,
     refining while the refinements contract and freezes at the noise
     floor when they stop contracting at small scale.
 
+    The 2*delta and delta passes are two `batch_map` tasks, so they run
+    at once on two CPUs; the halving chain then runs serially.
+
     `runs` gives the lengths of consecutive sample runs (one per ball)
     in a batch of several balls; each run's result then equals a call
     on that run alone, bit for bit.  By default all samples are one run.
@@ -175,8 +178,9 @@ def geodesic_curvature_direct(field: DistanceField,
     delta = 1.5 * max(field.h_u, field.h_v)
     starts = np.cumsum(runs)[:-1] if runs is not None else np.zeros(0, int)
 
-    coarse = _trace_kg(field, fb0, uv0, 2.0 * delta, starts)
-    kg = _trace_kg(field, fb0, uv0, delta, starts)
+    coarse, kg = batch_map(
+        lambda step: _trace_kg(field, fb0, uv0, step, starts),
+        (2.0 * delta, delta))
     m0 = np.abs(kg - coarse)
     quiet = m0 <= _KG_TOL
     kg[quiet] = coarse[quiet]
@@ -223,15 +227,17 @@ def geodesic_curvature_formula(field: DistanceField,
 
 
 def _sample_groups(balls: list[ExtrinsicBall]) -> list[list[ExtrinsicBall]]:
-    """Consecutive balls in groups of at most ``BATCH_POINTS`` samples.
+    """Consecutive balls in groups of at most ``BATCH_POINTS // 2`` samples.
 
-    A ball with more samples than that forms a group of its own.
+    A group's two trace passes run at once, so together they hold at
+    most ``BATCH_POINTS`` samples.  A ball with more samples than that
+    forms a group of its own.
     """
     groups: list[list[ExtrinsicBall]] = []
     size = 0
     for ball in balls:
         n = len(ball.samples)
-        if groups and size + n <= BATCH_POINTS:
+        if groups and size + n <= BATCH_POINTS // 2:
             groups[-1].append(ball)
             size += n
         else:
@@ -244,9 +250,10 @@ def kg_gaps(field: DistanceField, balls: list[ExtrinsicBall]) -> list[dict]:
     """`kg_gap` for several balls of one field, traced in groups.
 
     Returns one entry per ball, in order.  The trace route runs once per
-    group of consecutive balls holding at most ``BATCH_POINTS`` boundary
-    samples (a larger ball is traced alone), which bounds the trace's
-    working set while sharing each call's overhead within a group.  Its
+    group of consecutive balls holding at most ``BATCH_POINTS // 2``
+    boundary samples (a larger ball is traced alone, see
+    `_sample_groups`), which bounds the trace's working set while
+    sharing each call's overhead within a group.  Its
     step is set by the grid alone, each traced point keeps its own level
     value, the halving chain decides per sample and the stencils act per
     ball, so the result for each ball equals a call on that ball alone,

@@ -25,8 +25,10 @@ off by 0.1 at r in (6, 7).
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -39,8 +41,128 @@ Jet = tuple[np.ndarray, ...]
 # schedule: callers that cover more split the work into blocks of at
 # most this many points (one larger unit, a grid row or a ball's
 # boundary, goes alone), so the batch temporaries stay small while the
-# results stay bitwise those of one batch.
+# results stay bitwise those of one batch.  The blocks are independent
+# tasks of `batch_map`, so as many run at once as the process has CPUs;
+# the cache's and the cut-cell slicer's frame calls and the k_g trace's
+# passes hold at most BATCH_POINTS // 2 points each, so that two tasks at
+# once hold what one batch held on one CPU.
 BATCH_POINTS = 16384
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:        # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+# Threads that run one map's items: the caller plus _WORKERS - 1 helpers.
+_WORKERS = _cpu_count()
+
+
+class _Job:
+    """One `batch_map` call: items handed out in order to whoever asks."""
+
+    def __init__(self, fn, items: list, helpers: int):
+        self.fn = fn
+        self.items = items
+        self.results = [None] * len(items)
+        self.errors: dict[int, BaseException] = {}
+        self.helpers = helpers     # helper threads still to join
+        self.next = 0
+        self.running = 0
+        self.lock = threading.Lock()
+        self.idle = threading.Event()
+
+    def drain(self) -> None:
+        """Run items until none is left, or one has raised."""
+        while True:
+            with self.lock:
+                if self.next == len(self.items) or self.errors:
+                    if self.running == 0:
+                        self.idle.set()
+                    return
+                i = self.next
+                self.next += 1
+                self.running += 1
+            try:
+                self.results[i] = self.fn(self.items[i])
+            except BaseException as exc:  # noqa: BLE001 - re-raised
+                with self.lock:
+                    self.errors[i] = exc
+            finally:
+                with self.lock:
+                    self.running -= 1
+
+
+class _Pool:
+    """Helper threads, started on first use, that join posted jobs."""
+
+    def __init__(self):
+        self.cond = threading.Condition()
+        self.jobs: list[_Job] = []
+        self.threads = 0
+        self.local = threading.local()
+
+    def run(self, job: _Job) -> None:
+        with self.cond:
+            while self.threads < job.helpers:
+                threading.Thread(target=self._helper, daemon=True,
+                                 name=f"extballs-{self.threads}").start()
+                self.threads += 1
+            self.jobs.append(job)
+            self.cond.notify(job.helpers)
+        self.local.inside = True
+        try:
+            job.drain()
+        finally:
+            self.local.inside = False
+            with self.cond:
+                if job in self.jobs:
+                    self.jobs.remove(job)
+        job.idle.wait()
+
+    def _helper(self) -> None:
+        self.local.inside = True
+        while True:
+            with self.cond:
+                while not self.jobs:
+                    self.cond.wait()
+                job = self.jobs[0]
+                job.helpers -= 1
+                if job.helpers == 0:
+                    self.jobs.pop(0)
+            job.drain()
+            del job           # keep no finished job's data alive
+
+
+_POOL = _Pool()
+# A forked child has none of its parent's helper threads.
+os.register_at_fork(after_in_child=lambda: globals().update(_POOL=_Pool()))
+
+
+def batch_map(fn: Callable, items: Iterable) -> list:
+    """[fn(x) for x in items], with the items spread over the CPUs.
+
+    The calling thread runs items itself, next to up to ``_WORKERS - 1``
+    helper threads started on first use; NumPy releases the GIL inside
+    its loops, so batches of many points run in parallel.  Results come
+    back in item order, and the first exception in item order is
+    raised, as the serial loop would; items after a raised one may not
+    run.  A map called from inside an item runs inline.  Every item must
+    be independent of the others, so a result never depends on the CPU
+    count.
+    """
+    items = list(items)
+    helpers = min(_WORKERS, len(items)) - 1
+    if helpers <= 0 or getattr(_POOL.local, "inside", False):
+        return [fn(x) for x in items]
+    job = _Job(fn, items, helpers)
+    _POOL.run(job)
+    if job.errors:
+        raise job.errors[min(job.errors)]
+    return job.results
+
 
 # The values of `ParametricSurface.symmetry`.
 SYMMETRIES = (None, "u_shift", "dihedral")
@@ -206,8 +328,7 @@ def _first_order(surface: ParametricSurface, F, Fu, Fv, pole) -> FrameBatch:
 
     if pole is not None:
         pole = np.asarray(pole, dtype=np.float64)
-        batch.r = form.distance(pole, F)
-        batch.radial = form.radial_unit(pole, F)
+        batch.r, batch.radial = form._radial_split(pole, F)
         w1 = form.inner(batch.radial, Fu)
         w2 = form.inner(batch.radial, Fv)
         a1 = (g22 * w1 - g12 * w2) / detg

@@ -9,6 +9,14 @@ trace, and assemble the verdicts.  Scheduled radii that collide with a
 critical value of the boundary-distance function, or below which no
 grid node lies (no discrete boundary, although the true ball always
 holds the pole), are recorded as skipped rather than evaluated.
+
+The field's row blocks, the cache's batches and the first two of those
+steps run concurrently on the process's CPUs through
+`immersion.batch_map`: the radii of the schedule are extracted in
+parallel, and the trace's 2*delta and delta passes of each sample group
+run at once.  The field and its cell cache are read-only by then, every
+task is independent, and results are collected in item order, so a
+report does not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .domains.quadrature import ensure_cell_cache
 from .errors import ConfigError, CriticalRadius
 from .functionals import (EULER_ALPHAS, RadiusRecord, RadiusSeries,
                           euler_bound_sides, kg_gaps, radius_record)
+from .immersion import batch_map
 from .verdicts import VerdictReport, build_verdicts
 
 __all__ = ["PipelineResult", "make_schedule", "run_surface"]
@@ -95,25 +104,24 @@ def run_surface(name: str, *, params: dict | None = None,
 
     # One extracted ball per radius, or the record of a skipped radius.
     r_nearest = float(np.min(field.r))
-    extracted = []
-    for t in schedule:
+
+    def step(t):
         t = float(t)
         hit = [v for v in critical if abs(t - v) < _CRITICAL_EXCLUSION]
         if hit:
-            extracted.append(RadiusRecord(
+            return RadiusRecord(
                 t=t, skipped=True,
                 note=f"within {_CRITICAL_EXCLUSION:g} of critical value "
-                     f"{hit[0]:.6f}"))
-            continue
+                     f"{hit[0]:.6f}")
         if t <= r_nearest:
-            extracted.append(RadiusRecord(
-                t=t, skipped=True, note=no_node_note(t, r_nearest)))
-            continue
+            return RadiusRecord(t=t, skipped=True,
+                                note=no_node_note(t, r_nearest))
         try:
-            extracted.append(extract_ball(field, t))
+            return extract_ball(field, t)
         except CriticalRadius as exc:
-            extracted.append(RadiusRecord(t=t, skipped=True, note=str(exc)))
+            return RadiusRecord(t=t, skipped=True, note=str(exc))
 
+    extracted = batch_map(step, schedule)
     balls = [b for b in extracted if isinstance(b, ExtrinsicBall)]
     gaps = iter(kg_gaps(field, balls))
     minimal = entry.minimal

@@ -161,6 +161,12 @@ class SpaceForm:
         For b < 0 the result is Minkowski-orthogonal to x (model-tangent)
         and has Minkowski norm 1.
         """
+        return self._radial_split(o, x)[1]
+
+    def _radial_split(self, o: np.ndarray,
+                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(distance(o, x), radial_unit(o, x)), bitwise, from one x - o
+        (b = 0) or one b<o, x> - 1 (b < 0)."""
         o = np.asarray(o, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
         if not self.curved:
@@ -168,13 +174,15 @@ class SpaceForm:
             r = np.linalg.norm(diff, axis=-1)
             if np.any(r < 1e-12):
                 raise PoleSingularity("radial direction undefined at the pole")
-            return diff / r[..., None]
-        delta = np.maximum(self.b * self.inner(o, x) - 1.0, 0.0)
+            return r, diff / r[..., None]
+        delta = self.b * self.inner(o, x) - 1.0
+        r = stable_acosh(delta) / self.kappa
+        delta = np.maximum(delta, 0.0)
         sh = np.sqrt(delta * (2.0 + delta))  # sinh(kappa * r)
         if np.any(sh < 1e-12):
             raise PoleSingularity("radial direction undefined at the pole")
         ch = 1.0 + delta
-        return self.kappa * (ch[..., None] * x - o) / sh[..., None]
+        return r, self.kappa * (ch[..., None] * x - o) / sh[..., None]
 
     def geodesic_step(self, x: np.ndarray, v: np.ndarray, s) -> np.ndarray:
         """Point at arclength s along the geodesic from x with unit tangent v."""

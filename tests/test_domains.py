@@ -85,13 +85,14 @@ def test_field_blocks_equal_one_batch(name, monkeypatch):
     blocks = []
 
     def spy(surface, U, V, *args, **kwargs):
-        blocks.append(U.shape[0])
+        blocks.append((U[0, 0], U.shape[0]))
         return radial_frames(surface, U, V, *args, **kwargs)
 
     monkeypatch.setattr(field_module, "BATCH_POINTS", 7 * 80 + 3)
     monkeypatch.setattr(field_module, "radial_frames", spy)
     field = build_field(surface, 3.0, spec=spec)
-    assert blocks == [7] * 13 + [5]
+    # The blocks may run in any order; in grid order they are these.
+    assert [rows for _, rows in sorted(blocks)] == [7] * 13 + [5]
     U, V = np.meshgrid(field.u_nodes, field.v_nodes, indexing="ij")
     whole = radial_frames(surface, U, V, pole=field.pole)
     assert np.array_equal(field.r, whole.r)
@@ -576,8 +577,9 @@ def test_dihedral_cache_matches_per_cell(name, case, monkeypatch):
 
 @pytest.mark.parametrize("symmetry", ["dihedral", None])
 def test_cell_cache_batches(symmetry, monkeypatch):
-    # Every frame batch of the cache holds BATCH_POINTS // 9 whole cells,
-    # the last one the rest; the batches change no cell beyond roundoff.
+    # Every quadrature batch of the cache holds BATCH_POINTS // 9 whole
+    # cells, the last one the rest, and its frames run in two halves; the
+    # batches change no cell beyond roundoff.
     surface = dataclasses.replace(make("enneper", t_max=4.0),
                                   symmetry=symmetry)
     field = build_field(surface, 4.0, spec=GridSpec(96, 96))
@@ -586,9 +588,11 @@ def test_cell_cache_batches(symmetry, monkeypatch):
     monkeypatch.setattr(quadrature, "BATCH_POINTS", 9 * 100 + 5)
     points = _frame_spy(monkeypatch)
     cache = ensure_cell_cache(field)
-    assert len(points) > 2
-    assert points[:-1] == [900] * (len(points) - 1)
-    assert 0 < points[-1] <= 900
+    assert len(points) > 4 and len(points) % 2 == 0
+    halves = list(zip(points[::2], points[1::2]))
+    assert halves[:-1] == [(450, 450)] * (len(halves) - 1)
+    low, high = halves[-1]
+    assert 0 < low + high <= 900 and abs(high - low) in (0, 9)
     for channel in quadrature.CHANNELS:
         scale = np.max(np.abs(whole[channel]))
         assert np.max(np.abs(cache[channel] - whole[channel])) <= (

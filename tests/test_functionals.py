@@ -289,14 +289,16 @@ def catenoid_balls():
 
 @pytest.mark.parametrize("budget", ["default", "small"])
 def test_kg_gaps_batch_equals_per_ball(catenoid_balls, budget, monkeypatch):
-    # kg_gaps traces consecutive balls in groups of at most BATCH_POINTS
-    # samples, a larger ball alone; no grouping moves a bit.  The small
-    # budget holds the first two balls together and leaves the third,
-    # larger than it, on its own.
+    # kg_gaps traces consecutive balls in groups of at most
+    # BATCH_POINTS // 2 samples (the group's two passes run at once), a
+    # larger ball alone; no grouping moves a bit.  The small budget holds
+    # the first two balls together and leaves the third, larger than it,
+    # on its own.
     field, balls = catenoid_balls
     sizes = [len(ball.samples) for ball in balls]
     if budget == "small":
-        monkeypatch.setattr(functionals, "BATCH_POINTS", sizes[0] + sizes[1])
+        monkeypatch.setattr(functionals, "BATCH_POINTS",
+                            2 * (sizes[0] + sizes[1]))
         assert sizes[2] > sizes[0] + sizes[1]
         expected = [sizes[:2], sizes[2:3], sizes[3:4], sizes[4:]]
     else:

@@ -6,12 +6,14 @@ logic, verdict applicability, schedule handling, and report assembly.
 """
 
 import importlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from extballs import verdicts
+from extballs import cli, immersion, pipeline, verdicts
 from extballs.catalog import make
 from extballs.domains import GridSpec, balls, build_field, extract_ball
 from extballs.errors import ConfigError, CriticalRadius
@@ -281,14 +283,128 @@ def test_default_tolerances_are_complete():
         assert key in TOLERANCES, key
 
 
-def test_run_surface_starts_no_threads(monkeypatch):
+def test_run_surface_threads_come_from_one_lazy_pool(monkeypatch):
+    # A run on one CPU starts no thread.  With three, the first run
+    # starts the pool's two helpers and a second run reuses them.  The
+    # helpers are recorded, not started, so the calling thread runs
+    # every item itself.
     import threading
 
     started = []
     monkeypatch.setattr(threading.Thread, "start",
                         lambda self: started.append(self))
-    run_surface("plane", t_min=0.5, t_max=2.0, count=4, grid=(64, 64))
+    monkeypatch.setattr(immersion, "_POOL", immersion._Pool())
+    kwargs = dict(t_min=0.5, t_max=2.0, count=4, grid=(64, 64))
+    monkeypatch.setattr(immersion, "_WORKERS", 1)
+    run_surface("plane", **kwargs)
     assert started == []
+    monkeypatch.setattr(immersion, "_WORKERS", 3)
+    run_surface("plane", **kwargs)
+    assert len(started) == 2
+    run_surface("plane", **kwargs)
+    assert len(started) == 2
+
+
+# ---------------------------------------------------------------------------
+# Independent batches on several CPUs
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("doc", [
+    json.loads((_ROOT / "configs" / "quick.json").read_text()),
+    {"surface": "hyperbolic_catenoid", "grid": [128, 128]},
+], ids=["quick", "hyperbolic_catenoid_128"])
+def test_reports_do_not_depend_on_the_cpu_count(doc, tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(immersion, "_WORKERS", workers)
+        out = tmp_path / f"workers{workers}"
+        assert cli.main(["report", str(config), "--out", str(out),
+                         "--quiet"]) in (0, 1, 2)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("report.json", "series.csv")])
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_first_failing_radius_raises_on_every_cpu_count(monkeypatch):
+    # The middle radius raises, and a later one raises another message;
+    # every worker count raises the middle one, as the serial loop does.
+    schedule = make_schedule(0.5, 2.0, 5)
+    extract = pipeline.extract_ball
+
+    def failing(field, t):
+        if t == schedule[2]:
+            raise ConfigError(f"middle radius {t}")
+        if t == schedule[4]:
+            raise ConfigError(f"last radius {t}")
+        return extract(field, t)
+
+    monkeypatch.setattr(pipeline, "extract_ball", failing)
+    messages = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(immersion, "_WORKERS", workers)
+        with pytest.raises(ConfigError) as info:
+            run_surface("plane", t_min=0.5, t_max=2.0, count=5,
+                        grid=(64, 64))
+        messages.append(str(info.value))
+    assert messages == [f"middle radius {schedule[2]}"] * 3
+
+
+def test_batch_map_contract(monkeypatch):
+    # Results in item order, whichever thread ran them; a nested map runs
+    # inline and returns; the first exception in item order is raised
+    # even when a later item raises first.
+    import time
+
+    monkeypatch.setattr(immersion, "_WORKERS", 3)
+    assert immersion.batch_map(lambda x: x * x, range(50)) == [
+        x * x for x in range(50)]
+    nested = immersion.batch_map(
+        lambda x: immersion.batch_map(lambda y: 10 * x + y, range(3)),
+        range(4))
+    assert nested == [[10 * x + y for y in range(3)] for x in range(4)]
+    assert immersion.batch_map(abs, []) == []
+
+    def item(x):
+        if x == 1:
+            time.sleep(0.05)
+            raise ValueError("item 1")
+        if x == 2:
+            raise ValueError("item 2")
+        return x
+
+    with pytest.raises(ValueError, match="item 1"):
+        immersion.batch_map(item, range(4))
+
+
+def test_batch_map_under_contention(monkeypatch):
+    # More workers than CPUs and a tiny switch interval: every item runs
+    # once and lands in its slot, and no map hangs.
+    import sys
+    import threading
+
+    monkeypatch.setattr(immersion, "_WORKERS", 6)
+    got = []
+
+    def maps():
+        for _ in range(50):
+            got.append(immersion.batch_map(lambda x: x + 1, range(40)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=maps)
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert got == [list(range(1, 41))] * 50
 
 
 @pytest.mark.parametrize("count", [2, 3])
