@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -42,10 +43,11 @@ Jet = tuple[np.ndarray, ...]
 # most this many points (one larger unit, a grid row or a ball's
 # boundary, goes alone), so the batch temporaries stay small while the
 # results stay bitwise those of one batch.  The blocks are independent
-# tasks of `batch_map`, so as many run at once as the process has CPUs;
-# the cache's and the cut-cell slicer's frame calls and the k_g trace's
-# passes hold at most BATCH_POINTS // 2 points each, so that two tasks at
-# once hold what one batch held on one CPU.
+# tasks of `batch_map` (a helper thread per further CPU, and the caller
+# runs every task no helper has started), so as many run at once as the
+# process has CPUs; the cache's and the cut-cell slicer's frame calls
+# and the k_g trace's passes hold at most BATCH_POINTS // 2 points each,
+# so that two tasks at once hold what one batch held on one CPU.
 BATCH_POINTS = 16384
 
 
@@ -59,109 +61,55 @@ def _cpu_count() -> int:
 # Threads that run one map's items: the caller plus _WORKERS - 1 helpers.
 _WORKERS = _cpu_count()
 
-
-class _Job:
-    """One `batch_map` call: items handed out in order to whoever asks."""
-
-    def __init__(self, fn, items: list, helpers: int):
-        self.fn = fn
-        self.items = items
-        self.results = [None] * len(items)
-        self.errors: dict[int, BaseException] = {}
-        self.helpers = helpers     # helper threads still to join
-        self.next = 0
-        self.running = 0
-        self.lock = threading.Lock()
-        self.idle = threading.Event()
-
-    def drain(self) -> None:
-        """Run items until none is left, or one has raised."""
-        while True:
-            with self.lock:
-                if self.next == len(self.items) or self.errors:
-                    if self.running == 0:
-                        self.idle.set()
-                    return
-                i = self.next
-                self.next += 1
-                self.running += 1
-            try:
-                self.results[i] = self.fn(self.items[i])
-            except BaseException as exc:  # noqa: BLE001 - re-raised
-                with self.lock:
-                    self.errors[i] = exc
-            finally:
-                with self.lock:
-                    self.running -= 1
+# The helpers, made on first use; `_LOCAL.inside` marks a thread that
+# runs a map's items, so that a map called from an item runs inline.
+_EXECUTOR: ThreadPoolExecutor | None = None
+_LOCAL = threading.local()
 
 
-class _Pool:
-    """Helper threads, started on first use, that join posted jobs."""
-
-    def __init__(self):
-        self.cond = threading.Condition()
-        self.jobs: list[_Job] = []
-        self.threads = 0
-        self.local = threading.local()
-
-    def run(self, job: _Job) -> None:
-        with self.cond:
-            while self.threads < job.helpers:
-                threading.Thread(target=self._helper, daemon=True,
-                                 name=f"extballs-{self.threads}").start()
-                self.threads += 1
-            self.jobs.append(job)
-            self.cond.notify(job.helpers)
-        self.local.inside = True
-        try:
-            job.drain()
-        finally:
-            self.local.inside = False
-            with self.cond:
-                if job in self.jobs:
-                    self.jobs.remove(job)
-        job.idle.wait()
-
-    def _helper(self) -> None:
-        self.local.inside = True
-        while True:
-            with self.cond:
-                while not self.jobs:
-                    self.cond.wait()
-                job = self.jobs[0]
-                job.helpers -= 1
-                if job.helpers == 0:
-                    self.jobs.pop(0)
-            job.drain()
-            del job           # keep no finished job's data alive
+def _mark_inside() -> None:
+    _LOCAL.inside = True
 
 
-_POOL = _Pool()
 # A forked child has none of its parent's helper threads.
-os.register_at_fork(after_in_child=lambda: globals().update(_POOL=_Pool()))
+os.register_at_fork(after_in_child=lambda: globals().update(_EXECUTOR=None))
 
 
 def batch_map(fn: Callable, items: Iterable) -> list:
     """[fn(x) for x in items], with the items spread over the CPUs.
 
-    The calling thread runs items itself, next to up to ``_WORKERS - 1``
-    helper threads started on first use; NumPy releases the GIL inside
-    its loops, so batches of many points run in parallel.  Results come
-    back in item order, and the first exception in item order is
-    raised, as the serial loop would; items after a raised one may not
-    run.  A map called from inside an item runs inline.  Every item must
-    be independent of the others, so a result never depends on the CPU
-    count.
+    The items go to a `concurrent.futures.ThreadPoolExecutor` of
+    ``_WORKERS - 1`` helper threads, made on first use, and the calling
+    thread runs, in order, each one no helper has started yet.  NumPy
+    releases the GIL inside its loops, so batches of many points run in
+    parallel.  Results come back in item order, and the first exception
+    in item order is raised, as the serial loop would; items after a
+    raised one may not run, and none still runs when the map ends.
+    A map called from inside an item runs inline.  Items must be
+    independent, so a result never depends on the CPU count.
     """
+    global _EXECUTOR
     items = list(items)
-    helpers = min(_WORKERS, len(items)) - 1
-    if helpers <= 0 or getattr(_POOL.local, "inside", False):
+    if min(_WORKERS, len(items)) <= 1 or getattr(_LOCAL, "inside", False):
         return [fn(x) for x in items]
-    job = _Job(fn, items, helpers)
-    _POOL.run(job)
-    if job.errors:
-        raise job.errors[min(job.errors)]
-    return job.results
+    if _EXECUTOR is None:
+        _EXECUTOR = ThreadPoolExecutor(_WORKERS - 1, "extballs", _mark_inside)
+    futures = [_EXECUTOR.submit(fn, x) for x in items]
+    _LOCAL.inside = True
+    try:
+        for i, x in enumerate(items):
+            if futures[i].cancel():          # no helper has started it
+                futures[i] = Future()
+                try:
+                    futures[i].set_result(fn(x))
+                except BaseException as exc:  # noqa: BLE001 - re-raised
+                    futures[i].set_exception(exc)
+                    break
+    finally:
+        _LOCAL.inside = False
+        # Cancel what no thread has started; wait for all the rest.
+        wait([future for future in futures if not future.cancel()])
+    return [future.result() for future in futures]
 
 
 # The values of `ParametricSurface.symmetry`.

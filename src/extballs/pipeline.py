@@ -11,12 +11,13 @@ grid node lies (no discrete boundary, although the true ball always
 holds the pole), are recorded as skipped rather than evaluated.
 
 The field's row blocks, the cache's batches and the first two of those
-steps run concurrently on the process's CPUs through
-`immersion.batch_map`: the radii of the schedule are extracted in
-parallel, and the trace's 2*delta and delta passes of each sample group
-run at once.  The field and its cell cache are read-only by then, every
-task is independent, and results are collected in item order, so a
-report does not depend on the CPU count.
+steps run on every CPU through `immersion.batch_map`: its caller runs
+each item that no helper of its `concurrent.futures.ThreadPoolExecutor`
+has started.  The radii of the schedule are extracted in parallel, and
+the trace's 2*delta and delta passes of each sample group run at once.
+The field and its cell cache are read-only by then, every task is
+independent, and results are collected in item order, so a report does
+not depend on the CPU count.
 """
 
 from __future__ import annotations

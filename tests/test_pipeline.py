@@ -283,22 +283,30 @@ def test_default_tolerances_are_complete():
         assert key in TOLERANCES, key
 
 
+def _set_workers(monkeypatch, workers):
+    # A fresh executor, so that a map really runs workers - 1 helpers.
+    monkeypatch.setattr(immersion, "_WORKERS", workers)
+    monkeypatch.setattr(immersion, "_EXECUTOR", None)
+
+
 def test_run_surface_threads_come_from_one_lazy_pool(monkeypatch):
     # A run on one CPU starts no thread.  With three, the first run
-    # starts the pool's two helpers and a second run reuses them.  The
-    # helpers are recorded, not started, so the calling thread runs
-    # every item itself.
+    # starts the executor's two helpers and a second run reuses them.
     import threading
 
     started = []
-    monkeypatch.setattr(threading.Thread, "start",
-                        lambda self: started.append(self))
-    monkeypatch.setattr(immersion, "_POOL", immersion._Pool())
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
     kwargs = dict(t_min=0.5, t_max=2.0, count=4, grid=(64, 64))
-    monkeypatch.setattr(immersion, "_WORKERS", 1)
+    _set_workers(monkeypatch, 1)
     run_surface("plane", **kwargs)
     assert started == []
-    monkeypatch.setattr(immersion, "_WORKERS", 3)
+    _set_workers(monkeypatch, 3)
     run_surface("plane", **kwargs)
     assert len(started) == 2
     run_surface("plane", **kwargs)
@@ -321,7 +329,7 @@ def test_reports_do_not_depend_on_the_cpu_count(doc, tmp_path, monkeypatch):
     config.write_text(json.dumps(doc))
     outputs = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(immersion, "_WORKERS", workers)
+        _set_workers(monkeypatch, workers)
         out = tmp_path / f"workers{workers}"
         assert cli.main(["report", str(config), "--out", str(out),
                          "--quiet"]) in (0, 1, 2)
@@ -347,7 +355,7 @@ def test_first_failing_radius_raises_on_every_cpu_count(monkeypatch):
     monkeypatch.setattr(pipeline, "extract_ball", failing)
     messages = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(immersion, "_WORKERS", workers)
+        _set_workers(monkeypatch, workers)
         with pytest.raises(ConfigError) as info:
             run_surface("plane", t_min=0.5, t_max=2.0, count=5,
                         grid=(64, 64))
@@ -361,7 +369,7 @@ def test_batch_map_contract(monkeypatch):
     # even when a later item raises first.
     import time
 
-    monkeypatch.setattr(immersion, "_WORKERS", 3)
+    _set_workers(monkeypatch, 3)
     assert immersion.batch_map(lambda x: x * x, range(50)) == [
         x * x for x in range(50)]
     nested = immersion.batch_map(
@@ -388,7 +396,7 @@ def test_batch_map_under_contention(monkeypatch):
     import sys
     import threading
 
-    monkeypatch.setattr(immersion, "_WORKERS", 6)
+    _set_workers(monkeypatch, 6)
     got = []
 
     def maps():
@@ -405,6 +413,61 @@ def test_batch_map_under_contention(monkeypatch):
         sys.setswitchinterval(interval)
     assert not caller.is_alive()
     assert got == [list(range(1, 41))] * 50
+
+
+def test_batch_map_raises_after_every_item_has_finished(monkeypatch):
+    # Item 0 raises once item 1 runs on another thread; the map raises
+    # only after item 1 has finished, so no item outlives its map.
+    import threading
+    import time
+
+    _set_workers(monkeypatch, 2)
+    running, finished = threading.Event(), threading.Event()
+
+    def item(x):
+        if x == 0:
+            assert running.wait(timeout=10)
+            raise ValueError("item 0")
+        running.set()
+        time.sleep(0.2)
+        finished.set()
+        return x
+
+    with pytest.raises(ValueError, match="item 0"):
+        immersion.batch_map(item, range(2))
+    assert finished.is_set()
+
+
+def _forked_map():
+    # Both items wait for each other: the map completes only when a
+    # helper thread runs one of them next to the caller.
+    import threading
+
+    barrier = threading.Barrier(2)
+
+    def item(x):
+        barrier.wait(timeout=10)
+        return x
+
+    assert immersion.batch_map(item, range(2)) == [0, 1]
+
+
+def test_batch_map_in_a_forked_child(monkeypatch):
+    # A child forked after the helpers have started makes helpers of its
+    # own: the parent's threads do not exist in it.
+    import multiprocessing
+
+    _set_workers(monkeypatch, 2)
+    assert immersion.batch_map(lambda x: x + 1, range(4)) == [1, 2, 3, 4]
+    assert immersion._EXECUTOR is not None
+    child = multiprocessing.get_context("fork").Process(
+        target=_forked_map)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join(timeout=10)
+    assert child.exitcode == 0
 
 
 @pytest.mark.parametrize("count", [2, 3])
