@@ -1,9 +1,9 @@
 """Sampled extrinsic-distance fields over a chart grid.
 
 A field holds, on a regular parameter grid, the ambient distance r from a
-fixed pole together with the norm of its tangential gradient.  Everything
-downstream (contour extraction, area quadrature, critical-radius scans)
-reads from one field, so the grid layout conventions live here:
+fixed pole.  Everything downstream (contour extraction, area quadrature,
+critical-radius scans) reads from one field, so the grid layout
+conventions live here:
 
 * Non-periodic directions place nodes at half offsets,
   ``u0 + (i + 1/2) h``, so no node touches the open chart boundary.  An
@@ -39,9 +39,10 @@ from ..errors import (ConfigError, DomainTooSmall, ModelError, PoleOffModel,
 from ..immersion import (BATCH_POINTS, ParametricSurface, batch_map,
                          radial_frames)
 
-# Gradient-norm thresholds that `critical_scan` applies node by node.
-_GRAD_TOL = 0.02
-_SETTLE_TOL = 0.1
+# A node's six neighbours on the triangulated grid of `critical_scan`, in
+# cyclic order; the first three follow it in row-major order.
+_RING = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+_NEWTON_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class GridSpec:
 
 @dataclass
 class DistanceField:
-    """Extrinsic distance r and its tangential gradient norm on a grid.
+    """Extrinsic distance r on a grid.
 
     A field is read-only once `quadrature.ensure_cell_cache` has filled
     ``cell_integrals``: the balls of a schedule are extracted from it
@@ -75,7 +76,6 @@ class DistanceField:
     u_nodes: np.ndarray           # (n_u,)
     v_nodes: np.ndarray           # (n_v,)
     r: np.ndarray                 # (n_u, n_v)
-    grad_norm: np.ndarray         # (n_u, n_v)
     h_u: float
     h_v: float
     # Flat ids of the cells with a corner below t_max, sorted by their
@@ -239,7 +239,7 @@ def bracketed_newton(field: DistanceField, tt: float, base_u, base_v, du, dv,
     done = np.zeros(np.shape(s), dtype=bool)
     for _ in range(iters):
         F, Fu, Fv = surf.jet(base_u + s * du, base_v + s * dv, 1)
-        r, rad = form._radial_split(field.pole, F)
+        r, rad = form.radial_split(field.pole, F)
         f = r - tt
         fp = form.inner(rad, Fu * du[..., None] + Fv * dv[..., None])
         done |= np.abs(f) <= tol
@@ -275,13 +275,13 @@ def crossings_located(field: DistanceField, tt: float, U, V,
 def build_field(surface: ParametricSurface, t_max: float,
                 pole: np.ndarray | None = None,
                 spec: GridSpec | None = None) -> DistanceField:
-    """Sample r and its gradient norm; check the domain-covers-ball guard.
+    """Sample r; check the domain-covers-ball guard.
 
     The frames run over blocks of whole u-rows of at most
     ``BATCH_POINTS`` nodes (one row when a row is longer), one
-    `batch_map` task each, and only r and its gradient norm are kept, so
-    the batch temporaries stay a block's size while the grids match one
-    whole-grid batch bitwise.
+    `batch_map` task each, and only r is kept, so the batch temporaries
+    stay a block's size while the grid matches one whole-grid batch
+    bitwise.
 
     The guard requires the minimum of r over the outermost node ring (in
     every non-periodic direction) to exceed t_max: otherwise some requested
@@ -310,7 +310,6 @@ def build_field(surface: ParametricSurface, t_max: float,
     v_nodes = v0 + h_v * (np.arange(spec.n_v) + 0.5)
 
     r = np.empty((spec.n_u, spec.n_v))
-    grad_norm = np.empty_like(r)
     rows = max(1, BATCH_POINTS // spec.n_v)
 
     def sample(start):
@@ -321,7 +320,6 @@ def build_field(surface: ParametricSurface, t_max: float,
         except PoleSingularity:
             raise _node_on_pole(surface, pole, U, V, start) from None
         r[block] = fb.r
-        grad_norm[block] = fb.normGradPr
 
     batch_map(sample, range(0, spec.n_u, rows))
     if not np.all(np.isfinite(r)):
@@ -343,7 +341,7 @@ def build_field(surface: ParametricSurface, t_max: float,
     order, cell_max, span = _sort_reached_cells(r, surface.periodic_u, t_max)
     return DistanceField(surface=surface, pole=pole, spec=spec, t_max=t_max,
                          u_nodes=u_nodes, v_nodes=v_nodes, r=r,
-                         grad_norm=grad_norm, h_u=h_u, h_v=h_v,
+                         h_u=h_u, h_v=h_v,
                          cell_order=order, cell_max=cell_max, cell_span=span)
 
 
@@ -361,42 +359,48 @@ def _node_on_pole(surface: ParametricSurface, pole: np.ndarray, U, V,
 
 
 def critical_scan(field: DistanceField, t_lo: float, t_hi: float) -> dict:
-    """Scan an annulus of the field for near-critical distance levels.
+    """Critical levels of r in the annulus t_lo < r < t_hi.
 
-    Returns a dict with:
+    Each cell is split along its (i, j)-(i+1, j+1) diagonal, and a node
+    is critical for the piecewise-linear r (T. Banchoff, J. Differential
+    Geom. 1, 1967) when r minus its value does not change sign exactly
+    twice around its ring of six neighbours; a tie counts the later node
+    in row-major order as above.  The pole's own minimum is left out.
+    Newton steps on the chart gradient of r, with a central-difference
+    Jacobian, refine each critical node.
 
-    * ``min_grad``: minimum gradient norm over nodes with t_lo < r < t_hi.
-    * ``critical_values``: cluster representatives of r over nodes whose
-      gradient norm falls below ``_GRAD_TOL`` (candidates for level values
-      the radius schedule should avoid).
-    * ``R0``: largest r over nodes with gradient norm <= ``_SETTLE_TOL``
-      (clipped to the annulus); beyond it every sampled level is uniformly
-      non-critical.  Falls back to t_lo when the annulus is clean.
+    Returns ``critical_values``, the distinct r at the refined points,
+    and ``R0``, the largest of them (t_lo when there is none): every
+    level past R0 is regular.
     """
     if not (0.0 <= t_lo < t_hi <= field.t_max + 1e-12):
         raise ConfigError(
             f"bad annulus ({t_lo}, {t_hi}) for t_max {field.t_max}"
         )
-    mask = (field.r > t_lo) & (field.r < t_hi)
-    if not np.any(mask):
-        return {"min_grad": float("inf"), "critical_values": [], "R0": t_lo}
+    # Only interior nodes have a whole ring; the domain guard keeps every
+    # outer node above t_max anyway.  u holds the rows' coordinates.
+    r, u = field.r, field.u_nodes[1:-1]
+    if field.periodic_u:
+        r, u = np.pad(r, ((1, 1), (0, 0)), mode="wrap"), field.u_nodes
+    n_u, n_v = r.shape
+    node = r[1:-1, 1:-1]
+    above = []
+    for k, (di, dj) in enumerate(_RING):
+        ring = r[1 + di:n_u - 1 + di, 1 + dj:n_v - 1 + dj]
+        above.append(ring >= node if k < 3 else ring > node)
+    changes = sum(a != b for a, b in zip(above, above[1:] + above[:1]))
+    lo = max(t_lo, float(np.min(field.r)))
+    i, j = np.nonzero((changes != 2) & (node > lo) & (node < t_hi))
+    x = np.stack([u[i], field.v_nodes[j + 1]])              # (2, n)
 
-    g = field.grad_norm[mask]
-    rr = field.r[mask]
-    min_grad = float(np.min(g))
-
-    crit = np.sort(rr[g < _GRAD_TOL])
-    values: list[float] = []
-    if crit.size:
-        # Cluster near-critical levels: split where consecutive sorted r
-        # jump by more than a few cell diameters' worth of level change.
-        gap = 3.0 * max(field.h_u, field.h_v)
-        start = 0
-        for k in range(1, crit.size + 1):
-            if k == crit.size or crit[k] - crit[k - 1] > gap:
-                values.append(float(np.mean(crit[start:k])))
-                start = k
-
-    settled = rr[g <= _SETTLE_TOL]
-    r0 = float(np.max(settled)) if settled.size else t_lo
-    return {"min_grad": min_grad, "critical_values": values, "R0": r0}
+    step = 1e-4 * np.array([field.h_u, field.h_v])
+    probes = np.concatenate([np.zeros((1, 2)), np.diag(step),
+                             -np.diag(step)])[:, :, None]   # (5, 2, 1)
+    for _ in range(_NEWTON_STEPS):
+        at = x + probes
+        g = radial_frames(field.surface, at[:, 0], at[:, 1],
+                          pole=field.pole).gradPr           # (5, n, 2)
+        jac = np.stack([g[1] - g[3], g[2] - g[4]], axis=-1) / (2.0 * step)
+        x = x - np.linalg.solve(jac, g[0][..., None])[..., 0].T
+    values = np.unique(field.eval_r(x[0], x[1])).tolist()
+    return {"critical_values": values, "R0": values[-1] if values else t_lo}

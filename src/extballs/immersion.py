@@ -276,7 +276,7 @@ def _first_order(surface: ParametricSurface, F, Fu, Fv, pole) -> FrameBatch:
 
     if pole is not None:
         pole = np.asarray(pole, dtype=np.float64)
-        batch.r, batch.radial = form._radial_split(pole, F)
+        batch.r, batch.radial = form.radial_split(pole, F)
         w1 = form.inner(batch.radial, Fu)
         w2 = form.inner(batch.radial, Fv)
         a1 = (g22 * w1 - g12 * w2) / detg

@@ -1,14 +1,14 @@
 """Orchestration: surface -> field -> radius series -> verdict report.
 
-One run builds the distance field once, scans it for critical radii,
-warms the full-cell quadrature cache, then takes four steps: extract the
+One run builds the distance field once, warms the full-cell quadrature
+cache, counts the critical values of r on the field's triangulated grid
+(`critical_scan`; R0 is the largest), then takes four steps: extract the
 ball of every scheduled radius, run the trace route of the
 geodesic-curvature check once over the boundary samples of all those
 balls, build each radius's record from its ball and its share of that
-trace, and assemble the verdicts.  Scheduled radii that collide with a
-critical value of the boundary-distance function, or below which no
-grid node lies (no discrete boundary, although the true ball always
-holds the pole), are recorded as skipped rather than evaluated.
+trace, and assemble the verdicts.  Scheduled radii within 1e-6 of a
+critical value, or below which no grid node lies (no discrete boundary,
+although the true ball always holds the pole), are skipped.
 
 The field's row blocks, the cache's batches and the first two of those
 steps run on every CPU through `immersion.batch_map`: its caller runs

@@ -155,18 +155,14 @@ class SpaceForm:
         delta = self.b * self.inner(p, q) - 1.0
         return stable_acosh(delta) / self.kappa
 
-    def radial_unit(self, o: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Unit tangent at x of the geodesic from the pole o through x.
+    def radial_split(self, o: np.ndarray,
+                     x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(distance(o, x), unit tangent at x of the geodesic from the pole
+        o through x), from one x - o (b = 0) or one b<o, x> - 1 (b < 0).
 
-        For b < 0 the result is Minkowski-orthogonal to x (model-tangent)
-        and has Minkowski norm 1.
+        The distance equals `distance` bitwise.  For b < 0 the tangent is
+        Minkowski-orthogonal to x (model-tangent) and has Minkowski norm 1.
         """
-        return self._radial_split(o, x)[1]
-
-    def _radial_split(self, o: np.ndarray,
-                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(distance(o, x), radial_unit(o, x)), bitwise, from one x - o
-        (b = 0) or one b<o, x> - 1 (b < 0)."""
         o = np.asarray(o, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
         if not self.curved:

@@ -10,10 +10,6 @@ import pytest
 from extballs.pipeline import run_surface
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: critical_scan's node thresholds miss the neck "
-    "saddle at 256^2, so R0 falls back to t_min = 0.5 (512^2 gives "
-    "1.4444)"))
 def test_hyperbolic_catenoid_r0_at_256():
     res = run_surface("hyperbolic_catenoid", grid=(256, 256))
     assert 1.40 <= res.series.R0 <= 1.50
@@ -28,10 +24,6 @@ def test_h2_in_h3_tiny_balls_kg_gap():
     assert all(rec.kg_gap_max <= 1e-5 for rec in res.series.records)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: the 1e-6 skip window sits around a node-cluster "
-    "mean that misses the catenoid's saddle level 2.0 by 1.2e-4 at 256^2, "
-    "so the saddle radius is measured instead of skipped"))
 def test_catenoid_saddle_radius_is_skipped():
     res = run_surface("catenoid", grid=(256, 256), t_min=1.0, t_max=4.0,
                       count=3)

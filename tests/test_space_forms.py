@@ -133,7 +133,7 @@ def test_radial_unit_is_unit_tangent():
         q = hyp_point(*rng.uniform(-1.5, 1.5, 3))
         if H3.distance(p, q) < 1e-6:
             continue
-        u = H3.radial_unit(p, q)
+        u = H3.radial_split(p, q)[1]
         assert H3.inner(u, u) == pytest.approx(1.0, abs=1e-10)
         assert H3.inner(u, q) == pytest.approx(0.0, abs=1e-9)
 
@@ -141,9 +141,9 @@ def test_radial_unit_is_unit_tangent():
 def test_radial_unit_euclidean():
     p = np.zeros(3)
     q = np.array([3.0, 4.0, 0.0])
-    assert np.allclose(E3.radial_unit(p, q), [0.6, 0.8, 0.0], atol=1e-15)
+    assert np.allclose(E3.radial_split(p, q)[1], [0.6, 0.8, 0.0], atol=1e-15)
     with pytest.raises(PoleSingularity):
-        E3.radial_unit(p, p + 1e-14)
+        E3.radial_split(p, p + 1e-14)
 
 
 def test_geodesic_step_hits_target_distance():
@@ -166,7 +166,7 @@ def test_geodesic_step_hits_target_distance():
 
 
 def test_geodesic_step_reaches_radial_target():
-    # radial_unit(q, p) is the tangent at p pointing away from q, so
+    # radial_split(q, p)[1] is the tangent at p pointing away from q, so
     # stepping from p along its negation by d(p, q) lands on q
     rng = np.random.default_rng(21)
     for _ in range(30):
@@ -175,7 +175,7 @@ def test_geodesic_step_reaches_radial_target():
         d = H3.distance(p, q)
         if d < 1e-5:
             continue
-        q2 = H3.geodesic_step(p, -H3.radial_unit(q, p), d)
+        q2 = H3.geodesic_step(p, -H3.radial_split(q, p)[1], d)
         assert np.allclose(q2, q, atol=1e-10 * (1 + np.abs(q).max()))
 
 

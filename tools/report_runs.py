@@ -3,7 +3,7 @@
     python3 tools/report_runs.py OUT_DIR
 
 Runs ``extballs report`` (through ``extballs.cli.main``, on the package
-in this checkout's ``src``) for fourteen reference runs, one directory
+in this checkout's ``src``) for fifteen reference runs, one directory
 each under OUT_DIR:
 
 - ``configs/<name>``: every ``configs/*.json``;
@@ -11,7 +11,9 @@ each under OUT_DIR:
   (the config ``{"surface": <surface>}``);
 - ``kg_sentinel``: ``KG_SENTINEL`` from ``perfbench/workloads.py``;
 - ``below_resolution``: ``BELOW_RESOLUTION``, whose first radii hold no
-  grid node and are recorded as skipped.
+  grid node and are recorded as skipped;
+- ``critical_skip``: ``CRITICAL_SKIP``, whose middle radius is the
+  catenoid's saddle level 2 and is recorded as skipped.
 
 Each directory gets the ``config.json`` it ran, its ``report.json`` and
 ``series.csv``, and ``exit_status`` holds every run's exit status.
@@ -39,6 +41,11 @@ from extballs.cli import main as cli_main  # noqa: E402
 BELOW_RESOLUTION = {"surface": "plane", "grid": 64,
                     "schedule": {"t_min": 0.001, "t_max": 2, "count": 3}}
 
+# A 256^2 catenoid scheduled at t = 1, 2, 4: t = 2 is the level of the
+# saddle opposite the pole and takes the critical-value skip path.
+CRITICAL_SKIP = {"surface": "catenoid", "grid": 256,
+                 "schedule": {"t_min": 1, "t_max": 4, "count": 3}}
+
 
 def _sentinel() -> dict:
     """``KG_SENTINEL`` read from perfbench/workloads.py by file path."""
@@ -57,6 +64,7 @@ def reference_runs() -> dict[str, dict]:
                 for e in list_entries())
     runs["kg_sentinel"] = _sentinel()
     runs["below_resolution"] = BELOW_RESOLUTION
+    runs["critical_skip"] = CRITICAL_SKIP
     return runs
 
 
