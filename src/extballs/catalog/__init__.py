@@ -33,7 +33,6 @@ __all__ = [
     "CatalogEntry",
     "entries",
     "lookup",
-    "make",
     "list_entries",
     "neck_radius",
     "solve_hyperbolic_catenoid",
@@ -243,12 +242,6 @@ def lookup(name: str) -> CatalogEntry:
             f"unknown catalog surface {name!r}; available: "
             f"{', '.join(sorted(entries))}"
         ) from None
-
-
-def make(name: str, t_max: float | None = None,
-         params: dict | None = None) -> ParametricSurface:
-    """Build a catalog surface sized for balls up to radius t_max."""
-    return lookup(name).surface(t_max, params)
 
 
 def list_entries() -> list[dict]:

@@ -70,7 +70,7 @@ def plane_chart(halfwidth: float = 10.0) -> ParametricSurface:
     a = float(halfwidth)
     return ParametricSurface(
         form=SpaceForm(0.0), domain=((-a, a), (-a, a)), jet=jet,
-        label="plane", minimal=True, symmetry="u_shift",
+        label="plane", symmetry="u_shift",
     )
 
 
@@ -99,8 +99,7 @@ def catenoid_chart(v_max: float = 4.0) -> ParametricSurface:
     m = float(v_max)
     return ParametricSurface(
         form=SpaceForm(0.0), domain=((0.0, 2.0 * np.pi), (-m, m)), jet=jet,
-        label="catenoid", minimal=True, periodic_u=True,
-        symmetry="u_shift",
+        label="catenoid", periodic_u=True, symmetry="u_shift",
     )
 
 
@@ -128,7 +127,7 @@ def enneper_chart(halfwidth: float = 3.1) -> ParametricSurface:
     a = float(halfwidth)
     return ParametricSurface(
         form=SpaceForm(0.0), domain=((-a, a), (-a, a)), jet=jet,
-        label="enneper", minimal=True, symmetry="dihedral",
+        label="enneper", symmetry="dihedral",
     )
 
 
@@ -155,7 +154,7 @@ def helicoid_chart(halfwidth: float = 9.2) -> ParametricSurface:
     a = float(halfwidth)
     return ParametricSurface(
         form=SpaceForm(0.0), domain=((-a, a), (-a, a)), jet=jet,
-        label="helicoid", minimal=True, symmetry="u_shift",
+        label="helicoid", symmetry="u_shift",
     )
 
 
@@ -190,7 +189,7 @@ def h2_chart(halfwidth: float = 8.8) -> ParametricSurface:
     a = float(halfwidth)
     return ParametricSurface(
         form=SpaceForm(-1.0), domain=((-a, a), (-a, a)), jet=jet,
-        label="h2_in_h3", minimal=True, symmetry="u_shift",
+        label="h2_in_h3", symmetry="u_shift",
     )
 
 
@@ -234,5 +233,5 @@ def sphere_cap_chart(halfwidth: float = 2.2) -> ParametricSurface:
 
     return ParametricSurface(
         form=SpaceForm(0.0), domain=((-a, a), (-a, a)), jet=jet,
-        label="sphere_control", minimal=False, symmetry="dihedral",
+        label="sphere_control", symmetry="dihedral",
     )

@@ -58,8 +58,6 @@ class RotationProfile:
     """
 
     c: float
-    rho0: float
-    sigma_max: float
     knots: np.ndarray
     t_old: np.ndarray
     h: np.ndarray
@@ -67,14 +65,12 @@ class RotationProfile:
     Q: np.ndarray
 
     @staticmethod
-    def from_solution(c: float, rho0: float, sigma_max: float,
-                      sol) -> "RotationProfile":
+    def from_solution(c: float, sol) -> "RotationProfile":
         """Gather an ascending `OdeSolution`'s RK segments once."""
         segs = sol.interpolants
         rows = [0, 2]  # state (rho, rho', t): keep rho and t
         return RotationProfile(
-            c=c, rho0=rho0, sigma_max=sigma_max,
-            knots=np.asarray(sol.ts, dtype=np.float64),
+            c=c, knots=np.asarray(sol.ts, dtype=np.float64),
             t_old=np.array([s.t_old for s in segs]),
             h=np.array([s.h for s in segs]),
             y_old=np.array([s.y_old[rows] for s in segs]).T.copy(),
@@ -184,8 +180,7 @@ def integrate_profile(c: float, sigma_max: float):
 def solve_profile(c: float, sigma_max: float) -> RotationProfile:
     """Integrate the profile from the neck out to arclength sigma_max."""
     sol = integrate_profile(c, sigma_max)
-    profile = RotationProfile.from_solution(c, neck_radius(c), sigma_max,
-                                            sol)
+    profile = RotationProfile.from_solution(c, sol)
     _check_against_solution(profile, sol)
     return profile
 
@@ -240,7 +235,7 @@ def solve_hyperbolic_catenoid(c: float = 1.0,
     surface = ParametricSurface(
         form=SpaceForm(-1.0),
         domain=((0.0, 2.0 * np.pi), (-sigma_max, sigma_max)),
-        jet=jet, label="hyperbolic_catenoid", minimal=True,
+        jet=jet, label="hyperbolic_catenoid",
         periodic_u=True, symmetry="u_shift",
     )
 

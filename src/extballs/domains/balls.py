@@ -44,16 +44,15 @@ class BoundarySamples:
     """Struct-of-arrays container of boundary samples.
 
     Per sample: chart coordinates ``uv``, arc-length quadrature ``weight``,
-    unit tangent ``e`` and outward unit normal ``nu`` (chart components),
-    and its full geometric state in the ``frame`` batch.
+    unit tangent ``e`` (chart components) and its full geometric state in
+    the ``frame`` batch.
     """
 
     def __init__(self, uv: np.ndarray, weight: np.ndarray, e: np.ndarray,
-                 nu: np.ndarray, frame: FrameBatch):
+                 frame: FrameBatch):
         self.uv = uv
         self.weight = weight
         self.e = e
-        self.nu = nu
         self.frame = frame
 
     @staticmethod
@@ -62,7 +61,7 @@ class BoundarySamples:
         def join(name):
             return np.concatenate([getattr(p, name) for p in parts])
         return BoundarySamples(
-            uv=join("uv"), weight=join("weight"), e=join("e"), nu=join("nu"),
+            uv=join("uv"), weight=join("weight"), e=join("e"),
             frame=FrameBatch.concat([p.frame for p in parts]))
 
     def __len__(self) -> int:
@@ -135,7 +134,7 @@ def extract_ball(field: DistanceField, t: float) -> ExtrinsicBall:
     tt = t + _LEVEL_NUDGE * (1.0 + t)
 
     level = solve_level(field, tt, level_cells(field, tt))
-    loops = extract_loops(field, tt, level)
+    loops = extract_loops(level)
     if not loops:
         raise ConfigError(no_node_note(t, float(np.min(field.r))))
     integrals = region_integral(field, tt, level)
@@ -162,7 +161,7 @@ def extract_ball(field: DistanceField, t: float) -> ExtrinsicBall:
                                 weights=np.repeat(lengths, 2),
                                 minlength=len(uv))
 
-    samples = BoundarySamples(uv=uv, weight=weights, e=e, nu=nu, frame=fb)
+    samples = BoundarySamples(uv=uv, weight=weights, e=e, frame=fb)
     return ExtrinsicBall(
         t=t, area=integrals["one"], integrals=integrals,
         n_components=len(loops), boundary_length=float(np.sum(lengths)),

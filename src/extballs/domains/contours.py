@@ -184,8 +184,7 @@ def solve_level(field: DistanceField, tt: float, cells: CutCells) -> Level:
                  located=located, segments=ends.reshape(2, -1).T)
 
 
-def extract_loops(field: DistanceField, tt: float,
-                  level: Level) -> list[Loop]:
+def extract_loops(level: Level) -> list[Loop]:
     """All closed components of the level {r = tt} on the field's grid.
 
     ``level`` is ``solve_level(field, tt, level_cells(field, tt))``.

@@ -24,8 +24,7 @@ conventions live here:
   prefix of that order, and every cell the level {r = t} cuts lies in
   the band of cells whose maximum is in [t, t + largest cell span), so
   ``level_cells`` classifies only that band, never the whole grid.
-  ``cell_cases`` classifies every cell; it is the reference the tests
-  hold the band against.
+  The tests hold the band against a classification of every cell.
 """
 
 from __future__ import annotations
@@ -102,27 +101,6 @@ class DistanceField:
         """Exact extrinsic distance at arbitrary chart points."""
         X = self.surface.eval(U, V)
         return self.surface.form.distance(self.pole, X)
-
-
-def corner_views(a: np.ndarray, periodic_u: bool):
-    """Views (c0, c1, c2, c3) of a node array at each cell's corners.
-
-    On a u-periodic grid row 0 is appended, so the last column wraps.
-    """
-    if periodic_u:
-        a = np.concatenate([a, a[:1, :]], axis=0)
-    return a[:-1, :-1], a[1:, :-1], a[1:, 1:], a[:-1, 1:]
-
-
-def cell_cases(r: np.ndarray, t: float, periodic_u: bool) -> np.ndarray:
-    """Marching-squares case of every cell against the level {r = t}.
-
-    Bit k is set when corner k has r < t: 0 is outside the ball, 15
-    inside, and 1-14 cut by the level curve.
-    """
-    c0, c1, c2, c3 = corner_views(r, periodic_u)
-    return ((c0 < t).astype(np.int16) + 2 * (c1 < t).astype(np.int16)
-            + 4 * (c2 < t).astype(np.int16) + 8 * (c3 < t).astype(np.int16))
 
 
 def _sort_reached_cells(r: np.ndarray, periodic_u: bool, t_max: float):

@@ -154,7 +154,6 @@ class ParametricSurface:
     domain: tuple[tuple[float, float], tuple[float, float]]
     jet: Callable[[np.ndarray, np.ndarray, int], Jet]
     label: str
-    minimal: bool
     periodic_u: bool = False
     symmetry: str | None = None
 
@@ -344,78 +343,3 @@ def frames(surface: ParametricSurface, U, V,
     batch.normBsq = np.maximum(s11 * s11 + 2.0 * s12 * s21 + s22 * s22, 0.0)
     batch.K = form.b + (b11 * b22 - b12 * b12) / detg
     return batch
-
-
-def check_surface(surface: ParametricSurface, n: int = 200,
-                  seed: int = 0, max_r: float | None = None) -> dict:
-    """Sample invariants of a chart: model membership, tangency, minimality.
-
-    Returns the sampled maxima so callers can assert against their own
-    tolerances.  With `max_r` the samples are rejection-drawn at extrinsic
-    distance at most max_r from the chart's default pole, and too small a
-    region raises ImmersionError.  Outside such a region the hyperboloid
-    components reach e^r: max |H| on the hyperbolic catenoid is 8e-13 at
-    r in (7, 8) but 3e-8 at r in (10, 11).
-    """
-    rng = np.random.default_rng(seed)
-    (u0, u1), (v0, v1) = surface.domain
-    pad_u = 0.0 if surface.periodic_u else 0.05 * (u1 - u0)
-    pad_v = 0.05 * (v1 - v0)
-
-    def draw(k):
-        return (rng.uniform(u0 + pad_u, u1 - pad_u, k),
-                rng.uniform(v0 + pad_v, v1 - pad_v, k))
-
-    U, V = draw(n)
-    if max_r is not None:
-        pole = surface.default_pole()
-        keep_u, keep_v = [], []
-        total = 0
-        for _ in range(200):
-            r = surface.form.distance(pole, surface.eval(U, V))
-            sel = r <= max_r
-            keep_u.append(U[sel])
-            keep_v.append(V[sel])
-            total += int(np.count_nonzero(sel))
-            if total >= n:
-                break
-            U, V = draw(n)
-        else:
-            raise ImmersionError(
-                f"could not sample {n} chart points with r <= {max_r} "
-                f"on {surface.label!r}"
-            )
-        U = np.concatenate(keep_u)[:n]
-        V = np.concatenate(keep_v)[:n]
-    form = surface.form
-    fb = frames(surface, U, V)
-    out = {
-        "max_normH": float(np.max(np.abs(fb.H))),
-        "min_detg": float(np.min(fb.detg)),
-        "max_tangency": 0.0,
-        "max_model_residual": 0.0,
-        "max_B_tangency": 0.0,
-    }
-    # Tangency defect of the normalized second form: components of
-    # B(e_i, e_j) = b_ij N along a g-orthonormal tangent frame.  This is
-    # the scale at which the defect feeds contracted quantities (H, |B|^2,
-    # boundary curvature integrands); raw ambient products would grow as
-    # e^{3r} on hyperboloid charts and measure nothing useful.
-    e1 = fb.Fu / np.sqrt(fb.g11)[..., None]
-    t2 = fb.Fv - (fb.g12 / fb.g11)[..., None] * fb.Fu
-    e2 = t2 / np.sqrt(np.maximum(form.inner(t2, t2), 1e-300))[..., None]
-    s11 = fb.g11
-    s12 = np.sqrt(fb.g11 * fb.g22)
-    s22 = fb.g22
-    out["max_B_tangency"] = float(np.max(np.stack([
-        np.abs(bij * form.inner(fb.N, e)) / s
-        for bij, s in ((fb.b11, s11), (fb.b12, s12), (fb.b22, s22))
-        for e in (e1, e2)
-    ])))
-    if form.curved:
-        F = fb.F
-        out["max_model_residual"] = float(np.max(form.point_residual(F)))
-        tang = np.stack([form.inner(F, fb.Fu), form.inner(F, fb.Fv)])
-        scale = 1.0 + np.abs(form.b) * np.einsum("...k,...k->...", F, F)
-        out["max_tangency"] = float(np.max(np.abs(tang) / scale))
-    return out

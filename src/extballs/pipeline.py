@@ -151,6 +151,5 @@ def run_surface(name: str, *, params: dict | None = None,
         surface_name=name,
         ambient=entry.ambient,
         declared_minimal=entry.minimal,
-        grid=(spec.n_u, spec.n_v),
     )
     return PipelineResult(field=field, series=series, report=report)

@@ -85,10 +85,6 @@ def write_report_json(path: str | Path, report: VerdictReport,
     return path
 
 
-def read_report_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def verdict_lines(report: VerdictReport) -> list:
     """Human-readable one-line-per-verdict summary for terminal output."""
     lines = [f"surface {report.surface} ({report.ambient}); "

@@ -179,14 +179,3 @@ class SpaceForm:
             raise PoleSingularity("radial direction undefined at the pole")
         ch = 1.0 + delta
         return r, self.kappa * (ch[..., None] * x - o) / sh[..., None]
-
-    def geodesic_step(self, x: np.ndarray, v: np.ndarray, s) -> np.ndarray:
-        """Point at arclength s along the geodesic from x with unit tangent v."""
-        x = np.asarray(x, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        s = np.asarray(s, dtype=np.float64)
-        if not self.curved:
-            return x + s[..., None] * v
-        ks = self.kappa * s
-        return (np.cosh(ks)[..., None] * x
-                + (np.sinh(ks) / self.kappa)[..., None] * v)

@@ -116,8 +116,7 @@ def _finite(series: RadiusSeries, key: str) -> list[float]:
 
 
 def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
-                   ambient: str, declared_minimal: bool,
-                   grid: tuple) -> VerdictReport:
+                   ambient: str, declared_minimal: bool) -> VerdictReport:
     """Reduce a finished radius series of a distance field to the report."""
     form = field.surface.form
     # Sampled mean-curvature oracle over the ball-serving region: up to
@@ -301,7 +300,7 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
         measured_minimal=measured_minimal,
         max_normH=max_normH,
         pole=[float(x) for x in np.asarray(field.pole).ravel()],
-        grid=grid,
+        grid=(field.spec.n_u, field.spec.n_v),
         t_max=field.t_max,
         schedule=[rec.t for rec in series.records],
         skipped=[(rec.t, rec.note) for rec in series.records if rec.skipped],

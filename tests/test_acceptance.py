@@ -26,10 +26,10 @@ from scipy.optimize import brentq
 
 from extballs.domains import extract_ball
 from extballs.domains.balls import MIN_SAMPLES
-from extballs.oracles import (gauss_equation_residual, laplacian_r,
-                              radial_laplacian_identity)
 from extballs.pipeline import run_surface
 from extballs.space_forms import SpaceForm
+from oracles import (gauss_equation_residual, laplacian_r,
+                     radial_laplacian_identity)
 
 SURFACES = ("plane", "catenoid", "enneper", "helicoid", "h2_in_h3",
             "hyperbolic_catenoid", "sphere_control")

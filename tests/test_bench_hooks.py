@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 
 from extballs import pipeline
-from extballs.catalog import make
 from extballs.domains import GridSpec, build_field
-from extballs.domains.field import cell_cases
 from extballs.pipeline import ensure_cell_cache
+from oracles import cell_cases, make
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -91,7 +90,7 @@ def test_ball_hook_counts_match_the_ball(tracing, monkeypatch):
         return sum(hooks[layer].count(args, result)[key]
                    for args, result in calls[layer])
 
-    tt = calls["contours.extract_loops"][0][0][1]
+    tt = calls["contours.extract_loops"][0][0][0].tt
     cases = cell_cases(field.r, tt, field.periodic_u)
     assert count("contours.extract_loops", "loops") == ball.n_components == 2
     assert len(calls["contours.augment_loop"]) == 2

@@ -6,7 +6,8 @@ import pytest
 from extballs import catalog
 from extballs.catalog import _min_boundary_r, solve_profile
 from extballs.errors import ConfigError, GeometryError
-from extballs.immersion import check_surface, frames
+from extballs.immersion import frames
+from oracles import check_surface, make
 
 ALL_NAMES = ["plane", "catenoid", "enneper", "helicoid", "h2_in_h3",
              "hyperbolic_catenoid", "sphere_control"]
@@ -24,11 +25,11 @@ def test_registry_contents():
 
 def test_unknown_name_and_param():
     with pytest.raises(ConfigError):
-        catalog.make("moebius")
+        make("moebius")
     with pytest.raises(ConfigError):
-        catalog.make("plane", params={"twist": 3})
+        make("plane", params={"twist": 3})
     with pytest.raises(ConfigError):
-        catalog.make("catenoid", t_max=-2.0)
+        make("catenoid", t_max=-2.0)
 
 
 @pytest.mark.parametrize("name,factor", [
@@ -37,37 +38,37 @@ def test_unknown_name_and_param():
 ])
 def test_chart_sizing_covers_requested_radius(name, factor):
     for t_max in [2.0, 8.0]:
-        surface = catalog.make(name, t_max=t_max)
+        surface = make(name, t_max=t_max)
         assert _min_boundary_r(surface) >= factor * t_max * 0.999, name
 
 
 def test_sphere_control_radius_cap():
     with pytest.raises(ConfigError):
-        catalog.make("sphere_control", t_max=1.9)
-    surface = catalog.make("sphere_control", t_max=1.5)
+        make("sphere_control", t_max=1.9)
+    surface = make("sphere_control", t_max=1.5)
     assert _min_boundary_r(surface) > 1.5
 
 
 def test_param_overrides():
     # chart sizes follow from t_max alone; only the profile constant is set
     with pytest.raises(ConfigError, match="halfwidth"):
-        catalog.make("plane", t_max=4.0, params={"halfwidth": 9.0})
+        make("plane", t_max=4.0, params={"halfwidth": 9.0})
     with pytest.raises(ConfigError, match="v_max"):
-        catalog.make("catenoid", params={"v_max": 2.0})
-    surface = catalog.make("hyperbolic_catenoid", t_max=2.0,
-                           params={"c": 2.0})
+        make("catenoid", params={"v_max": 2.0})
+    surface = make("hyperbolic_catenoid", t_max=2.0,
+                   params={"c": 2.0})
     assert surface.label == "hyperbolic_catenoid"
 
 
 @pytest.mark.parametrize("bad", ["x", float("nan"), float("inf"), 0.0, True])
 def test_profile_constant_must_be_finite_positive(bad):
     with pytest.raises(ConfigError, match="'c'"):
-        catalog.make("hyperbolic_catenoid", t_max=2.0, params={"c": bad})
+        make("hyperbolic_catenoid", t_max=2.0, params={"c": bad})
 
 
 # --- hyperbolic catenoid -------------------------------------------------
 
-HC = catalog.make("hyperbolic_catenoid")
+HC = make("hyperbolic_catenoid")
 RHO0 = catalog.neck_radius(1.0)
 
 
@@ -85,7 +86,7 @@ def test_no_neck_below_threshold():
     with pytest.raises(ConfigError):
         catalog.neck_radius(0.0)
     with pytest.raises(ConfigError):
-        catalog.make("hyperbolic_catenoid", params={"c": -0.5})
+        make("hyperbolic_catenoid", params={"c": -0.5})
 
 
 def test_neck_frame_golden_ratio_values():
@@ -145,7 +146,7 @@ def test_degenerate_normal_fails_construction():
     # Past sigma ~ 12.3 the hyperboloid normal seed cancels to <X,X> <= 0;
     # the build must fail, not pass NaN through the minimality oracle.
     with pytest.raises(GeometryError, match="<X,X>"):
-        catalog.make("hyperbolic_catenoid", t_max=14.0)
+        make("hyperbolic_catenoid", t_max=14.0)
 
 
 def test_saddle_distance_is_asinh_2c():
@@ -164,8 +165,8 @@ def test_curvature_decays_to_ambient():
 
 
 def test_custom_c_surface_passes_oracle():
-    surface = catalog.make("hyperbolic_catenoid", t_max=4.0,
-                           params={"c": 0.3})
+    surface = make("hyperbolic_catenoid", t_max=4.0,
+                   params={"c": 0.3})
     chk = check_surface(surface, n=300, seed=5, max_r=4.2)
     assert chk["max_normH"] <= 1e-6
 
@@ -214,7 +215,7 @@ _U_SHIFT_BOUND = {"R^3": 1e-14, "H^3": 5e-9}
 
 
 def test_chart_symmetries_are_pinned():
-    declared = {name: catalog.make(name).symmetry for name in ALL_NAMES}
+    declared = {name: make(name).symmetry for name in ALL_NAMES}
     assert declared == {**dict.fromkeys(U_ISOMETRIC, "u_shift"),
                         **dict.fromkeys(DIHEDRAL, "dihedral")}
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from extballs.cli import main
-from extballs.report import read_report_json
+from oracles import read_report_json
 
 
 def _write(tmp_path, name, doc):

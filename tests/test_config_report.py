@@ -11,10 +11,11 @@ import pytest
 from extballs.config import RunConfig, set_config_key
 from extballs.errors import ConfigError
 from extballs.functionals import EULER_ALPHAS, RadiusRecord, RadiusSeries
-from extballs.report import (SCHEMA_VERSION, read_report_json,
-                             report_document, verdict_lines,
-                             write_report_json, write_series_csv)
+from extballs.report import (SCHEMA_VERSION, report_document,
+                             verdict_lines, write_report_json,
+                             write_series_csv)
 from extballs.verdicts import Verdict, VerdictReport
+from oracles import read_report_json
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
                  .glob("*.json"))

@@ -13,19 +13,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from extballs.catalog import make
 from extballs.catalog.charts import plane_chart, sphere_cap_chart
 from extballs.domains import (GridSpec, build_field, coarea_integral,
                               critical_scan, extract_ball, extract_loops,
                               project_to_level, region_integral)
 from extballs.domains import balls, contours, quadrature
 from extballs.domains import field as field_module
-from extballs.domains.field import (bracketed_newton, cell_cases, corner_views,
-                                    cut_cells, level_cells)
+from extballs.domains.field import bracketed_newton, cut_cells, level_cells
 from extballs.domains.quadrature import ensure_cell_cache
 from extballs.errors import (ConfigError, DomainTooSmall, GeometryError,
                              PoleOffModel)
 from extballs.immersion import BATCH_POINTS, frames, radial_frames
+from oracles import cell_cases, corner_views, make
 
 
 def _level(field, t):
@@ -187,31 +186,23 @@ def test_catenoid_two_ends(catenoid_field):
     assert ball.n_components == 2
     # Each end circles the neck: its vertices leave no wide gap in u.
     level = _level(catenoid_field, 5.0)
-    for loop in extract_loops(catenoid_field, 5.0, level):
+    for loop in extract_loops(level):
         u = np.sort(loop.vertices[:, 0])
         gaps = np.diff(np.concatenate([u, u[:1] + 2 * np.pi]))
         assert np.max(gaps) < 0.1
 
 
 def test_one_classification_per_radius(catenoid_192, monkeypatch):
-    # extract_ball classifies the cells of the field's sorted band once,
-    # shares them between the contours and the quadrature, and never
-    # classifies or gathers corners over the whole grid; the band's cut
-    # cells are those of the whole-grid reference classification.
+    # extract_ball classifies the cells of the field's sorted band once
+    # and shares them between the contours and the quadrature; the band's
+    # cut cells are those of the whole-grid reference classification.
     calls = []
 
     def spy(*args, **kwargs):
         calls.append(args)
         return cut_cells(*args, **kwargs)
 
-    def whole_grid(*args, **kwargs):
-        raise AssertionError("whole-grid classification in a ball step")
-
     monkeypatch.setattr(field_module, "cut_cells", spy)
-    for module in (balls, contours, quadrature, field_module):
-        monkeypatch.setattr(module, "cell_cases", whole_grid, raising=False)
-        monkeypatch.setattr(module, "corner_views", whole_grid,
-                            raising=False)
     ball = extract_ball(catenoid_192, 3.0)
     assert len(calls) == 1
     assert len(calls[0][3]) < catenoid_192.r.size // 10
@@ -336,9 +327,10 @@ def test_boundary_sample_invariants(catenoid_field):
     ball = extract_ball(catenoid_field, 4.0)
     s = ball.samples
     fb = s.frame
-    assert np.all(np.abs(fb.metric_dot(s.e, s.nu)) < 1e-9)
+    nu = fb.gradPr / fb.normGradPr[:, None]
+    assert np.all(np.abs(fb.metric_dot(s.e, nu)) < 1e-9)
     assert np.all(np.abs(fb.metric_dot(s.e, s.e) - 1.0) < 1e-9)
-    assert np.all(np.abs(fb.metric_dot(s.nu, s.nu) - 1.0) < 1e-9)
+    assert np.all(np.abs(fb.metric_dot(nu, nu) - 1.0) < 1e-9)
     assert np.all(np.abs(fb.r - 4.0) < 1e-8)
     assert np.all(s.weight > 0.0)
     assert s.uv.shape == (len(s), 2)
@@ -354,8 +346,7 @@ def test_open_level_curve_raises(plane_field):
     cells = cut_cells(plane_field.r, t, plane_field.periodic_u,
                       np.arange(m_u * m_v))
     with pytest.raises(GeometryError, match="not closed inside the grid"):
-        extract_loops(plane_field, t,
-                      contours.solve_level(plane_field, t, cells))
+        extract_loops(contours.solve_level(plane_field, t, cells))
 
 
 def test_project_to_level(plane_field):

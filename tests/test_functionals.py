@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from extballs import functionals
-from extballs.catalog import make
 from extballs.domains import build_field, extract_ball
 from extballs.errors import ConfigError
 from extballs.functionals import (RadiusRecord, RadiusSeries,
@@ -28,6 +27,7 @@ from extballs.functionals import (RadiusRecord, RadiusSeries,
                                   geodesic_curvature_direct,
                                   geodesic_curvature_formula, kg_gaps,
                                   radius_record)
+from oracles import make
 
 COTH1 = 1.3130352854993315
 

@@ -6,15 +6,15 @@ import pytest
 
 from extballs import catalog
 from extballs.errors import ConfigError, ImmersionError
-from extballs.immersion import ParametricSurface, check_surface, frames
-from extballs.oracles import (gauss_equation_residual, laplacian_r,
-                              radial_laplacian_identity)
+from extballs.immersion import ParametricSurface, frames
 from extballs.space_forms import SpaceForm
+from oracles import (check_surface, gauss_equation_residual, laplacian_r,
+                     make, radial_laplacian_identity)
 
-CATENOID = catalog.make("catenoid")
-ENNEPER = catalog.make("enneper")
-H2 = catalog.make("h2_in_h3")
-SPHERE = catalog.make("sphere_control")
+CATENOID = make("catenoid")
+ENNEPER = make("enneper")
+H2 = make("h2_in_h3")
+SPHERE = make("sphere_control")
 
 
 def test_catenoid_origin_curvatures():
@@ -82,7 +82,7 @@ def test_gauss_equation_on_minimal_charts():
 
 def test_minimality_oracle_sampled():
     for name in ["plane", "catenoid", "enneper", "helicoid", "h2_in_h3"]:
-        surface = catalog.make(name)
+        surface = make(name)
         chk = check_surface(surface, n=500, seed=1,
                             max_r=0.9 * surface_reach(surface))
         assert chk["max_normH"] <= 1e-6, name
@@ -108,7 +108,7 @@ def test_degenerate_metric_raises():
 
     bad = ParametricSurface(form=SpaceForm(0.0),
                             domain=((-1, 1), (-1, 1)), jet=jet,
-                            label="degenerate", minimal=False)
+                            label="degenerate")
     with pytest.raises(ImmersionError):
         frames(bad, np.array([0.1]), np.array([0.2]))
 
@@ -118,7 +118,7 @@ def _flat_chart(domain, **kwargs):
         F = np.stack([U, V, np.zeros_like(U)], axis=-1)
         return (F,)
     return ParametricSurface(form=SpaceForm(0.0), domain=domain, jet=jet,
-                             label="flat", minimal=True, **kwargs)
+                             label="flat", **kwargs)
 
 
 def test_unknown_symmetry_raises():
@@ -133,7 +133,7 @@ def test_dihedral_symmetry_needs_centred_domain():
 
 
 def test_laplacian_r_plane_closed_form():
-    surface = catalog.make("plane")
+    surface = make("plane")
     pole = surface.default_pole()
     # flat plane: laplacian of r is 1/r
     got = laplacian_r(surface, np.array([1.2, 0.3]), np.array([1.6, -1.1]),
@@ -156,7 +156,7 @@ def test_laplacian_r_h2_closed_form():
 def test_laplacian_identity_on_catalog():
     rng = np.random.default_rng(3)
     for name in ["catenoid", "enneper", "h2_in_h3", "sphere_control"]:
-        surface = catalog.make(name)
+        surface = make(name)
         pole = surface.default_pole()
         (u0, u1), (v0, v1) = surface.domain
         U = rng.uniform(u0 + 0.3, u1 - 0.3, 40)
@@ -173,7 +173,7 @@ def test_laplacian_identity_on_catalog():
 
 
 def test_laplacian_r_rejects_pole():
-    surface = catalog.make("plane")
+    surface = make("plane")
     with pytest.raises(Exception):
         laplacian_r(surface, np.array([1e-5]), np.array([0.0]),
                     surface.default_pole())
@@ -222,7 +222,7 @@ def _chart_points(surface, n=400):
 
 @pytest.mark.parametrize("name", sorted(catalog.entries))
 def test_jet_orders_agree_bitwise(name):
-    surface = catalog.make(name)
+    surface = make(name)
     U, V = _chart_points(surface)
     full = surface.jet(U, V, 2)
     assert len(full) == 6
@@ -238,7 +238,7 @@ def test_jet_orders_agree_bitwise(name):
 def test_radial_frames_bitwise_equal_frames(name):
     from extballs.immersion import radial_frames
 
-    surface = catalog.make(name)
+    surface = make(name)
     U, V = _chart_points(surface)
     pole = surface.default_pole()
     full = frames(surface, U, V, pole=pole)
@@ -317,6 +317,6 @@ def test_degenerate_normal_raises():
 
     bad = ParametricSurface(form=SpaceForm(-1.0),
                             domain=((-1, 1), (-1, 1)), jet=jet,
-                            label="spacelike", minimal=False)
+                            label="spacelike")
     with pytest.raises(ImmersionError, match=r"'spacelike'.*<X,X> = -1"):
         frames(bad, np.array([0.1]), np.array([0.2]))

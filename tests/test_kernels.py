@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from extballs.domains.contours import segment_edges
-from extballs.domains.field import cell_cases, corner_views, cut_cells
+from extballs.domains.field import cut_cells
 from extballs.space_forms import stable_acosh
+from oracles import cell_cases, corner_views
 
 
 def _segments(r, t, periodic_u):

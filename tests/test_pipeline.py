@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from extballs import cli, immersion, pipeline, verdicts
-from extballs.catalog import make
 from extballs.domains import GridSpec, balls, build_field, extract_ball
 from extballs.errors import ConfigError, CriticalRadius
 from extballs.functionals import RadiusSeries
 from extballs.immersion import frames
 from extballs.pipeline import make_schedule, run_surface
 from extballs.verdicts import TOLERANCES, build_verdicts
+from oracles import make
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +202,7 @@ def test_minimality_oracle_probes_around_the_run_pole(monkeypatch):
     monkeypatch.setattr(verdicts, "frames", spy)
     build_verdicts(field, RadiusSeries(records=[]),
                    surface_name="hyperbolic_catenoid", ambient="H3",
-                   declared_minimal=True, grid=(64, 64))
+                   declared_minimal=True)
     assert probed
     U, V = (np.concatenate(part) for part in zip(*probed))
     r = surface.form.distance(pole, surface.eval(U, V))
@@ -216,7 +216,7 @@ def test_minimality_oracle_on_a_small_ball():
                         spec=GridSpec(64, 64))
     report = build_verdicts(field, RadiusSeries(records=[]),
                             surface_name="catenoid", ambient="R3",
-                            declared_minimal=True, grid=(64, 64))
+                            declared_minimal=True)
     assert report.measured_minimal
     assert _verdict(report, "minimality_oracle").passed
 

@@ -1,6 +1,7 @@
 """README stays in step with the program it documents."""
 
 import dataclasses
+import importlib
 import json
 import re
 from pathlib import Path
@@ -53,3 +54,29 @@ def test_series_column_list_matches_program():
     listing = re.search(r"Columns:\s+`([^`]+)`", _section("### `series.csv`"))
     listed = [name.strip() for name in listing.group(1).split(",")]
     assert listed == list(RadiusRecord(t=1.0).as_dict())
+
+
+def _resolve(dotted: str):
+    """Import the longest module prefix of a name, then getattr the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            obj = getattr(obj, name)
+        return obj
+    raise ImportError(dotted)
+
+
+def test_dotted_names_resolve():
+    names = set(re.findall(r"`(extballs(?:\.\w+)+)", README))
+    assert names
+    unresolved = []
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except (ImportError, AttributeError):
+            unresolved.append(name)
+    assert unresolved == []

@@ -31,8 +31,7 @@ def test_below_resolution_run_leaves_test_only_code_unreached(
     seen = unreached.reached(lambda: report_runs.write_run(
         tmp_path, report_runs.BELOW_RESOLUTION))
     names = _names(seen)
-    assert {"check_surface", "gauss_equation_residual", "read_report_json",
-            "SpaceForm.geodesic_step"} <= names
+    assert {"_node_on_pole", "_terminal_polygon"} <= names
     assert not {"run_surface", "build_field", "extract_ball", "batch_map",
                 "kg_gaps", "write_report_json"} & names
 
