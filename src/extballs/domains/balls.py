@@ -55,15 +55,6 @@ class BoundarySamples:
         self.e = e
         self.frame = frame
 
-    @staticmethod
-    def concat(parts: list["BoundarySamples"]) -> "BoundarySamples":
-        """Samples of several boundaries as one batch, in the given order."""
-        def join(name):
-            return np.concatenate([getattr(p, name) for p in parts])
-        return BoundarySamples(
-            uv=join("uv"), weight=join("weight"), e=join("e"),
-            frame=FrameBatch.concat([p.frame for p in parts]))
-
     def __len__(self) -> int:
         return len(self.weight)
 

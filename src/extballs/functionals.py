@@ -9,14 +9,15 @@ second-form norm.  ``radius_record`` gathers them into the record of one
 radius.
 
 The two geodesic-curvature routes are the module's central cross-check.
-The trace route differentiates the boundary curve itself: it marches a
-short arc through each sample along the level-curve tangent field,
-projects every step back onto the level set, and applies high-order
-finite differences to the ambient positions of the traced points.  The
-frame route evaluates a closed-form expression in pointwise frame data
-(ambient-sphere mean curvature, second form, and the radial gradient
-split).  They share one sign convention: nu is the outward unit normal
-along the boundary and k_g = -<acc, nu> for an arclength
+Both evaluate the intrinsic Hessian of r on the boundary tangent e, which
+along the level curve {r = t} is |tangential gradient| times k_g (the
+Hessian comparison of L. Jorge and D. Koutroufiotis, Amer. J. Math. 103
+(1981), restricted to a level curve).  The Hessian route differentiates
+the exact first partials of r in the chart and subtracts the Christoffel
+term; the formula route evaluates the ambient comparison in pointwise
+frame data (ambient-sphere mean curvature, second form, and the radial
+gradient split).  They share one sign convention: nu is the outward unit
+normal along the boundary and k_g = -<acc, nu> for an arclength
 parametrization, so a round disk in the plane has k_g = 1/t.
 """
 
@@ -29,10 +30,9 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .domains.balls import BoundarySamples, ExtrinsicBall, coarea_integral
-from .domains.contours import project_to_level
 from .domains.field import DistanceField
 from .errors import ConfigError
-from .immersion import BATCH_POINTS, batch_map, radial_frames
+from .immersion import BATCH_POINTS, radial_frames
 
 __all__ = [
     "EULER_ALPHAS",
@@ -41,169 +41,80 @@ __all__ = [
     "divergence_bound_sides",
     "euler_bound_sides",
     "gb_integrand",
-    "geodesic_curvature_direct",
     "geodesic_curvature_formula",
-    "kg_gaps",
+    "geodesic_curvature_hessian",
     "radius_record",
 ]
 
-# 9-point central first- and second-derivative stencils, 8th order.
-_C1 = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0,
-                4 / 5, -1 / 5, 4 / 105, -1 / 280])
-_C2 = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72,
-                8 / 5, -1 / 5, 8 / 315, -1 / 560])
-_TRACE_SIDE = 4
-# Step arbitration of the trace route (see geodesic_curvature_direct):
-# the per-sample agreement that settles a step, and the most halvings an
-# unsettled sample may take.
-_KG_TOL = 1e-6
-_MAX_HALVINGS = 4
+# 9-point central first-derivative stencil, 8th order, as weights of
+# the differences f(x + k*delta) - f(x - k*delta), k = 1..4.
+_C1 = (4 / 5, -1 / 5, 4 / 105, -1 / 280)
+_OFFSETS = np.array([1, 2, 3, 4, -1, -2, -3, -4], dtype=np.float64)
+# The stencil step of the Hessian route, in grid steps max(h_u, h_v).
+# Truncation falls as step^8: at the 256^2 hyperbolic catenoid's neck
+# radius it reads 7.4e-6 at half a step and 3.5e-8 at a quarter, and the
+# float floor of the frame data (2.9e-8 at t = 9) does not move with it.
+_HESS_STEP = 0.25
+# Samples per radial_frames call: 16 stencil points each.
+_HESS_CHUNK = BATCH_POINTS // 2 // 16
 
 
-def _tangent_unit(fb) -> np.ndarray:
-    return fb.rotate90(fb.gradPr / fb.normGradPr[:, None])
+def _stencil_d1(f: np.ndarray, delta: float) -> np.ndarray:
+    """Derivative at offset 0 from values at ``_OFFSETS`` (first axis)."""
+    return sum(c * (f[k] - f[k + 4]) for k, c in enumerate(_C1)) / delta
 
 
-def _trace_step(field: DistanceField, pts: np.ndarray, e: np.ndarray,
-                step: float, r_target: np.ndarray) -> np.ndarray:
-    """Advance points one signed arclength step along the level curves.
+def _radial_hessian(field: DistanceField, uv: np.ndarray,
+                    delta: float) -> tuple[np.ndarray, ...]:
+    """Chart second partials (r_uu, r_uv, r_vv) of r at chart points.
 
-    ``e`` is the unit level-curve tangent at ``pts``.  Midpoint rule on
-    the unit tangent field, then two Newton projections back to each
-    point's own level value, which pins the normal drift near float
-    precision while keeping the step map smooth.
+    The exact first partials r_i = <radial, F_i> are read at the stencil
+    offsets along u and along v, and differenced once; r_uv averages its
+    two readings.
     """
-    mid = pts + (0.5 * step) * e
-    fbm = radial_frames(field.surface, mid[:, 0], mid[:, 1], pole=field.pole)
-    return project_to_level(field, r_target, pts + step * _tangent_unit(fbm))
+    surf, ip = field.surface, field.surface.form.inner
+    step = delta * _OFFSETS[:, None]
+    out = []
+    for lo in range(0, len(uv), _HESS_CHUNK):
+        u, v = uv[lo:lo + _HESS_CHUNK].T
+        U = np.concatenate([u + step, np.tile(u, (8, 1))])
+        V = np.concatenate([np.tile(v, (8, 1)), v + step])
+        fb = radial_frames(surf, U, V, pole=field.pole)
+        r_u, r_v = ip(fb.radial, fb.Fu), ip(fb.radial, fb.Fv)
+        out.append((_stencil_d1(r_u[:8], delta),
+                    0.5 * (_stencil_d1(r_v[:8], delta)
+                           + _stencil_d1(r_u[8:], delta)),
+                    _stencil_d1(r_v[8:], delta)))
+    return tuple(np.concatenate(part) for part in zip(*out))
 
 
-def _stencil(coef: np.ndarray, traj: np.ndarray,
-             bounds: np.ndarray) -> np.ndarray:
-    """Apply a stencil along the trajectory axis, one product per run.
+def geodesic_curvature_hessian(field: DistanceField,
+                               samples: BoundarySamples) -> np.ndarray:
+    """Boundary geodesic curvature from the intrinsic Hessian of r.
 
-    The BLAS product can round an array's last rows through a different
-    kernel path than the rest, so where a sample sits in its array can
-    move its result by an ulp.  Differencing each run (one ball's
-    samples) as its own array makes a batch reproduce per-run calls
-    bitwise.
+    Along the level curve {r = t} with unit tangent e,
+    k_g = Hess r(e, e) / |tangential gradient|, and in the chart
+    Hess r(e, e) = e^i e^j (r_ij - <F_ij, grad r>), because the
+    Christoffel term Gamma^k_ij r_k is the tangential part of F_ij
+    paired with the gradient (in the Minkowski form on the hyperboloid
+    too, since F is orthogonal to every tangent).  The second partials
+    r_ij come from the exact first partials by an 8th-order stencil of
+    step ``_HESS_STEP`` grid steps, and F_ij from one 2-jet per sample.
+    Neither h(t), N nor the second form enters, which makes this route
+    an independent check of the formula route.
     """
-    parts = np.split(traj, bounds, axis=1)
-    return np.concatenate([np.tensordot(coef, p, axes=1) for p in parts])
-
-
-def _trace_kg(field: DistanceField, fb0, uv0: np.ndarray,
-              delta: float, bounds: np.ndarray) -> np.ndarray:
-    """One trace pass: march in the chart, differentiate in the ambient.
-
-    Between steps only chart points and unit tangents are carried: the
-    first step takes its tangent from the samples' own frames ``fb0``,
-    and after each of the next steps one first-order frame at the
-    projected point gives both the trajectory position and the next
-    tangent; the last step needs a position only.  No frame batch
-    outlives its step.
-
-    The stencils act on ambient positions of the traced points.  Pairing
-    the raw second derivative with the outward normal needs no
-    curvature correction in either ambient model: the flat model has
-    none, and on the hyperboloid the position-vector term of the
-    covariant acceleration is killed by <gamma, nu> = 0.  Differencing
-    ambient positions also sidesteps the poor scaling of chart
-    coordinates far from the pole, where the chart representation of
-    the curve has derivatives growing like cosh r even though the curve
-    itself bends gently.
-    """
-    surf = field.surface
-    r_target = fb0.r
-    traj = np.empty((2 * _TRACE_SIDE + 1,) + fb0.F.shape)
-    traj[_TRACE_SIDE] = fb0.F
-    e0 = _tangent_unit(fb0)
-    for sign in (1, -1):
-        pts, e = uv0, e0
-        for k in range(1, _TRACE_SIDE + 1):
-            pts = _trace_step(field, pts, e, sign * delta, r_target)
-            if k < _TRACE_SIDE:
-                fb = radial_frames(surf, pts[:, 0], pts[:, 1],
-                                   pole=field.pole)
-                traj[_TRACE_SIDE + sign * k] = fb.F
-                e = _tangent_unit(fb)
-            else:
-                traj[_TRACE_SIDE + sign * k] = surf.eval(pts[:, 0],
-                                                         pts[:, 1])
-
-    vel = _stencil(_C1, traj, bounds) / delta
-    acc = _stencil(_C2, traj, bounds) / (delta * delta)
-
-    ip = surf.form.inner
-    nu = fb0.ambient_gradPr() / fb0.normGradPr[:, None]
-    speed_sq = ip(vel, vel)
-    return -ip(acc, nu) / speed_sq
-
-
-def geodesic_curvature_direct(field: DistanceField,
-                              samples: BoundarySamples,
-                              runs: list[int] | None = None) -> np.ndarray:
-    """Boundary geodesic curvature by differentiating the curve itself.
-
-    Marches 4 steps each way from every sample, then applies 8th-order
-    stencils for velocity and acceleration to the ambient positions of
-    the traced points.  The result is parametrization-invariant because
-    the normal acceleration is divided by the squared speed.  The march
-    starts from the tangents of the samples' own frames and reuses the
-    frame at each projected point for its position and next tangent, so
-    a sample costs 15 first-order frames and 1 position per direction
-    and pass.
-
-    The step trades two error sources: stencil truncation shrinks
-    256-fold per halving, while position noise (distance-evaluation
-    jitter scaled by the metric, dominant far from the pole in a
-    hyperbolic ambient) grows 4-fold.  Two passes at 2*delta and delta
-    arbitrate per sample: agreement across that doubling certifies the
-    step is past the truncation knee, in which case the coarser, quieter
-    march wins; clear disagreement marks an underresolved bend (just
-    past a critical radius boundaries turn on a scale the grid-tied step
-    cannot see) and sends the sample into a halving chain that keeps
-    refining while the refinements contract and freezes at the noise
-    floor when they stop contracting at small scale.
-
-    The 2*delta and delta passes are two `batch_map` tasks, so they run
-    at once on two CPUs; the halving chain then runs serially.
-
-    `runs` gives the lengths of consecutive sample runs (one per ball)
-    in a batch of several balls; each run's result then equals a call
-    on that run alone, bit for bit.  By default all samples are one run.
-    """
-    fb0 = samples.frame
-    uv0 = samples.uv
-    delta = 1.5 * max(field.h_u, field.h_v)
-    starts = np.cumsum(runs)[:-1] if runs is not None else np.zeros(0, int)
-
-    coarse, kg = batch_map(
-        lambda step: _trace_kg(field, fb0, uv0, step, starts),
-        (2.0 * delta, delta))
-    m0 = np.abs(kg - coarse)
-    quiet = m0 <= _KG_TOL
-    kg[quiet] = coarse[quiet]
-    active = np.flatnonzero(m0 > 5.0 * _KG_TOL)
-
-    move_prev = m0.copy()
-    for _ in range(_MAX_HALVINGS):
-        if len(active) == 0:
-            break
-        delta *= 0.5
-        refined = _trace_kg(field, fb0[active], uv0[active], delta,
-                            np.searchsorted(active, starts))
-        moved = np.abs(refined - kg[active])
-        settled = moved <= _KG_TOL
-        contracting = moved < move_prev[active]
-        # Growth at small scale is the position-noise floor: freeze.
-        # Growth at large scale is a still-underresolved bend: press on.
-        diverging = ~contracting & (moved > 30.0 * _KG_TOL)
-        take = ~settled & (contracting | diverging)
-        kg[active[take]] = refined[take]
-        move_prev[active[take]] = moved[take]
-        active = active[take]
-    return kg
+    fb = samples.frame
+    ip = field.surface.form.inner
+    uv = samples.uv
+    delta = _HESS_STEP * max(field.h_u, field.h_v)
+    r_uu, r_uv, r_vv = _radial_hessian(field, uv, delta)
+    _, _, _, F_uu, F_uv, F_vv = field.surface.jet(uv[:, 0], uv[:, 1], 2)
+    grad = fb.ambient_gradPr()
+    e1, e2 = samples.e[:, 0], samples.e[:, 1]
+    hess = (e1 * e1 * (r_uu - ip(F_uu, grad))
+            + 2.0 * e1 * e2 * (r_uv - ip(F_uv, grad))
+            + e2 * e2 * (r_vv - ip(F_vv, grad)))
+    return hess / fb.normGradPr
 
 
 def _normal_term(form, samples: BoundarySamples) -> np.ndarray:
@@ -218,62 +129,12 @@ def geodesic_curvature_formula(field: DistanceField,
 
     k_g = [h(t) + <B(e, e), perp gradient of r>] / |tangential gradient|
     with h the inward mean curvature of the ambient geodesic t-sphere.
-    No curve differentiation is involved, which makes this route an
-    independent check of the trace route.
+    No differentiation is involved, which makes this route an
+    independent check of the Hessian route.
     """
     fb = samples.frame
     form = field.surface.form
     return (form.h(fb.r) + _normal_term(form, samples)) / fb.normGradPr
-
-
-def _sample_groups(balls: list[ExtrinsicBall]) -> list[list[ExtrinsicBall]]:
-    """Consecutive balls in groups of at most ``BATCH_POINTS // 2`` samples.
-
-    A group's two trace passes run at once, so together they hold at
-    most ``BATCH_POINTS`` samples.  A ball with more samples than that
-    forms a group of its own.
-    """
-    groups: list[list[ExtrinsicBall]] = []
-    size = 0
-    for ball in balls:
-        n = len(ball.samples)
-        if groups and size + n <= BATCH_POINTS // 2:
-            groups[-1].append(ball)
-            size += n
-        else:
-            groups.append([ball])
-            size = n
-    return groups
-
-
-def kg_gaps(field: DistanceField, balls: list[ExtrinsicBall]) -> list[dict]:
-    """`kg_gap` for several balls of one field, traced in groups.
-
-    Returns one entry per ball, in order.  The trace route runs once per
-    group of consecutive balls holding at most ``BATCH_POINTS // 2``
-    boundary samples (a larger ball is traced alone, see
-    `_sample_groups`), which bounds the trace's working set while
-    sharing each call's overhead within a group.  Its
-    step is set by the grid alone, each traced point keeps its own level
-    value, the halving chain decides per sample and the stencils act per
-    ball, so the result for each ball equals a call on that ball alone,
-    bit for bit, however the balls are grouped.
-    """
-    out = []
-    for group in _sample_groups(balls):
-        samples = [b.samples for b in group]
-        runs = [len(s) for s in samples]
-        direct = geodesic_curvature_direct(
-            field, BoundarySamples.concat(samples), runs=runs)
-        for s, d in zip(samples, np.split(direct, np.cumsum(runs)[:-1])):
-            formula = geodesic_curvature_formula(field, s)
-            out.append({
-                "direct": d,
-                "formula": formula,
-                "max_gap": float(np.max(np.abs(d - formula))),
-                "intKg": float(np.sum(s.weight * formula)),
-            })
-    return out
 
 
 def divergence_bound_sides(field: DistanceField, ball: ExtrinsicBall,
@@ -392,21 +253,26 @@ class RadiusRecord:
         return out
 
 
-def radius_record(field: DistanceField, ball: ExtrinsicBall, kg: dict,
+def radius_record(field: DistanceField, ball: ExtrinsicBall,
                   minimal: bool) -> RadiusRecord:
     """Every per-radius measure of one extracted ball.
 
-    ``kg`` is the ball's `kg_gaps` entry.  The comparison margins and the
-    defect integrand are filled for minimal surfaces only, the defect in
-    a curved ambient only; the rest is filled for every ball.
+    The boundary turning intKg integrates the formula route's k_g, and
+    kg_gap_max is that route's largest distance from the Hessian route.
+    The comparison margins and the defect integrand are filled for
+    minimal surfaces only, the defect in a curved ambient only; the rest
+    is filled for every ball.
     """
     t = ball.t
     R = ball.integrals["normBsq"]
     intK = ball.integrals["K"]
+    formula = geodesic_curvature_formula(field, ball.samples)
+    hessian = geodesic_curvature_hessian(field, ball.samples)
     rec = RadiusRecord(t=t, area=ball.area, length=ball.boundary_length,
                        ends=ball.n_components, min_grad=ball.min_grad,
                        R=R, intK=intK, coarea=coarea_integral(ball),
-                       intKg=kg["intKg"], kg_gap_max=kg["max_gap"])
+                       intKg=float(np.sum(ball.samples.weight * formula)),
+                       kg_gap_max=float(np.max(np.abs(hessian - formula))))
     form = field.surface.form
     rec.chi_hat = (intK + rec.intKg) / (2.0 * math.pi)
     rec.max_B = float(np.sqrt(np.max(ball.samples.frame.normBsq)))

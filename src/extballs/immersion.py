@@ -45,9 +45,9 @@ Jet = tuple[np.ndarray, ...]
 # results stay bitwise those of one batch.  The blocks are independent
 # tasks of `batch_map` (a helper thread per further CPU, and the caller
 # runs every task no helper has started), so as many run at once as the
-# process has CPUs; the cache's and the cut-cell slicer's frame calls
-# and the k_g trace's passes hold at most BATCH_POINTS // 2 points each,
-# so that two tasks at once hold what one batch held on one CPU.
+# process has CPUs; the cache's, the cut-cell slicer's and the Hessian
+# route's frame calls hold at most BATCH_POINTS // 2 points each, so
+# that two tasks at once hold what one batch held on one CPU.
 BATCH_POINTS = 16384
 
 
@@ -214,16 +214,6 @@ class FrameBatch:
         def take(a):
             return None if a is None else a[idx]
         return FrameBatch(**{k: take(v) for k, v in self.__dict__.items()})
-
-    @staticmethod
-    def concat(batches: list["FrameBatch"]) -> "FrameBatch":
-        """Join 1-D batches point-wise; a field absent in one is absent."""
-        def join(name):
-            parts = [getattr(b, name) for b in batches]
-            if any(a is None for a in parts):
-                return None
-            return np.concatenate(parts)
-        return FrameBatch(**{k: join(k) for k in batches[0].__dict__})
 
     def ambient_gradPr(self) -> np.ndarray:
         """The tangential radial gradient as an ambient vector."""

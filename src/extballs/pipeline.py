@@ -2,22 +2,20 @@
 
 One run builds the distance field once, warms the full-cell quadrature
 cache, counts the critical values of r on the field's triangulated grid
-(`critical_scan`; R0 is the largest), then takes four steps: extract the
-ball of every scheduled radius, run the trace route of the
-geodesic-curvature check once over the boundary samples of all those
-balls, build each radius's record from its ball and its share of that
-trace, and assemble the verdicts.  Scheduled radii within 1e-6 of a
-critical value, or below which no grid node lies (no discrete boundary,
-although the true ball always holds the pole), are skipped.
+(`critical_scan`; R0 is the largest), then takes two steps: measure the
+record of every scheduled radius (extract its ball, check the boundary's
+geodesic curvature by the Hessian and formula routes, and gather the
+per-radius functionals), and assemble the verdicts.  Scheduled radii
+within 1e-6 of a critical value, or below which no grid node lies (no
+discrete boundary, although the true ball always holds the pole), are
+skipped.
 
-The field's row blocks, the cache's batches and the first two of those
-steps run on every CPU through `immersion.batch_map`: its caller runs
+The field's row blocks, the cache's batches and the radii of the
+schedule run on every CPU through `immersion.batch_map`: its caller runs
 each item that no helper of its `concurrent.futures.ThreadPoolExecutor`
-has started.  The radii of the schedule are extracted in parallel, and
-the trace's 2*delta and delta passes of each sample group run at once.
-The field and its cell cache are read-only by then, every task is
-independent, and results are collected in item order, so a report does
-not depend on the CPU count.
+has started.  The field and its cell cache are read-only by then, every
+task is independent, and results are collected in item order, so a
+report does not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -28,12 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import lookup
-from .domains.balls import ExtrinsicBall, extract_ball, no_node_note
+from .domains.balls import extract_ball, no_node_note
 from .domains.field import GridSpec, build_field, critical_scan
 from .domains.quadrature import ensure_cell_cache
 from .errors import ConfigError, CriticalRadius
 from .functionals import (EULER_ALPHAS, RadiusRecord, RadiusSeries,
-                          euler_bound_sides, kg_gaps, radius_record)
+                          euler_bound_sides, radius_record)
 from .immersion import batch_map
 from .verdicts import VerdictReport, build_verdicts
 
@@ -103,8 +101,9 @@ def run_surface(name: str, *, params: dict | None = None,
     scan = critical_scan(field, t_min, t_max)
     critical = scan["critical_values"]
 
-    # One extracted ball per radius, or the record of a skipped radius.
+    # The record of one radius, measured on its ball or skipped.
     r_nearest = float(np.min(field.r))
+    minimal = entry.minimal
 
     def step(t):
         t = float(t)
@@ -118,16 +117,12 @@ def run_surface(name: str, *, params: dict | None = None,
             return RadiusRecord(t=t, skipped=True,
                                 note=no_node_note(t, r_nearest))
         try:
-            return extract_ball(field, t)
+            ball = extract_ball(field, t)
         except CriticalRadius as exc:
             return RadiusRecord(t=t, skipped=True, note=str(exc))
+        return radius_record(field, ball, minimal)
 
-    extracted = batch_map(step, schedule)
-    balls = [b for b in extracted if isinstance(b, ExtrinsicBall)]
-    gaps = iter(kg_gaps(field, balls))
-    minimal = entry.minimal
-    records = [radius_record(field, b, next(gaps), minimal)
-               if isinstance(b, ExtrinsicBall) else b for b in extracted]
+    records = batch_map(step, schedule)
 
     series = RadiusSeries(
         records=records,

@@ -29,7 +29,7 @@ __all__ = [
 _NAN = float("nan")
 
 TOLERANCES = {
-    "kg_gap": 1e-5,            # worst formula-vs-trace disagreement
+    "kg_gap": 1e-5,            # worst formula-vs-Hessian disagreement
     "chi_residual": 0.05,      # distance of chi_hat from its integer
     "bound_margin": -1e-6,     # divergence / Euler-growth bound floor
     "iso_margin": -1e-6,       # isoperimetric margin floor
@@ -146,11 +146,11 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
         f"max |H| {max_normH:.2e} vs declared minimal={declared_minimal}")
 
     # Geodesic-curvature identity: the worst disagreement between the
-    # trace route and the frame-formula route across the schedule.
+    # Hessian route and the frame-formula route across the schedule.
     gap = max((rec.kg_gap_max for rec in valid), default=_NAN)
     add("kg_identity", len(valid) > 0,
         bool(gap <= TOLERANCES["kg_gap"]), gap, "kg_gap",
-        f"max |formula - trace| {gap:.2e}")
+        f"max |formula - Hessian| {gap:.2e}")
 
     # Euler-characteristic plateau.
     plateau = series.chi_plateau()

@@ -104,7 +104,7 @@ def _sample_uv(surface, n, r_min, r_max, seed):
 
 
 # ---------------------------------------------------------------------------
-# 1. Geodesic-curvature identity: formula route vs curve-trace route.
+# 1. Geodesic-curvature identity: formula route vs Hessian route.
 
 
 @pytest.mark.parametrize("name", SURFACES)
@@ -112,7 +112,7 @@ def test_c01_geodesic_curvature_identity(runs, name):
     series = runs[name].series
     assert series.valid, "no usable radii"
     worst = max(rec.kg_gap_max for rec in series.valid)
-    assert worst <= 1e-5, f"max |formula - trace| = {worst:.3e}"
+    assert worst <= 1e-5, f"max |formula - Hessian| = {worst:.3e}"
     ball = extract_ball(runs[name].field, series.valid[-1].t)
     assert len(ball.samples) >= MIN_SAMPLES
 

@@ -31,6 +31,7 @@ ABSENT = {
     "extballs.domains.field:frames",
     "extballs.domains.contours:frames",
     "extballs.functionals:frames",
+    "extballs.functionals:geodesic_curvature_direct",
 }
 
 

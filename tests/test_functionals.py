@@ -1,7 +1,7 @@
-"""Tests for per-radius functionals: geodesic curvature by two routes,
-Gauss-Bonnet, the comparison bounds, and the radius-series helpers.
-Per-radius scalars are read from the record the pipeline builds:
-extract_ball, then kg_gaps, then radius_record.
+"""Tests for per-radius functionals: geodesic curvature by two routes
+and the trace oracle, Gauss-Bonnet, the comparison bounds, and the
+radius-series helpers.  Per-radius scalars are read from the record the
+pipeline builds: extract_ball, then radius_record.
 
 Closed-form targets used here:
   - round disk in the plane: k_g = 1/t, chi = 1;
@@ -14,20 +14,23 @@ Closed-form targets used here:
     coarea - h(t) * area, evaluable in closed form on the models.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from extballs import functionals
+from extballs import cli, functionals, immersion, pipeline
 from extballs.domains import build_field, extract_ball
+from extballs.domains.balls import BoundarySamples
 from extballs.errors import ConfigError
 from extballs.functionals import (RadiusRecord, RadiusSeries,
                                   divergence_bound_sides, euler_bound_sides,
-                                  geodesic_curvature_direct,
-                                  geodesic_curvature_formula, kg_gaps,
-                                  radius_record)
-from oracles import make
+                                  geodesic_curvature_formula,
+                                  geodesic_curvature_hessian, radius_record)
+from extballs.pipeline import run_surface
+from extballs.space_forms import SpaceForm
+from oracles import geodesic_curvature_direct, make
 
 COTH1 = 1.3130352854993315
 
@@ -54,44 +57,64 @@ def sphere_field():
 
 def _record(field, t):
     """The record of radius t as the pipeline builds it (minimal surface)."""
-    ball = extract_ball(field, t)
-    return radius_record(field, ball, kg_gaps(field, [ball])[0], True)
+    return radius_record(field, extract_ball(field, t), True)
 
 
 # ---------------------------------------------------------------------------
 # Geodesic curvature: closed forms and route agreement
 
 
+def _kg_routes(field, t):
+    """k_g of the ball of radius t by both routes and by the trace."""
+    samples = extract_ball(field, t).samples
+    return (geodesic_curvature_formula(field, samples),
+            geodesic_curvature_hessian(field, samples),
+            geodesic_curvature_direct(field, samples))
+
+
 def test_plane_circle_kg_both_routes(plane_field):
     for t in (1.0, 2.5):
-        ball = extract_ball(plane_field, t)
-        formula = geodesic_curvature_formula(plane_field, ball.samples)
-        direct = geodesic_curvature_direct(plane_field, ball.samples)
-        assert np.max(np.abs(formula - 1.0 / t)) < 1e-7
-        assert np.max(np.abs(direct - 1.0 / t)) < 1e-5
+        for kg in _kg_routes(plane_field, t):
+            assert np.max(np.abs(kg - 1.0 / t)) < 1e-7
 
 
 def test_h2_circle_kg_both_routes(h2_field):
-    ball = extract_ball(h2_field, 1.0)
-    formula = geodesic_curvature_formula(h2_field, ball.samples)
-    direct = geodesic_curvature_direct(h2_field, ball.samples)
-    assert np.max(np.abs(formula - COTH1)) < 1e-7
-    assert np.max(np.abs(direct - COTH1)) < 1e-5
+    for kg in _kg_routes(h2_field, 1.0):
+        assert np.max(np.abs(kg - COTH1)) < 1e-7
 
 
 def test_sphere_cap_kg_both_routes(sphere_field):
     target = 1.0 / math.sqrt(3.0)
-    ball = extract_ball(sphere_field, 1.0)
-    formula = geodesic_curvature_formula(sphere_field, ball.samples)
-    direct = geodesic_curvature_direct(sphere_field, ball.samples)
-    assert np.max(np.abs(formula - target)) < 1e-7
-    assert np.max(np.abs(direct - target)) < 1e-5
+    for kg in _kg_routes(sphere_field, 1.0):
+        assert np.max(np.abs(kg - target)) < 1e-7
 
 
 def test_kg_gap_catenoid_two_components(catenoid_field):
-    gap = kg_gaps(catenoid_field, [extract_ball(catenoid_field, 5.0)])[0]
-    assert gap["max_gap"] < 1e-5
-    assert len(gap["direct"]) == len(gap["formula"])
+    ball = extract_ball(catenoid_field, 5.0)
+    assert ball.n_components == 2
+    rec = radius_record(catenoid_field, ball, True)
+    formula, hessian, _ = _kg_routes(catenoid_field, 5.0)
+    assert rec.kg_gap_max == np.max(np.abs(hessian - formula)) < 1e-10
+
+
+@pytest.fixture(scope="module")
+def enneper_field():
+    return build_field(make("enneper", t_max=4.0), 4.0)
+
+
+@pytest.mark.parametrize("name, t", [
+    ("catenoid", 1.0), ("catenoid", 3.0), ("catenoid", 5.0),
+    ("enneper", 1.0), ("enneper", 3.0), ("h2_in_h3", 4.0)])
+def test_trace_oracle_matches_formula(name, t, request):
+    # The positions-only trace guards what both frame routes read: the
+    # samples' tangents e and the radial split.  It resolves on these
+    # balls (off critical radii, t >= 1 in H^3); the closed-form tests
+    # above hold it on the plane and at t = 1 on h2_in_h3.
+    field = request.getfixturevalue(
+        {"h2_in_h3": "h2_field"}.get(name, f"{name}_field"))
+    formula, hessian, trace = _kg_routes(field, t)
+    assert np.max(np.abs(trace - formula)) < 1e-6
+    assert np.max(np.abs(hessian - formula)) < 1e-9
 
 
 def test_kg_gap_reports_boundary_turning(plane_field):
@@ -142,7 +165,7 @@ def test_catenoid_curvature_decays(catenoid_field):
 
 def _divergence_sides(field, t):
     ball = extract_ball(field, t)
-    rec = radius_record(field, ball, kg_gaps(field, [ball])[0], True)
+    rec = radius_record(field, ball, True)
     sides = divergence_bound_sides(field, ball, rec.coarea)
     assert rec.div_margin == sides["margin"]
     return sides
@@ -278,46 +301,104 @@ def test_R_growth_partner_on_a_ratio_174_schedule():
     assert series.R_growth_over_doubling() == pytest.approx(6.0 - 4.0)
 
 
-@pytest.fixture(scope="module")
-def catenoid_balls():
-    from extballs.domains import GridSpec
+def test_reports_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    # Each radius's Hessian route runs inside its extraction task, in
+    # chunks of fixed size, so one worker and two write the same bytes.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "surface": "hyperbolic_catenoid", "grid": [192, 192],
+        "schedule": {"t_min": 0.5, "t_max": 6.0, "count": 5}}))
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(immersion, "_WORKERS", workers)
+        monkeypatch.setattr(immersion, "_EXECUTOR", None)
+        out = tmp_path / f"workers{workers}"
+        assert cli.main(["report", str(config), "--out", str(out),
+                         "--quiet"]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("report.json", "series.csv")])
+    assert outputs[1] == outputs[0]
 
-    field = build_field(make("catenoid", t_max=6.0), 6.0,
-                        spec=GridSpec(192, 192))
-    return field, [extract_ball(field, t) for t in (0.5, 1.0, 2.5, 4.0, 6.0)]
+
+# ---------------------------------------------------------------------------
+# Mutations the k_g check must catch, each on a 128^2 catalog run whose
+# unmutated kg_identity passes.
 
 
-@pytest.mark.parametrize("budget", ["default", "small"])
-def test_kg_gaps_batch_equals_per_ball(catenoid_balls, budget, monkeypatch):
-    # kg_gaps traces consecutive balls in groups of at most
-    # BATCH_POINTS // 2 samples (the group's two passes run at once), a
-    # larger ball alone; no grouping moves a bit.  The small budget holds
-    # the first two balls together and leaves the third, larger than it,
-    # on its own.
-    field, balls = catenoid_balls
-    sizes = [len(ball.samples) for ball in balls]
-    if budget == "small":
-        monkeypatch.setattr(functionals, "BATCH_POINTS",
-                            2 * (sizes[0] + sizes[1]))
-        assert sizes[2] > sizes[0] + sizes[1]
-        expected = [sizes[:2], sizes[2:3], sizes[3:4], sizes[4:]]
-    else:
-        expected = [sizes]
-    groups = []
-    direct_route = functionals.geodesic_curvature_direct
+def _edit_samples(monkeypatch, edit):
+    """Apply ``edit`` to every ball's samples as the pipeline extracts it."""
+    extract = pipeline.extract_ball
 
-    def spy(field, samples, runs=None):
-        groups.append(runs)
-        return direct_route(field, samples, runs=runs)
+    def edited(field, t):
+        ball = extract(field, t)
+        edit(ball.samples)
+        return ball
 
-    monkeypatch.setattr(functionals, "geodesic_curvature_direct", spy)
-    batch = kg_gaps(field, balls)
-    assert groups == expected
-    assert kg_gaps(field, []) == []
-    for ball, got in zip(balls, batch):
-        direct = direct_route(field, ball.samples)
-        assert np.array_equal(got["direct"], direct)
-        one = kg_gaps(field, [ball])[0]
-        assert np.array_equal(got["formula"], one["formula"])
-        assert got["max_gap"] == one["max_gap"]
-        assert got["intKg"] == one["intKg"]
+    monkeypatch.setattr(pipeline, "extract_ball", edited)
+
+
+def _rotate_e(samples, angle=1e-3):
+    samples.e = (math.cos(angle) * samples.e
+                 + math.sin(angle) * samples.frame.rotate90(samples.e))
+
+
+def _flip_N(samples):
+    samples.frame.N = -samples.frame.N
+
+
+def _drop_normal_term(monkeypatch):
+    monkeypatch.setattr(functionals, "_normal_term",
+                        lambda form, samples: np.zeros(len(samples)))
+
+
+def _scale_radial(monkeypatch):
+    split = SpaceForm.radial_split
+
+    def scaled(self, o, x):
+        r, radial = split(self, o, x)
+        return r, (1.0 + 1e-4) * radial
+
+    monkeypatch.setattr(SpaceForm, "radial_split", scaled)
+
+
+_TINY_H2 = ("h2_in_h3", dict(t_min=0.01, t_max=0.02, count=2))
+
+MUTATIONS = {
+    "normal_term_dropped": (_drop_normal_term, ("catenoid", {})),
+    "N_flipped": (lambda mp: _edit_samples(mp, _flip_N), ("catenoid", {})),
+    "radial_scaled": (_scale_radial, ("plane", {})),
+    # Both routes read e, so they differ only by h(t) |grad r| angle^2;
+    # that clears the tolerance on tiny balls only, where h(t) ~ 1/t.
+    "e_rotated": (lambda mp: _edit_samples(mp, _rotate_e), _TINY_H2),
+}
+
+
+def _kg_verdict(name, kwargs):
+    res = run_surface(name, grid=(128, 128), **kwargs)
+    return next(v for v in res.report.verdicts if v.name == "kg_identity")
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_kg_identity_catches_mutation(mutation, monkeypatch):
+    apply, (name, kwargs) = MUTATIONS[mutation]
+    clean = _kg_verdict(name, kwargs)
+    assert clean.applicable and clean.passed
+    apply(monkeypatch)
+    mutated = _kg_verdict(name, kwargs)
+    assert mutated.applicable and not mutated.passed
+
+
+def test_trace_oracle_catches_rotated_tangent(catenoid_field):
+    # Off tiny balls, a tangent error moves the formula and Hessian
+    # routes together to first order, and kg_identity stays quiet; the
+    # positions-only trace, which reads e for its first step only, is
+    # what catches it.
+    samples = extract_ball(catenoid_field, 3.0).samples
+    rotated = BoundarySamples(samples.uv, samples.weight, samples.e,
+                              samples.frame)
+    _rotate_e(rotated)
+    formula = geodesic_curvature_formula(catenoid_field, rotated)
+    hessian = geodesic_curvature_hessian(catenoid_field, rotated)
+    trace = geodesic_curvature_direct(catenoid_field, rotated)
+    assert np.max(np.abs(hessian - formula)) < 1e-5
+    assert np.max(np.abs(trace - formula)) > 1e-5

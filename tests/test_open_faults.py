@@ -1,8 +1,8 @@
-"""Known faults, pinned as strict xfails until their ROADMAP item lands.
+"""Faults once pinned as strict xfails, kept as regression tests.
 
-Each test states the correct outcome.  It fails today; when a fix makes
-it pass, the strict marker turns that into a failure, so the marker must
-be removed together with the fault.
+Each test states the correct outcome.  While a fault was open its test
+carried a strict xfail marker, which turned a fix into a failure, so the
+marker went together with the fault.
 """
 
 import pytest
@@ -10,14 +10,22 @@ import pytest
 from extballs.pipeline import run_surface
 
 
-def test_hyperbolic_catenoid_r0_at_256():
-    res = run_surface("hyperbolic_catenoid", grid=(256, 256))
-    assert 1.40 <= res.series.R0 <= 1.50
+@pytest.fixture(scope="module")
+def hyperbolic_catenoid_256():
+    return run_surface("hyperbolic_catenoid", grid=(256, 256))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 4: the k_g trace step 1.5*max(h_u, h_v) is tied to the "
-    "grid and exceeds the radius of a tiny ball (gap 1.51e-3 at t = 0.01)"))
+def test_hyperbolic_catenoid_r0_at_256(hyperbolic_catenoid_256):
+    assert 1.40 <= hyperbolic_catenoid_256.series.R0 <= 1.50
+
+
+def test_hyperbolic_catenoid_kg_gap_at_256(hyperbolic_catenoid_256):
+    # The boundary-marching trace read 9.96e-5 at t = 0.5641 here.
+    res = hyperbolic_catenoid_256
+    assert res.report.exit_status == 0
+    assert all(rec.kg_gap_max <= 1e-6 for rec in res.series.valid)
+
+
 def test_h2_in_h3_tiny_balls_kg_gap():
     res = run_surface("h2_in_h3", grid=(512, 512), t_min=0.01, t_max=0.02,
                       count=2)

@@ -33,7 +33,8 @@ def test_below_resolution_run_leaves_test_only_code_unreached(
     names = _names(seen)
     assert {"_node_on_pole", "_terminal_polygon"} <= names
     assert not {"run_surface", "build_field", "extract_ball", "batch_map",
-                "kg_gaps", "write_report_json"} & names
+                "geodesic_curvature_hessian",
+                "write_report_json"} & names
 
 
 def test_calls_on_other_threads_are_reached():
