@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import (ConfigError, DomainTooSmall, ModelError, PoleOffModel,
-                      PoleSingularity)
+from ..errors import ConfigError, DomainTooSmall, ModelError, PoleOffModel
 from ..immersion import (BATCH_POINTS, ParametricSurface, batch_map,
                          radial_frames)
 
@@ -63,9 +62,9 @@ class DistanceField:
     """Extrinsic distance r on a grid.
 
     A field is read-only once `quadrature.ensure_cell_cache` has filled
-    ``cell_integrals``: the balls of a schedule are extracted from it
-    concurrently (`immersion.batch_map`), so nothing after that point
-    may write to it.
+    ``cell_integrals``: the balls of a schedule are extracted from it in
+    `immersion.batch_map` items, which may run in forked children where
+    a write is lost, so nothing after that point may write to it.
     """
 
     surface: ParametricSurface
@@ -192,6 +191,11 @@ def level_cells(field: DistanceField, tt: float) -> CutCells:
                      field.cell_order[first:stop])
 
 
+# A grid node lies on the pole when kappa r (r on R^3) is below this:
+# `SpaceForm.radial_split`'s threshold, below which the radial direction
+# is undefined.
+_ON_POLE = 1e-12
+
 # A Newton crossing counts as located when r there is this close to the
 # level.
 _CROSSING_RESIDUAL = 1e-8
@@ -255,18 +259,22 @@ def build_field(surface: ParametricSurface, t_max: float,
                 spec: GridSpec | None = None) -> DistanceField:
     """Sample r; check the domain-covers-ball guard.
 
-    The frames run over blocks of whole u-rows of at most
-    ``BATCH_POINTS`` nodes (one row when a row is longer), one
-    `batch_map` task each, and only r is kept, so the batch temporaries
-    stay a block's size while the grid matches one whole-grid batch
-    bitwise.
+    r is the ambient distance of the chart's positions (`surface.eval`,
+    `SpaceForm.distance`), equal bitwise to the r of `radial_frames`.
+    The nodes run in blocks of whole u-rows of at most ``BATCH_POINTS``
+    nodes (one row when a row is longer), one `batch_map` item each
+    that returns its rows of r, so the batch temporaries stay a block's
+    size while the grid matches one whole-grid batch bitwise.  No frame
+    is evaluated here: the degenerate-metric guard (`ImmersionError`)
+    still runs through the cell cache's `frames` at every reached cell.
 
     The guard requires the minimum of r over the outermost node ring (in
     every non-periodic direction) to exceed t_max: otherwise some requested
     ball would leak outside the chart and its area and boundary would be
-    silently truncated.  A node on the pole raises ``ConfigError``.  The
-    field ends with the reached cells sorted by their corner maximum
-    (``cell_order``), which every ball of the schedule reads.
+    silently truncated.  A node on the pole (``_ON_POLE``) raises
+    ``ConfigError``.  The field ends with the reached cells sorted by
+    their corner maximum (``cell_order``), which every ball of the
+    schedule reads.
     """
     if not np.isfinite(t_max) or t_max <= 0.0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
@@ -287,19 +295,19 @@ def build_field(surface: ParametricSurface, t_max: float,
     h_v = (v1 - v0) / spec.n_v
     v_nodes = v0 + h_v * (np.arange(spec.n_v) + 0.5)
 
-    r = np.empty((spec.n_u, spec.n_v))
     rows = max(1, BATCH_POINTS // spec.n_v)
+    form = surface.form
+    on_pole = _ON_POLE / form.kappa if form.curved else _ON_POLE
 
     def sample(start):
-        block = slice(start, start + rows)
-        U, V = np.meshgrid(u_nodes[block], v_nodes, indexing="ij")
-        try:
-            fb = radial_frames(surface, U, V, pole=pole)
-        except PoleSingularity:
-            raise _node_on_pole(surface, pole, U, V, start) from None
-        r[block] = fb.r
+        U, V = np.meshgrid(u_nodes[start:start + rows], v_nodes,
+                           indexing="ij")
+        r = form.distance(pole, surface.eval(U, V))
+        if np.any(r < on_pole):
+            raise _node_on_pole(surface, U, V, r, start)
+        return r
 
-    batch_map(sample, range(0, spec.n_u, rows))
+    r = np.concatenate(batch_map(sample, range(0, spec.n_u, rows)))
     if not np.all(np.isfinite(r)):
         raise ConfigError(
             f"distance field on {surface.label!r} contains non-finite values"
@@ -323,11 +331,11 @@ def build_field(surface: ParametricSurface, t_max: float,
                          cell_order=order, cell_max=cell_max, cell_span=span)
 
 
-def _node_on_pole(surface: ParametricSurface, pole: np.ndarray, U, V,
+def _node_on_pole(surface: ParametricSurface, U, V, r: np.ndarray,
                   first_row: int) -> ConfigError:
-    """The error for a block of grid nodes (U, V) that holds the pole."""
-    d = surface.form.distance(pole, surface.eval(U, V))
-    i, j = np.unravel_index(np.argmin(d), d.shape)
+    """The error for a block of grid nodes (U, V), at distances r from
+    the pole, that holds the pole."""
+    i, j = np.unravel_index(np.argmin(r), r.shape)
     return ConfigError(
         f"grid node ({first_row + i}, {j}) at chart point "
         f"({U[i, j]:.6g}, {V[i, j]:.6g}) lies on the pole, where the radial "

@@ -22,8 +22,7 @@ Gauss-Bonnet).  It is a sum over grid cells, read from the `Level` that
   on a ``"dihedral"`` chart (Enneper, the sphere control) only one
   octant of cells (one quadrant on a non-square grid) is, and
   reflections fill the rest.  The cells are weighted in batches of at
-  most ``BATCH_POINTS`` points, whose frames run as two `batch_map`
-  tasks;
+  most ``BATCH_POINTS`` points, one `batch_map` item each;
 * each cut cell is split at the level curve's two boundary crossings
   into three pieces along the grid axis best aligned with the curve's
   graph direction, and every piece is integrated by four 4-point
@@ -95,9 +94,8 @@ def ensure_cell_cache(field: DistanceField) -> dict[str, np.ndarray]:
       (`_dihedral_cells`);
     * None: every reached cell is integrated, in row-major order.
 
-    Every quadrature batch holds at most ``BATCH_POINTS`` points, and
-    its frames run in two halves, one `batch_map` task each
-    (`_cell_batches`, `_full_cells`).
+    Every quadrature batch holds at most ``BATCH_POINTS`` points and is
+    one `batch_map` item (`_cell_batches`).
     """
     if field.cell_integrals is None:
         i, j = np.divmod(field.cell_order, field.spec.n_v - 1)
@@ -137,11 +135,13 @@ def _distinct(keys: np.ndarray, size: int):
 
 def _cell_batches(field: DistanceField, u0: np.ndarray,
                   v0: np.ndarray) -> tuple[np.ndarray, ...]:
-    """`_full_cells` of whole grid cells, ``BATCH_POINTS`` points a batch."""
+    """`_full_cells` of whole grid cells, ``BATCH_POINTS`` points a batch,
+    one `batch_map` item each."""
     step = BATCH_POINTS // _X3.size ** 2
-    parts = [_full_cells(field, u0[s:s + step], v0[s:s + step],
-                         field.h_u, field.h_v)
-             for s in range(0, len(u0), step)]
+    parts = batch_map(lambda s: _full_cells(field, u0[s:s + step],
+                                            v0[s:s + step],
+                                            field.h_u, field.h_v),
+                      range(0, len(u0), step))
     if not parts:
         return tuple(np.zeros(0) for _ in CHANNELS)
     return tuple(np.concatenate(channel) for channel in zip(*parts))
@@ -246,9 +246,9 @@ def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
     weight: a side piece of zero width or an empty across interval weighs
     zero, so at most 32 of a cell's 48 points are evaluated.  Those
     points go to `frames` in slices of at most ``BATCH_POINTS // 2``
-    (the balls of a schedule are extracted two or more at once), and the
-    densities are joined before the per-cell sums, so the result is
-    bitwise that of one frame batch.
+    (the balls of a schedule are extracted in two or more processes at
+    once), and the densities are joined before the per-cell sums, so the
+    result is bitwise that of one frame batch.
 
     ``solve`` places the boundary crossings (see `_cell_crossings`).
     Returns (contrib: one (n,) array per channel, ok: (n,) bool); the
@@ -342,22 +342,16 @@ def _full_cells(field: DistanceField, u0, v0, hu: float,
                 hv: float) -> tuple[np.ndarray, ...]:
     """GL3x3 integrals per channel of whole (sub)cells with origins u0, v0.
 
-    The frames run in two halves of the cells, one `batch_map` task
-    each, so two tasks at once hold the points of one call; the
-    densities are pointwise, and one product per channel weights all
-    the cells, so the integrals are bitwise those of one frame batch.
+    One product per channel weights all the cells' pointwise densities,
+    so the integrals are bitwise those of one frame batch.
     """
     x, w = _X3, _W3
     wgrid = (w[:, None] * w[None, :]).ravel() * hu * hv
     ugrid = (hu * x)[:, None].repeat(len(x), axis=1).ravel()
     vgrid = (hv * x)[None, :].repeat(len(x), axis=0).ravel()
-    mid = len(u0) // 2
-    halves = batch_map(
-        lambda part: _densities(frames(field.surface,
-                                       u0[part, None] + ugrid[None, :],
-                                       v0[part, None] + vgrid[None, :])),
-        (slice(None, mid), slice(mid, None)))
-    return tuple(np.concatenate(dens) @ wgrid for dens in zip(*halves))
+    dens = _densities(frames(field.surface, u0[:, None] + ugrid[None, :],
+                             v0[:, None] + vgrid[None, :]))
+    return tuple(d @ wgrid for d in dens)
 
 
 _POLY_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))

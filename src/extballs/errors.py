@@ -42,7 +42,13 @@ class CriticalRadius(GeometryError):
 
     def __init__(self, t: float, detail: str = ""):
         self.t = t
+        self.detail = detail
         msg = f"radius t={t:.6g} meets a critical level of the distance"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+    def __reduce__(self):
+        # args holds only the message: rebuild from (t, detail), so the
+        # error survives pickling (a `batch_map` item run in a worker).
+        return type(self), (self.t, self.detail)

@@ -21,13 +21,18 @@ F_ij + b g_ij F on the hyperboloid (<F_ij, F>_M = -g_ij by differentiating
 tangency).  The correction is orthogonal to N in exact arithmetic, but
 <F, N> carries roundoff that g_ij ~ e^{2r} amplifies: without it b_11 is
 off by 0.1 at r in (6, 7).
+
+`batch_map` runs the independent items of a field (row blocks, cache
+batches, radii) on every CPU, in the caller and forked worker
+processes, with results in item order whatever the CPU count.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -43,11 +48,8 @@ Jet = tuple[np.ndarray, ...]
 # most this many points (one larger unit, a grid row or a ball's
 # boundary, goes alone), so the batch temporaries stay small while the
 # results stay bitwise those of one batch.  The blocks are independent
-# tasks of `batch_map` (a helper thread per further CPU, and the caller
-# runs every task no helper has started), so as many run at once as the
-# process has CPUs; the cache's, the cut-cell slicer's and the Hessian
-# route's frame calls hold at most BATCH_POINTS // 2 points each, so
-# that two tasks at once hold what one batch held on one CPU.
+# items of `batch_map`, so each process of a map holds at most one
+# block's temporaries at a time.
 BATCH_POINTS = 16384
 
 
@@ -58,58 +60,133 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# Threads that run one map's items: the caller plus _WORKERS - 1 helpers.
+# Processes that run one map's items: the caller plus _WORKERS - 1
+# forked children.
 _WORKERS = _cpu_count()
 
-# The helpers, made on first use; `_LOCAL.inside` marks a thread that
-# runs a map's items, so that a map called from an item runs inline.
-_EXECUTOR: ThreadPoolExecutor | None = None
+# Claims of one map, each a run of consecutive items named by its first
+# index as a 4-byte token: at most one page of tokens, which a pipe
+# always holds, so they are written before any child exists.
+_MAX_CLAIMS = 1024
+
+# `_LOCAL.inside` marks a thread that runs a map's items (and every
+# child, which forks from such a thread), so that a map called from an
+# item runs inline.
 _LOCAL = threading.local()
-
-
-def _mark_inside() -> None:
-    _LOCAL.inside = True
-
-
-# A forked child has none of its parent's helper threads.
-os.register_at_fork(after_in_child=lambda: globals().update(_EXECUTOR=None))
 
 
 def batch_map(fn: Callable, items: Iterable) -> list:
     """[fn(x) for x in items], with the items spread over the CPUs.
 
-    The items go to a `concurrent.futures.ThreadPoolExecutor` of
-    ``_WORKERS - 1`` helper threads, made on first use, and the calling
-    thread runs, in order, each one no helper has started yet.  NumPy
-    releases the GIL inside its loops, so batches of many points run in
-    parallel.  Results come back in item order, and the first exception
-    in item order is raised, as the serial loop would; items after a
-    raised one may not run, and none still runs when the map ends.
-    A map called from inside an item runs inline.  Items must be
-    independent, so a result never depends on the CPU count.
+    A map of two or more items forks ``_WORKERS - 1`` children.  The
+    caller and the children claim the items in order from one pipe of
+    claim tokens (a 4-byte read from a pipe is atomic) and run each
+    claimed item inline, so a process that finishes early takes the next
+    claim.  A child pickles back its ``{index: (ok, result or
+    exception)}`` through a pipe of its own and leaves by `os._exit`;
+    the caller reaps every child before it returns, also when an item
+    or the caller itself raises.  Results come back in item order, and
+    the first exception in item order is raised, as the serial loop
+    would; a process whose item raises withdraws the unclaimed items,
+    so later items may not run.
+
+    Items must be independent and return what they compute: a write
+    made in a child is lost.  A map called from inside an item runs
+    inline, and so does every map on one CPU or where `os.fork` does not
+    exist.  Results never depend on the CPU count.  Workers are forked,
+    not spawned, because the items read the caller's field and cell
+    cache, which a spawned worker would have to receive pickled; the
+    package starts no thread, so a fork copies no lock another thread
+    holds.
     """
-    global _EXECUTOR
     items = list(items)
-    if min(_WORKERS, len(items)) <= 1 or getattr(_LOCAL, "inside", False):
+    workers = min(_WORKERS, len(items))
+    if (workers <= 1 or getattr(_LOCAL, "inside", False)
+            or not hasattr(os, "fork")):
         return [fn(x) for x in items]
-    if _EXECUTOR is None:
-        _EXECUTOR = ThreadPoolExecutor(_WORKERS - 1, "extballs", _mark_inside)
-    futures = [_EXECUTOR.submit(fn, x) for x in items]
+    per = -(-len(items) // _MAX_CLAIMS)
+    claims, ready = os.pipe()
+    os.write(ready, b"".join(start.to_bytes(4, "little")
+                             for start in range(0, len(items), per)))
+    os.close(ready)
+    children, sent, outcome = [], [], {}
     _LOCAL.inside = True
     try:
-        for i, x in enumerate(items):
-            if futures[i].cancel():          # no helper has started it
-                futures[i] = Future()
-                try:
-                    futures[i].set_result(fn(x))
-                except BaseException as exc:  # noqa: BLE001 - re-raised
-                    futures[i].set_exception(exc)
-                    break
+        for _ in range(workers - 1):
+            back, send = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(back)
+                _child(fn, items, per, claims, send)
+            os.close(send)
+            children.append((pid, back))
+        _run_claims(fn, items, per, claims, outcome)
     finally:
         _LOCAL.inside = False
-        # Cancel what no thread has started; wait for all the rest.
-        wait([future for future in futures if not future.cancel()])
-    return [future.result() for future in futures]
+        _withdraw(claims)          # when the caller raised
+        for pid, back in children:
+            with os.fdopen(back, "rb") as stream:
+                data = stream.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            sent.append((status, data))
+        os.close(claims)
+    for status, data in sent:
+        if status == 0:
+            outcome.update(pickle.loads(data))
+    results = []
+    for i in range(len(items)):
+        if i not in outcome:
+            raise RuntimeError(
+                f"batch_map: item {i} has no result; worker exit statuses "
+                f"{[status for status, _ in sent]}")
+        ok, value = outcome[i]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _run_claims(fn: Callable, items: list, per: int, claims: int,
+                outcome: dict) -> None:
+    """Run the items of each claim read from ``claims`` into ``outcome``,
+    until no claim is left or an item raises."""
+    while token := os.read(claims, 4):
+        start = int.from_bytes(token, "little")
+        for i in range(start, min(start + per, len(items))):
+            try:
+                outcome[i] = (True, fn(items[i]))
+            except Exception as exc:  # noqa: BLE001 - raised by the caller
+                outcome[i] = (False, exc)
+                _withdraw(claims)
+                return
+
+
+def _withdraw(claims: int) -> None:
+    """Take every claim left in the pipe, so no process starts another.
+
+    Every write end is closed before the first fork, so the pipe reads
+    empty instead of blocking, and a read of a multiple of 4 bytes takes
+    whole tokens.
+    """
+    while os.read(claims, 4096):
+        pass
+
+
+def _child(fn: Callable, items: list, per: int, claims: int,
+           send: int) -> None:
+    """A forked worker: run claims, send back the outcomes, exit."""
+    status = 1
+    try:
+        outcome = {}
+        _run_claims(fn, items, per, claims, outcome)
+        with os.fdopen(send, "wb") as stream:
+            stream.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    except Exception:  # noqa: BLE001 - reported, and the status says so
+        traceback.print_exc()
+    finally:
+        # Never return into the caller's stack, nor flush its buffers.
+        os._exit(status)
 
 
 # The values of `ParametricSurface.symmetry`.

@@ -11,11 +11,11 @@ discrete boundary, although the true ball always holds the pole), are
 skipped.
 
 The field's row blocks, the cache's batches and the radii of the
-schedule run on every CPU through `immersion.batch_map`: its caller runs
-each item that no helper of its `concurrent.futures.ThreadPoolExecutor`
-has started.  The field and its cell cache are read-only by then, every
-task is independent, and results are collected in item order, so a
-report does not depend on the CPU count.
+schedule run on every CPU through `immersion.batch_map`: the caller and
+one forked child per further CPU claim the items in order, and each item
+returns what it computes.  The field and its cell cache are read-only by
+then, every item is independent, and results are collected in item
+order, so a report does not depend on the CPU count.
 """
 
 from __future__ import annotations

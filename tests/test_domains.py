@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from extballs import immersion
 from extballs.catalog.charts import plane_chart, sphere_cap_chart
 from extballs.domains import (GridSpec, build_field, coarea_integral,
                               critical_scan, extract_ball, extract_loops,
@@ -77,21 +78,24 @@ def test_bad_t_max():
 @pytest.mark.parametrize("name", ["catenoid", "enneper"])
 def test_field_blocks_equal_one_batch(name, monkeypatch):
     # Seven u-rows per block leave a ragged last block of five rows; r
-    # matches one whole-grid batch bit for bit, on a u-periodic chart
-    # (catenoid) and a non-periodic one (Enneper).
+    # matches one whole-grid batch of radial_frames bit for bit, on a
+    # u-periodic chart (catenoid) and a non-periodic one (Enneper).  One
+    # worker, so the spy sees every block.
     surface = make(name, t_max=3.0)
     spec = GridSpec(96, 80)
     blocks = []
 
-    def spy(surface, U, V, *args, **kwargs):
-        blocks.append((U[0, 0], U.shape[0]))
-        return radial_frames(surface, U, V, *args, **kwargs)
+    def jet(U, V, order):
+        if np.ndim(U) == 2:                 # a block, not the pole
+            blocks.append((U.shape[0], order))
+        return surface.jet(U, V, order)
 
+    monkeypatch.setattr(immersion, "_WORKERS", 1)
     monkeypatch.setattr(field_module, "BATCH_POINTS", 7 * 80 + 3)
-    monkeypatch.setattr(field_module, "radial_frames", spy)
-    field = build_field(surface, 3.0, spec=spec)
-    # The blocks may run in any order; in grid order they are these.
-    assert [rows for _, rows in sorted(blocks)] == [7] * 13 + [5]
+    field = build_field(dataclasses.replace(surface, jet=jet), 3.0,
+                        spec=spec)
+    # Positions only: one order-0 jet per block.
+    assert blocks == [(7, 0)] * 13 + [(5, 0)]
     U, V = np.meshgrid(field.u_nodes, field.v_nodes, indexing="ij")
     whole = radial_frames(surface, U, V, pole=field.pole)
     assert np.array_equal(field.r, whole.r)
@@ -594,21 +598,21 @@ def test_dihedral_cache_matches_per_cell(name, case, monkeypatch):
 @pytest.mark.parametrize("symmetry", ["dihedral", None])
 def test_cell_cache_batches(symmetry, monkeypatch):
     # Every quadrature batch of the cache holds BATCH_POINTS // 9 whole
-    # cells, the last one the rest, and its frames run in two halves; the
-    # batches change no cell beyond roundoff.
+    # cells, the last one the rest, in one frames call; the batches
+    # change no cell beyond roundoff.  One worker, so the spy sees every
+    # batch.
     surface = dataclasses.replace(make("enneper", t_max=4.0),
                                   symmetry=symmetry)
     field = build_field(surface, 4.0, spec=GridSpec(96, 96))
     whole = ensure_cell_cache(field)
     field.cell_integrals = None
+    monkeypatch.setattr(immersion, "_WORKERS", 1)
     monkeypatch.setattr(quadrature, "BATCH_POINTS", 9 * 100 + 5)
     points = _frame_spy(monkeypatch)
     cache = ensure_cell_cache(field)
-    assert len(points) > 4 and len(points) % 2 == 0
-    halves = list(zip(points[::2], points[1::2]))
-    assert halves[:-1] == [(450, 450)] * (len(halves) - 1)
-    low, high = halves[-1]
-    assert 0 < low + high <= 900 and abs(high - low) in (0, 9)
+    assert len(points) > 2
+    assert points[:-1] == [900] * (len(points) - 1)
+    assert 0 < points[-1] <= 900
     for channel in quadrature.CHANNELS:
         scale = np.max(np.abs(whole[channel]))
         assert np.max(np.abs(cache[channel] - whole[channel])) <= (

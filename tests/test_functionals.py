@@ -302,22 +302,23 @@ def test_R_growth_partner_on_a_ratio_174_schedule():
 
 
 def test_reports_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
-    # Each radius's Hessian route runs inside its extraction task, in
-    # chunks of fixed size, so one worker and two write the same bytes.
+    # Each radius's Hessian route runs inside its extraction item, in
+    # chunks of fixed size, so one, two and three workers write the same
+    # bytes.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "surface": "hyperbolic_catenoid", "grid": [192, 192],
         "schedule": {"t_min": 0.5, "t_max": 6.0, "count": 5}}))
     outputs = []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         monkeypatch.setattr(immersion, "_WORKERS", workers)
-        monkeypatch.setattr(immersion, "_EXECUTOR", None)
         out = tmp_path / f"workers{workers}"
         assert cli.main(["report", str(config), "--out", str(out),
                          "--quiet"]) == 0
         outputs.append([(out / name).read_bytes()
                         for name in ("report.json", "series.csv")])
     assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,16 @@ logic, verdict applicability, schedule handling, and report assembly.
 import importlib
 import json
 import math
+import os
+import pickle
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from extballs import cli, immersion, pipeline, verdicts
+from extballs import cli, errors, immersion, pipeline, verdicts
 from extballs.domains import GridSpec, balls, build_field, extract_ball
 from extballs.errors import ConfigError, CriticalRadius
 from extballs.functionals import RadiusSeries
@@ -284,33 +288,43 @@ def test_default_tolerances_are_complete():
 
 
 def _set_workers(monkeypatch, workers):
-    # A fresh executor, so that a map really runs workers - 1 helpers.
     monkeypatch.setattr(immersion, "_WORKERS", workers)
-    monkeypatch.setattr(immersion, "_EXECUTOR", None)
 
 
-def test_run_surface_threads_come_from_one_lazy_pool(monkeypatch):
-    # A run on one CPU starts no thread.  With three, the first run
-    # starts the executor's two helpers and a second run reuses them.
-    import threading
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    started = []
-    start = threading.Thread.start
 
-    def record(thread):
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", record)
+def test_run_surface_forks_only_on_several_cpus(monkeypatch):
+    # On one CPU, or where os.fork does not exist, a run forks nothing.
+    # On three CPUs the maps fork two children each, and every child is
+    # reaped by the time the run returns.
     kwargs = dict(t_min=0.5, t_max=2.0, count=4, grid=(64, 64))
+    fork = os.fork
+
+    def failing():
+        raise AssertionError("forked on one CPU")
+
     _set_workers(monkeypatch, 1)
-    run_surface("plane", **kwargs)
-    assert started == []
+    monkeypatch.setattr(os, "fork", failing)
+    one = run_surface("plane", **kwargs).report.as_dict()
     _set_workers(monkeypatch, 3)
-    run_surface("plane", **kwargs)
-    assert len(started) == 2
-    run_surface("plane", **kwargs)
-    assert len(started) == 2
+    monkeypatch.delattr(os, "fork")
+    assert run_surface("plane", **kwargs).report.as_dict() == one
+
+    forks = []
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted, raising=False)
+    assert run_surface("plane", **kwargs).report.as_dict() == one
+    assert forks and len(forks) % 2 == 0
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +347,7 @@ def test_reports_do_not_depend_on_the_cpu_count(doc, tmp_path, monkeypatch):
         out = tmp_path / f"workers{workers}"
         assert cli.main(["report", str(config), "--out", str(out),
                          "--quiet"]) in (0, 1, 2)
+        _assert_no_child_left()
         outputs.append([(out / name).read_bytes()
                         for name in ("report.json", "series.csv")])
     assert outputs[1] == outputs[0]
@@ -341,7 +356,8 @@ def test_reports_do_not_depend_on_the_cpu_count(doc, tmp_path, monkeypatch):
 
 def test_first_failing_radius_raises_on_every_cpu_count(monkeypatch):
     # The middle radius raises, and a later one raises another message;
-    # every worker count raises the middle one, as the serial loop does.
+    # every worker count raises the middle one, as the serial loop does,
+    # and leaves no child behind.
     schedule = make_schedule(0.5, 2.0, 5)
     extract = pipeline.extract_ball
 
@@ -360,114 +376,125 @@ def test_first_failing_radius_raises_on_every_cpu_count(monkeypatch):
             run_surface("plane", t_min=0.5, t_max=2.0, count=5,
                         grid=(64, 64))
         messages.append(str(info.value))
+        _assert_no_child_left()
     assert messages == [f"middle radius {schedule[2]}"] * 3
 
 
 def test_batch_map_contract(monkeypatch):
-    # Results in item order, whichever thread ran them; a nested map runs
-    # inline and returns; the first exception in item order is raised
-    # even when a later item raises first.
-    import time
-
+    # Results in item order, whichever process ran them; a nested map
+    # runs inline, in the process of its outer item; the first exception
+    # in item order is raised with its type even when a later item
+    # raises first; no child is left after either map.
     _set_workers(monkeypatch, 3)
     assert immersion.batch_map(lambda x: x * x, range(50)) == [
         x * x for x in range(50)]
     nested = immersion.batch_map(
-        lambda x: immersion.batch_map(lambda y: 10 * x + y, range(3)),
+        lambda x: (os.getpid(), immersion.batch_map(
+            lambda y: (os.getpid(), 10 * x + y), range(3))),
         range(4))
-    assert nested == [[10 * x + y for y in range(3)] for x in range(4)]
+    for x, (pid, inner) in enumerate(nested):
+        assert inner == [(pid, 10 * x + y) for y in range(3)]
     assert immersion.batch_map(abs, []) == []
+    assert immersion.batch_map(abs, [-2]) == [2]
+    _assert_no_child_left()
 
     def item(x):
         if x == 1:
             time.sleep(0.05)
             raise ValueError("item 1")
         if x == 2:
-            raise ValueError("item 2")
+            raise KeyError("item 2")
         return x
 
     with pytest.raises(ValueError, match="item 1"):
         immersion.batch_map(item, range(4))
+    _assert_no_child_left()
 
 
 def test_batch_map_under_contention(monkeypatch):
-    # More workers than CPUs and a tiny switch interval: every item runs
-    # once and lands in its slot, and no map hangs.
-    import sys
-    import threading
-
+    # More workers than CPUs, all claiming from one pipe: every item runs
+    # once and lands in its slot, also in a map of more items than one
+    # pipe holds tokens (16384), and no map hangs.
     _set_workers(monkeypatch, 6)
-    got = []
 
-    def maps():
-        for _ in range(50):
-            got.append(immersion.batch_map(lambda x: x + 1, range(40)))
+    def timeout(signum, frame):
+        raise TimeoutError("a map hung")
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(120)
     try:
-        caller = threading.Thread(target=maps)
-        caller.start()
-        caller.join(timeout=60)
+        got = [immersion.batch_map(lambda x: x + 1, range(40))
+               for _ in range(20)]
+        many = immersion.batch_map(lambda x: 2 * x, range(20000))
     finally:
-        sys.setswitchinterval(interval)
-    assert not caller.is_alive()
-    assert got == [list(range(1, 41))] * 50
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got == [list(range(1, 41))] * 20
+    assert many == list(range(0, 40000, 2))
+    _assert_no_child_left()
 
 
-def test_batch_map_raises_after_every_item_has_finished(monkeypatch):
-    # Item 0 raises once item 1 runs on another thread; the map raises
-    # only after item 1 has finished, so no item outlives its map.
-    import threading
-    import time
-
+def test_batch_map_raises_after_every_item_has_finished(monkeypatch,
+                                                         tmp_path):
+    # Item 0 raises once item 1 has started in the other process; the
+    # map raises only after item 1 has finished and its process has been
+    # reaped, so no item outlives its map.
     _set_workers(monkeypatch, 2)
-    running, finished = threading.Event(), threading.Event()
+    started, finished = tmp_path / "started", tmp_path / "finished"
 
     def item(x):
         if x == 0:
-            assert running.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
             raise ValueError("item 0")
-        running.set()
+        started.touch()
         time.sleep(0.2)
-        finished.set()
+        finished.touch()
         return x
 
     with pytest.raises(ValueError, match="item 0"):
         immersion.batch_map(item, range(2))
-    assert finished.is_set()
+    assert finished.exists()
+    _assert_no_child_left()
 
 
-def _forked_map():
-    # Both items wait for each other: the map completes only when a
-    # helper thread runs one of them next to the caller.
-    import threading
-
-    barrier = threading.Barrier(2)
+def test_batch_map_in_a_forked_child(monkeypatch, tmp_path):
+    # Items run in the child raise CriticalRadius there, and the caller's
+    # item waits until one has, so the child runs at least one; the
+    # caller re-raises the first in item order with its type, message
+    # and radius.
+    _set_workers(monkeypatch, 2)
+    caller, raised = os.getpid(), tmp_path / "raised"
 
     def item(x):
-        barrier.wait(timeout=10)
-        return x
+        if os.getpid() == caller:
+            deadline = time.monotonic() + 10
+            while not raised.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return x
+        raised.touch()
+        raise CriticalRadius(1.25, f"item {x}")
 
-    assert immersion.batch_map(item, range(2)) == [0, 1]
+    with pytest.raises(CriticalRadius) as info:
+        immersion.batch_map(item, range(4))
+    assert type(info.value) is CriticalRadius and info.value.t == 1.25
+    assert str(info.value).startswith("radius t=1.25 meets a critical level")
+    _assert_no_child_left()
 
 
-def test_batch_map_in_a_forked_child(monkeypatch):
-    # A child forked after the helpers have started makes helpers of its
-    # own: the parent's threads do not exist in it.
-    import multiprocessing
-
-    _set_workers(monkeypatch, 2)
-    assert immersion.batch_map(lambda x: x + 1, range(4)) == [1, 2, 3, 4]
-    assert immersion._EXECUTOR is not None
-    child = multiprocessing.get_context("fork").Process(
-        target=_forked_map)
-    child.start()
-    child.join(timeout=60)
-    if child.is_alive():
-        child.kill()
-        child.join(timeout=10)
-    assert child.exitcode == 0
+@pytest.mark.parametrize("cls", [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.GeometryError)],
+    ids=lambda cls: cls.__name__)
+def test_errors_survive_pickling(cls):
+    # Each error crosses the process boundary of a batch_map item with
+    # its type, message and (for CriticalRadius) its radius.
+    exc = cls(1.25, "detail") if cls is CriticalRadius else cls("message")
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc)
+    assert getattr(back, "t", None) == getattr(exc, "t", None)
 
 
 @pytest.mark.parametrize("count", [2, 3])

@@ -1,7 +1,6 @@
 """tools/unreached.py lists the package functions a run never calls."""
 
 import importlib.util
-import threading
 from pathlib import Path
 
 from extballs import immersion
@@ -24,10 +23,7 @@ def _names(seen):
     return {line.split()[1] for line in unreached.unreached_lines(seen)}
 
 
-def test_below_resolution_run_leaves_test_only_code_unreached(
-        tmp_path, monkeypatch):
-    # Fresh helper threads, started under the hook; the test drops them.
-    monkeypatch.setattr(immersion, "_EXECUTOR", None)
+def test_below_resolution_run_leaves_test_only_code_unreached(tmp_path):
     seen = unreached.reached(lambda: report_runs.write_run(
         tmp_path, report_runs.BELOW_RESOLUTION))
     names = _names(seen)
@@ -37,14 +33,16 @@ def test_below_resolution_run_leaves_test_only_code_unreached(
                 "write_report_json"} & names
 
 
-def test_calls_on_other_threads_are_reached():
-    thread = threading.Thread(target=immersion._cpu_count)
+def test_calls_inside_map_items_are_reached(monkeypatch):
+    # The work runs on one worker, so the items of a map that would fork
+    # on two CPUs run, and are seen, in this process; the worker count is
+    # restored afterwards.
+    monkeypatch.setattr(immersion, "_WORKERS", 2)
 
     def work():
-        thread.start()
-        thread.join(timeout=10)
+        immersion.batch_map(lambda _: immersion._cpu_count(), range(2))
 
     names = _names(unreached.reached(work))
-    assert not thread.is_alive()
-    assert "_cpu_count" not in names
-    assert "batch_map" in names
+    assert not {"_cpu_count", "batch_map"} & names
+    assert "_child" in names
+    assert immersion._WORKERS == 2

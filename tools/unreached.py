@@ -6,12 +6,12 @@ Runs, in this process, the reference runs of ``tools/report_runs.py``,
 ``extballs catalog list`` and one ``extballs sweep`` (``configs/quick.json``
 over two grids), then prints one line per function or method defined in
 ``src/extballs`` that none of them called, as ``path:line name``.  Calls
-are seen through a profiler hook on every thread (``sys.setprofile`` and
-``threading.setprofile``): ``batch_map``'s helper threads run items the
-calling thread never does.  The package is imported under the hook, so
-what runs at import counts as reached.  A lambda or comprehension counts
-as part of the function that holds it.  Exits 0, or 1 with a traceback
-when a run raises.
+are seen through a profiler hook (``sys.setprofile``), and the work runs
+on one worker (``extballs.immersion._WORKERS = 1``): the hook cannot see
+the calls of ``batch_map`` items run in forked children.  The package is
+imported under the hook, so what runs at import counts as reached.  A
+lambda or comprehension counts as part of the function that holds it.
+Exits 0, or 1 with a traceback when a run raises.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ import io
 import os
 import sys
 import tempfile
-import threading
 from pathlib import Path
 from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "extballs"
+sys.path.insert(0, str(ROOT / "src"))
 
 
 def defined() -> dict[tuple[str, int], str]:
@@ -58,27 +58,26 @@ def defined() -> dict[tuple[str, int], str]:
 
 
 def reached(work: Callable[[], object]) -> set[tuple[str, int]]:
-    """(file, first line) of every function called while ``work()`` runs.
-
-    Calls count on the calling thread and on every thread started while
-    ``work()`` runs; threads started before it are not seen.
-    """
+    """(file, first line) of every function called while ``work()`` runs,
+    with every `batch_map` item run in this process."""
     codes = set()
 
     def hook(frame, event, arg):
         if event == "call":
             codes.add(frame.f_code)
 
-    threading.setprofile(hook)
     sys.setprofile(hook)
     try:
-        work()
+        from extballs import immersion
+        workers, immersion._WORKERS = immersion._WORKERS, 1
+        try:
+            work()
+        finally:
+            immersion._WORKERS = workers
     finally:
         sys.setprofile(None)
-        threading.setprofile(None)
-    # A helper thread started under the hook keeps it: take a snapshot.
     return {(os.path.realpath(code.co_filename), code.co_firstlineno)
-            for code in list(codes)}
+            for code in codes}
 
 
 def unreached_lines(seen: set[tuple[str, int]]) -> list[str]:
