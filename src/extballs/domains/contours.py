@@ -10,9 +10,10 @@ survives).  The contours and the ball quadrature both read that one
 `Level`:
 
 * the segments, read as a graph on the cut edges, split into closed
-  components by connectivity alone (``extract_loops``); seam edges
-  already share global ids, so the periodic seam needs no special
-  casing, and no component is ever walked in order;
+  components by connectivity alone (``extract_loops``, labelled by
+  ``component_labels``); seam edges already share global ids, so the
+  periodic seam needs no special casing, and no component is ever
+  walked in order;
 * each cut cell reads its edges' crossings back (``Level.cell_edges``),
   so the quadrature slices its cells without a second solve;
 * a segment on a u-periodic chart reaches its far end at the nearest
@@ -27,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ..errors import GeometryError
 from ..immersion import radial_frames
@@ -184,6 +183,38 @@ def solve_level(field: DistanceField, tt: float, cells: CutCells) -> Level:
                  located=located, segments=ends.reshape(2, -1).T)
 
 
+def component_labels(n: int, pairs: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of the graph on n nodes with edges ``pairs``.
+
+    Returns the component count and each node's component, numbered in
+    the order of the components' smallest nodes.  Every node points to
+    a smaller-or-equal node, and a root (a node that points to itself)
+    is its tree's smallest node.  Each round hooks the root of every
+    edge end to the smaller of the two ends' roots, then jumps pointers
+    until every node points at its root; it ends when no edge joins two
+    trees.  Each tree that an edge still joins to another merges in a
+    round, so the rounds number O(log n).
+    """
+    parent = np.arange(n)
+    a, b = pairs[:, 0], pairs[:, 1]
+    while True:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not np.any(split):
+            break
+        ra, rb = ra[split], rb[split]
+        low = np.minimum(ra, rb)
+        np.minimum.at(parent, ra, low)
+        np.minimum.at(parent, rb, low)
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    roots, label = np.unique(parent, return_inverse=True)
+    return len(roots), label
+
+
 def extract_loops(level: Level) -> list[Loop]:
     """All closed components of the level {r = tt} on the field's grid.
 
@@ -199,9 +230,7 @@ def extract_loops(level: Level) -> list[Loop]:
             f"contour edge {edges[k]} belongs to {degree[k]} segments; the "
             "level curve is not closed inside the grid"
         )
-    n_comp, label = connected_components(
-        coo_matrix((np.ones(len(segments)), (segments[:, 0], segments[:, 1])),
-                   shape=(len(edges), len(edges))), directed=False)
+    n_comp, label = component_labels(len(edges), segments)
 
     # Each component numbers its own vertices from 0, in edge-id order.
     seg_label = label[segments[:, 0]]

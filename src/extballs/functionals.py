@@ -161,7 +161,11 @@ def gb_integrand(field: DistanceField, ball: ExtrinsicBall,
     <B(e,e), perp gradient of r> / |tangential gradient|.  The ratio
     derivative expands by the quotient rule into the coarea integral
     and closed-form comparison data, so no finite differencing in t is
-    involved and the totally geodesic case lands on zero exactly.
+    involved.  The bracket cancels two terms that grow as e^t, and their
+    quadrature and roundoff errors do not cancel: gb carries a floor of
+    about 2e-9 of either term.  On the totally geodesic h2_in_h3, where
+    gb is 0, that reads gb = -1.65e-5 at t = 8 at catalog defaults (the
+    terms are 9.4e3 each); ROADMAP item 8 removes the cancellation.
     """
     form = field.surface.form
     if not form.curved:

@@ -171,34 +171,98 @@ def test_custom_c_surface_passes_oracle():
     assert chk["max_normH"] <= 1e-6
 
 
-def test_profile_values_match_ode_solution():
-    from extballs.catalog.profiles import integrate_profile
+def _scipy_solution(fun, y0, span):
+    """SciPy's RK45 `OdeSolution` at the profile's tolerances."""
+    from scipy.integrate import solve_ivp
 
-    sol = integrate_profile(1.0, 12.0)
-    profile = solve_profile(1.0, 12.0)
+    return solve_ivp(fun, (0.0, span), y0, "RK45", rtol=1e-10, atol=1e-12,
+                     dense_output=True).sol
+
+
+def _segments(sol):
+    """An `OdeSolution`'s segments, stacked as `rk45_segments` returns them."""
+    segs = sol.interpolants
+    return (sol.ts, np.array([s.t_old for s in segs]),
+            np.array([s.h for s in segs]),
+            np.array([s.y_old for s in segs]).T,
+            np.array([s.Q for s in segs]).transpose(1, 2, 0))
+
+
+def _assert_segments_equal(got, ref):
+    for name, a, b in zip(("knots", "t_old", "h", "y_old", "Q"), got, ref):
+        assert a.shape == b.shape and np.array_equal(a, b), name
+
+
+def _profile_rhs(c):
+    def rhs(_s, y):
+        rho = y[0]
+        m = np.sinh(rho) * np.cosh(rho)
+        return [y[1], c * c * np.cosh(2.0 * rho) / m**3,
+                c / (m * np.cosh(rho))]
+    return rhs
+
+
+def test_profile_values_match_ode_solution():
+    # The in-package stepper repeats SciPy's RK45 bit for bit: same
+    # knots, segment starts, steps, start states and dense-output Q.
+    from extballs.catalog.profiles import neck_radius, rk45_segments
+
     rng = np.random.default_rng(4)
-    past = profile.knots[-1] + np.array([1e-9, 0.3, 2.0])
-    sigma = np.concatenate([[0.0], profile.knots,
-                            rng.uniform(0.0, profile.knots[-1], 500), past])
-    ref = sol(sigma)[[0, 2]]
-    got = np.stack(profile.profile_values(sigma))
-    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+    for c in (0.3, 1.0, 2.0):
+        for s_max in (4.0, 12.0):
+            y0, span = [neck_radius(c), 0.0, 0.0], s_max * 1.02 + 0.1
+            got = rk45_segments(_profile_rhs(c), y0, span, rtol=1e-10,
+                                atol=1e-12)
+            sol = _scipy_solution(_profile_rhs(c), y0, span)
+            _assert_segments_equal(got, _segments(sol))
+            profile = solve_profile(c, s_max)
+            _assert_segments_equal(
+                (profile.knots, profile.t_old, profile.h, profile.y_old,
+                 profile.Q),
+                got[:3] + (got[3][[0, 2]], got[4][[0, 2]]))
+            # One polynomial pass per point evaluates what SciPy's
+            # interpolants do, also past the last knot.
+            past = profile.knots[-1] + np.array([1e-9, 0.3, 2.0])
+            sigma = np.concatenate([[0.0], profile.knots, rng.uniform(
+                0.0, profile.knots[-1], 500), past])
+            ref = sol(sigma)[[0, 2]]
+            vals = np.stack(profile.profile_values(sigma))
+            assert np.all(np.abs(vals - ref) <= 1e-14 * np.abs(ref))
+
     # jets mirror |sigma|: rho even, t odd
     (rho,), (t,) = profile.jets(-sigma, 0)
-    assert np.array_equal(rho, got[0]) and np.array_equal(t, -got[1])
+    assert np.array_equal(rho, vals[0]) and np.array_equal(t, -vals[1])
+
+
+def test_rk45_rejected_steps_match_scipy():
+    # A forcing that jumps at s = 1/2 makes the error control reject the
+    # steps that cross it (each rejection costs six more right-hand
+    # sides), and the step after a rejection may not grow.
+    from extballs.catalog.profiles import rk45_segments
+
+    calls = []
+
+    def rhs(s, y):
+        calls.append(s)
+        return [y[1], -y[0] + (50.0 if s > 0.5 else 0.0)]
+
+    got = rk45_segments(rhs, [1.0, 0.0], 1.0, rtol=1e-10, atol=1e-12)
+    assert len(calls) > 6 * len(got[2]) + 2
+    _assert_segments_equal(
+        got, _segments(_scipy_solution(rhs, [1.0, 0.0], 1.0)))
 
 
 def test_profile_self_check_rejects_foreign_segments():
     import dataclasses
 
-    from extballs.catalog.profiles import (_check_against_solution,
-                                           integrate_profile)
+    from extballs.catalog.profiles import _check_continuity
     from extballs.errors import ConstructionError
 
     profile = solve_profile(1.0, 6.0)
+    _check_continuity(profile)
     bent = dataclasses.replace(profile, Q=profile.Q * (1.0 + 1e-9))
     with pytest.raises(ConstructionError):
-        _check_against_solution(bent, integrate_profile(1.0, 6.0))
+        _check_continuity(bent)
 
 
 # --- declared chart symmetries -------------------------------------------

@@ -5,12 +5,17 @@ stays fast; the full-resolution runs live in the acceptance suite.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from extballs.cli import main
 from oracles import read_report_json
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write(tmp_path, name, doc):
@@ -247,3 +252,32 @@ def test_sweep_json_values(plane_config, tmp_path):
     doc = json.loads((out_root / "sweep.json").read_text())
     assert doc["values"] == [[64, 96]]
     assert doc["runs"][0]["error"] is None
+
+
+def test_report_loads_no_scipy(tmp_path):
+    # SciPy is a test dependency only: neither importing the CLI nor a
+    # hyperbolic catenoid report (the profile ODE, the loop labelling)
+    # may load it, eagerly or lazily.  The short schedule fails the
+    # Chern-Osserman equality verdict, so the report exits 1.
+    cfg = _write(tmp_path, "hc.json", {
+        "surface": "hyperbolic_catenoid",
+        "schedule": {"t_min": 0.5, "t_max": 2.0, "count": 3},
+        "grid": 96,
+    })
+    script = (
+        "import json, sys\n"
+        "import extballs.cli\n"
+        f"status = extballs.cli.main(['report', {cfg!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}, '--quiet'])\n"
+        "print(json.dumps([status, sorted(m for m in sys.modules\n"
+        "                                 if m.split('.')[0] == 'scipy')]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(
+            os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [1, []]
+    doc = read_report_json(tmp_path / "out" / "report.json")
+    assert doc["report"]["surface"] == "hyperbolic_catenoid"

@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extballs import immersion
 from extballs.catalog.charts import plane_chart, sphere_cap_chart
@@ -351,6 +353,58 @@ def test_open_level_curve_raises(plane_field):
                       np.arange(m_u * m_v))
     with pytest.raises(GeometryError, match="not closed inside the grid"):
         extract_loops(contours.solve_level(plane_field, t, cells))
+
+
+def _scipy_labels(n, pairs):
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(
+        coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                   shape=(n, n)), directed=False)
+
+
+def _assert_labels_match_scipy(n, pairs):
+    n_comp, label = contours.component_labels(n, pairs)
+    ref_n, ref_label = _scipy_labels(n, pairs)
+    assert n_comp == ref_n
+    assert np.array_equal(label, ref_label)
+
+
+def test_component_labels_match_scipy_on_levels():
+    # The catenoid's two ends at t = 3, and a hyperbolic catenoid ball
+    # around its pole on the u seam, whose one loop crosses the seam.
+    catenoid = build_field(make("catenoid", t_max=4.0), 4.0,
+                           spec=GridSpec(128, 128))
+    hyperbolic = build_field(make("hyperbolic_catenoid", t_max=3.0), 3.0,
+                             spec=GridSpec(128, 128))
+    for field, t, n_loops in ((catenoid, 3.0, 2), (hyperbolic, 0.5, 1)):
+        level = _level(field, t)
+        _assert_labels_match_scipy(len(level.edges), level.segments)
+        loops = extract_loops(level)
+        assert len(loops) == n_loops
+    u = loops[0].vertices[:, 0]
+    assert u.min() < 0.5 and u.max() > 2.0 * np.pi - 0.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=8),
+       st.randoms(use_true_random=False))
+def test_component_labels_match_scipy_on_cycles(lengths, rnd):
+    # Disjoint cycles (a 1-cycle is a self-loop, a 2-cycle a doubled
+    # edge) on shuffled node ids, with the edges in shuffled order and
+    # direction.
+    nodes = list(range(sum(lengths)))
+    rnd.shuffle(nodes)
+    pairs, start = [], 0
+    for length in lengths:
+        ring = nodes[start:start + length]
+        start += length
+        pairs += [(ring[k], ring[(k + 1) % length]) if rnd.random() < 0.5
+                  else (ring[(k + 1) % length], ring[k])
+                  for k in range(length)]
+    rnd.shuffle(pairs)
+    _assert_labels_match_scipy(len(nodes), np.array(pairs))
 
 
 def test_project_to_level(plane_field):
