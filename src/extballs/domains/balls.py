@@ -2,13 +2,15 @@
 
 ``extract_ball`` is the per-radius entry point.  It finds the cells the
 level curve {r = t} cuts in the field's sorted band, solves each cut
-edge's crossing once, extracts the curve as closed components of those
-crossings joined by unordered segments, bisects segments until the
-boundary carries at least ``MIN_SAMPLES`` samples, integrates area,
-|B|^2 and K over {r < t} from the same crossings, and packages
-per-sample frames for geodesic-curvature work.  Every boundary
-quantity downstream is a weighted sum over samples, so no component is
-ever put in order or oriented.
+edge's crossing once and labels each crossing with its closed
+component of the unordered segments that join them.  It integrates
+area, |B|^2 and K over {r < t} from the same cut cells and crossings.
+The boundary is that one set of vertices and segments: the segments of
+every component short of its share of ``MIN_SAMPLES`` are bisected
+together, the set is grouped by component, and frames are evaluated on
+it for geodesic-curvature work.  Every boundary quantity downstream is
+a weighted sum over samples, so no component is ever put in order or
+oriented.
 
 Boundary length uses a cubic Hermite reconstruction per segment
 (positions plus unit level-curve tangents, signed per segment to follow
@@ -28,7 +30,8 @@ import numpy as np
 
 from ..errors import ConfigError, CriticalRadius
 from ..immersion import FrameBatch, frames, radial_frames
-from .contours import augment_loop, extract_loops, segment_chords, solve_level
+from .contours import (bisect_boundary, level_components, segment_chords,
+                       solve_level)
 from .field import DistanceField, level_cells
 from .quadrature import _unit_gauss_legendre, region_integral
 
@@ -36,10 +39,12 @@ _GL2_X, _GL2_W = _unit_gauss_legendre(2)
 
 _LEVEL_NUDGE = 3e-13
 
-# Boundary samples per ball, spread over its loops (at least 32 a loop).
+# Boundary samples per ball, spread over its components (at least 32
+# each).
 MIN_SAMPLES = 200
 
 
+@dataclass
 class BoundarySamples:
     """Struct-of-arrays container of boundary samples.
 
@@ -48,12 +53,10 @@ class BoundarySamples:
     the ``frame`` batch.
     """
 
-    def __init__(self, uv: np.ndarray, weight: np.ndarray, e: np.ndarray,
-                 frame: FrameBatch):
-        self.uv = uv
-        self.weight = weight
-        self.e = e
-        self.frame = frame
+    uv: np.ndarray
+    weight: np.ndarray
+    e: np.ndarray
+    frame: FrameBatch
 
     def __len__(self) -> int:
         return len(self.weight)
@@ -125,18 +128,14 @@ def extract_ball(field: DistanceField, t: float) -> ExtrinsicBall:
     tt = t + _LEVEL_NUDGE * (1.0 + t)
 
     level = solve_level(field, tt, level_cells(field, tt))
-    loops = extract_loops(level)
-    if not loops:
+    n_components, label = level_components(level)
+    if n_components == 0:
         raise ConfigError(no_node_note(t, float(np.min(field.r))))
     integrals = region_integral(field, tt, level)
 
-    per_loop_min = max(32, -(-MIN_SAMPLES // len(loops)))
-    loops = [augment_loop(field, tt, lp, per_loop_min) for lp in loops]
-
-    offsets = np.cumsum([0] + [len(lp) for lp in loops[:-1]])
-    segments = np.concatenate([lp.segments + off
-                               for lp, off in zip(loops, offsets)])
-    uv = np.concatenate([lp.vertices for lp in loops])
+    uv, segments = bisect_boundary(
+        field, tt, level.pos, level.segments, label,
+        max(32, -(-MIN_SAMPLES // n_components)))
     fb = frames(field.surface, uv[:, 0], uv[:, 1], pole=field.pole)
 
     min_grad = float(np.min(fb.normGradPr))
@@ -155,7 +154,7 @@ def extract_ball(field: DistanceField, t: float) -> ExtrinsicBall:
     samples = BoundarySamples(uv=uv, weight=weights, e=e, frame=fb)
     return ExtrinsicBall(
         t=t, area=integrals["one"], integrals=integrals,
-        n_components=len(loops), boundary_length=float(np.sum(lengths)),
+        n_components=n_components, boundary_length=float(np.sum(lengths)),
         samples=samples, min_grad=min_grad)
 
 

@@ -10,10 +10,12 @@ survives).  The contours and the ball quadrature both read that one
 `Level`:
 
 * the segments, read as a graph on the cut edges, split into closed
-  components by connectivity alone (``extract_loops``, labelled by
+  components by connectivity alone (``level_components``, labelled by
   ``component_labels``); seam edges already share global ids, so the
   periodic seam needs no special casing, and no component is ever
-  walked in order;
+  walked in order.  The crossings, segments and labels are the ball's
+  one boundary set, which ``bisect_boundary`` refines in place of any
+  per-component object;
 * each cut cell reads its edges' crossings back (``Level.cell_edges``),
   so the quadrature slices its cells without a second solve;
 * a segment on a u-periodic chart reaches its far end at the nearest
@@ -31,30 +33,11 @@ import numpy as np
 
 from ..errors import GeometryError
 from ..immersion import radial_frames
-from .field import (CutCells, DistanceField, bracketed_newton,
-                    crossings_located)
+from .field import CutCells, DistanceField, bracketed_newton
 
 _NEWTON_TOL = 1e-10
 _NEWTON_ITERS = 5
 _PROJECT_ITERS = 2
-
-
-@dataclass
-class Loop:
-    """One closed boundary component in chart coordinates.
-
-    ``vertices`` are the component's edge crossings (plus any inserted
-    midpoints) in no particular order; ``segments`` pair vertex indices,
-    one pair per cut cell (two in a saddle cell, halves of these once
-    ``augment_loop`` bisects them), each in an arbitrary direction.
-    Every vertex belongs to exactly two segments.
-    """
-
-    vertices: np.ndarray          # (N, 2) chart points
-    segments: np.ndarray          # (N, 2) vertex index pairs
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 @dataclass
@@ -64,7 +47,7 @@ class Level:
     ``edges`` are the sorted global ids of the cut edges; per edge,
     ``s`` is the crossing's parameter from the edge's first node, ``pos``
     its chart point and ``located`` whether r there is within
-    1e-8 of tt (`crossings_located`).  ``segments`` pairs indices into
+    1e-8 of tt (`bracketed_newton`).  ``segments`` pairs indices into
     ``edges``, one pair per contour segment.
     """
 
@@ -142,7 +125,7 @@ def refine_crossings(field: DistanceField, tt: float, edges: np.ndarray):
 
     Returns the parameter s of each crossing from the edge's first node,
     its (n_edges, 2) chart point and whether it is located (see
-    `crossings_located`).  Seam u-edges report an unwrapped u that may
+    `bracketed_newton`).  Seam u-edges report an unwrapped u that may
     exceed the nominal domain end by less than one spacing.
     """
     n_u, n_v = field.spec.n_u, field.spec.n_v
@@ -158,11 +141,9 @@ def refine_crossings(field: DistanceField, tt: float, edges: np.ndarray):
     if np.any(f0 * f1 > 0.0):
         raise GeometryError("edge reported as cut has same-sign endpoints")
 
-    s, frozen = bracketed_newton(field, tt, ua, va, du, dv, 0.0, 1.0, f0, f1,
-                                 iters=_NEWTON_ITERS, tol=_NEWTON_TOL)
-    U, V = ua + s * du, va + s * dv
-    return s, np.stack([U, V], axis=-1), crossings_located(field, tt, U, V,
-                                                           frozen)
+    s, located = bracketed_newton(field, tt, ua, va, du, dv, 0.0, 1.0, f0,
+                                  f1, iters=_NEWTON_ITERS, tol=_NEWTON_TOL)
+    return s, np.stack([ua + s * du, va + s * dv], axis=-1), located
 
 
 def solve_level(field: DistanceField, tt: float, cells: CutCells) -> Level:
@@ -215,14 +196,15 @@ def component_labels(n: int, pairs: np.ndarray) -> tuple[int, np.ndarray]:
     return len(roots), label
 
 
-def extract_loops(level: Level) -> list[Loop]:
-    """All closed components of the level {r = tt} on the field's grid.
+def level_components(level: Level) -> tuple[int, np.ndarray]:
+    """Closed components of the level {r = tt} on the field's grid.
 
     ``level`` is ``solve_level(field, tt, level_cells(field, tt))``.
+    Returns the component count and each crossing's component
+    (`component_labels`); raises `GeometryError` when a crossing does not
+    belong to exactly two segments.
     """
     edges, segments = level.edges, level.segments
-    if len(segments) == 0:
-        return []
     degree = np.bincount(segments.ravel(), minlength=len(edges))
     if np.any(degree != 2):
         k = int(np.argmax(degree != 2))
@@ -230,18 +212,7 @@ def extract_loops(level: Level) -> list[Loop]:
             f"contour edge {edges[k]} belongs to {degree[k]} segments; the "
             "level curve is not closed inside the grid"
         )
-    n_comp, label = component_labels(len(edges), segments)
-
-    # Each component numbers its own vertices from 0, in edge-id order.
-    seg_label = label[segments[:, 0]]
-    local = np.empty(len(edges), dtype=np.int64)
-    loops = []
-    for comp in range(n_comp):
-        mine = label == comp
-        local[mine] = np.arange(np.count_nonzero(mine))
-        loops.append(Loop(vertices=level.pos[mine],
-                          segments=local[segments[seg_label == comp]]))
-    return loops
+    return component_labels(len(edges), segments)
 
 
 def segment_chords(field: DistanceField, vertices: np.ndarray,
@@ -278,19 +249,36 @@ def project_to_level(field: DistanceField, tt, pts: np.ndarray) -> np.ndarray:
     return pts
 
 
-def augment_loop(field: DistanceField, tt: float, loop: Loop,
-                 n_min: int) -> Loop:
-    """Insert projected midpoints until the loop has at least n_min vertices.
+def bisect_boundary(field: DistanceField, tt: float, vertices: np.ndarray,
+                    segments: np.ndarray, label: np.ndarray,
+                    n_min: int) -> tuple[np.ndarray, np.ndarray]:
+    """Insert projected midpoints until each component has n_min vertices.
 
-    Each pass bisects every segment.
+    ``vertices`` are chart points with their components ``label``, and
+    ``segments`` pair vertex indices.  Each pass bisects every segment
+    of each component that is still short, in one projection.  Returns
+    the vertices and segments grouped by component (a stable sort):
+    within a component come its first vertices, then each pass's
+    midpoints, and each pass lists a component's first halves before its
+    second halves.
     """
-    while len(loop) < n_min:
-        start, d = segment_chords(field, loop.vertices, loop.segments)
+    while True:
+        short = np.bincount(label) < n_min
+        split = short[label[segments[:, 0]]]
+        if not np.any(split):
+            break
+        cut = segments[split]
+        start, d = segment_chords(field, vertices, cut)
         mids = project_to_level(field, tt, start + 0.5 * d)
-        n, m = len(loop), len(loop.segments)
-        new = np.arange(n, n + m)
-        a, b = loop.segments.T
-        loop = Loop(vertices=np.concatenate([loop.vertices, mids]),
-                    segments=np.concatenate([np.stack([a, new], axis=1),
-                                             np.stack([new, b], axis=1)]))
-    return loop
+        a, b = cut.T
+        new = np.arange(len(vertices), len(vertices) + len(mids))
+        vertices = np.concatenate([vertices, mids])
+        label = np.concatenate([label, label[a]])
+        segments = np.concatenate([segments[~split],
+                                   np.stack([a, new], axis=1),
+                                   np.stack([new, b], axis=1)])
+    order = np.argsort(label, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    seg_order = np.argsort(label[segments[:, 0]], kind="stable")
+    return vertices[order], rank[segments[seg_order]]

@@ -129,13 +129,6 @@ def _sort_reached_cells(r: np.ndarray, periodic_u: bool, t_max: float):
     return reached[order].astype(np.int32), cell_max[order], span
 
 
-def gather_corners(r: np.ndarray, i: np.ndarray, j: np.ndarray,
-                   periodic_u: bool) -> np.ndarray:
-    """(n, 4) node values at corners c0..c3 of the cells (i, j)."""
-    i1 = (i + 1) % r.shape[0] if periodic_u else i + 1
-    return np.stack([r[i, j], r[i1, j], r[i1, j + 1], r[i, j + 1]], axis=1)
-
-
 @dataclass
 class CutCells:
     """The cells a level {r = t} cuts, in row-major (flat id) order.
@@ -158,15 +151,16 @@ def cut_cells(r: np.ndarray, t: float, periodic_u: bool,
               ids: np.ndarray) -> CutCells:
     """The cells among the flat ``ids`` that the level {r = t} cuts."""
     n_u, n_v = r.shape
-    corners = gather_corners(r, *np.divmod(ids, n_v - 1), periodic_u)
+    i, j = np.divmod(ids, n_v - 1)
+    i1 = (i + 1) % n_u if periodic_u else i + 1
+    corners = np.stack([r[i, j], r[i1, j], r[i1, j + 1], r[i, j + 1]], axis=1)
     case = (corners < t) @ np.array([1, 2, 4, 8], dtype=np.int16)
     keep = np.flatnonzero((case > 0) & (case < 15))
     keep = keep[np.argsort(ids[keep])]
     ids, corners, case = ids[keep], corners[keep], case[keep]
-    i, j = np.divmod(ids, n_v - 1)
+    i, j, i1 = i[keep], j[keep], i1[keep]
     ncu = n_u if periodic_u else n_u - 1
     nue = n_v * ncu
-    i1 = (i + 1) % n_u if periodic_u else i + 1
     edges = np.stack([j * ncu + i, nue + j * n_u + i1,
                       (j + 1) * ncu + i, nue + j * n_u + i], axis=1)
     return CutCells(ids=ids, corners=corners, case=case, edges=edges)
@@ -210,8 +204,9 @@ def bracketed_newton(field: DistanceField, tt: float, base_u, base_v, du, dv,
     may be scalars.  The solve starts at the secant root, takes Newton
     steps on the exact distance, bisects wherever a step leaves the
     bracket, and freezes a point once |r - tt| <= tol.  Returns s and
-    whether each point froze; r at an unfrozen point's final s was never
-    evaluated.
+    whether each crossing is located: a frozen point is, and r is
+    evaluated once more at the others' final s, which locates them when
+    |r - tt| <= ``_CROSSING_RESIDUAL``.
     """
     surf = field.surface
     form = surf.form
@@ -235,23 +230,12 @@ def bracketed_newton(field: DistanceField, tt: float, base_u, base_v, du, dv,
             s_new = s - f / fp
         bad = ~np.isfinite(s_new) | (s_new <= lo) | (s_new >= hi)
         s = np.where(done, s, np.where(bad, 0.5 * (lo + hi), s_new))
-    return s, done
-
-
-def crossings_located(field: DistanceField, tt: float, U, V,
-                      frozen: np.ndarray) -> np.ndarray:
-    """Whether |r - tt| <= ``_CROSSING_RESIDUAL`` at the crossings (U, V).
-
-    A point that froze in `bracketed_newton` already met a tighter
-    tolerance, so r is evaluated only at the others.
-    """
-    located = frozen.copy()
-    redo = ~frozen
+    redo = ~done
     if np.any(redo):
-        U, V = np.broadcast_arrays(U, V)
-        located[redo] = (np.abs(field.eval_r(U[redo], V[redo]) - tt)
-                         <= _CROSSING_RESIDUAL)
-    return located
+        U, V = np.broadcast_arrays(base_u + s * du, base_v + s * dv)
+        done[redo] = (np.abs(field.eval_r(U[redo], V[redo]) - tt)
+                      <= _CROSSING_RESIDUAL)
+    return s, done
 
 
 def build_field(surface: ParametricSurface, t_max: float,

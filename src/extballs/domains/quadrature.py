@@ -49,8 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..immersion import BATCH_POINTS, FrameBatch, batch_map, frames
-from .field import (DistanceField, bracketed_newton, crossings_located,
-                    gather_corners)
+from .field import CutCells, DistanceField, bracketed_newton
 
 
 def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,20 +174,6 @@ def _dihedral_cells(field: DistanceField, i: np.ndarray,
         field, field.u_nodes[qi], field.v_nodes[qj])]
 
 
-def _newton_strips(field: DistanceField, tt: float,
-                   base_u, base_v, du, dv, lo, hi, flo, fhi, iters: int = 3):
-    """Solve r(base + s * (du, dv)) = tt on bracketed strips, vectorized.
-
-    (du, dv) spans the whole strip; lo/hi bracket the crossing in the
-    strip parameter s with f(lo) and f(hi) of opposite signs.  Returns s
-    and whether each crossing is located (`crossings_located`).
-    """
-    s, frozen = bracketed_newton(field, tt, base_u, base_v, du, dv, lo, hi,
-                                 flo, fhi, iters=iters, tol=_STRIP_TOL)
-    return s, crossings_located(field, tt, base_u + s * du,
-                                base_v + s * dv, frozen)
-
-
 def _cell_crossings(u0, v0, hu: float, hv: float, f00, f10, f11, f01, ok,
                     solve):
     """Place the level curve's two boundary crossings per non-saddle cell.
@@ -302,7 +287,8 @@ def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
     hi = np.where(lower, 0.5, 1.0)
     flo = np.where(lower, f_a, f_m)
     fhi = np.where(lower, f_m, f_b)
-    s, nok = _newton_strips(field, tt, bu, bv, du, dv, lo, hi, flo, fhi)
+    s, nok = bracketed_newton(field, tt, bu, bv, du, dv, lo, hi, flo, fhi,
+                              iters=3, tol=_STRIP_TOL)
     cell_bad |= np.any(~nok, axis=1)
 
     # Pieces [a0, A], [A, B], [B, a0 + h]: along start and width, and per
@@ -383,20 +369,20 @@ def _terminal_polygon(fc: np.ndarray) -> float:
                               - np.dot(y, np.roll(x, -1))))
 
 
-def integrate_cut_cells(field: DistanceField, tt: float, ids: np.ndarray,
+def integrate_cut_cells(field: DistanceField, tt: float, cells: CutCells,
                         edge_s: np.ndarray,
                         edge_located: np.ndarray) -> list[float]:
-    """Integrate each channel over the inside part of the cut cells ``ids``.
+    """Integrate each channel over the inside part of the level's cut cells.
 
-    ``ids`` are flat cell ids in row-major order, and ``edge_s`` and
-    ``edge_located`` hold per cell and side the level's edge crossings
-    (``Level.cell_edges``).  Subdivided children solve their own.
+    ``cells`` are the level's `CutCells`, whose corners give the cells'
+    node values, and ``edge_s`` and ``edge_located`` hold per cell and
+    side the level's edge crossings (``Level.cell_edges``).  Subdivided
+    children solve their own.
     """
-    ci, cj = np.divmod(ids, field.spec.n_v - 1)
+    ci, cj = np.divmod(cells.ids, field.spec.n_v - 1)
     u0 = field.u_nodes[ci]
     v0 = field.v_nodes[cj]
-    f00, f10, f11, f01 = (gather_corners(field.r, ci, cj, field.periodic_u)
-                          - tt).T
+    f00, f10, f11, f01 = (cells.corners - tt).T
 
     totals = [0.0 for _ in CHANNELS]
     hu, hv = field.h_u, field.h_v
@@ -405,8 +391,8 @@ def integrate_cut_cells(field: DistanceField, tt: float, ids: np.ndarray,
         return edge_s[sel, side], edge_located[sel, side]
 
     def newton(side, sel, bu, bv, du, dv, fa, fb):
-        return _newton_strips(field, tt, bu, bv, du, dv, 0.0, 1.0, fa, fb,
-                              iters=4)
+        return bracketed_newton(field, tt, bu, bv, du, dv, 0.0, 1.0, fa, fb,
+                                iters=4, tol=_STRIP_TOL)
 
     solve = shared
     for depth in range(_MAX_DEPTH + 1):
@@ -473,6 +459,6 @@ def region_integral(field: DistanceField, tt: float,
     """
     cache = ensure_cell_cache(field)
     inside = int(np.searchsorted(field.cell_max, tt))
-    cut = integrate_cut_cells(field, tt, level.cells.ids, *level.cell_edges())
+    cut = integrate_cut_cells(field, tt, level.cells, *level.cell_edges())
     return {name: float(np.sum(cache[name][:inside])) + part
             for name, part in zip(CHANNELS, cut)}

@@ -287,11 +287,6 @@ class FrameBatch:
     normGradPr: np.ndarray | None = None
     normGradPerp: np.ndarray | None = None
 
-    def __getitem__(self, idx) -> "FrameBatch":
-        def take(a):
-            return None if a is None else a[idx]
-        return FrameBatch(**{k: take(v) for k, v in self.__dict__.items()})
-
     def ambient_gradPr(self) -> np.ndarray:
         """The tangential radial gradient as an ambient vector."""
         a = self.gradPr

@@ -14,7 +14,8 @@ them.
 * `geodesic_step`: a point at given arclength along a space-form
   geodesic;
 * `geodesic_curvature_direct`: boundary geodesic curvature from the
-  positions of the level curve alone, traced through each sample;
+  positions of the level curve alone, traced through each sample
+  (`frame_subset` takes the frames of the samples it refines);
 * `make` and `read_report_json`: short forms of
   ``catalog.lookup(name).surface(t_max, params)`` and of reading a
   ``report.json``.
@@ -31,7 +32,8 @@ from extballs.catalog import lookup
 from extballs.domains.balls import BoundarySamples
 from extballs.domains.contours import project_to_level
 from extballs.errors import ImmersionError, PoleSingularity
-from extballs.immersion import ParametricSurface, frames, radial_frames
+from extballs.immersion import (FrameBatch, ParametricSurface, frames,
+                                radial_frames)
 from extballs.space_forms import SpaceForm
 
 
@@ -301,6 +303,12 @@ def _trace_kg(field, samples, delta: float) -> np.ndarray:
     return -ip(acc, nu) / ip(vel, vel)
 
 
+def frame_subset(fb: FrameBatch, idx) -> FrameBatch:
+    """The frames of the points ``idx`` of a batch."""
+    return FrameBatch(**{k: None if v is None else v[idx]
+                         for k, v in vars(fb).items()})
+
+
 def geodesic_curvature_direct(field, samples) -> np.ndarray:
     """Boundary geodesic curvature by differentiating the curve itself.
 
@@ -339,7 +347,8 @@ def geodesic_curvature_direct(field, samples) -> np.ndarray:
             break
         delta *= 0.5
         part = BoundarySamples(samples.uv[active], samples.weight[active],
-                               samples.e[active], samples.frame[active])
+                               samples.e[active],
+                               frame_subset(samples.frame, active))
         refined = _trace_kg(field, part, delta)
         moved = np.abs(refined - kg[active])
         settled = moved <= _KG_TOL

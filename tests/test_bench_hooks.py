@@ -32,6 +32,8 @@ ABSENT = {
     "extballs.domains.contours:frames",
     "extballs.functionals:frames",
     "extballs.functionals:geodesic_curvature_direct",
+    "extballs.domains.balls:extract_loops",
+    "extballs.domains.balls:augment_loop",
 }
 
 
@@ -65,10 +67,9 @@ def test_cell_cache_count_reads_the_area_channel(tracing):
 
 def test_ball_hook_counts_match_the_ball(tracing, monkeypatch):
     # Each per-radius hook's count, applied to the real calls of one ball
-    # extraction, must read the ball's components, vertices, samples and
-    # cut cells; a changed return shape fails here, not in a traced round.
-    layers = ("contours.extract_loops", "contours.augment_loop",
-              "balls.extract_ball", "quadrature.cut_cells")
+    # extraction, must read the ball's samples and cut cells; a changed
+    # return shape fails here, not in a traced round.
+    layers = ("balls.extract_ball", "quadrature.cut_cells")
     hooks = {hook.layer: hook for hook in tracing.HOOKS
              if hook.layer in layers}
     assert set(hooks) == set(layers)
@@ -91,11 +92,9 @@ def test_ball_hook_counts_match_the_ball(tracing, monkeypatch):
         return sum(hooks[layer].count(args, result)[key]
                    for args, result in calls[layer])
 
-    tt = calls["contours.extract_loops"][0][0][0].tt
+    tt = calls["quadrature.cut_cells"][0][0][1]
     cases = cell_cases(field.r, tt, field.periodic_u)
-    assert count("contours.extract_loops", "loops") == ball.n_components == 2
-    assert len(calls["contours.augment_loop"]) == 2
-    assert count("contours.augment_loop", "vertices") == len(ball.samples)
+    assert ball.n_components == 2
     assert count("balls.extract_ball", "samples") == len(ball.samples)
     assert count("quadrature.cut_cells", "cells") == np.count_nonzero(
         (cases > 0) & (cases < 15))

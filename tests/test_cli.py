@@ -256,7 +256,7 @@ def test_sweep_json_values(plane_config, tmp_path):
 
 def test_report_loads_no_scipy(tmp_path):
     # SciPy is a test dependency only: neither importing the CLI nor a
-    # hyperbolic catenoid report (the profile ODE, the loop labelling)
+    # hyperbolic catenoid report (the profile ODE, the component labelling)
     # may load it, eagerly or lazily.  The short schedule fails the
     # Chern-Osserman equality verdict, so the report exits 1.
     cfg = _write(tmp_path, "hc.json", {

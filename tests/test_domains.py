@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from extballs import immersion
 from extballs.catalog.charts import plane_chart, sphere_cap_chart
-from extballs.domains import (GridSpec, build_field, coarea_integral,
-                              critical_scan, extract_ball, extract_loops,
-                              project_to_level, region_integral)
+from extballs.domains import (GridSpec, bisect_boundary, build_field,
+                              coarea_integral, critical_scan, extract_ball,
+                              level_components, project_to_level,
+                              region_integral)
 from extballs.domains import balls, contours, quadrature
 from extballs.domains import field as field_module
 from extballs.domains.field import bracketed_newton, cut_cells, level_cells
@@ -192,10 +193,45 @@ def test_catenoid_two_ends(catenoid_field):
     assert ball.n_components == 2
     # Each end circles the neck: its vertices leave no wide gap in u.
     level = _level(catenoid_field, 5.0)
-    for loop in extract_loops(level):
-        u = np.sort(loop.vertices[:, 0])
+    n_comp, label = level_components(level)
+    assert n_comp == 2
+    for comp in range(n_comp):
+        u = np.sort(level.pos[label == comp, 0])
         gaps = np.diff(np.concatenate([u, u[:1] + 2 * np.pi]))
         assert np.max(gaps) < 0.1
+
+
+def test_partial_bisection_on_two_ends():
+    # Around the off-neck pole (0, 1) the catenoid's level t = 4 has ends
+    # of 160 and 156 crossings: with n_min = 158 only the smaller end is
+    # bisected, once, and the set comes back grouped by component.
+    surface = make("catenoid", t_max=6.0)
+    pole = surface.eval(np.array([0.0]), np.array([1.0]))[0]
+    field = build_field(surface, 6.0, pole=pole, spec=GridSpec(128, 128))
+    tt = 4.0 + balls._LEVEL_NUDGE * 5.0
+    level = _level(field, tt)
+    n_comp, label = level_components(level)
+    sizes = np.bincount(label)
+    assert n_comp == 2 and sorted(sizes.tolist()) == [156, 160]
+    big, small = int(np.argmax(sizes)), int(np.argmin(sizes))
+
+    uv, segments = bisect_boundary(field, tt, level.pos, level.segments,
+                                   label, 158)
+    # Grouped by component in label order, each opening with its
+    # crossings in edge order; the larger end keeps exactly those.
+    comp = np.repeat([0, 1], np.where(sizes < 158, 2 * sizes, sizes))
+    assert len(uv) == len(segments) == 160 + 2 * 156
+    assert np.array_equal(uv[comp == big], level.pos[label == big])
+    ends = uv[comp == small]
+    assert np.array_equal(ends[:156], level.pos[label == small])
+    assert np.array_equal(np.bincount(segments.ravel(), minlength=len(uv)),
+                          np.full(len(uv), 2))
+    seg_comp = comp[segments]
+    assert np.array_equal(seg_comp[:, 0], seg_comp[:, 1])
+    assert np.all(np.diff(seg_comp[:, 0]) >= 0)
+    mids = ends[156:]
+    r = field.eval_r(mids[:, 0], mids[:, 1])
+    assert np.max(np.abs(r - tt)) < 1e-12
 
 
 def test_one_classification_per_radius(catenoid_192, monkeypatch):
@@ -352,7 +388,7 @@ def test_open_level_curve_raises(plane_field):
     cells = cut_cells(plane_field.r, t, plane_field.periodic_u,
                       np.arange(m_u * m_v))
     with pytest.raises(GeometryError, match="not closed inside the grid"):
-        extract_loops(contours.solve_level(plane_field, t, cells))
+        level_components(contours.solve_level(plane_field, t, cells))
 
 
 def _scipy_labels(n, pairs):
@@ -373,17 +409,16 @@ def _assert_labels_match_scipy(n, pairs):
 
 def test_component_labels_match_scipy_on_levels():
     # The catenoid's two ends at t = 3, and a hyperbolic catenoid ball
-    # around its pole on the u seam, whose one loop crosses the seam.
+    # around its pole on the u seam, whose one component crosses the seam.
     catenoid = build_field(make("catenoid", t_max=4.0), 4.0,
                            spec=GridSpec(128, 128))
     hyperbolic = build_field(make("hyperbolic_catenoid", t_max=3.0), 3.0,
                              spec=GridSpec(128, 128))
-    for field, t, n_loops in ((catenoid, 3.0, 2), (hyperbolic, 0.5, 1)):
+    for field, t, n_comp in ((catenoid, 3.0, 2), (hyperbolic, 0.5, 1)):
         level = _level(field, t)
         _assert_labels_match_scipy(len(level.edges), level.segments)
-        loops = extract_loops(level)
-        assert len(loops) == n_loops
-    u = loops[0].vertices[:, 0]
+        assert level_components(level)[0] == n_comp
+    u = level.pos[:, 0]
     assert u.min() < 0.5 and u.max() > 2.0 * np.pi - 0.5
 
 
@@ -718,7 +753,7 @@ def test_cut_cell_fallbacks_converge_with_depth(catenoid_192, monkeypatch):
 def _cut_cell_totals(field, t):
     """Cut-cell totals of the level t from the level's shared crossings."""
     level = _level(field, t)
-    return quadrature.integrate_cut_cells(field, t, level.cells.ids,
+    return quadrature.integrate_cut_cells(field, t, level.cells,
                                           *level.cell_edges())
 
 
