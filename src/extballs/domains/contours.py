@@ -16,8 +16,8 @@ survives).  The contours and the ball quadrature both read that one
   walked in order.  The crossings, segments and labels are the ball's
   one boundary set, which ``bisect_boundary`` refines in place of any
   per-component object;
-* each cut cell reads its edges' crossings back (``Level.cell_edges``),
-  so the quadrature slices its cells without a second solve;
+* each cut cell reads its sides' crossings back as one table
+  (``Level.cell_edges``), so the quadrature needs no second solve;
 * a segment on a u-periodic chart reaches its far end at the nearest
   u-image (``segment_chords``), so vertices stay where the grid put them.
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import GeometryError
 from ..immersion import radial_frames
-from .field import CutCells, DistanceField, bracketed_newton
+from .field import CELL_SIDES, CutCells, DistanceField, bracketed_newton
 
 _NEWTON_TOL = 1e-10
 _NEWTON_ITERS = 5
@@ -60,15 +60,13 @@ class Level:
     segments: np.ndarray          # (n_segments, 2)
 
     def cell_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per cut cell and side (bottom, right, top, left): s and located.
+        """Per cut cell and side (``CELL_SIDES``): s and located.
 
         A side the level does not cut reads NaN and False.
         """
         inside = self.cells.corners < self.tt
-        cut = np.stack([inside[:, 0] != inside[:, 1],
-                        inside[:, 1] != inside[:, 2],
-                        inside[:, 3] != inside[:, 2],
-                        inside[:, 0] != inside[:, 3]], axis=1)
+        a, b = np.array(CELL_SIDES).T
+        cut = inside[:, a] != inside[:, b]
         k = np.searchsorted(self.edges, self.cells.edges[cut])
         s = np.full(cut.shape, np.nan)
         s[cut] = self.s[k]

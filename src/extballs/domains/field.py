@@ -129,13 +129,18 @@ def _sort_reached_cells(r: np.ndarray, periodic_u: bool, t_max: float):
     return reached[order].astype(np.int32), cell_max[order], span
 
 
+# The corners (a, b) bounding a cell's bottom, right, top and left side;
+# a side's crossing parameter s runs from corner a to corner b.
+CELL_SIDES = ((0, 1), (1, 2), (3, 2), (0, 3))
+
+
 @dataclass
 class CutCells:
     """The cells a level {r = t} cuts, in row-major (flat id) order.
 
     Per cell: its flat id, the node values of r at its corners c0..c3,
     its marching-squares ``case`` (1-14, bit k set when corner k is
-    inside) and the global ids of its bottom, right, top and left edges.
+    inside) and the global ids of its edges in ``CELL_SIDES`` order.
     """
 
     ids: np.ndarray               # (n,)

@@ -16,23 +16,20 @@ Gauss-Bonnet).  It is a sum over grid cells, read from the `Level` that
   reached cells in ``DistanceField.cell_order``, sorted by their corner
   maximum of r, so the cells inside {r < t} are a prefix and each
   radius sums that slice with ``np.sum`` (pairwise, no cumulative
-  sum).  The chart's declared ``ParametricSurface.symmetry`` limits the
-  cells evaluated: on a ``"u_shift"`` chart the integrals depend on the
-  cell row alone, so only one column of cells, at u = 0, is evaluated;
-  on a ``"dihedral"`` chart (Enneper, the sphere control) only one
-  octant of cells (one quadrant on a non-square grid) is, and
-  reflections fill the rest.  The cells are weighted in batches of at
-  most ``BATCH_POINTS`` points, one `batch_map` item each;
+  sum).  Each cached cell reads the integrals of the cell that the
+  chart's ``ParametricSurface.symmetry`` folds it to (`_fold`: its row's
+  cell at u = 0, its octant image, or itself), and only the distinct
+  folded cells are evaluated;
 * each cut cell is split at the level curve's two boundary crossings
   into three pieces along the grid axis best aligned with the curve's
   graph direction, and every piece is integrated by four 4-point
   Gauss-Legendre strips across the cell; a strip covers the whole cell,
   nothing, or its inside part up to a crossing that a safeguarded Newton
   iteration locates on the exact ambient distance, so the only error
-  left is the smooth-quadrature remainder.  A grid cell reads its two
-  boundary crossings from the level's one solve per cut edge; only
-  subdivided children solve their own.  Frames run only at points of
-  positive weight;
+  left is the smooth-quadrature remainder.  A cell's crossings are
+  the points on its two cut sides in a per-side table: the level's
+  edge solve for a grid cell, one Newton call per depth for subdivided
+  children.  Frames run only at points of positive weight;
 * cells where the strip picture fails (saddles of r, curve tangent to a
   strip) subdivide recursively, re-trying the slicer on each child and
   integrating children that fall wholly inside with the full-cell rule,
@@ -49,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..immersion import BATCH_POINTS, FrameBatch, batch_map, frames
-from .field import CutCells, DistanceField, bracketed_newton
+from .field import CELL_SIDES, CutCells, DistanceField, bracketed_newton
 
 
 def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -82,48 +79,63 @@ def ensure_cell_cache(field: DistanceField) -> dict[str, np.ndarray]:
     Only cells with at least one corner below t_max can ever be fully
     inside a requested ball, so each channel holds those cells alone, in
     ``field.cell_order``.  The first call fills ``field.cell_integrals``;
-    later calls reuse it.  The chart's declared ``symmetry`` picks the
-    cells that are integrated:
-
-    * ``"u_shift"``: the densities depend on v alone, so one column of
-      cells at u = 0 (one cell per row the reached cells meet) is
-      integrated and each cell reads its row's integral;
-    * ``"dihedral"``: the fundamental cells whose orbit meets the reached
-      cells are integrated and unfolded by reflection
-      (`_dihedral_cells`);
-    * None: every reached cell is integrated, in row-major order.
-
-    Every quadrature batch holds at most ``BATCH_POINTS`` points and is
-    one `batch_map` item (`_cell_batches`).
+    later calls reuse it.  Each cell reads the integrals of its `_fold`
+    image, and the distinct images are integrated once each, in
+    row-major order, ``BATCH_POINTS`` points per `batch_map` item.
     """
     if field.cell_integrals is None:
-        i, j = np.divmod(field.cell_order, field.spec.n_v - 1)
-        symmetry = field.surface.symmetry
-        if symmetry == "u_shift":
-            index, rows = _distinct(j, field.spec.n_v - 1)
-            column = _cell_batches(field, np.zeros(len(rows)),
-                                   field.v_nodes[rows])
-            out = [part[index] for part in column]
-        elif symmetry == "dihedral":
-            out = _dihedral_cells(field, i, j)
-        else:
-            row_major = np.argsort(field.cell_order, kind="stable")
-            out = []
-            for part in _cell_batches(field, field.u_nodes[i[row_major]],
-                                      field.v_nodes[j[row_major]]):
-                cells = np.empty(len(part))
-                cells[row_major] = part
-                out.append(cells)
-        field.cell_integrals = tuple(out)
+        keys, u_nodes = _fold(field)
+        index, present = _distinct(keys)
+        qi, qj = np.divmod(present, field.spec.n_v - 1)
+        u0, v0 = u_nodes[qi], field.v_nodes[qj]
+        step = BATCH_POINTS // _X3.size ** 2
+        parts = batch_map(lambda s: _full_cells(field, u0[s:s + step],
+                                                v0[s:s + step],
+                                                field.h_u, field.h_v),
+                          range(0, len(u0), step))
+        channels = zip(*parts) if parts else [[np.zeros(0)]] * len(CHANNELS)
+        field.cell_integrals = tuple(np.concatenate(channel)[index]
+                                     for channel in channels)
     return dict(zip(CHANNELS, field.cell_integrals))
 
 
-def _distinct(keys: np.ndarray, size: int):
-    """(index, present) for integer keys in [0, size).
+def _fold(field: DistanceField) -> tuple[np.ndarray, np.ndarray]:
+    """Per reached cell, the flat id of the cell whose integrals it reads,
+    and the u of each cell column.  By the chart's ``symmetry``:
+
+    * None: each cell reads itself;
+    * ``"u_shift"``: the densities depend on v alone, so each cell reads
+      its row's cell in column 0, integrated at u = 0;
+    * ``"dihedral"``: the nodes sit at half offsets on (-a, a), so cell
+      column i and column m_u - 1 - i (of m_u) are mirror images under
+      u -> -u, and likewise for rows; when the cell grid is square
+      (m_u == m_v) and the domain is too, u <-> v maps cell (i, j) to
+      (j, i).  Each cell reads its image in the quadrant of the lowest
+      ceil(m / 2) indices on each axis, and in that quadrant's upper
+      triangle i <= j (one octant) when the swap applies.
+    """
+    m_u, m_v = field.cell_shape
+    symmetry = field.surface.symmetry
+    if symmetry == "u_shift":
+        return field.cell_order % m_v, np.zeros(1)
+    if symmetry is None:
+        return field.cell_order, field.u_nodes
+    i, j = np.divmod(field.cell_order, m_v)
+    fi = np.minimum(i, m_u - 1 - i)
+    fj = np.minimum(j, m_v - 1 - j)
+    (_, u1), (_, v1) = field.surface.domain
+    if m_u == m_v and u1 == v1:
+        fi, fj = np.minimum(fi, fj), np.maximum(fi, fj)
+    return fi * m_v + fj, field.u_nodes
+
+
+def _distinct(keys: np.ndarray):
+    """(index, present) for non-negative integer keys.
 
     ``present`` lists the distinct keys in increasing order and
     ``index[k]`` is the position of ``keys[k]`` in it.
     """
+    size = int(keys.max(initial=-1)) + 1
     seen = np.zeros(size, dtype=bool)
     seen[keys] = True
     present = np.flatnonzero(seen)
@@ -132,88 +144,51 @@ def _distinct(keys: np.ndarray, size: int):
     return slot[keys], present
 
 
-def _cell_batches(field: DistanceField, u0: np.ndarray,
-                  v0: np.ndarray) -> tuple[np.ndarray, ...]:
-    """`_full_cells` of whole grid cells, ``BATCH_POINTS`` points a batch,
-    one `batch_map` item each."""
-    step = BATCH_POINTS // _X3.size ** 2
-    parts = batch_map(lambda s: _full_cells(field, u0[s:s + step],
-                                            v0[s:s + step],
-                                            field.h_u, field.h_v),
-                      range(0, len(u0), step))
-    if not parts:
-        return tuple(np.zeros(0) for _ in CHANNELS)
-    return tuple(np.concatenate(channel) for channel in zip(*parts))
+# A cell's corners c0..c3 on the unit square, the start and end corner
+# of each side (``CELL_SIDES``), and the side midpoints and centre of a
+# 3x3 table of half-step nodes.
+_CORNERS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+_SIDE_A, _SIDE_B = np.array(CELL_SIDES).T
+_MIDPOINTS = np.array([[1, 0], [1, 2], [0, 1], [2, 1], [1, 1]])
 
 
-def _dihedral_cells(field: DistanceField, i: np.ndarray,
-                    j: np.ndarray) -> list[np.ndarray]:
-    """Cache channels of a ``"dihedral"`` chart from its fundamental cells.
+def _cut_sides(f: np.ndarray) -> np.ndarray:
+    """(n, 4) mask of the sides whose corner values f change sign."""
+    inside = f < 0
+    return inside[:, _SIDE_A] != inside[:, _SIDE_B]
 
-    The nodes sit at half offsets on (-a, a), so cell column i and
-    column m_u - 1 - i (of m_u) are mirror images under u -> -u, and
-    likewise for rows; the quadrant of the lowest ceil(m/2) indices on
-    each axis is fundamental.  When the cell grid is square (m_u == m_v)
-    and the domain is too, u <-> v maps cell (i, j) to (j, i), and the
-    upper triangle i <= j of the quadrant (one octant) is fundamental.
-    Each reached cell (i, j) folds to its fundamental image; those images
-    are integrated once each, in row-major order, and every reached cell
-    reads its image's integrals.
+
+def _side_lines(u0, v0, hu: float, hv: float):
+    """Per cell and side, the start point (base_u, base_v), each (n, 4),
+    and the step (du, dv), each (4,), of the side's segment."""
+    (au, av), (bu, bv) = _CORNERS[_SIDE_A].T, _CORNERS[_SIDE_B].T
+    return (u0[:, None] + au * hu, v0[:, None] + av * hv, (bu - au) * hu,
+            (bv - av) * hv)
+
+
+def _side_crossings(field: DistanceField, tt: float, u0, v0, hu: float,
+                    hv: float, f: np.ndarray):
+    """The side table of cells with corner values f: per cell and side,
+    the crossing s and whether it is located.
+
+    The cut sides of the non-saddle cells are solved in one
+    `bracketed_newton` call; every other side reads NaN and False.
     """
-    m_u, m_v = field.cell_shape
-    half_v = (m_v + 1) // 2
-    fi = np.minimum(i, m_u - 1 - i)
-    fj = np.minimum(j, m_v - 1 - j)
-    (_, u1), (_, v1) = field.surface.domain
-    if m_u == m_v and u1 == v1:
-        fi, fj = np.minimum(fi, fj), np.maximum(fi, fj)
-    index, fundamental = _distinct(fi * half_v + fj,
-                                   ((m_u + 1) // 2) * half_v)
-    qi, qj = np.divmod(fundamental, half_v)
-    return [part[index] for part in _cell_batches(
-        field, field.u_nodes[qi], field.v_nodes[qj])]
-
-
-def _cell_crossings(u0, v0, hu: float, hv: float, f00, f10, f11, f01, ok,
-                    solve):
-    """Place the level curve's two boundary crossings per non-saddle cell.
-
-    Marking saddle cells (four cut edges) not-ok, every remaining cut cell
-    has exactly two cut sides.  ``solve(side, sel, base_u, base_v, du, dv,
-    f_a, f_b)`` returns the crossing parameter s from the side's base and
-    whether it is located, for the cells ``sel`` on that side (0 bottom,
-    1 right, 2 top, 3 left).  Returns (cross_u, cross_v) of shape (n, 2)
-    plus the updated ok mask.
-    """
-    n = len(u0)
-    in00, in10, in11, in01 = f00 < 0, f10 < 0, f11 < 0, f01 < 0
-    cuts = (
-        (in00 != in10, u0, v0, hu, 0.0, f00, f10),            # bottom
-        (in10 != in11, u0 + hu, v0, 0.0, hv, f10, f11),       # right
-        (in01 != in11, u0, v0 + hv, hu, 0.0, f01, f11),       # top
-        (in00 != in01, u0, v0, 0.0, hv, f00, f01),            # left
-    )
-    n_cut = sum(c[0].astype(np.int8) for c in cuts)
-    ok &= n_cut != 4
-
-    cross_u = np.zeros((n, 2))
-    cross_v = np.zeros((n, 2))
-    slot = np.zeros(n, dtype=np.int64)
-    for side, (cut, bu, bv, du, dv, fa, fb_) in enumerate(cuts):
-        sel = np.nonzero(cut & ok)[0]
-        if len(sel) == 0:
-            continue
-        s, nok = solve(side, sel, bu[sel], bv[sel], du, dv, fa[sel],
-                       fb_[sel])
-        ok[sel] &= nok
-        cross_u[sel, slot[sel]] = bu[sel] + s * du
-        cross_v[sel, slot[sel]] = bv[sel] + s * dv
-        slot[sel] += 1
-    return cross_u, cross_v, ok
+    cut = _cut_sides(f)
+    cut &= (np.count_nonzero(cut, axis=1) == 2)[:, None]
+    s = np.full(cut.shape, np.nan)
+    located = np.zeros(cut.shape, dtype=bool)
+    rows, sides = np.nonzero(cut)
+    base_u, base_v, du, dv = _side_lines(u0, v0, hu, hv)
+    s[cut], located[cut] = bracketed_newton(
+        field, tt, base_u[cut], base_v[cut], du[sides], dv[sides], 0.0, 1.0,
+        f[rows, _SIDE_A[sides]], f[rows, _SIDE_B[sides]], iters=4,
+        tol=_STRIP_TOL)
+    return s, located
 
 
 def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
-                 f00, f10, f11, f01, solve):
+                 f: np.ndarray, side_s: np.ndarray, side_located: np.ndarray):
     """Integrate cut cells by Gauss-Legendre strips between the crossings.
 
     The curve enters and leaves a non-saddle cut cell at two refined
@@ -235,7 +210,10 @@ def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
     once), and the densities are joined before the per-cell sums, so the
     result is bitwise that of one frame batch.
 
-    ``solve`` places the boundary crossings (see `_cell_crossings`).
+    ``f`` holds the cells' corner values of r - tt, (n, 4), and
+    ``side_s`` and ``side_located`` their side table (``CELL_SIDES``):
+    per side, the crossing's parameter and whether it is located.  The
+    two crossings of a cell are the points on its two cut sides.
     Returns (contrib: one (n,) array per channel, ok: (n,) bool); the
     cells flagged not-ok (saddles, unlocated crossings, strips whose
     three-point sign pattern is inconsistent with one crossing) contribute
@@ -243,15 +221,19 @@ def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
     """
     n = len(u0)
     contrib = tuple(np.zeros(n) for _ in CHANNELS)
-    ok = np.ones(n, dtype=bool)
-    cross_u, cross_v, ok = _cell_crossings(
-        u0, v0, hu, hv, f00, f10, f11, f01, ok, solve)
+    cut = _cut_sides(f)
+    ok = ((np.count_nonzero(cut, axis=1) == 2)
+          & np.all(side_located | ~cut, axis=1))
     sel = np.nonzero(ok)[0]
     if len(sel) == 0:
         return contrib, ok
 
-    in00, in10, in11, in01 = (f[sel] < 0 for f in (f00, f10, f11, f01))
-    f00, f10, f11, f01 = f00[sel], f10[sel], f11[sel], f01[sel]
+    base_u, base_v, step_u, step_v = _side_lines(u0[sel], v0[sel], hu, hv)
+    two = cut[sel]
+    cross_u = (base_u + side_s[sel] * step_u)[two].reshape(-1, 2)
+    cross_v = (base_v + side_s[sel] * step_v)[two].reshape(-1, 2)
+    in00, in10, in11, in01 = (f[sel] < 0).T
+    f00, f10, f11, f01 = f[sel].T
     a_u = (f10 + f11 - f00 - f01) / (2.0 * hu)
     a_v = (f01 + f11 - f00 - f10) / (2.0 * hv)
     along_u = np.abs(a_v) >= np.abs(a_u)
@@ -265,8 +247,7 @@ def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
     # whether the cell's low and high ends along the axis are inside.
     a0, c0 = uv(u0[sel], v0[sel])
     ha, hc = np.where(along_u, hu, hv), np.where(along_u, hv, hu)
-    AB = np.sort(np.where(along_u[:, None], cross_u[sel], cross_v[sel]),
-                 axis=1)
+    AB = np.sort(np.where(along_u[:, None], cross_u, cross_v), axis=1)
     A, B = AB[:, 0], AB[:, 1]
     lo_full = np.where(along_u, in00 & in01, in00 & in10)
     hi_full = np.where(along_u, in10 & in11, in01 & in11)
@@ -341,7 +322,6 @@ def _full_cells(field: DistanceField, u0, v0, hu: float,
 
 
 _POLY_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
-_POLY_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 def _terminal_polygon(fc: np.ndarray) -> float:
@@ -358,11 +338,10 @@ def _terminal_polygon(fc: np.ndarray) -> float:
     poly: list[np.ndarray] = []
     for a, b in _POLY_EDGES:
         if inside[a]:
-            poly.append(_POLY_CORNERS[a])
+            poly.append(_CORNERS[a])
         if inside[a] != inside[b]:
             s = fc[a] / (fc[a] - fc[b])
-            poly.append(_POLY_CORNERS[a]
-                        + s * (_POLY_CORNERS[b] - _POLY_CORNERS[a]))
+            poly.append(_CORNERS[a] + s * (_CORNERS[b] - _CORNERS[a]))
     pts = np.asarray(poly)
     x, y = pts[:, 0], pts[:, 1]
     return float(0.5 * np.abs(np.dot(x, np.roll(y, -1))
@@ -375,65 +354,52 @@ def integrate_cut_cells(field: DistanceField, tt: float, cells: CutCells,
     """Integrate each channel over the inside part of the level's cut cells.
 
     ``cells`` are the level's `CutCells`, whose corners give the cells'
-    node values, and ``edge_s`` and ``edge_located`` hold per cell and
-    side the level's edge crossings (``Level.cell_edges``).  Subdivided
-    children solve their own.
+    node values, and ``edge_s`` and ``edge_located`` are their side table
+    (``Level.cell_edges``).  Subdivided children solve their own, one
+    `bracketed_newton` call per depth (`_side_crossings`).
     """
     ci, cj = np.divmod(cells.ids, field.spec.n_v - 1)
     u0 = field.u_nodes[ci]
     v0 = field.v_nodes[cj]
-    f00, f10, f11, f01 = (cells.corners - tt).T
+    f = cells.corners - tt
+    side_s, side_located = edge_s, edge_located
 
     totals = [0.0 for _ in CHANNELS]
     hu, hv = field.h_u, field.h_v
-
-    def shared(side, sel, *_):
-        return edge_s[sel, side], edge_located[sel, side]
-
-    def newton(side, sel, bu, bv, du, dv, fa, fb):
-        return bracketed_newton(field, tt, bu, bv, du, dv, 0.0, 1.0, fa, fb,
-                                iters=4, tol=_STRIP_TOL)
-
-    solve = shared
     for depth in range(_MAX_DEPTH + 1):
         if len(u0) == 0:
             return totals
-        contrib, ok = _slice_cells(field, tt, u0, v0, hu, hv,
-                                   f00, f10, f11, f01, solve)
+        contrib, ok = _slice_cells(field, tt, u0, v0, hu, hv, f, side_s,
+                                   side_located)
         totals = [total + float(np.sum(part[ok]))
                   for total, part in zip(totals, contrib)]
         if bool(np.all(ok)) or depth == _MAX_DEPTH:
             break
-        # Subdivide the cells the slicer rejected: five fresh corner
-        # evaluations per cell give the four children's corner values.
+        # Subdivide the cells the slicer rejected: five fresh evaluations
+        # per cell (side midpoints and centre) complete a 3x3 table of
+        # half-step node values; child k has its origin at half-step
+        # corner k and reads its corners from the table.
         w = np.nonzero(~ok)[0]
         pu, pv = u0[w], v0[w]
-        p00, p10, p11, p01 = f00[w], f10[w], f11[w], f01[w]
-        um, vm = pu + 0.5 * hu, pv + 0.5 * hv
-        eb = field.eval_r(um, pv) - tt
-        et = field.eval_r(um, pv + hv) - tt
-        el = field.eval_r(pu, vm) - tt
-        er = field.eval_r(pu + hu, vm) - tt
-        ec = field.eval_r(um, vm) - tt
-
         hu, hv = 0.5 * hu, 0.5 * hv
-        solve = newton
-        cu = np.concatenate([pu, um, um, pu])
-        cv = np.concatenate([pv, pv, vm, vm])
-        c00 = np.concatenate([p00, eb, ec, el])
-        c10 = np.concatenate([eb, p10, er, ec])
-        c11 = np.concatenate([ec, er, p11, et])
-        c01 = np.concatenate([el, ec, et, p01])
+        nodes = np.empty((len(w), 3, 3))
+        nodes[:, 2 * _CORNERS[:, 0], 2 * _CORNERS[:, 1]] = f[w]
+        mi, mj = _MIDPOINTS.T
+        nodes[:, mi, mj] = field.eval_r(pu[:, None] + mi * hu,
+                                        pv[:, None] + mj * hv) - tt
+        cu = np.concatenate([pu + a * hu for a, _ in _CORNERS])
+        cv = np.concatenate([pv + b * hv for _, b in _CORNERS])
+        fc = np.concatenate([nodes[:, a + _CORNERS[:, 0], b + _CORNERS[:, 1]]
+                             for a, b in _CORNERS])
 
-        c_in = (c00 < 0) & (c10 < 0) & (c11 < 0) & (c01 < 0)
-        c_out = (c00 >= 0) & (c10 >= 0) & (c11 >= 0) & (c01 >= 0)
+        c_in = np.all(fc < 0, axis=1)
         if np.any(c_in):
             full = _full_cells(field, cu[c_in], cv[c_in], hu, hv)
             totals = [total + float(np.sum(part))
                       for total, part in zip(totals, full)]
-        keep = ~c_in & ~c_out
-        u0, v0 = cu[keep], cv[keep]
-        f00, f10, f11, f01 = c00[keep], c10[keep], c11[keep], c01[keep]
+        keep = ~c_in & ~np.all(fc >= 0, axis=1)
+        u0, v0, f = cu[keep], cv[keep], fc[keep]
+        side_s, side_located = _side_crossings(field, tt, u0, v0, hu, hv, f)
 
     # Terminal estimate for whatever survived to the depth cap.
     left = np.nonzero(~ok)[0]
@@ -442,8 +408,7 @@ def integrate_cut_cells(field: DistanceField, tt: float, cells: CutCells,
         vm = v0[left] + 0.5 * hv
         dens = _densities(frames(field.surface, um, vm))
         for k, idx in enumerate(left):
-            fc = np.array([f00[idx], f10[idx], f11[idx], f01[idx]])
-            frac = _terminal_polygon(fc) * hu * hv
+            frac = _terminal_polygon(f[idx]) * hu * hv
             totals = [total + frac * float(d[k])
                       for total, d in zip(totals, dens)]
     return totals

@@ -215,14 +215,15 @@ class ParametricSurface:
       isometry carrying the surface to itself (a rotation, screw motion,
       translation or boost), so every pole-free quantity of `frames`
       (metric, |B|^2, K, ...) depends on v alone.  The cache integrates
-      one column of cells at u = 0 and copies each row's integrals
-      along it;
+      each row's cell at u = 0, so the chart must be periodic or its
+      u-interval must contain 0;
     * ``"dihedral"``: u -> -u, v -> -v and u <-> v are induced by ambient
       isometries, on a non-periodic domain centred at the origin.  The
       cache integrates one octant of cells (one quadrant when the grid
       or the domain is not square) and unfolds it by reflection.
 
     A declaration is checked when the surface is built: an unknown value,
+    ``"u_shift"`` on a non-periodic domain whose u-interval excludes 0,
     or ``"dihedral"`` on a periodic or off-centre domain, raises
     `ConfigError`.
     """
@@ -241,6 +242,12 @@ class ParametricSurface:
                 f"{SYMMETRIES}, got {self.symmetry!r}"
             )
         (u0, u1), (v0, v1) = self.domain
+        if self.symmetry == "u_shift" and not (self.periodic_u
+                                                or u0 < 0.0 < u1):
+            raise ConfigError(
+                f"chart {self.label!r}: symmetry 'u_shift' needs a periodic "
+                f"domain or a u-interval containing 0, got {self.domain}"
+            )
         if self.symmetry == "dihedral" and (self.periodic_u or u0 != -u1
                                             or v0 != -v1):
             raise ConfigError(

@@ -132,6 +132,16 @@ def test_dihedral_symmetry_needs_centred_domain():
         _flat_chart(((-1.0, 1.5), (-1.0, 1.0)), symmetry="dihedral")
 
 
+def test_u_shift_symmetry_needs_periodic_or_zero():
+    # The cell cache integrates a u_shift chart's rows at u = 0.
+    _flat_chart(((-1.0, 2.0), (-1.0, 1.0)), symmetry="u_shift")
+    _flat_chart(((1.0, 2.0), (-1.0, 1.0)), symmetry="u_shift",
+                periodic_u=True)
+    for domain in (((1.0, 2.0), (-1.0, 1.0)), ((0.0, 2.0), (-1.0, 1.0))):
+        with pytest.raises(ConfigError, match="u_shift.*containing 0"):
+            _flat_chart(domain, symmetry="u_shift")
+
+
 def test_laplacian_r_plane_closed_form():
     surface = make("plane")
     pole = surface.default_pole()
