@@ -47,7 +47,7 @@ def _sinc_family(w: np.ndarray, order: int) -> list[np.ndarray]:
 
 
 def _stack(*comps):
-    return np.stack(np.broadcast_arrays(*comps), axis=-1)
+    return np.array(comps)
 
 
 def plane_chart(halfwidth: float = 10.0) -> ParametricSurface:

@@ -36,6 +36,7 @@ from .. import immersion
 from ..errors import ConfigError, ConstructionError
 from ..immersion import ParametricSurface
 from ..space_forms import SpaceForm
+from .charts import _stack
 
 
 def neck_radius(c: float) -> float:
@@ -294,34 +295,29 @@ def solve_hyperbolic_catenoid(c: float = 1.0,
         ct, st = np.cosh(t), np.sinh(t)
         ch, sh = np.cosh(rho), np.sinh(rho)
         cth, sth = np.cos(U), np.sin(U)
-
-        def stack(*comps):
-            return np.stack(np.broadcast_arrays(*comps), axis=-1)
-
-        F = stack(ct * ch, st * ch, sh * cth, sh * sth)
+        F = _stack(ct * ch, st * ch, sh * cth, sh * sth)
         if order == 0:
             return (F,)
 
         rho_d, t_d = rho_j[1], t_j[1]
         zero = np.zeros_like(U)
-        E_t = stack(st * ch, ct * ch, zero, zero)
-        E_rho = stack(ct * sh, st * sh, ch * cth, ch * sth)
-        E_theta = stack(zero, zero, -sh * sth, sh * cth)
-        d = lambda a: a[..., None]
+        E_t = _stack(st * ch, ct * ch, zero, zero)
+        E_rho = _stack(ct * sh, st * sh, ch * cth, ch * sth)
+        E_theta = _stack(zero, zero, -sh * sth, sh * cth)
         Fu = E_theta
-        Fv = E_t * d(t_d) + E_rho * d(rho_d)
+        Fv = E_t * t_d + E_rho * rho_d
         if order == 1:
             return F, Fu, Fv
 
         rho_dd, t_dd = rho_j[2], t_j[2]
-        E_tt = stack(ct * ch, st * ch, zero, zero)
-        E_trho = stack(st * sh, ct * sh, zero, zero)
-        E_rhotheta = stack(zero, zero, -ch * sth, ch * cth)
-        E_thetatheta = stack(zero, zero, -sh * cth, -sh * sth)
+        E_tt = _stack(ct * ch, st * ch, zero, zero)
+        E_trho = _stack(st * sh, ct * sh, zero, zero)
+        E_rhotheta = _stack(zero, zero, -ch * sth, ch * cth)
+        E_thetatheta = _stack(zero, zero, -sh * cth, -sh * sth)
         Fuu = E_thetatheta
-        Fuv = E_rhotheta * d(rho_d)
-        Fvv = (E_t * d(t_dd) + E_rho * d(rho_dd) + E_tt * d(t_d**2)
-               + 2.0 * E_trho * d(t_d * rho_d) + F * d(rho_d**2))
+        Fuv = E_rhotheta * rho_d
+        Fvv = (E_t * t_dd + E_rho * rho_dd + E_tt * t_d**2
+               + 2.0 * E_trho * (t_d * rho_d) + F * rho_d**2)
         return F, Fu, Fv, Fuu, Fuv, Fvv
 
     surface = ParametricSurface(

@@ -223,7 +223,7 @@ def bracketed_newton(field: DistanceField, tt: float, base_u, base_v, du, dv,
         F, Fu, Fv = surf.jet(base_u + s * du, base_v + s * dv, 1)
         r, rad = form.radial_split(field.pole, F)
         f = r - tt
-        fp = form.inner(rad, Fu * du[..., None] + Fv * dv[..., None])
+        fp = form.inner(rad, Fu * du + Fv * dv)
         done |= np.abs(f) <= tol
         if bool(np.all(done)):
             break

@@ -198,7 +198,7 @@ class ParametricSurface:
     """Immersed chart with analytic partials.
 
     `jet(U, V, order)` returns the partials of F up to `order` (a
-    required argument), each an array of shape U.shape + (dim,): (F,)
+    required argument), each an array of shape (dim,) + U.shape: (F,)
     for order 0, (F, F_u, F_v) for order 1 and (F, F_u, F_v, F_uu, F_uv,
     F_vv) for order 2.  A chart computes only the terms it returns, and
     a lower-order jet equals the leading entries of a higher-order one
@@ -271,7 +271,8 @@ class FrameBatch:
     Position, partials and metric are always present.  The second-order
     fields (unit normal N, scalar second form b_ij, scalar mean curvature
     H, |B|^2, K) are None on a batch from `radial_frames`; the radial
-    fields are populated only when a pole was supplied.
+    fields are populated only when a pole was supplied.  Ambient vectors
+    have shape (dim,) + U.shape, scalars U.shape and gradPr U.shape + (2,).
     """
 
     F: np.ndarray
@@ -297,7 +298,7 @@ class FrameBatch:
     def ambient_gradPr(self) -> np.ndarray:
         """The tangential radial gradient as an ambient vector."""
         a = self.gradPr
-        return a[..., 0, None] * self.Fu + a[..., 1, None] * self.Fv
+        return a[..., 0] * self.Fu + a[..., 1] * self.Fv
 
     def second_form(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """b(x, y) of chart-component vectors; B(x, y) = b(x, y) N."""
@@ -387,15 +388,14 @@ def frames(surface: ParametricSurface, U, V,
     inv22 = g11 / detg
     X = form.normal_seed(F, Fu, Fv)
     w1, w2 = ip(X, Fu), ip(X, Fv)
-    X = (X - (inv11 * w1 + inv12 * w2)[..., None] * Fu
-         - (inv12 * w1 + inv22 * w2)[..., None] * Fv)
+    X = X - (inv11 * w1 + inv12 * w2) * Fu - (inv12 * w1 + inv22 * w2) * Fv
     XX = ip(X, X)
     if not np.all(XX > 0.0):
         raise ImmersionError(
             f"degenerate normal on chart {surface.label!r}: "
             f"min <X,X> = {float(np.nanmin(XX)):.3e}"
         )
-    N = X / np.sqrt(XX)[..., None]
+    N = X / np.sqrt(XX)
 
     b11, b12, b22 = ip(Fuu, N), ip(Fuv, N), ip(Fvv, N)
     if form.curved:

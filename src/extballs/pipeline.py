@@ -93,7 +93,7 @@ def run_surface(name: str, *, params: dict | None = None,
     if pole_uv is not None:
         _check_pole_in_domain(surface, pole_uv)
         pole = surface.eval(np.array([float(pole_uv[0])]),
-                            np.array([float(pole_uv[1])]))[0]
+                            np.array([float(pole_uv[1])]))[:, 0]
     spec = GridSpec(n_u=int(grid[0]), n_v=int(grid[1]))
     field = build_field(surface, t_max, pole=pole, spec=spec)
     ensure_cell_cache(field)

@@ -7,8 +7,10 @@ metric has constant curvature b.  Distances, geodesics, and radial
 directions are closed-form in this model, with no boundary blow-up at
 large radius.
 
-Points and tangent vectors are plain float arrays of length `dim`
-(3 for b = 0, 4 for b < 0); all operations broadcast over leading axes.
+Points and tangent vectors hold their `dim` coordinates (3 for b = 0, 4
+for b < 0) on the leading axis and broadcast over the trailing ones.
+Sums over coordinates (`_dot`, `_cross`) are grouped as NumPy's `einsum`
+and `np.cross` group a trailing coordinate axis, and equal them bitwise.
 """
 
 from __future__ import annotations
@@ -21,6 +23,19 @@ from .errors import ConfigError, ModelError, PoleSingularity
 
 # acosh(1 + d) = sqrt(2d) * (1 - d/12 + 3d^2/160 - ...) for small d >= 0.
 _SERIES_CUT = 1e-4
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k x[k] y[k] over the leading axis of length 3 or 4, grouped as
+    `einsum('...k,...k->...')` groups a contiguous trailing axis."""
+    s = x[0] * y[0] + x[2] * y[2]
+    return s + (x[1] * y[1] if len(x) == 3 else x[1] * y[1] + x[3] * y[3])
+
+
+def _cross(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a x c of 3-vectors on the leading axis, row by row as `np.cross`."""
+    return np.array([a[1] * c[2] - a[2] * c[1], a[2] * c[0] - a[0] * c[2],
+                     a[0] * c[1] - a[1] * c[0]])
 
 
 def stable_acosh(delta: np.ndarray) -> np.ndarray:
@@ -62,9 +77,9 @@ class SpaceForm:
         """Ambient model metric on vectors (Minkowski form when b < 0)."""
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        s = np.einsum("...k,...k->...", x, y)
+        s = _dot(x, y)
         if self.curved:
-            s = s - 2.0 * x[..., 0] * y[..., 0]
+            s = s - 2.0 * x[0] * y[0]
         return s
 
     def normal_seed(self, x: np.ndarray, a: np.ndarray,
@@ -74,13 +89,12 @@ class SpaceForm:
         triple cross product, (x.(a x c), x_0 a x c + a_0 c x x + c_0 x x a).
         """
         if not self.curved:
-            return np.cross(a, c)
-        xs, as_, cs = x[..., 1:], a[..., 1:], c[..., 1:]
-        ac = np.cross(as_, cs)
-        rest = (x[..., :1] * ac + a[..., :1] * np.cross(cs, xs)
-                + c[..., :1] * np.cross(xs, as_))
-        head = np.einsum("...k,...k->...", xs, ac)[..., None]
-        return np.concatenate([head, rest], axis=-1)
+            return _cross(a, c)
+        xs, as_, cs = x[1:], a[1:], c[1:]
+        ac = _cross(as_, cs)
+        rest = (x[:1] * ac + a[:1] * _cross(cs, xs)
+                + c[:1] * _cross(xs, as_))
+        return np.concatenate([_dot(xs, ac)[None], rest])
 
     # -- model membership ------------------------------------------------
 
@@ -88,17 +102,17 @@ class SpaceForm:
         """Scale-relative violation of the model constraint at x."""
         x = np.asarray(x, dtype=np.float64)
         if not self.curved:
-            return np.zeros(x.shape[:-1])
-        sumsq = np.einsum("...k,...k->...", x, x)
+            return np.zeros(x.shape[1:])
+        sumsq = _dot(x, x)
         raw = np.abs(self.b * self.inner(x, x) - 1.0)
         return raw / (1.0 + np.abs(self.b) * sumsq)
 
     def check_point(self, x: np.ndarray, tol: float = 1e-9,
                     what: str = "point") -> None:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.dim:
+        if x.shape[0] != self.dim:
             raise ModelError(
-                f"{what} has {x.shape[-1]} coordinates, expected {self.dim}"
+                f"{what} has {x.shape[0]} coordinates, expected {self.dim}"
             )
         if self.curved:
             res = self.point_residual(x)
@@ -107,7 +121,7 @@ class SpaceForm:
                 raise ModelError(
                     f"{what} off the hyperboloid model: residual {worst:.3e}"
                 )
-            if np.any(np.asarray(x)[..., 0] <= 0):
+            if np.any(x[0] <= 0):
                 raise ModelError(f"{what} on the wrong hyperboloid sheet")
 
     # -- comparison functions --------------------------------------------
@@ -151,7 +165,8 @@ class SpaceForm:
         p = np.asarray(p, dtype=np.float64)
         q = np.asarray(q, dtype=np.float64)
         if not self.curved:
-            return np.linalg.norm(q - p, axis=-1)
+            d = q - p.reshape(p.shape + (1,) * (q.ndim - p.ndim))
+            return np.linalg.norm(d, axis=0)
         delta = self.b * self.inner(p, q) - 1.0
         return stable_acosh(delta) / self.kappa
 
@@ -163,14 +178,15 @@ class SpaceForm:
         The distance equals `distance` bitwise.  For b < 0 the tangent is
         Minkowski-orthogonal to x (model-tangent) and has Minkowski norm 1.
         """
-        o = np.asarray(o, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
+        o = np.asarray(o, dtype=np.float64)
+        o = o.reshape(o.shape + (1,) * (x.ndim - o.ndim))  # pole column
         if not self.curved:
             diff = x - o
-            r = np.linalg.norm(diff, axis=-1)
+            r = np.linalg.norm(diff, axis=0)
             if np.any(r < 1e-12):
                 raise PoleSingularity("radial direction undefined at the pole")
-            return r, diff / r[..., None]
+            return r, diff / r
         delta = self.b * self.inner(o, x) - 1.0
         r = stable_acosh(delta) / self.kappa
         delta = np.maximum(delta, 0.0)
@@ -178,4 +194,4 @@ class SpaceForm:
         if np.any(sh < 1e-12):
             raise PoleSingularity("radial direction undefined at the pole")
         ch = 1.0 + delta
-        return r, self.kappa * (ch[..., None] * x - o) / sh[..., None]
+        return r, self.kappa * (ch * x - o) / sh

@@ -54,10 +54,9 @@ def geodesic_step(form: SpaceForm, x: np.ndarray, v: np.ndarray,
     v = np.asarray(v, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     if not form.curved:
-        return x + s[..., None] * v
+        return x + s * v
     ks = form.kappa * s
-    return (np.cosh(ks)[..., None] * x
-            + (np.sinh(ks) / form.kappa)[..., None] * v)
+    return np.cosh(ks) * x + (np.sinh(ks) / form.kappa) * v
 
 
 def corner_views(a: np.ndarray, periodic_u: bool):
@@ -136,9 +135,9 @@ def check_surface(surface: ParametricSurface, n: int = 200,
     # the scale at which the defect feeds contracted quantities (H, |B|^2,
     # boundary curvature integrands); raw ambient products would grow as
     # e^{3r} on hyperboloid charts and measure nothing useful.
-    e1 = fb.Fu / np.sqrt(fb.g11)[..., None]
-    t2 = fb.Fv - (fb.g12 / fb.g11)[..., None] * fb.Fu
-    e2 = t2 / np.sqrt(np.maximum(form.inner(t2, t2), 1e-300))[..., None]
+    e1 = fb.Fu / np.sqrt(fb.g11)
+    t2 = fb.Fv - (fb.g12 / fb.g11) * fb.Fu
+    e2 = t2 / np.sqrt(np.maximum(form.inner(t2, t2), 1e-300))
     s11 = fb.g11
     s12 = np.sqrt(fb.g11 * fb.g22)
     s22 = fb.g22
@@ -151,7 +150,7 @@ def check_surface(surface: ParametricSurface, n: int = 200,
         F = fb.F
         out["max_model_residual"] = float(np.max(form.point_residual(F)))
         tang = np.stack([form.inner(F, fb.Fu), form.inner(F, fb.Fv)])
-        scale = 1.0 + np.abs(form.b) * np.einsum("...k,...k->...", F, F)
+        scale = 1.0 + np.abs(form.b) * np.einsum("k...,k...->...", F, F)
         out["max_tangency"] = float(np.max(np.abs(tang) / scale))
     return out
 
@@ -299,13 +298,15 @@ def _trace_kg(field, samples, delta: float) -> np.ndarray:
     vel = np.tensordot(_C1, traj, axes=1) / delta
     acc = np.tensordot(_C2, traj, axes=1) / (delta * delta)
     ip = surf.form.inner
-    nu = fb0.ambient_gradPr() / fb0.normGradPr[:, None]
+    nu = fb0.ambient_gradPr() / fb0.normGradPr
     return -ip(acc, nu) / ip(vel, vel)
 
 
 def frame_subset(fb: FrameBatch, idx) -> FrameBatch:
-    """The frames of the points ``idx`` of a batch."""
-    return FrameBatch(**{k: None if v is None else v[idx]
+    """The frames of the points ``idx`` of a batch: the last axis of its
+    ambient vectors and scalars, the first of its chart vector gradPr."""
+    return FrameBatch(**{k: None if v is None
+                         else v[idx] if k == "gradPr" else v[..., idx]
                          for k, v in vars(fb).items()})
 
 

@@ -128,9 +128,9 @@ def test_mirror_symmetry():
     Fp = HC.eval(th, sig)
     Fm = HC.eval(th, -sig)
     # rho even, t odd: x0, x2, x3 even in sigma; x1 odd
-    assert np.allclose(Fp[..., 0], Fm[..., 0], rtol=1e-12)
-    assert np.allclose(Fp[..., 1], -Fm[..., 1], rtol=1e-12)
-    assert np.allclose(Fp[..., 2:], Fm[..., 2:], rtol=1e-12)
+    assert np.allclose(Fp[0], Fm[0], rtol=1e-12)
+    assert np.allclose(Fp[1], -Fm[1], rtol=1e-12)
+    assert np.allclose(Fp[2:], Fm[2:], rtol=1e-12)
 
 
 def test_minimality_oracle_inner_region():

@@ -206,7 +206,7 @@ def test_partial_bisection_on_two_ends():
     # of 160 and 156 crossings: with n_min = 158 only the smaller end is
     # bisected, once, and the set comes back grouped by component.
     surface = make("catenoid", t_max=6.0)
-    pole = surface.eval(np.array([0.0]), np.array([1.0]))[0]
+    pole = surface.eval(np.array([0.0]), np.array([1.0]))[:, 0]
     field = build_field(surface, 6.0, pole=pole, spec=GridSpec(128, 128))
     tt = 4.0 + balls._LEVEL_NUDGE * 5.0
     level = _level(field, tt)

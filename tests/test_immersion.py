@@ -101,8 +101,8 @@ def surface_reach(surface):
 
 def test_degenerate_metric_raises():
     def jet(U, V, order):
-        F = np.stack([U, U, np.zeros_like(U)], axis=-1)  # rank-1 map
-        dU = np.stack([np.ones_like(U)] * 2 + [np.zeros_like(U)], axis=-1)
+        F = np.stack([U, U, np.zeros_like(U)])  # rank-1 map
+        dU = np.stack([np.ones_like(U)] * 2 + [np.zeros_like(U)])
         z = np.zeros_like(F)
         return (F, dU, dU, z, z, z)[:(1, 3, 6)[order]]
 
@@ -115,7 +115,7 @@ def test_degenerate_metric_raises():
 
 def _flat_chart(domain, **kwargs):
     def jet(U, V, order):
-        F = np.stack([U, V, np.zeros_like(U)], axis=-1)
+        F = np.stack([U, V, np.zeros_like(U)])
         return (F,)
     return ParametricSurface(form=SpaceForm(0.0), domain=domain, jet=jet,
                              label="flat", **kwargs)
@@ -259,6 +259,40 @@ def test_radial_frames_bitwise_equal_frames(name):
     assert first.N is None and first.b11 is None and first.K is None
 
 
+@pytest.mark.parametrize("name", sorted(catalog.entries))
+def test_jet_vectors_lead_with_the_ambient_axis(name):
+    surface = make(name)
+    dim = surface.form.dim
+    U, V = _chart_points(surface)
+    for u, v in ((U[0], V[0]), (U, V), (U.reshape(6, 67), V.reshape(6, 67))):
+        for order in (0, 1, 2):
+            for part in surface.jet(u, v, order):
+                assert part.shape == (dim,) + np.shape(u), (order, np.shape(u))
+
+
+@pytest.mark.parametrize("name", sorted(catalog.entries))
+def test_frames_of_a_block_equal_frames_of_its_ravel(name):
+    # Field sampling passes 2-D meshgrid blocks and the critical scan a
+    # (5, n) block; every field must equal the flat batch's bitwise.
+    from extballs.immersion import radial_frames
+
+    surface = make(name)
+    U, V = _chart_points(surface)
+    pole = surface.default_pole()
+    for fn in (frames, radial_frames):
+        block = fn(surface, U.reshape(6, 67), V.reshape(6, 67), pole=pole)
+        flat = fn(surface, U, V, pole=pole)
+        for key, got in vars(block).items():
+            ref = getattr(flat, key)
+            if ref is None:
+                assert got is None, key
+            elif key == "gradPr":
+                assert np.array_equal(got.reshape(ref.shape), ref), key
+            else:
+                assert got.shape == ref.shape[:-1] + (6, 67), key
+                assert np.array_equal(got.reshape(ref.shape), ref), key
+
+
 def _vector_contraction(surface, U, V):
     """|B|^2 and K from three ambient second-form vectors.
 
@@ -277,11 +311,11 @@ def _vector_contraction(surface, U, V):
         w1, w2 = ip(D, Fu), ip(D, Fv)
         a1 = (g22 * w1 - g12 * w2) / detg
         a2 = (g11 * w2 - g12 * w1) / detg
-        return D - a1[..., None] * Fu - a2[..., None] * Fv
+        return D - a1 * Fu - a2 * Fv
 
-    B11 = normal_part(Fuu + form.b * g11[..., None] * F)
-    B12 = normal_part(Fuv + form.b * g12[..., None] * F)
-    B22 = normal_part(Fvv + form.b * g22[..., None] * F)
+    B11 = normal_part(Fuu + form.b * g11 * F)
+    B12 = normal_part(Fuv + form.b * g12 * F)
+    B22 = normal_part(Fvv + form.b * g22 * F)
     inv11, inv12, inv22 = g22 / detg, -g12 / detg, g11 / detg
     bb1111, bb1112, bb1122 = ip(B11, B11), ip(B11, B12), ip(B11, B22)
     bb1212, bb1222, bb2222 = ip(B12, B12), ip(B12, B22), ip(B22, B22)
@@ -319,9 +353,9 @@ def test_degenerate_normal_raises():
     # is timelike and <X, X> < 0.
     def jet(U, V, order):
         one, zero = np.ones_like(U), np.zeros_like(U)
-        F = np.stack([zero, U, V, one], axis=-1)
-        Fu = np.stack([zero, one, zero, zero], axis=-1)
-        Fv = np.stack([zero, zero, one, zero], axis=-1)
+        F = np.stack([zero, U, V, one])
+        Fu = np.stack([zero, one, zero, zero])
+        Fv = np.stack([zero, zero, one, zero])
         z = np.zeros_like(F)
         return (F, Fu, Fv, z, z, z)[:(1, 3, 6)[order]]
 

@@ -195,7 +195,7 @@ def test_minimality_oracle_probes_around_the_run_pole(monkeypatch):
     # The oracle samples the region the balls evaluate: within t_max of
     # the run's own pole, here a neck-offset one, not the chart's default.
     surface = make("hyperbolic_catenoid", t_max=8.0)
-    pole = surface.eval(np.array([0.0]), np.array([2.5]))[0]
+    pole = surface.eval(np.array([0.0]), np.array([2.5]))[:, 0]
     field = build_field(surface, 8.0, pole=pole, spec=GridSpec(64, 64))
     probed = []
 

@@ -183,9 +183,54 @@ def test_geodesic_step_reaches_radial_target():
 @pytest.mark.parametrize("form", [E3, H3], ids=["E3", "H3"])
 def test_normal_seed_is_orthogonal_to_point_and_plane(form):
     rng = np.random.default_rng(12)
-    x, a, c = rng.standard_normal((3, 50, form.dim))
+    x, a, c = rng.standard_normal((3, 50, form.dim)).transpose(0, 2, 1)
     X = form.normal_seed(x, a, c)
     for y in ((a, c) if not form.curved else (x, a, c)):
-        scale = np.linalg.norm(X, axis=-1) * np.linalg.norm(y, axis=-1)
+        scale = np.linalg.norm(X, axis=0) * np.linalg.norm(y, axis=0)
         assert np.all(np.abs(form.inner(X, y)) <= 1e-14 * scale)
-    assert np.all(np.linalg.norm(X, axis=-1) > 0.0)
+    assert np.all(np.linalg.norm(X, axis=0) > 0.0)
+
+
+def _point_first(x):
+    """A C-contiguous (N, dim) copy of component-first points."""
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
+
+
+def _normal_seed_point_first(form, x, a, c):
+    """`normal_seed` on (N, dim) arrays through `np.cross` and `einsum`."""
+    if not form.curved:
+        return np.cross(a, c)
+    xs, as_, cs = x[:, 1:], a[:, 1:], c[:, 1:]
+    ac = np.cross(as_, cs)
+    rest = (x[:, :1] * ac + a[:, :1] * np.cross(cs, xs)
+            + c[:, :1] * np.cross(xs, as_))
+    head = np.einsum("...k,...k->...", xs, ac)[:, None]
+    return np.concatenate([head, rest], axis=1)
+
+
+@pytest.mark.parametrize("form", [E3, H3], ids=["E3", "H3"])
+def test_coordinate_sums_equal_point_first_numpy_bitwise(form):
+    # The sums over the leading coordinate axis are written out in the
+    # grouping NumPy's reductions use on a trailing axis.  An einsum or a
+    # sum over the leading axis groups them otherwise and rounds about a
+    # third of the inner products differently.
+    rng = np.random.default_rng(19)
+    n = 100_000
+    a, c = rng.standard_normal((2, form.dim, n))
+    x = rng.uniform(-3.0, 3.0, (form.dim, n))
+    if form.curved:
+        x[0] = np.sqrt(1.0 + x[1] ** 2 + x[2] ** 2 + x[3] ** 2)
+    pole = x[:, 0].copy()
+    X, A, C = _point_first(x), _point_first(a), _point_first(c)
+
+    def inner(p, q):
+        s = np.einsum("...k,...k->...", p, q)
+        return s - 2.0 * p[..., 0] * q[..., 0] if form.curved else s
+
+    assert np.array_equal(form.inner(a, c), inner(A, C))
+    assert np.array_equal(form.inner(pole, x), inner(pole, X))
+    assert np.array_equal(form.normal_seed(x, a, c),
+                          _normal_seed_point_first(form, X, A, C).T)
+    if not form.curved:
+        assert np.array_equal(form.distance(pole, x),
+                              np.linalg.norm(X - pole, axis=-1))
