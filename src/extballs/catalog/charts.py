@@ -70,7 +70,8 @@ def plane_chart(halfwidth: float = 10.0) -> ParametricSurface:
     a = float(halfwidth)
     return ParametricSurface(
         form=SpaceForm(0.0), domain=((-a, a), (-a, a)), jet=jet,
-        label="plane", symmetry="u_shift",
+        label="plane", symmetry="u_shift", mirror_u=(-1, 1, 1),
+        mirror_v=(1, -1, 1),
     )
 
 
@@ -100,6 +101,7 @@ def catenoid_chart(v_max: float = 4.0) -> ParametricSurface:
     return ParametricSurface(
         form=SpaceForm(0.0), domain=((0.0, 2.0 * np.pi), (-m, m)), jet=jet,
         label="catenoid", periodic_u=True, symmetry="u_shift",
+        mirror_u=(1, -1, 1), mirror_v=(1, 1, -1),
     )
 
 
@@ -108,8 +110,8 @@ def enneper_chart(halfwidth: float = 3.1) -> ParametricSurface:
 
     def jet(U, V, order):
         U, V = np.broadcast_arrays(U, V)
-        F = _stack(U - U**3 / 3.0 + U * V * V,
-                   -(V - V**3 / 3.0 + U * U * V),
+        F = _stack(U - U * U * U / 3.0 + U * V * V,
+                   -(V - V * V * V / 3.0 + U * U * V),
                    U * U - V * V)
         if order == 0:
             return (F,)
@@ -127,7 +129,8 @@ def enneper_chart(halfwidth: float = 3.1) -> ParametricSurface:
     a = float(halfwidth)
     return ParametricSurface(
         form=SpaceForm(0.0), domain=((-a, a), (-a, a)), jet=jet,
-        label="enneper", symmetry="dihedral",
+        label="enneper", symmetry="dihedral", mirror_u=(-1, 1, 1),
+        mirror_v=(1, -1, 1),
     )
 
 
@@ -154,7 +157,8 @@ def helicoid_chart(halfwidth: float = 9.2) -> ParametricSurface:
     a = float(halfwidth)
     return ParametricSurface(
         form=SpaceForm(0.0), domain=((-a, a), (-a, a)), jet=jet,
-        label="helicoid", symmetry="u_shift",
+        label="helicoid", symmetry="u_shift", mirror_u=(1, -1, -1),
+        mirror_v=(-1, -1, 1),
     )
 
 
@@ -189,7 +193,8 @@ def h2_chart(halfwidth: float = 8.8) -> ParametricSurface:
     a = float(halfwidth)
     return ParametricSurface(
         form=SpaceForm(-1.0), domain=((-a, a), (-a, a)), jet=jet,
-        label="h2_in_h3", symmetry="u_shift",
+        label="h2_in_h3", symmetry="u_shift", mirror_u=(1, -1, 1, 1),
+        mirror_v=(1, 1, -1, 1),
     )
 
 
@@ -221,17 +226,18 @@ def sphere_cap_chart(halfwidth: float = 2.2) -> ParametricSurface:
             return F, Fu, Fv
         A2 = dA[1]
         Fuu = _stack(A + 2.0 * U * U * A1,
-                     6.0 * U * A1 + 4.0 * U**3 * A2,
+                     6.0 * U * A1 + 4.0 * (U * U * U) * A2,
                      2.0 * V * A1 + 4.0 * U * U * V * A2)
         Fuv = _stack(2.0 * U * V * A1,
                      2.0 * V * A1 + 4.0 * U * U * V * A2,
                      2.0 * U * A1 + 4.0 * U * V * V * A2)
         Fvv = _stack(A + 2.0 * V * V * A1,
                      2.0 * U * A1 + 4.0 * U * V * V * A2,
-                     6.0 * V * A1 + 4.0 * V**3 * A2)
+                     6.0 * V * A1 + 4.0 * (V * V * V) * A2)
         return F, Fu, Fv, Fuu, Fuv, Fvv
 
     return ParametricSurface(
         form=SpaceForm(0.0), domain=((-a, a), (-a, a)), jet=jet,
-        label="sphere_control", symmetry="dihedral",
+        label="sphere_control", symmetry="dihedral", mirror_u=(1, -1, 1),
+        mirror_v=(1, 1, -1),
     )

@@ -324,7 +324,8 @@ def solve_hyperbolic_catenoid(c: float = 1.0,
         form=SpaceForm(-1.0),
         domain=((0.0, 2.0 * np.pi), (-sigma_max, sigma_max)),
         jet=jet, label="hyperbolic_catenoid",
-        periodic_u=True, symmetry="u_shift",
+        periodic_u=True, symmetry="u_shift", mirror_u=(1, 1, 1, -1),
+        mirror_v=(1, -1, 1, 1),
     )
 
     # Construction-time correctness oracle: sampled mean curvature.  The

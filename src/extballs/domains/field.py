@@ -18,6 +18,12 @@ conventions live here:
   With ``ncu`` cell columns, the u-edge from node (i, j) to (i+1, j) has
   global id ``j * ncu + i`` and the v-edge from (i, j) to (i, j+1) has
   ``n_v * ncu + j * n_u + i``.
+* A chart axis whose declared mirror (``ParametricSurface.mirror_u``,
+  ``mirror_v``) fixes the pole is recorded in ``DistanceField.mirrors``.
+  The mirror maps node k to n - 1 - k and cell k to m - 1 - k on a
+  non-periodic axis (half-offset nodes on a centred interval), and node
+  i to (n - i) mod n and cell i to n - 1 - i on a periodic u starting
+  at 0.  The node values of r are mirror-symmetric only to rounding.
 * Once per field, the cells with a corner below t_max (the only ones a
   requested ball can reach) are sorted by their corner maximum of r
   (``DistanceField.cell_order``).  The cells fully inside {r < t} are a
@@ -82,6 +88,9 @@ class DistanceField:
     cell_order: np.ndarray = field(repr=False)     # (n_reached,) int32
     cell_max: np.ndarray = field(repr=False)       # (n_reached,)
     cell_span: float
+    # Per chart axis (u, v), whether the chart's declared mirror fixes
+    # the pole exactly, so every ball is symmetric under it.
+    mirrors: tuple[bool, bool]
     # Per-channel full-cell integrals in ``cell_order``, filled by
     # quadrature.ensure_cell_cache on first use.
     cell_integrals: tuple | None = field(default=None, repr=False)
@@ -263,7 +272,8 @@ def build_field(surface: ParametricSurface, t_max: float,
     silently truncated.  A node on the pole (``_ON_POLE``) raises
     ``ConfigError``.  The field ends with the reached cells sorted by
     their corner maximum (``cell_order``), which every ball of the
-    schedule reads.
+    schedule reads, and with the chart mirrors that fix the pole
+    exactly (S * pole == pole, ``mirrors``).
     """
     if not np.isfinite(t_max) or t_max <= 0.0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
@@ -314,10 +324,14 @@ def build_field(surface: ParametricSurface, t_max: float,
         )
 
     order, cell_max, span = _sort_reached_cells(r, surface.periodic_u, t_max)
+    mirrors = tuple(signs is not None
+                    and np.array_equal(np.asarray(signs) * pole, pole)
+                    for signs in (surface.mirror_u, surface.mirror_v))
     return DistanceField(surface=surface, pole=pole, spec=spec, t_max=t_max,
                          u_nodes=u_nodes, v_nodes=v_nodes, r=r,
                          h_u=h_u, h_v=h_v,
-                         cell_order=order, cell_max=cell_max, cell_span=span)
+                         cell_order=order, cell_max=cell_max, cell_span=span,
+                         mirrors=mirrors)
 
 
 def _node_on_pole(surface: ParametricSurface, U, V, r: np.ndarray,
@@ -353,20 +367,30 @@ def critical_scan(field: DistanceField, t_lo: float, t_hi: float) -> dict:
             f"bad annulus ({t_lo}, {t_hi}) for t_max {field.t_max}"
         )
     # Only interior nodes have a whole ring; the domain guard keeps every
-    # outer node above t_max anyway.  u holds the rows' coordinates.
-    r, u = field.r, field.u_nodes[1:-1]
-    if field.periodic_u:
-        r, u = np.pad(r, ((1, 1), (0, 0)), mode="wrap"), field.u_nodes
+    # outer node above t_max anyway.  The ring test runs over blocks of
+    # node rows, each read with a one-row halo (modulo n_u, which wraps
+    # a periodic grid and is never reached otherwise).
+    r = field.r
     n_u, n_v = r.shape
-    node = r[1:-1, 1:-1]
-    above = []
-    for k, (di, dj) in enumerate(_RING):
-        ring = r[1 + di:n_u - 1 + di, 1 + dj:n_v - 1 + dj]
-        above.append(ring >= node if k < 3 else ring > node)
-    changes = sum(a != b for a, b in zip(above, above[1:] + above[:1]))
-    lo = max(t_lo, float(np.min(field.r)))
-    i, j = np.nonzero((changes != 2) & (node > lo) & (node < t_hi))
-    x = np.stack([u[i], field.v_nodes[j + 1]])              # (2, n)
+    first, stop = (0, n_u) if field.periodic_u else (1, n_u - 1)
+    rows = max(1, BATCH_POINTS // n_v)
+    lo = max(t_lo, float(np.min(r)))
+    found = []
+    for start in range(first, stop, rows):
+        end = min(start + rows, stop)
+        block = r[np.arange(start - 1, end + 1) % n_u]
+        node = block[1:-1, 1:-1]
+        above = []
+        for k, (di, dj) in enumerate(_RING):
+            ring = block[1 + di:end - start + 1 + di, 1 + dj:n_v - 1 + dj]
+            above.append(ring >= node if k < 3 else ring > node)
+        changes = np.zeros(node.shape, dtype=np.int8)
+        for a, b in zip(above, above[1:] + above[:1]):
+            changes += a != b
+        i, j = np.nonzero((changes != 2) & (node > lo) & (node < t_hi))
+        found.append(np.stack([field.u_nodes[start + i],
+                               field.v_nodes[j + 1]]))
+    x = np.concatenate(found, axis=1)
 
     step = 1e-4 * np.array([field.h_u, field.h_v])
     probes = np.concatenate([np.zeros((1, 2)), np.diag(step),
@@ -377,5 +401,8 @@ def critical_scan(field: DistanceField, t_lo: float, t_hi: float) -> dict:
                           pole=field.pole).gradPr           # (5, n, 2)
         jac = np.stack([g[1] - g[3], g[2] - g[4]], axis=-1) / (2.0 * step)
         x = x - np.linalg.solve(jac, g[0][..., None])[..., 0].T
-    values = np.unique(field.eval_r(x[0], x[1])).tolist()
+    values = np.sort(field.eval_r(x[0], x[1]))
+    distinct = np.ones(len(values), dtype=bool)
+    distinct[1:] = values[1:] != values[:-1]
+    values = values[distinct].tolist()
     return {"critical_values": values, "R0": values[-1] if values else t_lo}

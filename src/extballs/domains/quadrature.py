@@ -33,7 +33,14 @@ Gauss-Bonnet).  It is a sum over grid cells, read from the `Level` that
 * cells where the strip picture fails (saddles of r, curve tangent to a
   strip) subdivide recursively, re-trying the slicer on each child and
   integrating children that fall wholly inside with the full-cell rule,
-  with a linear marching-squares polygon estimate at the maximum depth.
+  with a linear marching-squares polygon estimate at the maximum depth;
+* where a chart mirror fixes the pole (``DistanceField.mirrors``), the
+  ball is symmetric under it, so only the cut cells of the mirrors'
+  fundamental domain are integrated, each weighted by the size of its
+  orbit (`_orbit_weights`): 2 per mirror that moves it, 1 on a mirror's
+  own row or column.  The node values of r are symmetric only to
+  rounding, so a level whose cut-cell set is not closed under the
+  mirrors falls back to weight 1 on every cut cell.
 
 Features of the region smaller than one grid cell (for example an island
 of the outside region just after a critical level) are resolved only once
@@ -349,20 +356,28 @@ def _terminal_polygon(fc: np.ndarray) -> float:
 
 
 def integrate_cut_cells(field: DistanceField, tt: float, cells: CutCells,
-                        edge_s: np.ndarray,
-                        edge_located: np.ndarray) -> list[float]:
+                        edge_s: np.ndarray, edge_located: np.ndarray,
+                        weight: np.ndarray | None = None) -> list[float]:
     """Integrate each channel over the inside part of the level's cut cells.
 
     ``cells`` are the level's `CutCells`, whose corners give the cells'
     node values, and ``edge_s`` and ``edge_located`` are their side table
     (``Level.cell_edges``).  Subdivided children solve their own, one
     `bracketed_newton` call per depth (`_side_crossings`).
+
+    ``weight`` (None: 1 each) scales each cell's contribution, its
+    children's and its terminal polygon's included, before the sums; a
+    cell of weight 0 is not integrated at all.
     """
-    ci, cj = np.divmod(cells.ids, field.spec.n_v - 1)
+    if weight is None:
+        weight = np.ones(len(cells))
+    keep = weight != 0.0
+    ci, cj = np.divmod(cells.ids[keep], field.spec.n_v - 1)
     u0 = field.u_nodes[ci]
     v0 = field.v_nodes[cj]
-    f = cells.corners - tt
-    side_s, side_located = edge_s, edge_located
+    f = cells.corners[keep] - tt
+    side_s, side_located = edge_s[keep], edge_located[keep]
+    weight = weight[keep]
 
     totals = [0.0 for _ in CHANNELS]
     hu, hv = field.h_u, field.h_v
@@ -371,7 +386,7 @@ def integrate_cut_cells(field: DistanceField, tt: float, cells: CutCells,
             return totals
         contrib, ok = _slice_cells(field, tt, u0, v0, hu, hv, f, side_s,
                                    side_located)
-        totals = [total + float(np.sum(part[ok]))
+        totals = [total + float(np.sum(part[ok] * weight[ok]))
                   for total, part in zip(totals, contrib)]
         if bool(np.all(ok)) or depth == _MAX_DEPTH:
             break
@@ -391,14 +406,15 @@ def integrate_cut_cells(field: DistanceField, tt: float, cells: CutCells,
         cv = np.concatenate([pv + b * hv for _, b in _CORNERS])
         fc = np.concatenate([nodes[:, a + _CORNERS[:, 0], b + _CORNERS[:, 1]]
                              for a, b in _CORNERS])
+        cw = np.tile(weight[w], len(_CORNERS))
 
         c_in = np.all(fc < 0, axis=1)
         if np.any(c_in):
             full = _full_cells(field, cu[c_in], cv[c_in], hu, hv)
-            totals = [total + float(np.sum(part))
+            totals = [total + float(np.sum(part * cw[c_in]))
                       for total, part in zip(totals, full)]
         keep = ~c_in & ~np.all(fc >= 0, axis=1)
-        u0, v0, f = cu[keep], cv[keep], fc[keep]
+        u0, v0, f, weight = cu[keep], cv[keep], fc[keep], cw[keep]
         side_s, side_located = _side_crossings(field, tt, u0, v0, hu, hv, f)
 
     # Terminal estimate for whatever survived to the depth cap.
@@ -409,7 +425,7 @@ def integrate_cut_cells(field: DistanceField, tt: float, cells: CutCells,
         dens = _densities(frames(field.surface, um, vm))
         for k, idx in enumerate(left):
             frac = _terminal_polygon(f[idx]) * hu * hv
-            totals = [total + frac * float(d[k])
+            totals = [total + frac * float(d[k]) * float(weight[idx])
                       for total, d in zip(totals, dens)]
     return totals
 
@@ -420,10 +436,42 @@ def region_integral(field: DistanceField, tt: float,
 
     ``level`` is the `contours.Level` of tt.  The cells fully inside are
     the leading cells of ``field.cell_order`` whose corner maximum is
-    below tt; the cut cells are the level's.
+    below tt; the cut cells are the level's, each weighted by
+    `_orbit_weights`: where the field's mirrors fix the pole, only the
+    cut cells of their fundamental domain are integrated, each counted
+    once per cell of its orbit.
     """
     cache = ensure_cell_cache(field)
     inside = int(np.searchsorted(field.cell_max, tt))
-    cut = integrate_cut_cells(field, tt, level.cells, *level.cell_edges())
+    cut = integrate_cut_cells(field, tt, level.cells, *level.cell_edges(),
+                              _orbit_weights(field, level.cells.ids))
     return {name: float(np.sum(cache[name][:inside])) + part
             for name, part in zip(CHANNELS, cut)}
+
+
+def _orbit_weights(field: DistanceField, ids: np.ndarray):
+    """Per cut cell (flat ``ids``, ascending), its weight under the
+    field's mirrors, or None when every cell weighs 1.
+
+    A mirror that fixes the pole maps the ball to itself, so the cells
+    of one orbit hold equal integrals.  On each such axis, cell k of m
+    and its image m - 1 - k are one orbit: the cell with k < m - 1 - k
+    weighs 2, a cell on the mirror (k = m - 1 - k) weighs 1 and the
+    image weighs 0; the weights of the two axes multiply.  The node
+    values of r are symmetric only to rounding, so the weights apply
+    only when the id set is closed under every mirror used; otherwise
+    every cell weighs 1.
+    """
+    if not any(field.mirrors):
+        return None
+    m_u, m_v = field.cell_shape
+    i, j = np.divmod(ids, m_v)
+    images = ((m_u - 1 - i) * m_v + j, i * m_v + (m_v - 1 - j))
+    weight = np.ones(len(ids))
+    for used, k, m, image in zip(field.mirrors, (i, j), (m_u, m_v), images):
+        if not used:
+            continue
+        if not np.array_equal(np.sort(image), ids):
+            return None
+        weight *= 2.0 * (2 * k < m - 1) + (2 * k == m - 1)
+    return weight

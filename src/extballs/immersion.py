@@ -222,10 +222,23 @@ class ParametricSurface:
       cache integrates one octant of cells (one quadrant when the grid
       or the domain is not square) and unfolds it by reflection.
 
+    `mirror_u` and `mirror_v` declare the chart reflections that the
+    cut-cell quadrature may use: each is None or a sign vector S of
+    length ``form.dim`` with entries +-1 such that F(-u, v) = S F(u, v)
+    (for `mirror_u`) or F(u, -v) = S F(u, v) (for `mirror_v`).  A
+    coordinate sign flip is an isometry of R^3 and of the hyperboloid,
+    so the reflection carries the surface to itself, and a field whose
+    pole S fixes has mirror-symmetric balls.  Unlike `symmetry`, which
+    says which pole-free quantities repeat across the chart whatever the
+    pole, a mirror is used only where it fixes the pole.  The mirrored
+    axis must be centred at 0 (a periodic u-interval must start at 0),
+    so that it maps the grid to itself.
+
     A declaration is checked when the surface is built: an unknown value,
     ``"u_shift"`` on a non-periodic domain whose u-interval excludes 0,
-    or ``"dihedral"`` on a periodic or off-centre domain, raises
-    `ConfigError`.
+    ``"dihedral"`` on a periodic or off-centre domain, or a mirror that
+    is not a +-1 vector of length ``form.dim`` or lies on an off-centre
+    axis, raises `ConfigError`.
     """
 
     form: SpaceForm
@@ -234,6 +247,8 @@ class ParametricSurface:
     label: str
     periodic_u: bool = False
     symmetry: str | None = None
+    mirror_u: tuple[int, ...] | None = None
+    mirror_v: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.symmetry not in SYMMETRIES:
@@ -255,6 +270,23 @@ class ParametricSurface:
                 f"non-periodic domain centred at the origin, got "
                 f"{self.domain}"
             )
+        centred = (u0 == 0.0 if self.periodic_u else u0 == -u1, v0 == -v1)
+        for name, signs, ok in zip(("mirror_u", "mirror_v"),
+                                   (self.mirror_u, self.mirror_v), centred):
+            if signs is None:
+                continue
+            if (len(signs) != self.form.dim
+                    or any(s not in (1, -1) for s in signs)):
+                raise ConfigError(
+                    f"chart {self.label!r}: {name} must be {self.form.dim} "
+                    f"signs +-1, got {signs!r}"
+                )
+            if not ok:
+                raise ConfigError(
+                    f"chart {self.label!r}: {name} needs its axis centred "
+                    f"at 0 (a periodic u-interval starting at 0), got "
+                    f"{self.domain}"
+                )
 
     def eval(self, U, V) -> np.ndarray:
         return self.jet(np.asarray(U, dtype=np.float64),

@@ -133,6 +133,26 @@ def test_mirror_symmetry():
     assert np.allclose(Fp[2:], Fm[2:], rtol=1e-12)
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_chart_mirrors_hold_bitwise(name):
+    # F(-u, v) = S_u F(u, v) and F(u, -v) = S_v F(u, v) at orders 0-2:
+    # F_u and F_uv change sign under u -> -u, F_v and F_uv under v -> -v.
+    surface = make(name)
+    (u0, u1), (v0, v1) = surface.domain
+    rng = np.random.default_rng(11)
+    U = rng.uniform(u0, u1, 4000)
+    V = rng.uniform(v0, v1, 4000)
+    jet = surface.jet(U, V, 2)
+    for signs, image, odd in ((surface.mirror_u, surface.jet(-U, V, 2),
+                               (1, 4)),
+                              (surface.mirror_v, surface.jet(U, -V, 2),
+                               (2, 4))):
+        S = np.array(signs, dtype=np.float64)[:, None]
+        for k, (got, ref) in enumerate(zip(image, jet)):
+            want = -S * ref if k in odd else S * ref
+            assert np.array_equal(got, want), (name, signs, k)
+
+
 def test_minimality_oracle_inner_region():
     chk = check_surface(HC, n=500, seed=2, max_r=8.5)
     assert chk["max_normH"] <= 1e-11

@@ -857,3 +857,88 @@ def test_slicer_evaluates_at_most_32_points_per_cell(catenoid_192, t,
     assert calls and all(c["cells"] > 0 for c in calls)
     for c in calls:
         assert 0 < c["points"] <= 32 * c["cells"], (t, calls)
+
+
+# Fields whose poles both chart mirrors fix, with the radii to integrate:
+# the weighted cut-cell sum must stay within 1e-12 relative of the
+# all-cells sum.  The catenoid's radii are the `_CUT_CELL_PINS` levels,
+# the subdivided 2 + 1e-5 among them.
+_MIRROR_CASES = {
+    "catenoid": (4.0, 192, sorted(_CUT_CELL_PINS)),
+    "enneper": (4.0, 128, (0.7, 2.0, 4.0)),
+    "hyperbolic_catenoid": (6.0, 192, (1.0, 3.0, 6.0)),
+}
+
+
+def _unmirrored(field):
+    """The same field with every cut cell integrated (weight 1 each)."""
+    return dataclasses.replace(field, mirrors=(False, False))
+
+
+@pytest.mark.parametrize("name", sorted(_MIRROR_CASES))
+def test_mirror_weights_match_every_cell(name, catenoid_192):
+    t_max, n, radii = _MIRROR_CASES[name]
+    field = catenoid_192 if name == "catenoid" else build_field(
+        make(name, t_max=t_max), t_max, spec=GridSpec(n, n))
+    assert field.mirrors == (True, True)
+    ensure_cell_cache(field)
+    for t in radii:
+        level = _level(field, t)
+        weight = quadrature._orbit_weights(field, level.cells.ids)
+        assert weight is not None
+        # A quarter of the cells, up to those on the mirror lines.
+        assert np.sum(weight) == len(level.cells)
+        assert np.count_nonzero(weight) <= len(level.cells) // 4 + n
+        got = region_integral(field, t, level)
+        ref = region_integral(_unmirrored(field), t, level)
+        for channel in quadrature.CHANNELS:
+            assert got[channel] == pytest.approx(ref[channel], rel=1e-12,
+                                                 abs=0.0), (t, channel)
+
+
+def test_poles_off_a_mirror_integrate_its_other_half(monkeypatch):
+    surface = make("catenoid", t_max=4.0)
+    sliced = []
+    slice_cells = quadrature._slice_cells
+
+    def spy(*args):
+        sliced.append(len(args[2]))
+        return slice_cells(*args)
+
+    monkeypatch.setattr(quadrature, "_slice_cells", spy)
+    for pole_uv, mirrors, share in (((0.7, 0.3), (False, False), 1.0),
+                                    ((0.7, 0.0), (False, True), 0.5)):
+        pole = surface.eval(np.array([pole_uv[0]]),
+                            np.array([pole_uv[1]]))[:, 0]
+        field = build_field(surface, 4.0, pole=pole, spec=GridSpec(128, 128))
+        assert field.mirrors == mirrors
+        level = _level(field, 1.5)
+        sliced.clear()
+        got = region_integral(field, 1.5, level)
+        assert sliced[0] == pytest.approx(share * len(level.cells), abs=2)
+        if share == 1.0:
+            ref = region_integral(_unmirrored(field), 1.5, level)
+            assert got == ref
+
+
+def test_mirror_weights_need_a_closed_cut_set(catenoid_192):
+    # Nudge the node just outside the level that is nearest to it across
+    # it, off both mirror lines: its cells' images stay uncut, so the
+    # weights fall back to 1 and the sum is the unweighted one bitwise.
+    t = 1.0
+    ensure_cell_cache(catenoid_192)
+    r = catenoid_192.r.copy()
+    outside = np.where(r > t, r, np.inf)
+    outside[[0, 95, 96], :] = np.inf
+    outside[:, [94, 95, 96]] = np.inf
+    i, j = np.unravel_index(np.argmin(outside), r.shape)
+    r[i, j] = t - 1e-6
+    field = dataclasses.replace(catenoid_192, r=r)
+    level = _level(field, t)
+    assert quadrature._orbit_weights(catenoid_192,
+                                     _level(catenoid_192, t).cells.ids) \
+        is not None
+    assert quadrature._orbit_weights(field, level.cells.ids) is None
+    got = region_integral(field, t, level)
+    ref = region_integral(_unmirrored(field), t, level)
+    assert [x.hex() for x in got.values()] == [x.hex() for x in ref.values()]

@@ -142,6 +142,23 @@ def test_u_shift_symmetry_needs_periodic_or_zero():
             _flat_chart(domain, symmetry="u_shift")
 
 
+def test_mirror_declarations_are_checked():
+    _flat_chart(((-1.0, 1.0), (-2.0, 2.0)), mirror_u=(-1, 1, 1),
+                mirror_v=(1, -1, 1))
+    _flat_chart(((0.0, 2.0), (-1.0, 1.0)), periodic_u=True,
+                mirror_u=(1, -1, 1))
+    for signs in ((-1, 1), (-1, 1, 1, 1), (-1, 0, 1), (2, 1, 1)):
+        with pytest.raises(ConfigError, match="mirror_v must be 3 signs"):
+            _flat_chart(((-1.0, 1.0), (-1.0, 1.0)), mirror_v=signs)
+    for domain, periodic, name in ((((-1.0, 1.5), (-1.0, 1.0)), False, "u"),
+                                   (((1.0, 2.0), (-1.0, 1.0)), True, "u"),
+                                   (((-1.0, 1.0), (-1.0, 2.0)), False, "v")):
+        with pytest.raises(ConfigError, match=f"mirror_{name} needs its "
+                                              "axis centred at 0"):
+            _flat_chart(domain, periodic_u=periodic,
+                        **{f"mirror_{name}": (1, 1, -1)})
+
+
 def test_laplacian_r_plane_closed_form():
     surface = make("plane")
     pole = surface.default_pole()

@@ -1,4 +1,4 @@
-"""tools/report_runs.py writes the fifteen reference runs."""
+"""tools/report_runs.py writes the sixteen reference runs."""
 
 import importlib.util
 import json
@@ -29,7 +29,8 @@ def test_reference_runs_are_configs_catalog_and_sentinel():
     assert all(runs[n] == {"surface": n.split("/")[1]} for n in catalog)
     sentinel = _load("perfbench/workloads.py", "_workloads").KG_SENTINEL
     assert runs["kg_sentinel"] == sentinel
-    assert len(runs) == len(configs) + 10
+    assert runs["off_mirrors"]["pole"] == [1.0, 0.5]
+    assert len(runs) == len(configs) + 11
 
 
 def test_quick_run_matches_committed_artifacts(tmp_path):

@@ -3,7 +3,7 @@
     python3 tools/report_runs.py OUT_DIR
 
 Runs ``extballs report`` (through ``extballs.cli.main``, on the package
-in this checkout's ``src``) for fifteen reference runs, one directory
+in this checkout's ``src``) for sixteen reference runs, one directory
 each under OUT_DIR:
 
 - ``configs/<name>``: every ``configs/*.json``;
@@ -13,7 +13,9 @@ each under OUT_DIR:
 - ``below_resolution``: ``BELOW_RESOLUTION``, whose first radii hold no
   grid node and are recorded as skipped;
 - ``critical_skip``: ``CRITICAL_SKIP``, whose middle radius is the
-  catenoid's saddle level 2 and is recorded as skipped.
+  catenoid's saddle level 2 and is recorded as skipped;
+- ``off_mirrors``: ``OFF_MIRRORS``, whose pole neither chart mirror
+  fixes, so its cut-cell quadrature integrates every cut cell.
 
 Each directory gets the ``config.json`` it ran, its ``report.json`` and
 ``series.csv``, and ``exit_status`` holds every run's exit status.
@@ -46,6 +48,12 @@ BELOW_RESOLUTION = {"surface": "plane", "grid": 64,
 CRITICAL_SKIP = {"surface": "catenoid", "grid": 256,
                  "schedule": {"t_min": 1, "t_max": 4, "count": 3}}
 
+# A 256^2 catenoid about the chart point (1, 0.5), off both of the
+# chart's mirrors (u = 0 or pi, v = 0); every other run's pole is on
+# v = 0.
+OFF_MIRRORS = {"surface": "catenoid", "grid": 256, "pole": [1.0, 0.5],
+               "schedule": {"t_min": 0.5, "t_max": 4, "count": 6}}
+
 
 def _sentinel() -> dict:
     """``KG_SENTINEL`` read from perfbench/workloads.py by file path."""
@@ -65,6 +73,7 @@ def reference_runs() -> dict[str, dict]:
     runs["kg_sentinel"] = _sentinel()
     runs["below_resolution"] = BELOW_RESOLUTION
     runs["critical_skip"] = CRITICAL_SKIP
+    runs["off_mirrors"] = OFF_MIRRORS
     return runs
 
 
