@@ -27,9 +27,10 @@ _SERIES_CUT = 1e-2
 
 
 def _sinc_family(w: np.ndarray, order: int) -> list[np.ndarray]:
-    """A = sin(sqrt(w))/sqrt(w) and its first `order` w-derivatives."""
-    w = np.asarray(w, dtype=np.float64)
-    small = w <= _SERIES_CUT
+    """A = sin(sqrt(w))/sqrt(w) and its first `order` w-derivatives,
+    at real or complex w (the series branch reads Re w)."""
+    w = np.asarray(w)
+    small = w.real <= _SERIES_CUT
     ws = np.where(small, w, 0.0)
     rho = np.sqrt(np.where(small, 1.0, w))
     sn = np.sin(rho)

@@ -235,6 +235,21 @@ class RotationProfile:
         return (rho, rho_d, rho_dd), (t, t_d, t_dd)
 
 
+def _profile_jets(profile: RotationProfile, sigma: np.ndarray, order: int):
+    """`RotationProfile.jets`, continued to complex sigma at order <= 1.
+
+    At sigma = s + i y each of rho, rho', t and t' is q(s) + i y q'(s),
+    from the real jet one order higher at s: exact to first order in y,
+    all that a complex step reads, and analytic at the neck, where
+    rho' = sgn sqrt(1 - (c/m)^2) is not.
+    """
+    if not np.iscomplexobj(sigma):
+        return profile.jets(sigma, order)
+    y = sigma.imag
+    return tuple(tuple(q + 1j * y * dq for q, dq in zip(j, j[1:]))
+                 for j in profile.jets(sigma.real, order + 1))
+
+
 def _check_continuity(profile: RotationProfile) -> None:
     """Fail loudly if a segment's polynomial misses the next segment's start.
 
@@ -290,7 +305,7 @@ def solve_hyperbolic_catenoid(c: float = 1.0,
 
     def jet(U, V, order):
         U, V = np.broadcast_arrays(U, V)
-        rho_j, t_j = profile.jets(V, order)
+        rho_j, t_j = _profile_jets(profile, V, order)
         rho, t = rho_j[0], t_j[0]
         ct, st = np.cosh(t), np.sinh(t)
         ch, sh = np.cosh(rho), np.sinh(rho)

@@ -12,9 +12,10 @@ The two geodesic-curvature routes are the module's central cross-check.
 Both evaluate the intrinsic Hessian of r on the boundary tangent e, which
 along the level curve {r = t} is |tangential gradient| times k_g (the
 Hessian comparison of L. Jorge and D. Koutroufiotis, Amer. J. Math. 103
-(1981), restricted to a level curve).  The Hessian route differentiates
-the exact first partials of r in the chart and subtracts the Christoffel
-term; the formula route evaluates the ambient comparison in pointwise
+(1981), restricted to a level curve).  The Hessian route reads the
+second partials of r and of the chart from one complex-step jet and
+subtracts the Christoffel term; the formula route evaluates the ambient
+comparison in pointwise
 frame data (ambient-sphere mean curvature, second form, and the radial
 gradient split).  They share one sign convention: nu is the outward unit
 normal along the boundary and k_g = -<acc, nu> for an arclength
@@ -32,7 +33,6 @@ import numpy as np
 from .domains.balls import BoundarySamples, ExtrinsicBall, coarea_integral
 from .domains.field import DistanceField
 from .errors import ConfigError
-from .immersion import BATCH_POINTS, radial_frames
 
 __all__ = [
     "EULER_ALPHAS",
@@ -46,46 +46,21 @@ __all__ = [
     "radius_record",
 ]
 
-# 9-point central first-derivative stencil, 8th order, as weights of
-# the differences f(x + k*delta) - f(x - k*delta), k = 1..4.
-_C1 = (4 / 5, -1 / 5, 4 / 105, -1 / 280)
-_OFFSETS = np.array([1, 2, 3, 4, -1, -2, -3, -4], dtype=np.float64)
-# The stencil step of the Hessian route, in grid steps max(h_u, h_v).
-# Truncation falls as step^8: at the 256^2 hyperbolic catenoid's neck
-# radius it reads 7.4e-6 at half a step and 3.5e-8 at a quarter, and the
-# float floor of the frame data (2.9e-8 at t = 9) does not move with it.
-_HESS_STEP = 0.25
-# Samples per radial_frames call: 16 stencil points each.
-_HESS_CHUNK = BATCH_POINTS // 2 // 16
-
-
-def _stencil_d1(f: np.ndarray, delta: float) -> np.ndarray:
-    """Derivative at offset 0 from values at ``_OFFSETS`` (first axis)."""
-    return sum(c * (f[k] - f[k + 4]) for k, c in enumerate(_C1)) / delta
-
-
-def _radial_hessian(field: DistanceField, uv: np.ndarray,
-                    delta: float) -> tuple[np.ndarray, ...]:
-    """Chart second partials (r_uu, r_uv, r_vv) of r at chart points.
-
-    The exact first partials r_i = <radial, F_i> are read at the stencil
-    offsets along u and along v, and differenced once; r_uv averages its
-    two readings.
-    """
-    surf, ip = field.surface, field.surface.form.inner
-    step = delta * _OFFSETS[:, None]
-    out = []
-    for lo in range(0, len(uv), _HESS_CHUNK):
-        u, v = uv[lo:lo + _HESS_CHUNK].T
-        U = np.concatenate([u + step, np.tile(u, (8, 1))])
-        V = np.concatenate([np.tile(v, (8, 1)), v + step])
-        fb = radial_frames(surf, U, V, pole=field.pole)
-        r_u, r_v = ip(fb.radial, fb.Fu), ip(fb.radial, fb.Fv)
-        out.append((_stencil_d1(r_u[:8], delta),
-                    0.5 * (_stencil_d1(r_v[:8], delta)
-                           + _stencil_d1(r_u[8:], delta)),
-                    _stencil_d1(r_v[8:], delta)))
-    return tuple(np.concatenate(part) for part in zip(*out))
+def _radial_covector(form, o: np.ndarray, F: np.ndarray, Fu: np.ndarray,
+                     Fv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chart partials (r_u, r_v) of r = distance(o, F) as plain bilinear
+    sums, analytic at complex chart points: <F - o, F_i> / |F - o| in
+    R^3, b <o, F_i>_M / (kappa sqrt(delta (2 + delta))) with
+    delta = b <o, F>_M - 1 on the hyperboloid.  Summed elementwise, not
+    by `@`, whose BLAS threads would contend with `batch_map`'s forks."""
+    if not form.curved:
+        d = F - o[:, None]
+        s = np.sqrt(np.sum(d * d, axis=0))
+        return np.sum(d * Fu, axis=0) / s, np.sum(d * Fv, axis=0) / s
+    bo = form.b * o[:, None] * np.array([[-1.0], [1.0], [1.0], [1.0]])
+    delta = np.sum(bo * F, axis=0) - 1.0        # b <o, F>_M - 1
+    s = form.kappa * np.sqrt(delta * (2.0 + delta))
+    return np.sum(bo * Fu, axis=0) / s, np.sum(bo * Fv, axis=0) / s
 
 
 def geodesic_curvature_hessian(field: DistanceField,
@@ -97,24 +72,33 @@ def geodesic_curvature_hessian(field: DistanceField,
     Hess r(e, e) = e^i e^j (r_ij - <F_ij, grad r>), because the
     Christoffel term Gamma^k_ij r_k is the tangential part of F_ij
     paired with the gradient (in the Minkowski form on the hyperboloid
-    too, since F is orthogonal to every tangent).  The second partials
-    r_ij come from the exact first partials by an 8th-order stencil of
-    step ``_HESS_STEP`` grid steps, and F_ij from one 2-jet per sample.
-    Neither h(t), N nor the second form enters, which makes this route
-    an independent check of the formula route.
+    too, since F is orthogonal to every tangent).  Both second-order
+    terms come by complex step (W. Squire and G. Trapp, SIAM Rev. 40
+    (1998)) from the order-1 jet and r_i at (u, v) + i eta e: the real
+    parts are F_i and r_i, and the imaginary parts over eta are e^j F_ij
+    and e^j r_ij, to rounding and with no difference taken.  The
+    gradient g^-1 r_i and its norm are formed from those r_i, not read
+    from the frame's radial split.  Neither h(t), N nor the second form
+    enters, which makes this route an independent check of the formula
+    route.
     """
-    fb = samples.frame
-    ip = field.surface.form.inner
-    uv = samples.uv
-    delta = _HESS_STEP * max(field.h_u, field.h_v)
-    r_uu, r_uv, r_vv = _radial_hessian(field, uv, delta)
-    _, _, _, F_uu, F_uv, F_vv = field.surface.jet(uv[:, 0], uv[:, 1], 2)
-    grad = fb.ambient_gradPr()
+    surf = field.surface
+    eta = 1e-30
     e1, e2 = samples.e[:, 0], samples.e[:, 1]
-    hess = (e1 * e1 * (r_uu - ip(F_uu, grad))
-            + 2.0 * e1 * e2 * (r_uv - ip(F_uv, grad))
-            + e2 * e2 * (r_vv - ip(F_vv, grad)))
-    return hess / fb.normGradPr
+    _, Fu, Fv = jet = surf.jet(samples.uv[:, 0] + 1j * eta * e1,
+                               samples.uv[:, 1] + 1j * eta * e2, 1)
+    if not all(np.iscomplexobj(x) for x in jet):
+        raise ConfigError(f"chart {surf.label!r} returned a real jet at "
+                          f"complex points; the Hessian route needs them")
+    r_u, r_v = _radial_covector(surf.form, field.pole, *jet)
+    fb = samples.frame
+    w1, w2 = r_u.real, r_v.real
+    a1 = (fb.g22 * w1 - fb.g12 * w2) / fb.detg
+    a2 = (fb.g11 * w2 - fb.g12 * w1) / fb.detg
+    grad = a1 * Fu.real + a2 * Fv.real
+    hess = (e1 * r_u.imag + e2 * r_v.imag
+            - surf.form.inner(e1 * Fu.imag + e2 * Fv.imag, grad)) / eta
+    return hess / np.sqrt(a1 * w1 + a2 * w2)
 
 
 def _normal_term(form, samples: BoundarySamples) -> np.ndarray:

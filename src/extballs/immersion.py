@@ -202,7 +202,10 @@ class ParametricSurface:
     for order 0, (F, F_u, F_v) for order 1 and (F, F_u, F_v, F_uu, F_uv,
     F_vv) for order 2.  A chart computes only the terms it returns, and
     a lower-order jet equals the leading entries of a higher-order one
-    bitwise.  The domain is a coordinate rectangle whose v direction is
+    bitwise.  At orders 0 and 1 `jet` must also take complex (U, V) and
+    return the analytic continuation of those partials as complex
+    arrays, which the Hessian route of `functionals` reads by complex
+    step.  The domain is a coordinate rectangle whose v direction is
     never periodic; `periodic_u` marks a chart that wraps in u
     (evaluation outside the interval must then be well defined).
     The default pole is the image of the chart origin.
@@ -326,11 +329,6 @@ class FrameBatch:
     gradPr: np.ndarray | None = None          # contravariant chart components
     normGradPr: np.ndarray | None = None
     normGradPerp: np.ndarray | None = None
-
-    def ambient_gradPr(self) -> np.ndarray:
-        """The tangential radial gradient as an ambient vector."""
-        a = self.gradPr
-        return a[..., 0] * self.Fu + a[..., 1] * self.Fv
 
     def second_form(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """b(x, y) of chart-component vectors; B(x, y) = b(x, y) N."""

@@ -13,6 +13,8 @@ them.
   cell of a grid, the whole-grid reference for the field's sorted band;
 * `geodesic_step`: a point at given arclength along a space-form
   geodesic;
+* `ambient_gradient`: a frame's tangential radial gradient as an
+  ambient vector;
 * `geodesic_curvature_direct`: boundary geodesic curvature from the
   positions of the level curve alone, traced through each sample
   (`frame_subset` takes the frames of the samples it refines);
@@ -57,6 +59,11 @@ def geodesic_step(form: SpaceForm, x: np.ndarray, v: np.ndarray,
         return x + s * v
     ks = form.kappa * s
     return np.cosh(ks) * x + (np.sinh(ks) / form.kappa) * v
+
+
+def ambient_gradient(fb: FrameBatch) -> np.ndarray:
+    """The tangential radial gradient gradPr as an ambient vector."""
+    return fb.gradPr[..., 0] * fb.Fu + fb.gradPr[..., 1] * fb.Fv
 
 
 def corner_views(a: np.ndarray, periodic_u: bool):
@@ -298,7 +305,7 @@ def _trace_kg(field, samples, delta: float) -> np.ndarray:
     vel = np.tensordot(_C1, traj, axes=1) / delta
     acc = np.tensordot(_C2, traj, axes=1) / (delta * delta)
     ip = surf.form.inner
-    nu = fb0.ambient_gradPr() / fb0.normGradPr
+    nu = ambient_gradient(fb0) / fb0.normGradPr
     return -ip(acc, nu) / ip(vel, vel)
 
 

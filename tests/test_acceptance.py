@@ -488,13 +488,17 @@ def test_c11_isoperimetric_equality_models(runs, name):
 
 
 # ---------------------------------------------------------------------------
-# 12. Grid convergence of the two discretization-sensitive residuals.
+# 12. The k_g gap at its rounding floor on every grid, and grid
+# convergence of the chi residual.
 
 
 def test_c12_grid_convergence_kg(catenoid_grids):
     gaps = [max(rec.kg_gap_max for rec in catenoid_grids[n].series.valid)
             for n in (128, 256, 512)]
-    assert gaps[0] > gaps[1] > gaps[2], f"kg gaps {gaps}"
+    # Both routes are exact up to rounding (the Hessian route takes its
+    # second partials by complex step, with no truncation to fall), so
+    # every grid's gap sits at the rounding floor.
+    assert max(gaps) <= 1e-12, f"kg gaps {gaps}"
 
 
 def test_c12_grid_convergence_chi(catenoid_grids):

@@ -153,6 +153,36 @@ def test_chart_mirrors_hold_bitwise(name):
             assert np.array_equal(got, want), (name, signs, k)
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_chart_jets_continue_to_complex_points(name):
+    # The Hessian route reads an order-1 jet at (u, v) + i eta d: its real
+    # parts must be the real jet, and its imaginary parts over eta the
+    # partials along d of the real order-2 jet.  Besides the seeded
+    # points: the neck sigma = 0 of the hyperbolic catenoid, where rho'
+    # is not analytic in sigma, and the sphere's series branch
+    # w = u^2 + v^2 <= _SERIES_CUT, with the chart origin itself.
+    surface = make(name)
+    (u0, u1), (v0, v1) = surface.domain
+    rng = np.random.default_rng(13)
+    near = rng.uniform(-0.07, 0.07, (2, 50))
+    U = np.concatenate([rng.uniform(u0, u1, 4000), near[0] % (u1 - u0)
+                        if surface.periodic_u else near[0], [0.0, 1.0]])
+    V = np.concatenate([rng.uniform(v0, v1, 4000), near[1], [0.0, 0.0]])
+    d = rng.normal(size=(2, U.size))
+    d /= np.hypot(*d)
+    eta = 1e-30
+    got = surface.jet(U + 1j * eta * d[0], V + 1j * eta * d[1], 1)
+    F, Fu, Fv, Fuu, Fuv, Fvv = surface.jet(U, V, 2)
+    along = (d[0] * Fu + d[1] * Fv, d[0] * Fuu + d[1] * Fuv,
+             d[0] * Fuv + d[1] * Fvv)
+    for k, (c, ref, dref) in enumerate(zip(got, (F, Fu, Fv), along)):
+        assert np.iscomplexobj(c), (name, k)
+        re = np.max(np.abs(c.real - ref) / np.maximum(np.abs(ref), 1.0))
+        im = np.max(np.abs(c.imag / eta - dref)
+                    / np.maximum(np.abs(dref), 1.0))
+        assert re <= 1e-14 and im <= 1e-11, (name, k, re, im)
+
+
 def test_minimality_oracle_inner_region():
     chk = check_surface(HC, n=500, seed=2, max_r=8.5)
     assert chk["max_normH"] <= 1e-11

@@ -14,6 +14,7 @@ Closed-form targets used here:
     coarea - h(t) * area, evaluable in closed form on the models.
 """
 
+import dataclasses
 import json
 import math
 
@@ -115,6 +116,19 @@ def test_trace_oracle_matches_formula(name, t, request):
     formula, hessian, trace = _kg_routes(field, t)
     assert np.max(np.abs(trace - formula)) < 1e-6
     assert np.max(np.abs(hessian - formula)) < 1e-9
+
+
+def test_hessian_route_rejects_a_real_jet(plane_field):
+    # A chart that casts complex points to float64 would hand the route
+    # no imaginary part, and with it Hess r = 0 in silence.
+    surface = plane_field.surface
+    real_jet = dataclasses.replace(
+        surface, label="cast_plane",
+        jet=lambda U, V, order: surface.jet(np.real(U), np.real(V), order))
+    field = dataclasses.replace(plane_field, surface=real_jet)
+    samples = extract_ball(plane_field, 2.0).samples
+    with pytest.raises(ConfigError, match="cast_plane"):
+        geodesic_curvature_hessian(field, samples)
 
 
 def test_kg_gap_reports_boundary_turning(plane_field):
