@@ -49,12 +49,8 @@ def _min_boundary_r(surface: ParametricSurface, samples: int = 400) -> float:
     if not surface.periodic_u:
         vv = np.linspace(v0, v1, samples)
         edges += [(np.full_like(vv, u0), vv), (np.full_like(vv, u1), vv)]
-    best = np.inf
-    for U, V in edges:
-        F = surface.eval(U, V)
-        best = min(best, float(np.min(
-            surface.form.distance(pole, F))))
-    return best
+    return min(float(np.min(surface.form.distance(pole, surface.eval(U, V))))
+               for U, V in edges)
 
 
 def _enneper_halfwidth(t_max: float) -> float:

@@ -48,7 +48,9 @@ def _sinc_family(w: np.ndarray, order: int) -> list[np.ndarray]:
 
 
 def _stack(*comps):
-    return np.array(comps)
+    """Components on a new leading axis, broadcast to one shape."""
+    same = len({np.shape(c) for c in comps}) == 1
+    return np.array(comps if same else np.broadcast_arrays(*comps))
 
 
 def plane_chart(halfwidth: float = 10.0) -> ParametricSurface:
@@ -80,15 +82,13 @@ def catenoid_chart(v_max: float = 4.0) -> ParametricSurface:
     """The standard catenoid with unit neck, periodic in u."""
 
     def jet(U, V, order):
-        U, V = np.broadcast_arrays(U, V)
-        cu, su = np.cos(U), np.sin(U)
-        ch = np.cosh(V)
+        cu, su, ch = np.cos(U), np.sin(U), np.cosh(V)
         F = _stack(ch * cu, ch * su, V)
         if order == 0:
             return (F,)
         sh = np.sinh(V)
-        zero = np.zeros_like(U)
-        one = np.ones_like(U)
+        zero = np.zeros(np.broadcast(U, V).shape)
+        one = zero + 1.0
         Fu = _stack(-ch * su, ch * cu, zero)
         Fv = _stack(sh * cu, sh * su, one)
         if order == 1:
@@ -110,7 +110,6 @@ def enneper_chart(halfwidth: float = 3.1) -> ParametricSurface:
     """The Enneper surface in its standard polynomial parametrization."""
 
     def jet(U, V, order):
-        U, V = np.broadcast_arrays(U, V)
         F = _stack(U - U * U * U / 3.0 + U * V * V,
                    -(V - V * V * V / 3.0 + U * U * V),
                    U * U - V * V)
@@ -175,7 +174,6 @@ def h2_chart(halfwidth: float = 8.8) -> ParametricSurface:
     """
 
     def jet(U, V, order):
-        U, V = np.broadcast_arrays(U, V)
         ct, st = np.cosh(U), np.sinh(U)
         cr, sr = np.cosh(V), np.sinh(V)
         zero = np.zeros_like(U)
@@ -213,7 +211,6 @@ def sphere_cap_chart(halfwidth: float = 2.2) -> ParametricSurface:
         )
 
     def jet(U, V, order):
-        U, V = np.broadcast_arrays(U, V)
         w = U * U + V * V
         A, *dA = _sinc_family(w, order)
         C = np.cos(np.sqrt(w))

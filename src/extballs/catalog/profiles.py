@@ -28,7 +28,7 @@ contract: construction fails loudly if sampled |H| exceeds 1e-6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -170,7 +170,8 @@ class RotationProfile:
     state ``y_old`` and polynomial coefficients ``Q``.  Only the rho and
     t rows of the state are kept: ``y_old`` has shape (2, segments) and
     ``Q`` (2, degree, segments).  `profile_values` evaluates every point
-    in one gather and one polynomial pass.
+    in one gather of ``coefs`` (per segment: t_old, h, then y_old and
+    the Q_k of each row) and one polynomial pass.
     """
 
     c: float
@@ -179,6 +180,12 @@ class RotationProfile:
     h: np.ndarray
     y_old: np.ndarray
     Q: np.ndarray
+    coefs: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = np.concatenate([self.y_old[:, None], self.Q], axis=1)
+        object.__setattr__(self, "coefs",
+                           np.vstack([self.t_old, self.h, *rows]))
 
     def profile_values(self, abs_sigma: np.ndarray):
         """(rho, t) at nonnegative arclengths, shaped like the input.
@@ -192,17 +199,18 @@ class RotationProfile:
         flat = s.ravel()
         seg = np.searchsorted(self.knots, flat, side="left") - 1
         np.clip(seg, 0, len(self.h) - 1, out=seg)
-        h = self.h[seg]
-        x = (flat - self.t_old[seg]) / h
+        coefs = np.take(self.coefs, seg, axis=1)
+        h = coefs[1]
+        x = (flat - coefs[0]) / h
         powers = [x]
         for _ in range(1, self.Q.shape[1]):
             powers.append(powers[-1] * x)
         out = []
-        for Qrow, yrow in zip(self.Q, self.y_old):
-            acc = Qrow[0][seg] * powers[0]
-            for Qk, xk in zip(Qrow[1:], powers[1:]):
-                acc += Qk[seg] * xk
-            out.append((h * acc + yrow[seg]).reshape(s.shape))
+        for y, *Q in coefs[2:].reshape(len(self.y_old), len(powers) + 1, -1):
+            acc = Q[0] * powers[0]
+            for Qk, xk in zip(Q[1:], powers[1:]):
+                acc += Qk * xk
+            out.append((h * acc + y).reshape(s.shape))
         return tuple(out)
 
     def jets(self, sigma: np.ndarray, order: int):
@@ -224,7 +232,7 @@ class RotationProfile:
         c = self.c
         ch, sh = np.cosh(rho), np.sinh(rho)
         m = sh * ch
-        ratio_sq = np.clip(1.0 - (c / m) ** 2, 0.0, None)
+        ratio_sq = np.maximum(1.0 - (c / m) ** 2, 0.0)
         rho_d = sgn * np.sqrt(ratio_sq)
         t_d = c / (m * ch)
         if order == 1:
@@ -304,44 +312,43 @@ def solve_hyperbolic_catenoid(c: float = 1.0,
     profile = solve_profile(c, sigma_max)
 
     def jet(U, V, order):
-        U, V = np.broadcast_arrays(U, V)
+        # Factors of v and of u apart: a grid's profile runs once per v.
         rho_j, t_j = _profile_jets(profile, V, order)
         rho, t = rho_j[0], t_j[0]
-        ct, st = np.cosh(t), np.sinh(t)
-        ch, sh = np.cosh(rho), np.sinh(rho)
+        ct, st, ch, sh = np.cosh(t), np.sinh(t), np.cosh(rho), np.sinh(rho)
         cth, sth = np.cos(U), np.sin(U)
-        F = _stack(ct * ch, st * ch, sh * cth, sh * sth)
+        F0, F1, F2, F3 = ct * ch, st * ch, sh * cth, sh * sth
+        F = _stack(F0, F1, F2, F3)
         if order == 0:
             return (F,)
 
+        # Partials of F in t and rho: E_t = (F1, F0, 0, 0), E_rho = R,
+        # E_tt = (F0, F1, 0, 0) and E_trho = (R1, R0, 0, 0).
         rho_d, t_d = rho_j[1], t_j[1]
-        zero = np.zeros_like(U)
-        E_t = _stack(st * ch, ct * ch, zero, zero)
-        E_rho = _stack(ct * sh, st * sh, ch * cth, ch * sth)
-        E_theta = _stack(zero, zero, -sh * sth, sh * cth)
-        Fu = E_theta
-        Fv = E_t * t_d + E_rho * rho_d
+        zero = np.zeros(np.broadcast(U, V).shape)
+        R0, R1, R2, R3 = ct * sh, st * sh, ch * cth, ch * sth
+        Fu = _stack(zero, zero, -F3, F2)
+        Fv = _stack(F1 * t_d + R0 * rho_d, F0 * t_d + R1 * rho_d,
+                    R2 * rho_d, R3 * rho_d)
         if order == 1:
             return F, Fu, Fv
 
+        # F_vv = E_t t'' + E_rho rho'' + E_tt t'^2 + 2 E_trho t'rho' + F rho'^2
         rho_dd, t_dd = rho_j[2], t_j[2]
-        E_tt = _stack(ct * ch, st * ch, zero, zero)
-        E_trho = _stack(st * sh, ct * sh, zero, zero)
-        E_rhotheta = _stack(zero, zero, -ch * sth, ch * cth)
-        E_thetatheta = _stack(zero, zero, -sh * cth, -sh * sth)
-        Fuu = E_thetatheta
-        Fuv = E_rhotheta * rho_d
-        Fvv = (E_t * t_dd + E_rho * rho_dd + E_tt * t_d**2
-               + 2.0 * E_trho * (t_d * rho_d) + F * rho_d**2)
+        td2, tr, rd2 = t_d**2, t_d * rho_d, rho_d**2
+        Fuu = _stack(zero, zero, -F2, -F3)
+        Fuv = _stack(zero, zero, -R3 * rho_d, R2 * rho_d)
+        Fvv = _stack(
+            F1 * t_dd + R0 * rho_dd + F0 * td2 + 2.0 * R1 * tr + F0 * rd2,
+            F0 * t_dd + R1 * rho_dd + F1 * td2 + 2.0 * R0 * tr + F1 * rd2,
+            R2 * rho_dd + F2 * rd2, R3 * rho_dd + F3 * rd2)
         return F, Fu, Fv, Fuu, Fuv, Fvv
 
     surface = ParametricSurface(
-        form=SpaceForm(-1.0),
+        form=SpaceForm(-1.0), jet=jet, label="hyperbolic_catenoid",
         domain=((0.0, 2.0 * np.pi), (-sigma_max, sigma_max)),
-        jet=jet, label="hyperbolic_catenoid",
         periodic_u=True, symmetry="u_shift", mirror_u=(1, 1, 1, -1),
-        mirror_v=(1, -1, 1, 1),
-    )
+        mirror_v=(1, -1, 1, 1))
 
     # Construction-time correctness oracle: sampled mean curvature.  The
     # sample spans the ball-serving part of the chart; the outermost

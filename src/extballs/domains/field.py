@@ -299,8 +299,7 @@ def build_field(surface: ParametricSurface, t_max: float,
     on_pole = _ON_POLE / form.kappa if form.curved else _ON_POLE
 
     def sample(start):
-        U, V = np.meshgrid(u_nodes[start:start + rows], v_nodes,
-                           indexing="ij")
+        U, V = u_nodes[start:start + rows, None], v_nodes[None, :]
         r = form.distance(pole, surface.eval(U, V))
         if np.any(r < on_pole):
             raise _node_on_pole(surface, U, V, r, start)
@@ -336,12 +335,12 @@ def build_field(surface: ParametricSurface, t_max: float,
 
 def _node_on_pole(surface: ParametricSurface, U, V, r: np.ndarray,
                   first_row: int) -> ConfigError:
-    """The error for a block of grid nodes (U, V), at distances r from
-    the pole, that holds the pole."""
+    """The error for a block of grid nodes (a column U of u, a row V of
+    v), at distances r from the pole, that holds the pole."""
     i, j = np.unravel_index(np.argmin(r), r.shape)
     return ConfigError(
         f"grid node ({first_row + i}, {j}) at chart point "
-        f"({U[i, j]:.6g}, {V[i, j]:.6g}) lies on the pole, where the radial "
+        f"({U[i, 0]:.6g}, {V[0, j]:.6g}) lies on the pole, where the radial "
         "direction is undefined; use an even node count along each "
         "non-periodic axis (an odd count puts its middle node on the chart "
         "centre) or move the pole")

@@ -264,9 +264,9 @@ def _slice_cells(field: DistanceField, tt: float, u0, v0, hu: float, hv: float,
     bu, bv = uv(q, c0[:, None])
     du, dv = uv(0.0 * hc, hc)
     du, dv = du[:, None], dv[:, None]
-    f_a = field.eval_r(bu, bv) - tt
-    f_b = field.eval_r(bu + du, bv + dv) - tt
-    f_m = field.eval_r(bu + 0.5 * du, bv + 0.5 * dv) - tt
+    f_a, f_b, f_m = field.eval_r(
+        np.stack([bu, bu + du, bu + 0.5 * du]),
+        np.stack([bv, bv + dv, bv + 0.5 * dv])) - tt
     in_a, in_b, in_m = f_a < 0, f_b < 0, f_m < 0
     cell_bad = np.any(in_a == in_b, axis=1)
 

@@ -15,11 +15,11 @@ Hessian comparison of L. Jorge and D. Koutroufiotis, Amer. J. Math. 103
 (1981), restricted to a level curve).  The Hessian route reads the
 second partials of r and of the chart from one complex-step jet and
 subtracts the Christoffel term; the formula route evaluates the ambient
-comparison in pointwise
-frame data (ambient-sphere mean curvature, second form, and the radial
-gradient split).  They share one sign convention: nu is the outward unit
-normal along the boundary and k_g = -<acc, nu> for an arclength
-parametrization, so a round disk in the plane has k_g = 1/t.
+comparison in pointwise frame data (ambient-sphere mean curvature,
+second form, and the radial gradient split).  They share one sign
+convention: nu is the outward unit normal along the boundary and
+k_g = -<acc, nu> for an arclength parametrization, so a round disk in
+the plane has k_g = 1/t.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "radius_record",
 ]
 
+
 def _radial_covector(form, o: np.ndarray, F: np.ndarray, Fu: np.ndarray,
                      Fv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Chart partials (r_u, r_v) of r = distance(o, F) as plain bilinear
@@ -53,14 +54,14 @@ def _radial_covector(form, o: np.ndarray, F: np.ndarray, Fu: np.ndarray,
     R^3, b <o, F_i>_M / (kappa sqrt(delta (2 + delta))) with
     delta = b <o, F>_M - 1 on the hyperboloid.  Summed elementwise, not
     by `@`, whose BLAS threads would contend with `batch_map`'s forks."""
-    if not form.curved:
-        d = F - o[:, None]
-        s = np.sqrt(np.sum(d * d, axis=0))
-        return np.sum(d * Fu, axis=0) / s, np.sum(d * Fv, axis=0) / s
-    bo = form.b * o[:, None] * np.array([[-1.0], [1.0], [1.0], [1.0]])
-    delta = np.sum(bo * F, axis=0) - 1.0        # b <o, F>_M - 1
-    s = form.kappa * np.sqrt(delta * (2.0 + delta))
-    return np.sum(bo * Fu, axis=0) / s, np.sum(bo * Fv, axis=0) / s
+    if form.curved:
+        w = form.b * o[:, None] * np.array([[-1.0], [1.0], [1.0], [1.0]])
+        delta = np.sum(w * F, axis=0) - 1.0        # b <o, F>_M - 1
+        s = form.kappa * np.sqrt(delta * (2.0 + delta))
+    else:
+        w = F - o[:, None]
+        s = np.sqrt(np.sum(w * w, axis=0))
+    return np.sum(w * Fu, axis=0) / s, np.sum(w * Fv, axis=0) / s
 
 
 def geodesic_curvature_hessian(field: DistanceField,

@@ -197,17 +197,19 @@ SYMMETRIES = (None, "u_shift", "dihedral")
 class ParametricSurface:
     """Immersed chart with analytic partials.
 
-    `jet(U, V, order)` returns the partials of F up to `order` (a
-    required argument), each an array of shape (dim,) + U.shape: (F,)
-    for order 0, (F, F_u, F_v) for order 1 and (F, F_u, F_v, F_uu, F_uv,
-    F_vv) for order 2.  A chart computes only the terms it returns, and
-    a lower-order jet equals the leading entries of a higher-order one
-    bitwise.  At orders 0 and 1 `jet` must also take complex (U, V) and
-    return the analytic continuation of those partials as complex
-    arrays, which the Hessian route of `functionals` reads by complex
-    step.  The domain is a coordinate rectangle whose v direction is
-    never periodic; `periodic_u` marks a chart that wraps in u
-    (evaluation outside the interval must then be well defined).
+    `jet(U, V, order)` takes (U, V) of any two broadcastable shapes (a
+    grid may come as a column of u and a row of v) and returns the
+    partials of F up to `order` (a required argument), each an array of
+    shape (dim,) + the broadcast shape: (F,) for order 0, (F, F_u, F_v)
+    for order 1 and (F, F_u, F_v, F_uu, F_uv, F_vv) for order 2.  A
+    chart computes only the terms it returns, and a lower-order jet
+    equals the leading entries of a higher-order one bitwise.  At orders
+    0 and 1 `jet` must also take complex (U, V) and return the analytic
+    continuation of those partials as complex arrays, which the Hessian
+    route of `functionals` reads by complex step.  The domain is a
+    coordinate rectangle whose v direction is never periodic;
+    `periodic_u` marks a chart that wraps in u (evaluation outside the
+    interval must then be well defined).
     The default pole is the image of the chart origin.
 
     `symmetry` declares ambient isometries of the surface that the

@@ -183,6 +183,24 @@ def test_chart_jets_continue_to_complex_points(name):
         assert re <= 1e-14 and im <= 1e-11, (name, k, re, im)
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_chart_jets_broadcast_a_grid_bitwise(name):
+    # build_field samples a block of nodes as a column of u against a row
+    # of v; every order of every chart must give the jet of the meshed
+    # grid bitwise, its shape included.
+    surface = make(name)
+    (u0, u1), (v0, v1) = surface.domain
+    u = np.linspace(u0, u1, 7)[1:-1]
+    v = np.concatenate([np.linspace(v0, v1, 41)[1:-1], [0.0]])
+    U, V = np.meshgrid(u, v, indexing="ij")
+    for order in (0, 1, 2):
+        grid = surface.jet(u[:, None], v[None, :], order)
+        for k, (got, want) in enumerate(zip(grid,
+                                            surface.jet(U, V, order))):
+            assert got.shape == want.shape, (name, order, k)
+            assert np.array_equal(got, want), (name, order, k)
+
+
 def test_minimality_oracle_inner_region():
     chk = check_surface(HC, n=500, seed=2, max_r=8.5)
     assert chk["max_normH"] <= 1e-11

@@ -78,12 +78,14 @@ def test_bad_t_max():
         build_field(plane_chart(), -1.0)
 
 
-@pytest.mark.parametrize("name", ["catenoid", "enneper"])
+@pytest.mark.parametrize("name", ["catenoid", "enneper",
+                                  "hyperbolic_catenoid"])
 def test_field_blocks_equal_one_batch(name, monkeypatch):
-    # Seven u-rows per block leave a ragged last block of five rows; r
-    # matches one whole-grid batch of radial_frames bit for bit, on a
-    # u-periodic chart (catenoid) and a non-periodic one (Enneper).  One
-    # worker, so the spy sees every block.
+    # Seven u-rows per block leave a ragged last block of five rows, each
+    # block a column of u against a row of v; r matches one whole-grid
+    # batch of radial_frames bit for bit, on u-periodic charts (catenoid,
+    # hyperbolic catenoid) and a non-periodic one (Enneper).  One worker,
+    # so the spy sees every block.
     surface = make(name, t_max=3.0)
     spec = GridSpec(96, 80)
     blocks = []
