@@ -200,7 +200,7 @@ _ENTRIES = [
     CatalogEntry(
         name="hyperbolic_catenoid",
         description="rotational minimal surface about a geodesic axis of "
-                    "H^3, profile integrated from its first integral",
+                    "H^3, profile in closed form from its first integral",
         ambient="H^3 (b = -1)", minimal=True,
         build=_build_hyperbolic_catenoid,
         expected_ends=2,

@@ -21,9 +21,6 @@ import numpy as np
 
 from .errors import ConfigError, ModelError, PoleSingularity
 
-# acosh(1 + d) = sqrt(2d) * (1 - d/12 + 3d^2/160 - ...) for small d >= 0.
-_SERIES_CUT = 1e-4
-
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum_k x[k] y[k] over the leading axis of length 3 or 4, grouped as
@@ -39,15 +36,13 @@ def _cross(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def stable_acosh(delta: np.ndarray) -> np.ndarray:
-    """Elementwise acosh(1 + delta) for delta >= 0, stable near zero."""
+    """Elementwise acosh(1 + delta) for delta >= 0, stable near zero.
+
+    log1p(d + sqrt(d (2 + d))) never forms 1 + delta, so no digit of a
+    small delta is lost.
+    """
     d = np.maximum(np.asarray(delta, dtype=np.float64), 0.0)
-    small = d <= _SERIES_CUT
-    out = np.empty_like(d)
-    ds = d[small]
-    out[small] = np.sqrt(2.0 * ds) * (1.0 - ds / 12.0 + 3.0 * ds * ds / 160.0)
-    dl = d[~small]
-    out[~small] = np.log1p(dl + np.sqrt(dl * (2.0 + dl)))
-    return out
+    return np.log1p(d + np.sqrt(d * (2.0 + d)))
 
 
 @dataclass(frozen=True)

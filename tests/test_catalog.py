@@ -1,4 +1,4 @@
-"""Catalog registry, chart sizing, and the ODE-built hyperbolic catenoid."""
+"""Catalog registry, chart sizing, and the closed-form hyperbolic catenoid."""
 
 import numpy as np
 import pytest
@@ -239,98 +239,48 @@ def test_custom_c_surface_passes_oracle():
     assert chk["max_normH"] <= 1e-6
 
 
-def _scipy_solution(fun, y0, span):
-    """SciPy's RK45 `OdeSolution` at the profile's tolerances."""
-    from scipy.integrate import solve_ivp
+def _mpmath_profile(c, sigma):
+    """rho and t at ascending sigma from mpmath at 30 digits: rho from
+    cosh 2 rho = k cosh 2 sigma, t by quadrature of the first integral's
+    t' = c / (sinh rho cosh^2 rho) between consecutive points."""
+    import mpmath as mp
 
-    return solve_ivp(fun, (0.0, span), y0, "RK45", rtol=1e-10, atol=1e-12,
-                     dense_output=True).sol
+    with mp.workdps(30):
+        c = mp.mpf(c)
+        k = mp.sqrt(1 + 4 * c * c)
 
+        def rho(s):
+            return mp.acosh(k * mp.cosh(2 * s)) / 2
 
-def _segments(sol):
-    """An `OdeSolution`'s segments, stacked as `rk45_segments` returns them."""
-    segs = sol.interpolants
-    return (sol.ts, np.array([s.t_old for s in segs]),
-            np.array([s.h for s in segs]),
-            np.array([s.y_old for s in segs]).T,
-            np.array([s.Q for s in segs]).transpose(1, 2, 0))
+        def t_d(s):
+            r = rho(s)
+            return c / (mp.sinh(r) * mp.cosh(r) ** 2)
 
-
-def _assert_segments_equal(got, ref):
-    for name, a, b in zip(("knots", "t_old", "h", "y_old", "Q"), got, ref):
-        assert a.shape == b.shape and np.array_equal(a, b), name
-
-
-def _profile_rhs(c):
-    def rhs(_s, y):
-        rho = y[0]
-        m = np.sinh(rho) * np.cosh(rho)
-        return [y[1], c * c * np.cosh(2.0 * rho) / m**3,
-                c / (m * np.cosh(rho))]
-    return rhs
+        rhos, ts, t, prev = [], [], mp.mpf(0), mp.mpf(0)
+        for s in map(mp.mpf, sigma):
+            t += mp.quad(t_d, [prev, s])
+            prev = s
+            rhos.append(float(rho(s)))
+            ts.append(float(t))
+    return np.array(rhos), np.array(ts)
 
 
-def test_profile_values_match_ode_solution():
-    # The in-package stepper repeats SciPy's RK45 bit for bit: same
-    # knots, segment starts, steps, start states and dense-output Q.
-    from extballs.catalog.profiles import neck_radius, rk45_segments
-
+@pytest.mark.parametrize("c", [0.3, 1.0, 2.0])
+def test_profile_matches_mpmath(c):
+    # rho is in closed form and t comes from the panel table: both sit at
+    # rounding against 30-digit references over the whole default chart.
+    sigma_max = 8.0 + catalog.neck_radius(c) + 3.0
     rng = np.random.default_rng(4)
-    for c in (0.3, 1.0, 2.0):
-        for s_max in (4.0, 12.0):
-            y0, span = [neck_radius(c), 0.0, 0.0], s_max * 1.02 + 0.1
-            got = rk45_segments(_profile_rhs(c), y0, span, rtol=1e-10,
-                                atol=1e-12)
-            sol = _scipy_solution(_profile_rhs(c), y0, span)
-            _assert_segments_equal(got, _segments(sol))
-            profile = solve_profile(c, s_max)
-            _assert_segments_equal(
-                (profile.knots, profile.t_old, profile.h, profile.y_old,
-                 profile.Q),
-                got[:3] + (got[3][[0, 2]], got[4][[0, 2]]))
-            # One polynomial pass per point evaluates what SciPy's
-            # interpolants do, also past the last knot.
-            past = profile.knots[-1] + np.array([1e-9, 0.3, 2.0])
-            sigma = np.concatenate([[0.0], profile.knots, rng.uniform(
-                0.0, profile.knots[-1], 500), past])
-            ref = sol(sigma)[[0, 2]]
-            vals = np.stack(profile.profile_values(sigma))
-            assert np.all(np.abs(vals - ref) <= 1e-14 * np.abs(ref))
-
+    sigma = np.sort(np.concatenate([[0.0, sigma_max], rng.uniform(
+        0.0, sigma_max, 198)]))
+    ref_rho, ref_t = _mpmath_profile(c, sigma)
+    profile = solve_profile(c, sigma_max)
+    (rho,), (t,) = profile.jets(sigma, 0)
+    assert np.max(np.abs(rho - ref_rho) / ref_rho) <= 1e-14
+    assert np.max(np.abs(t - ref_t)) <= 1e-14
     # jets mirror |sigma|: rho even, t odd
-    (rho,), (t,) = profile.jets(-sigma, 0)
-    assert np.array_equal(rho, vals[0]) and np.array_equal(t, -vals[1])
-
-
-def test_rk45_rejected_steps_match_scipy():
-    # A forcing that jumps at s = 1/2 makes the error control reject the
-    # steps that cross it (each rejection costs six more right-hand
-    # sides), and the step after a rejection may not grow.
-    from extballs.catalog.profiles import rk45_segments
-
-    calls = []
-
-    def rhs(s, y):
-        calls.append(s)
-        return [y[1], -y[0] + (50.0 if s > 0.5 else 0.0)]
-
-    got = rk45_segments(rhs, [1.0, 0.0], 1.0, rtol=1e-10, atol=1e-12)
-    assert len(calls) > 6 * len(got[2]) + 2
-    _assert_segments_equal(
-        got, _segments(_scipy_solution(rhs, [1.0, 0.0], 1.0)))
-
-
-def test_profile_self_check_rejects_foreign_segments():
-    import dataclasses
-
-    from extballs.catalog.profiles import _check_continuity
-    from extballs.errors import ConstructionError
-
-    profile = solve_profile(1.0, 6.0)
-    _check_continuity(profile)
-    bent = dataclasses.replace(profile, Q=profile.Q * (1.0 + 1e-9))
-    with pytest.raises(ConstructionError):
-        _check_continuity(bent)
+    (rho_m,), (t_m,) = profile.jets(-sigma, 0)
+    assert np.array_equal(rho_m, rho) and np.array_equal(t_m, -t)
 
 
 # --- declared chart symmetries -------------------------------------------

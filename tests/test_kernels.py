@@ -39,6 +39,17 @@ def test_stable_acosh_against_longdouble():
     assert float(rel[d > 1e-6].max()) < 1e-12
 
 
+def test_stable_acosh_against_mpmath():
+    # acosh(1 + delta) at 40 digits, with 1 + delta formed exactly there
+    import mpmath as mp
+
+    d = np.logspace(-16, 2, 400)
+    with mp.workdps(40):
+        ref = np.array([float(mp.acosh(1 + mp.mpf(x))) for x in d])
+    rel = np.abs(stable_acosh(d) - ref) / ref
+    assert float(rel.max()) <= 1e-15
+
+
 def test_stable_acosh_branch_continuity():
     lo = stable_acosh(np.array([1e-4 * (1 - 1e-12)]))[0]
     hi = stable_acosh(np.array([1e-4 * (1 + 1e-12)]))[0]
