@@ -26,16 +26,17 @@ which the complex-step k_g route reads.
 
 t has no elementary form: t' decays as e^{-3 sigma}, and t is an
 elliptic integral of the third kind.  `solve_profile` tabulates it once,
-on uniform panels of width `_PANEL` in |sigma|: each panel holds the
-degree-`_DEGREE` polynomial that interpolates t at the panel's Chebyshev
-points, whose values are `_GAUSS`-point Gauss-Legendre sums of t'.  A
-point's panel is floor(|sigma| / _PANEL).  Against mpmath, rho is within
-2.2e-16 relative and t within 2.2e-16 absolute for c in {0.3, 1, 2} over
-sigma in [0, 12], so the chart's position and its derivatives agree to
-rounding: there is no interpolation error along the surface.  The poles
-of t' nearest the real axis sit at sigma = +-i atan(2c)/2, so below
-c = 0.3 the neck panel loses digits of t: 2.8e-13 at c = 0.1, 3.4e-10 at
-c = 0.05.  The oracle, not the derivation, is the correctness contract:
+on uniform panels in |sigma|: each panel holds the degree-`_DEGREE`
+polynomial that interpolates t at the panel's Chebyshev points, whose
+values are `_GAUSS`-point Gauss-Legendre sums of t'.  The poles of t'
+nearest the real axis sit at sigma = +-i atan(2c)/2, so a panel is
+min(`_PANEL`, atan(2c)/4) wide (`RotationProfile.panel`): half the
+distance to those poles for small c, and `_PANEL` for every c >= 0.3.
+A point's panel is floor(|sigma| / panel).  Against mpmath, rho is
+within 3.3e-16 relative and t within 7e-16 absolute for c from 0.01 to
+2 over sigma in [0, 12], so the chart's position and its derivatives
+agree to rounding: there is no interpolation error along the surface.
+The oracle, not the derivation, is the correctness contract:
 construction fails loudly if sampled |H| exceeds 1e-6.
 """
 
@@ -51,7 +52,7 @@ from ..immersion import ParametricSurface
 from ..space_forms import SpaceForm
 from .charts import _stack
 
-_PANEL = 0.125    # width in |sigma| of one panel of the t table
+_PANEL = 0.125    # widest panel of the t table, in |sigma|
 _DEGREE = 16      # degree of each panel's polynomial in t
 _GAUSS = 16       # Gauss-Legendre points per tabulated integral of t'
 
@@ -80,14 +81,15 @@ class RotationProfile:
     """Profile for one first-integral constant c, with k = sqrt(1 + 4c^2).
 
     ``coefs`` (shape (_DEGREE + 1, panels)) holds, per panel of width
-    `_PANEL` in |sigma|, the ascending monomial coefficients of t in
-    x = |sigma| / _PANEL - panel, which runs over [0, 1).  The constant
-    term is t at the panel start itself, so t(0) = 0 exactly and the
-    mirror sigma -> -sigma fixes the neck circle exactly.
+    ``panel`` in |sigma|, the ascending monomial coefficients of t in
+    x = |sigma| / panel - j on panel j, which runs over [0, 1).  The
+    constant term is t at the panel start itself, so t(0) = 0 exactly
+    and the mirror sigma -> -sigma fixes the neck circle exactly.
     """
 
     c: float
     k: float
+    panel: float
     coefs: np.ndarray
 
     def jets(self, sigma: np.ndarray, order: int):
@@ -110,7 +112,7 @@ class RotationProfile:
         s2 = np.sqrt(d * (2.0 + d))                     # sinh 2 rho
         rho = 0.5 * np.log1p(d + s2)
 
-        q = a / _PANEL
+        q = a / self.panel
         panel = np.minimum(np.floor(q.real).astype(np.intp),
                            self.coefs.shape[1] - 1)
         x = q - panel
@@ -139,6 +141,8 @@ class RotationProfile:
 def solve_profile(c: float, sigma_max: float) -> RotationProfile:
     """The profile of constant c, with its t table covering [0, sigma_max].
 
+    The panels are h = min(_PANEL, atan(2c) / 4) wide, so each stays
+    twice its width away from the poles of t' at sigma = +-i atan(2c)/2.
     Each panel [j h, (j + 1) h] samples t at its Chebyshev points
     j h + x_i h, x_i = (1 - cos(i pi / _DEGREE)) / 2: t at the panel
     start (the running sum of whole-panel integrals) plus a Gauss-Legendre
@@ -146,11 +150,12 @@ def solve_profile(c: float, sigma_max: float) -> RotationProfile:
     """
     neck_radius(c)                 # validates c
     k = float(np.sqrt(1.0 + 4.0 * c * c))
-    panels = int(sigma_max / _PANEL) + 1
+    h = min(_PANEL, float(np.arctan(2.0 * c)) / 4.0)
+    panels = int(sigma_max / h) + 1
     x = 0.5 - 0.5 * np.cos(np.pi * np.arange(_DEGREE + 1) / _DEGREE)
     g, w = np.polynomial.legendre.leggauss(_GAUSS)
-    half = 0.5 * _PANEL * x                         # half of [start, node]
-    nodes = (_PANEL * np.arange(panels)[:, None, None]
+    half = 0.5 * h * x                              # half of [start, node]
+    nodes = (h * np.arange(panels)[:, None, None]
              + half[:, None] * (1.0 + g))           # (panels, x, g)
     t_d = _t_prime(c, _cosh_2rho_minus_1(c, k, np.sinh(nodes) ** 2))
     partial = half * (t_d @ w)                      # t(node) - t(start)
@@ -158,7 +163,7 @@ def solve_profile(c: float, sigma_max: float) -> RotationProfile:
     coefs = np.linalg.solve(np.vander(x, increasing=True),
                             (t_start[:, None] + partial).T)
     coefs[0] = t_start
-    return RotationProfile(c=c, k=k, coefs=coefs)
+    return RotationProfile(c=c, k=k, panel=h, coefs=coefs)
 
 
 def solve_hyperbolic_catenoid(c: float = 1.0,
@@ -217,11 +222,12 @@ def solve_hyperbolic_catenoid(c: float = 1.0,
     # coordinates grow as e^sigma: the float64 floor of |H| rises from
     # 2.5e-12 at sigma in (8, 9) to 2e-8 in (10, 11) and 2.6e-6 in
     # (11, 12), and past sigma ~ 12.3 `frames` raises ImmersionError.
-    rng = np.random.default_rng(7)
+    # The 500 points are a fixed lattice: 25 values of sigma, ends and
+    # neck included, against 20 of theta at half steps.
     span = max(sigma_max - 2.0, 0.75 * sigma_max)
-    sig = rng.uniform(-span, span, 500)
-    theta = rng.uniform(0.0, 2.0 * np.pi, 500)
-    fb = immersion.frames(surface, theta, sig)
+    sig = np.linspace(-span, span, 25)[None, :]
+    theta = (2.0 * np.pi / 20) * (np.arange(20) + 0.5)[:, None]
+    fb = immersion.frames(surface, *np.broadcast_arrays(theta, sig))
     worst = float(np.max(np.abs(fb.H)))
     if worst > 1e-6:
         raise ConstructionError(

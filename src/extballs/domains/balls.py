@@ -1,7 +1,7 @@
 """Extrinsic balls: area integrals and boundary samples with frames.
 
 ``extract_ball`` is the per-radius entry point.  It finds the cells the
-level curve {r = t} cuts in the field's sorted band, solves each cut
+level curve {r = t} cuts in the field's bucketed band, solves each cut
 edge's crossing once and labels each crossing with its closed
 component of the unordered segments that join them.  It integrates
 area, |B|^2 and K over {r < t} from the same cut cells and crossings.

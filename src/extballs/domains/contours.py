@@ -1,7 +1,7 @@
 """Level-curve extraction for the extrinsic distance on a chart grid.
 
 ``solve_level`` takes the cells the level {r = tt} cuts, as
-``field.level_cells`` finds them in the field's sorted band, and emits
+``field.level_cells`` finds them in the field's bucketed band, and emits
 contour segments as pairs of global edge ids (the numbering of
 ``domains.field``).  It then solves each cut edge's crossing once, by a
 safeguarded Newton iteration on the exact ambient distance along the

@@ -25,12 +25,16 @@ conventions live here:
   i to (n - i) mod n and cell i to n - 1 - i on a periodic u starting
   at 0.  The node values of r are mirror-symmetric only to rounding.
 * Once per field, the cells with a corner below t_max (the only ones a
-  requested ball can reach) are sorted by their corner maximum of r
-  (``DistanceField.cell_order``).  The cells fully inside {r < t} are a
-  prefix of that order, and every cell the level {r = t} cuts lies in
-  the band of cells whose maximum is in [t, t + largest cell span), so
-  ``level_cells`` classifies only that band, never the whole grid.
-  The tests hold the band against a classification of every cell.
+  requested ball can reach) are indexed by their corner maximum of r:
+  ``_BUCKETS`` equal buckets over [0, largest maximum], the cells
+  bucket-major and row-major inside a bucket
+  (``DistanceField.cell_order``, ``bucket_start``).  The cells fully
+  inside {r < t} are the whole buckets below t's own plus the cells of
+  t's bucket whose maximum is below t (`cells_below`), and every cell
+  the level {r = t} cuts has its maximum in [t, t + largest cell span),
+  so ``level_cells`` classifies only the buckets of that band, never
+  the whole grid.  The tests hold both sets against a classification of
+  every cell.
 """
 
 from __future__ import annotations
@@ -40,8 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, DomainTooSmall, ModelError, PoleOffModel
-from ..immersion import (BATCH_POINTS, ParametricSurface, batch_map,
-                         radial_frames)
+from ..immersion import BATCH_POINTS, ParametricSurface, radial_frames
 
 # A node's six neighbours on the triangulated grid of `critical_scan`, in
 # cyclic order; the first three follow it in row-major order.
@@ -82,11 +85,14 @@ class DistanceField:
     r: np.ndarray                 # (n_u, n_v)
     h_u: float
     h_v: float
-    # Flat ids of the cells with a corner below t_max, sorted by their
-    # corner maximum of r (`_sort_reached_cells`), that maximum in the
-    # same order, and the largest corner max - min among those cells.
+    # Flat ids of the cells with a corner below t_max, bucket-major by
+    # their corner maximum of r and row-major inside a bucket
+    # (`_index_reached_cells`); where each bucket starts in that order,
+    # with the end last; buckets per unit of r; and the largest corner
+    # max - min among those cells.
     cell_order: np.ndarray = field(repr=False)     # (n_reached,) int32
-    cell_max: np.ndarray = field(repr=False)       # (n_reached,)
+    bucket_start: np.ndarray = field(repr=False)   # (_BUCKETS + 1,)
+    bucket_scale: float
     cell_span: float
     # Per chart axis (u, v), whether the chart's declared mirror fixes
     # the pole exactly, so every ball is symmetric under it.
@@ -111,31 +117,74 @@ class DistanceField:
         return self.surface.form.distance(self.pole, X)
 
 
-def _sort_reached_cells(r: np.ndarray, periodic_u: bool, t_max: float):
-    """(cell_order, cell_max, cell_span) of the cells reaching below t_max.
+# Buckets of the reached cells' corner maxima: few enough for an int16
+# key, whose stable argsort NumPy runs as a radix sort in O(n).
+_BUCKETS = 4096
 
-    The corner minimum and maximum are taken in place in two cell-grid
-    buffers, and the u-periodic wrap column (last node row against row
-    0) is filled on its own, so no periodic copy of ``r`` is built.  The
-    sort is stable, so equal maxima keep their row-major order.
+
+def _index_reached_cells(r: np.ndarray, periodic_u: bool, t_max: float):
+    """(cell_order, bucket_start, bucket_scale, cell_span) of the cells
+    reaching below t_max.
+
+    Cell rows run in blocks of about ``BATCH_POINTS`` cells, so the
+    corner minima and maxima (pairwise extremes of adjacent node rows,
+    then of adjacent columns) stay a block's size; the u-periodic wrap
+    row (last node row against row 0) joins the last block.  A reached
+    cell's key is its bucket ``floor(max * bucket_scale)``, clipped to
+    the last bucket, over [0, largest maximum]; the sort is stable, so a
+    bucket keeps its cells in row-major order.
     """
-    n = r.shape[0] - 1
-    lo = np.empty((n + periodic_u, r.shape[1] - 1))
+    n_u, n_v = r.shape
+    m_u = n_u if periodic_u else n_u - 1
+    rows = max(1, BATCH_POINTS // n_v)
+    pair = np.empty((rows, n_v))
+    lo = np.empty((rows, n_v - 1))
     hi = np.empty_like(lo)
-    blocks = [(slice(None, n), r[:-1], r[1:])]
-    if periodic_u:
-        blocks.append((slice(n, None), r[-1:], r[:1]))
-    for rows, a, b in blocks:
-        for out, op in ((lo[rows], np.minimum), (hi[rows], np.maximum)):
-            op(a[:, :-1], b[:, :-1], out=out)
-            op(out, b[:, 1:], out=out)
-            op(out, a[:, 1:], out=out)
-    reached = np.flatnonzero(lo < t_max)
-    cell_max = hi.ravel()[reached]
-    span = float(np.max(cell_max - lo.ravel()[reached])) if len(reached) \
-        else 0.0
-    order = np.argsort(cell_max, kind="stable")
-    return reached[order].astype(np.int32), cell_max[order], span
+    ids, key, span = [], [], 0.0
+    for start in range(0, m_u, rows):
+        stop = min(start + rows, m_u)
+        node = (r[start:stop + 1] if stop < n_u
+                else np.concatenate([r[start:], r[:1]]))
+        k = stop - start
+        p, low, high = pair[:k], lo[:k], hi[:k]
+        for out, op in ((low, np.minimum), (high, np.maximum)):
+            op(node[:-1], node[1:], out=p)
+            op(p[:, :-1], p[:, 1:], out=out)
+        sel = np.flatnonzero(low < t_max)
+        cell_max = high.ravel()[sel]
+        span = max(span, float(np.max(cell_max - low.ravel()[sel],
+                                      initial=0.0)))
+        ids.append(sel.astype(np.int32) + np.int32(start * (n_v - 1)))
+        key.append(cell_max)
+    key = np.concatenate(key)
+    top = float(np.max(key, initial=0.0))
+    scale = _BUCKETS / top if top > 0.0 else 0.0
+    key *= scale
+    np.minimum(key, _BUCKETS - 1, out=key)
+    key = key.astype(np.int16)
+    order = np.concatenate(ids)[np.argsort(key, kind="stable")]
+    start = np.zeros(_BUCKETS + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=_BUCKETS), out=start[1:])
+    return order, start, scale, span
+
+
+def _buckets(field: DistanceField, lo: float, hi: float) -> slice:
+    """The positions in ``cell_order`` of the buckets that hold corner
+    maxima lo to hi, keyed as at the build."""
+    first, last = (min(max(int(x * field.bucket_scale), 0), _BUCKETS - 1)
+                   for x in (lo, hi))
+    return slice(int(field.bucket_start[first]),
+                 int(field.bucket_start[last + 1]))
+
+
+def cells_below(field: DistanceField, tt: float) -> tuple[int, np.ndarray]:
+    """The reached cells with corner maximum below tt, as positions in
+    ``cell_order``: every position before ``whole`` (the buckets below
+    tt's own) and the positions ``part`` in tt's bucket."""
+    own = _buckets(field, tt, tt)
+    corners = _cell_corners(field.r, field.cell_order[own],
+                            field.periodic_u)[3]
+    return own.start, own.start + np.flatnonzero(np.all(corners < tt, axis=1))
 
 
 # The corners (a, b) bounding a cell's bottom, right, top and left side;
@@ -161,13 +210,22 @@ class CutCells:
         return len(self.ids)
 
 
-def cut_cells(r: np.ndarray, t: float, periodic_u: bool,
-              ids: np.ndarray) -> CutCells:
-    """The cells among the flat ``ids`` that the level {r = t} cuts."""
+def _cell_corners(r: np.ndarray, ids: np.ndarray, periodic_u: bool):
+    """(i, j, i1, corners) of the flat cell ``ids``: the node indices of
+    their c0 corners, the node row of c1 and c2, and the node values of
+    r at c0..c3, (n, 4)."""
     n_u, n_v = r.shape
     i, j = np.divmod(ids, n_v - 1)
     i1 = (i + 1) % n_u if periodic_u else i + 1
     corners = np.stack([r[i, j], r[i1, j], r[i1, j + 1], r[i, j + 1]], axis=1)
+    return i, j, i1, corners
+
+
+def cut_cells(r: np.ndarray, t: float, periodic_u: bool,
+              ids: np.ndarray) -> CutCells:
+    """The cells among the flat ``ids`` that the level {r = t} cuts."""
+    n_u, n_v = r.shape
+    i, j, i1, corners = _cell_corners(r, ids, periodic_u)
     case = (corners < t) @ np.array([1, 2, 4, 8], dtype=np.int16)
     keep = np.flatnonzero((case > 0) & (case < 15))
     keep = keep[np.argsort(ids[keep])]
@@ -189,14 +247,12 @@ def level_cells(field: DistanceField, tt: float) -> CutCells:
     """The cells the level {r = tt} cuts, classified from its band only.
 
     A cut cell has corner maximum >= tt and corner minimum < tt, so its
-    maximum lies in [tt, tt + cell_span): only that slice of the sorted
-    reached cells is gathered and classified.
+    maximum lies in [tt, tt + cell_span): only the buckets of that
+    interval are gathered and classified, and `cut_cells` drops the
+    cells of the two end buckets that lie wholly inside or outside.
     """
-    first = np.searchsorted(field.cell_max, tt)
-    stop = np.searchsorted(field.cell_max,
-                           (tt + field.cell_span) * _BAND_SLACK, side="right")
-    return cut_cells(field.r, tt, field.periodic_u,
-                     field.cell_order[first:stop])
+    band = _buckets(field, tt, (tt + field.cell_span) * _BAND_SLACK)
+    return cut_cells(field.r, tt, field.periodic_u, field.cell_order[band])
 
 
 # A grid node lies on the pole when kappa r (r on R^3) is below this:
@@ -259,21 +315,21 @@ def build_field(surface: ParametricSurface, t_max: float,
 
     r is the ambient distance of the chart's positions (`surface.eval`,
     `SpaceForm.distance`), equal bitwise to the r of `radial_frames`.
-    The nodes run in blocks of whole u-rows of at most ``BATCH_POINTS``
-    nodes (one row when a row is longer), one `batch_map` item each
-    that returns its rows of r, so the batch temporaries stay a block's
-    size while the grid matches one whole-grid batch bitwise.  No frame
-    is evaluated here: the degenerate-metric guard (`ImmersionError`)
-    still runs through the cell cache's `frames` at every reached cell.
+    The nodes run in the caller in blocks of whole u-rows of at most
+    ``BATCH_POINTS`` nodes (one row when a row is longer), so the batch
+    temporaries stay a block's size while the grid matches one
+    whole-grid batch bitwise.  No frame is evaluated here: the
+    degenerate-metric guard (`ImmersionError`) still runs through the
+    cell cache's `frames` at every reached cell.
 
     The guard requires the minimum of r over the outermost node ring (in
     every non-periodic direction) to exceed t_max: otherwise some requested
     ball would leak outside the chart and its area and boundary would be
     silently truncated.  A node on the pole (``_ON_POLE``) raises
-    ``ConfigError``.  The field ends with the reached cells sorted by
-    their corner maximum (``cell_order``), which every ball of the
-    schedule reads, and with the chart mirrors that fix the pole
-    exactly (S * pole == pole, ``mirrors``).
+    ``ConfigError``.  The field ends with the bucket index of the
+    reached cells by corner maximum (``cell_order``, ``bucket_start``),
+    which every ball of the schedule reads, and with the chart mirrors
+    that fix the pole exactly (S * pole == pole, ``mirrors``).
     """
     if not np.isfinite(t_max) or t_max <= 0.0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
@@ -298,14 +354,13 @@ def build_field(surface: ParametricSurface, t_max: float,
     form = surface.form
     on_pole = _ON_POLE / form.kappa if form.curved else _ON_POLE
 
-    def sample(start):
+    r = np.empty((spec.n_u, spec.n_v))
+    for start in range(0, spec.n_u, rows):
         U, V = u_nodes[start:start + rows, None], v_nodes[None, :]
-        r = form.distance(pole, surface.eval(U, V))
-        if np.any(r < on_pole):
-            raise _node_on_pole(surface, U, V, r, start)
-        return r
-
-    r = np.concatenate(batch_map(sample, range(0, spec.n_u, rows)))
+        block = r[start:start + rows]
+        block[...] = form.distance(pole, surface.eval(U, V))
+        if np.any(block < on_pole):
+            raise _node_on_pole(surface, U, V, block, start)
     if not np.all(np.isfinite(r)):
         raise ConfigError(
             f"distance field on {surface.label!r} contains non-finite values"
@@ -322,15 +377,16 @@ def build_field(surface: ParametricSurface, t_max: float,
             "the chart centre or lower t_max"
         )
 
-    order, cell_max, span = _sort_reached_cells(r, surface.periodic_u, t_max)
+    order, start, scale, span = _index_reached_cells(r, surface.periodic_u,
+                                                     t_max)
     mirrors = tuple(signs is not None
                     and np.array_equal(np.asarray(signs) * pole, pole)
                     for signs in (surface.mirror_u, surface.mirror_v))
     return DistanceField(surface=surface, pole=pole, spec=spec, t_max=t_max,
                          u_nodes=u_nodes, v_nodes=v_nodes, r=r,
                          h_u=h_u, h_v=h_v,
-                         cell_order=order, cell_max=cell_max, cell_span=span,
-                         mirrors=mirrors)
+                         cell_order=order, bucket_start=start,
+                         bucket_scale=scale, cell_span=span, mirrors=mirrors)
 
 
 def _node_on_pole(surface: ParametricSurface, U, V, r: np.ndarray,

@@ -13,13 +13,14 @@ Gauss-Bonnet).  It is a sum over grid cells, read from the `Level` that
   against 4x4 the 3x3 rule moves the shipped configs' ball totals by
   at most 6e-12 relative wherever the total is not zero in closed form,
   at 9 instead of 16 frame evaluations per cell).  The cache holds the
-  reached cells in ``DistanceField.cell_order``, sorted by their corner
-  maximum of r, so the cells inside {r < t} are a prefix and each
-  radius sums that slice with ``np.sum`` (pairwise, no cumulative
-  sum).  Each cached cell reads the integrals of the cell that the
-  chart's ``ParametricSurface.symmetry`` folds it to (`_fold`: its row's
-  cell at u = 0, its octant image, or itself), and only the distinct
-  folded cells are evaluated;
+  reached cells in ``DistanceField.cell_order``, bucket-major by their
+  corner maximum of r, so the cells inside {r < t} are the whole
+  buckets below t's own plus the cells of t's bucket whose maximum is
+  below t (`field.cells_below`), and each radius sums those with
+  ``np.sum`` (pairwise, no cumulative sum).  Each cached cell reads the
+  integrals of the cell that the chart's ``ParametricSurface.symmetry``
+  folds it to (`_fold`: its row's cell at u = 0, its octant image, or
+  itself), and only the distinct folded cells are evaluated;
 * each cut cell is split at the level curve's two boundary crossings
   into three pieces along the grid axis best aligned with the curve's
   graph direction, and every piece is integrated by four 4-point
@@ -52,8 +53,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..immersion import BATCH_POINTS, FrameBatch, batch_map, frames
-from .field import CELL_SIDES, CutCells, DistanceField, bracketed_newton
+from ..immersion import BATCH_POINTS, FrameBatch, frames
+from .field import (CELL_SIDES, CutCells, DistanceField, bracketed_newton,
+                    cells_below)
 
 
 def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +90,8 @@ def ensure_cell_cache(field: DistanceField) -> dict[str, np.ndarray]:
     ``field.cell_order``.  The first call fills ``field.cell_integrals``;
     later calls reuse it.  Each cell reads the integrals of its `_fold`
     image, and the distinct images are integrated once each, in
-    row-major order, ``BATCH_POINTS`` points per `batch_map` item.
+    row-major order, in batches of ``BATCH_POINTS`` points run in the
+    caller.
     """
     if field.cell_integrals is None:
         keys, u_nodes = _fold(field)
@@ -96,10 +99,9 @@ def ensure_cell_cache(field: DistanceField) -> dict[str, np.ndarray]:
         qi, qj = np.divmod(present, field.spec.n_v - 1)
         u0, v0 = u_nodes[qi], field.v_nodes[qj]
         step = BATCH_POINTS // _X3.size ** 2
-        parts = batch_map(lambda s: _full_cells(field, u0[s:s + step],
-                                                v0[s:s + step],
-                                                field.h_u, field.h_v),
-                          range(0, len(u0), step))
+        parts = [_full_cells(field, u0[s:s + step], v0[s:s + step],
+                             field.h_u, field.h_v)
+                 for s in range(0, len(u0), step)]
         channels = zip(*parts) if parts else [[np.zeros(0)]] * len(CHANNELS)
         field.cell_integrals = tuple(np.concatenate(channel)[index]
                                      for channel in channels)
@@ -435,18 +437,20 @@ def region_integral(field: DistanceField, tt: float,
     """Integrals of the CHANNELS densities over the extrinsic ball {r < tt}.
 
     ``level`` is the `contours.Level` of tt.  The cells fully inside are
-    the leading cells of ``field.cell_order`` whose corner maximum is
-    below tt; the cut cells are the level's, each weighted by
-    `_orbit_weights`: where the field's mirrors fix the pole, only the
+    the cached cells whose corner maximum is below tt: the whole buckets
+    below tt's own, summed as one slice, plus the part of tt's bucket
+    (`field.cells_below`).  The cut cells are the level's, each weighted
+    by `_orbit_weights`: where the field's mirrors fix the pole, only the
     cut cells of their fundamental domain are integrated, each counted
     once per cell of its orbit.
     """
     cache = ensure_cell_cache(field)
-    inside = int(np.searchsorted(field.cell_max, tt))
+    whole, part = cells_below(field, tt)
     cut = integrate_cut_cells(field, tt, level.cells, *level.cell_edges(),
                               _orbit_weights(field, level.cells.ids))
-    return {name: float(np.sum(cache[name][:inside])) + part
-            for name, part in zip(CHANNELS, cut)}
+    return {name: float(np.sum(cache[name][:whole])
+                        + np.sum(cache[name][part])) + piece
+            for name, piece in zip(CHANNELS, cut)}
 
 
 def _orbit_weights(field: DistanceField, ids: np.ndarray):

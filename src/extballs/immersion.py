@@ -22,9 +22,9 @@ tangency).  The correction is orthogonal to N in exact arithmetic, but
 <F, N> carries roundoff that g_ij ~ e^{2r} amplifies: without it b_11 is
 off by 0.1 at r in (6, 7).
 
-`batch_map` runs the independent items of a field (row blocks, cache
-batches, radii) on every CPU, in the caller and forked worker
-processes, with results in item order whatever the CPU count.
+`batch_map` runs the independent radii of a schedule on every CPU, in
+the caller and forked worker processes, with results in item order
+whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ Jet = tuple[np.ndarray, ...]
 # schedule: callers that cover more split the work into blocks of at
 # most this many points (one larger unit, a grid row or a ball's
 # boundary, goes alone), so the batch temporaries stay small while the
-# results stay bitwise those of one batch.  The blocks are independent
-# items of `batch_map`, so each process of a map holds at most one
-# block's temporaries at a time.
+# results stay bitwise those of one batch.  Each process holds at most
+# one block's temporaries at a time.
 BATCH_POINTS = 16384
 
 

@@ -10,12 +10,13 @@ within 1e-6 of a critical value, or below which no grid node lies (no
 discrete boundary, although the true ball always holds the pole), are
 skipped.
 
-The field's row blocks, the cache's batches and the radii of the
-schedule run on every CPU through `immersion.batch_map`: the caller and
-one forked child per further CPU claim the items in order, and each item
-returns what it computes.  The field and its cell cache are read-only by
-then, every item is independent, and results are collected in item
-order, so a report does not depend on the CPU count.
+The field and its cell cache are built in the caller, in fixed-size
+blocks.  The radii of the schedule then run on every CPU through
+`immersion.batch_map`: the caller and one forked child per further CPU
+claim the radii in order, and each returns the record it computes.  The
+field and its cell cache are read-only by then, every radius is
+independent, and records are collected in schedule order, so a report
+does not depend on the CPU count.
 """
 
 from __future__ import annotations

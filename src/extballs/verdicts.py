@@ -120,10 +120,11 @@ def build_verdicts(field, series: RadiusSeries, *, surface_name: str,
     """Reduce a finished radius series of a distance field to the report."""
     form = field.surface.form
     # Sampled mean-curvature oracle over the ball-serving region: up to
-    # 200 seeded grid nodes within t_max of the pole, or the nearest one.
+    # 200 grid nodes within t_max of the pole, evenly strided through
+    # them in row-major order, or the nearest one.
     nodes = np.flatnonzero(field.r <= max(field.t_max, np.min(field.r)))
-    pick = np.random.default_rng(0).choice(nodes, min(200, len(nodes)),
-                                           replace=False)
+    count = min(200, len(nodes))
+    pick = nodes[np.arange(count) * len(nodes) // count]
     iu, iv = np.unravel_index(pick, field.r.shape)
     fb = frames(field.surface, field.u_nodes[iu], field.v_nodes[iv])
     max_normH = float(np.max(np.abs(fb.H)))

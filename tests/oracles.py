@@ -10,7 +10,7 @@ them.
 * `check_surface`: sampled model membership, tangency and minimality of
   a chart;
 * `cell_cases` and `corner_views`: the marching-squares case of every
-  cell of a grid, the whole-grid reference for the field's sorted band;
+  cell of a grid, the whole-grid reference for the field's bucketed band;
 * `geodesic_step`: a point at given arclength along a space-form
   geodesic;
 * `ambient_gradient`: a frame's tangential radial gradient as an

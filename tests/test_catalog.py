@@ -283,6 +283,20 @@ def test_profile_matches_mpmath(c):
     assert np.array_equal(rho_m, rho) and np.array_equal(t_m, -t)
 
 
+@pytest.mark.parametrize("c", [0.01, 0.02, 0.05, 0.1])
+def test_profile_t_at_small_c(c):
+    # The poles of t' sit at sigma = +-i atan(2c)/2, so the t table's
+    # panels narrow to atan(2c)/4 below c = 0.3; 0.125-wide panels left t
+    # off by 2.0e-13 at c = 0.1 up to 9.6e-7 at c = 0.01.  The points
+    # are dense over the neck, where the error arose, and cover the chart.
+    sigma_max = 8.0 + catalog.neck_radius(c) + 3.0
+    sigma = np.concatenate([np.linspace(0.0, 0.5, 41)[:-1],
+                            np.linspace(0.5, sigma_max, 60)])
+    _, ref_t = _mpmath_profile(c, sigma)
+    (_,), (t,) = solve_profile(c, sigma_max).jets(sigma, 0)
+    assert np.max(np.abs(t - ref_t)) <= 1e-15
+
+
 # --- declared chart symmetries -------------------------------------------
 
 U_ISOMETRIC = ["plane", "catenoid", "helicoid", "h2_in_h3",

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extballs import immersion
 from extballs.catalog.charts import plane_chart, sphere_cap_chart
 from extballs.domains import (GridSpec, bisect_boundary, build_field,
                               coarea_integral, critical_scan, extract_ball,
@@ -84,8 +83,7 @@ def test_field_blocks_equal_one_batch(name, monkeypatch):
     # Seven u-rows per block leave a ragged last block of five rows, each
     # block a column of u against a row of v; r matches one whole-grid
     # batch of radial_frames bit for bit, on u-periodic charts (catenoid,
-    # hyperbolic catenoid) and a non-periodic one (Enneper).  One worker,
-    # so the spy sees every block.
+    # hyperbolic catenoid) and a non-periodic one (Enneper).
     surface = make(name, t_max=3.0)
     spec = GridSpec(96, 80)
     blocks = []
@@ -95,7 +93,6 @@ def test_field_blocks_equal_one_batch(name, monkeypatch):
             blocks.append((U.shape[0], order))
         return surface.jet(U, V, order)
 
-    monkeypatch.setattr(immersion, "_WORKERS", 1)
     monkeypatch.setattr(field_module, "BATCH_POINTS", 7 * 80 + 3)
     field = build_field(dataclasses.replace(surface, jet=jet), 3.0,
                         spec=spec)
@@ -236,8 +233,53 @@ def test_partial_bisection_on_two_ends():
     assert np.max(np.abs(r - tt)) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["catenoid", "enneper"])
+def test_bucket_index_matches_every_cell(name):
+    # The reached cells sit bucket-major by corner maximum and row-major
+    # inside a bucket.  For radii at exact cell maxima, at bucket edges
+    # and one ulp either side, below every node and at or above the
+    # largest reached maximum, the cells below tt and the level's cut
+    # cells equal a classification of every cell, on a u-periodic chart
+    # (catenoid) and a non-periodic one (Enneper).
+    field = build_field(make(name, t_max=4.0), 4.0, spec=GridSpec(96, 80))
+    r, periodic = field.r, field.periodic_u
+    corners = corner_views(r, periodic)
+    lo = np.minimum.reduce(corners).ravel()
+    hi = np.maximum.reduce(corners).ravel()
+    reached = np.flatnonzero(lo < field.t_max)
+    buckets = field_module._BUCKETS
+    key = np.minimum(hi[field.cell_order] * field.bucket_scale,
+                     buckets - 1).astype(int)
+    assert np.array_equal(np.sort(field.cell_order), reached)
+    assert np.array_equal(field.bucket_start,
+                          np.searchsorted(key, np.arange(buckets + 1)))
+    step = np.diff(key) * len(lo) + np.diff(field.cell_order)
+    assert np.all(step > 0)
+    assert field.cell_span == np.max(hi[reached] - lo[reached])
+
+    top = np.max(hi[reached])
+    edges = np.arange(1, buckets, 61) / field.bucket_scale
+    radii = np.concatenate([
+        np.linspace(0.0, 1.2 * top, 41), hi[reached[::53]], edges,
+        np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        [0.5 * np.min(r), np.min(r), field.t_max, top,
+         np.nextafter(top, 0.0), np.nextafter(top, np.inf)]])
+    for tt in radii:
+        whole, part = field_module.cells_below(field, tt)
+        below = np.concatenate([field.cell_order[:whole],
+                                field.cell_order[part]])
+        assert np.array_equal(np.sort(below), reached[hi[reached] < tt]), tt
+        cut = reached[(lo[reached] < tt) & (hi[reached] >= tt)]
+        cells = level_cells(field, tt)
+        assert np.array_equal(cells.ids, cut), tt
+        if tt <= field.t_max:
+            cases = cell_cases(r, tt, periodic).ravel()
+            assert np.array_equal(cut, np.flatnonzero((cases > 0)
+                                                      & (cases < 15))), tt
+
+
 def test_one_classification_per_radius(catenoid_192, monkeypatch):
-    # extract_ball classifies the cells of the field's sorted band once
+    # extract_ball classifies the cells of the field's bucketed band once
     # and shares them between the contours and the quadrature; the band's
     # cut cells are those of the whole-grid reference classification.
     calls = []
@@ -383,7 +425,7 @@ def test_boundary_sample_invariants(catenoid_field):
 def test_open_level_curve_raises(plane_field):
     # A level just above the chart edge's midpoint distance leaves the
     # grid, so its edge crossings cannot all pair into closed components.
-    # That level lies beyond t_max, outside the sorted band of reached
+    # That level lies beyond t_max, outside the bucketed band of reached
     # cells, so its cut cells come from every cell of the grid.
     t = float(plane_field.r[0, 256]) + 1e-3
     m_u, m_v = plane_field.cell_shape
@@ -706,14 +748,12 @@ def test_dihedral_cache_matches_per_cell(name, case, monkeypatch):
 def test_cell_cache_batches(symmetry, monkeypatch):
     # Every quadrature batch of the cache holds BATCH_POINTS // 9 whole
     # cells, the last one the rest, in one frames call; the batches
-    # change no cell beyond roundoff.  One worker, so the spy sees every
-    # batch.
+    # change no cell beyond roundoff.
     surface = dataclasses.replace(make("enneper", t_max=4.0),
                                   symmetry=symmetry)
     field = build_field(surface, 4.0, spec=GridSpec(96, 96))
     whole = ensure_cell_cache(field)
     field.cell_integrals = None
-    monkeypatch.setattr(immersion, "_WORKERS", 1)
     monkeypatch.setattr(quadrature, "BATCH_POINTS", 9 * 100 + 5)
     points = _frame_spy(monkeypatch)
     cache = ensure_cell_cache(field)
